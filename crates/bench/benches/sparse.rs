@@ -22,9 +22,9 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use specwise_ckt::{CircuitEnv, FoldedCascode, MillerOpamp};
+use specwise_ckt::{CircuitEnv, FoldedCascode, MillerOpamp, Testbench};
 use specwise_linalg::DVec;
-use specwise_mna::{set_solver_override, SolverChoice};
+use specwise_mna::SolverChoice;
 
 fn quick() -> bool {
     std::env::var("SPECWISE_BENCH_QUICK").is_ok()
@@ -55,7 +55,7 @@ fn sample_stream(dim: usize, count: usize) -> Vec<DVec> {
 /// Commits the warm-start snapshot between samples (a no-op on disabled
 /// caches), so each sample's Newton solves can seed from the previous
 /// converged operating point — the serial-stream usage pattern.
-fn mc_pass<E: CircuitEnv>(env: &E, d: &DVec, samples: &[DVec]) -> f64 {
+fn mc_pass(env: &Testbench, d: &DVec, samples: &[DVec]) -> f64 {
     let theta = env.operating_range().nominal();
     let mut acc = 0.0;
     for s in samples {
@@ -66,51 +66,40 @@ fn mc_pass<E: CircuitEnv>(env: &E, d: &DVec, samples: &[DVec]) -> f64 {
     acc
 }
 
-struct Workload<E: CircuitEnv> {
-    name: &'static str,
-    make: fn(bool) -> E,
-    clear_warm: fn(&E),
-}
-
-fn folded(warm: bool) -> FoldedCascode {
-    FoldedCascode::paper_setup().with_warm_start(warm)
-}
-
-fn miller(warm: bool) -> MillerOpamp {
-    MillerOpamp::paper_setup().with_warm_start(warm)
-}
-
-fn bench_workload<E: CircuitEnv>(c: &mut Criterion, w: &Workload<E>) {
+fn bench_workload(c: &mut Criterion, name: &str, setup: fn() -> Testbench) {
     let n_samples = if quick() { 4 } else { 24 };
-    let env_cold = (w.make)(false);
-    let env_warm = (w.make)(true);
-    let d0 = env_cold.design_space().initial();
-    let samples = sample_stream(env_cold.stat_dim(), n_samples);
+    let dense_cold = setup()
+        .with_warm_start(false)
+        .with_solver(SolverChoice::Dense);
+    let sparse_cold = setup()
+        .with_warm_start(false)
+        .with_solver(SolverChoice::Sparse);
+    let sparse_warm = setup()
+        .with_warm_start(true)
+        .with_solver(SolverChoice::Sparse);
+    let d0 = dense_cold.design_space().initial();
+    let samples = sample_stream(dense_cold.stat_dim(), n_samples);
 
-    // Parity guard: the three variants must agree on the first sample
+    // Parity guard: the two backends must agree on the first sample
     // before any timing is trusted.
-    let theta = env_cold.operating_range().nominal();
-    set_solver_override(Some(SolverChoice::Dense));
-    let p_dense = env_cold
+    let theta = dense_cold.operating_range().nominal();
+    let p_dense = dense_cold
         .eval_performances(&d0, &samples[0], &theta)
         .unwrap();
-    set_solver_override(Some(SolverChoice::Sparse));
-    let p_sparse = env_cold
+    let p_sparse = sparse_cold
         .eval_performances(&d0, &samples[0], &theta)
         .unwrap();
     for i in 0..p_dense.len() {
         let err = (p_dense[i] - p_sparse[i]).abs() / (1.0 + p_dense[i].abs());
         assert!(
             err < 1e-6,
-            "{}: dense/sparse disagree on performance {i}: {} vs {}",
-            w.name,
+            "{name}: dense/sparse disagree on performance {i}: {} vs {}",
             p_dense[i],
             p_sparse[i]
         );
     }
-    set_solver_override(None);
 
-    let mut group = c.benchmark_group(format!("mc_verify_{}", w.name));
+    let mut group = c.benchmark_group(format!("mc_verify_{name}"));
     if quick() {
         group
             .sample_size(3)
@@ -122,48 +111,28 @@ fn bench_workload<E: CircuitEnv>(c: &mut Criterion, w: &Workload<E>) {
     }
 
     group.bench_function("dense-cold", |b| {
-        set_solver_override(Some(SolverChoice::Dense));
-        b.iter(|| mc_pass(&env_cold, &d0, &samples));
-        set_solver_override(None);
+        b.iter(|| mc_pass(&dense_cold, &d0, &samples));
     });
     group.bench_function("sparse-cold", |b| {
-        set_solver_override(Some(SolverChoice::Sparse));
-        b.iter(|| mc_pass(&env_cold, &d0, &samples));
-        set_solver_override(None);
+        b.iter(|| mc_pass(&sparse_cold, &d0, &samples));
     });
     group.bench_function("sparse-warm", |b| {
-        set_solver_override(Some(SolverChoice::Sparse));
         b.iter(|| {
             // Fresh cache each iteration: within-stream near-hit seeding
             // only, no exact-hit replay between iterations.
-            (w.clear_warm)(&env_warm);
-            mc_pass(&env_warm, &d0, &samples)
+            sparse_warm.warm_cache().clear();
+            mc_pass(&sparse_warm, &d0, &samples)
         });
-        set_solver_override(None);
     });
     group.finish();
 }
 
 fn bench_folded(c: &mut Criterion) {
-    bench_workload(
-        c,
-        &Workload {
-            name: "folded_cascode",
-            make: folded,
-            clear_warm: |e| e.warm_cache().clear(),
-        },
-    );
+    bench_workload(c, "folded_cascode", FoldedCascode::paper_setup);
 }
 
 fn bench_miller(c: &mut Criterion) {
-    bench_workload(
-        c,
-        &Workload {
-            name: "miller",
-            make: miller,
-            clear_warm: |e| e.warm_cache().clear(),
-        },
-    );
+    bench_workload(c, "miller", MillerOpamp::paper_setup);
 }
 
 criterion_group!(benches, bench_folded, bench_miller);

@@ -139,8 +139,8 @@ fn table7() -> Result<(), Box<dyn Error>> {
     println!("Computational effort");
     println!("paper: Folded-Cascode 689 sims / 30 min; Miller 627 sims / 8 min");
     println!("(on 5x Pentium III with TITAN's internal sensitivities; our");
-    println!("finite-difference gradients need more simulator calls, each far");
-    println!("cheaper — see EXPERIMENTS.md)\n");
+    println!("totals add Monte-Carlo verification, the Verify column below,");
+    println!("and each call is far cheaper — see EXPERIMENTS.md)\n");
     let (_, trace_fc) = run_table1_exec()?;
     let (_, trace_mi) = run_table6_exec()?;
     let rows = vec![

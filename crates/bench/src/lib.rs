@@ -12,7 +12,7 @@ use specwise::{
     MismatchAnalysis, MismatchEntry, OptimizationTrace, OptimizerConfig, SpecwiseError,
     YieldOptimizer,
 };
-use specwise_ckt::{CircuitEnv, CktError, FoldedCascode, MillerOpamp};
+use specwise_ckt::{CircuitEnv, CktError, FoldedCascode, MillerOpamp, Testbench};
 use specwise_exec::{EvalService, ExecConfig};
 use specwise_linalg::DVec;
 use specwise_wcd::LinearizationPoint;
@@ -23,7 +23,7 @@ use specwise_wcd::LinearizationPoint;
 /// # Errors
 ///
 /// Propagates optimizer errors.
-pub fn run_table1() -> Result<(FoldedCascode, OptimizationTrace), SpecwiseError> {
+pub fn run_table1() -> Result<(Testbench, OptimizationTrace), SpecwiseError> {
     let env = FoldedCascode::paper_setup();
     let trace = YieldOptimizer::new(OptimizerConfig::default()).run(&env)?;
     Ok((env, trace))
@@ -37,7 +37,7 @@ pub fn run_table1() -> Result<(FoldedCascode, OptimizationTrace), SpecwiseError>
 /// # Errors
 ///
 /// Propagates optimizer errors.
-pub fn run_table1_exec() -> Result<(FoldedCascode, OptimizationTrace), SpecwiseError> {
+pub fn run_table1_exec() -> Result<(Testbench, OptimizationTrace), SpecwiseError> {
     let env = FoldedCascode::paper_setup();
     let service = EvalService::new(&env, ExecConfig::from_env());
     let trace = YieldOptimizer::new(OptimizerConfig::default()).run(&service)?;
@@ -50,7 +50,7 @@ pub fn run_table1_exec() -> Result<(FoldedCascode, OptimizationTrace), SpecwiseE
 /// # Errors
 ///
 /// Propagates optimizer errors.
-pub fn run_table6_exec() -> Result<(MillerOpamp, OptimizationTrace), SpecwiseError> {
+pub fn run_table6_exec() -> Result<(Testbench, OptimizationTrace), SpecwiseError> {
     let env = MillerOpamp::paper_setup();
     let service = EvalService::new(&env, ExecConfig::from_env());
     let trace = YieldOptimizer::new(OptimizerConfig::default()).run(&service)?;
@@ -62,7 +62,7 @@ pub fn run_table6_exec() -> Result<(MillerOpamp, OptimizationTrace), SpecwiseErr
 /// # Errors
 ///
 /// Propagates optimizer errors.
-pub fn run_table3() -> Result<(FoldedCascode, OptimizationTrace), SpecwiseError> {
+pub fn run_table3() -> Result<(Testbench, OptimizationTrace), SpecwiseError> {
     let env = FoldedCascode::paper_setup();
     let mut cfg = OptimizerConfig::default();
     cfg.use_constraints = false;
@@ -76,7 +76,7 @@ pub fn run_table3() -> Result<(FoldedCascode, OptimizationTrace), SpecwiseError>
 /// # Errors
 ///
 /// Propagates optimizer errors.
-pub fn run_table4() -> Result<(FoldedCascode, OptimizationTrace), SpecwiseError> {
+pub fn run_table4() -> Result<(Testbench, OptimizationTrace), SpecwiseError> {
     let env = FoldedCascode::paper_setup();
     let mut cfg = OptimizerConfig::default();
     cfg.wc_options.linearization_point = LinearizationPoint::Nominal;
@@ -90,7 +90,7 @@ pub fn run_table4() -> Result<(FoldedCascode, OptimizationTrace), SpecwiseError>
 /// # Errors
 ///
 /// Propagates analysis errors.
-pub fn run_table5() -> Result<(FoldedCascode, Vec<MismatchEntry>), SpecwiseError> {
+pub fn run_table5() -> Result<(Testbench, Vec<MismatchEntry>), SpecwiseError> {
     let env = FoldedCascode::paper_setup();
     let d0 = env.design_space().initial();
     let analysis =
@@ -105,7 +105,7 @@ pub fn run_table5() -> Result<(FoldedCascode, Vec<MismatchEntry>), SpecwiseError
 /// # Errors
 ///
 /// Propagates optimizer errors.
-pub fn run_table6() -> Result<(MillerOpamp, OptimizationTrace), SpecwiseError> {
+pub fn run_table6() -> Result<(Testbench, OptimizationTrace), SpecwiseError> {
     let env = MillerOpamp::paper_setup();
     let trace = YieldOptimizer::new(OptimizerConfig::default()).run(&env)?;
     Ok((env, trace))

@@ -43,6 +43,24 @@ pub fn parse_knob_checked<T: FromStr>(name: &str, raw: &str) -> Result<T, String
     })
 }
 
+/// An on/off knob value: `1`/`on`/`true` or `0`/`off`/`false`, in any
+/// case. Anything else is malformed, so a typo such as `of` warns instead
+/// of silently meaning "on".
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Switch(pub bool);
+
+impl FromStr for Switch {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Self, ()> {
+        match s.to_ascii_lowercase().as_str() {
+            "1" | "on" | "true" => Ok(Switch(true)),
+            "0" | "off" | "false" => Ok(Switch(false)),
+            _ => Err(()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -59,6 +77,22 @@ mod tests {
     fn well_formed_values_parse_with_whitespace() {
         assert_eq!(parse_knob_checked::<usize>("SPECWISE_BATCH", " 8 "), Ok(8));
         assert_eq!(parse_knob_checked::<f64>("X", "1e-9"), Ok(1e-9));
+    }
+
+    #[test]
+    fn warm_start_switch_accepts_on_off_words_and_warns_on_typos() {
+        let words = [("0", false), ("OFF", false), (" false ", false)]
+            .into_iter()
+            .chain([("1", true), ("On", true), ("true", true)]);
+        for (raw, on) in words {
+            assert_eq!(
+                parse_knob_checked("SPECWISE_WARM_START", raw),
+                Ok(Switch(on))
+            );
+        }
+        let err = parse_knob_checked::<Switch>("SPECWISE_WARM_START", "of").unwrap_err();
+        assert!(err.contains("SPECWISE_WARM_START=\"of\""), "{err}");
+        assert!(err.contains("keeping default"), "{err}");
     }
 
     #[test]

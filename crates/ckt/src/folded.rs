@@ -25,17 +25,12 @@
 //! Specifications (paper Table 1): `A0 ≥ 40 dB`, `ft ≥ 40 MHz`,
 //! `CMRR ≥ 80 dB`, `SR ≥ 35 V/µs`, `P ≤ 3.5 mW`.
 //!
-//! The environment is a thin wrapper over the deck-driven [`Testbench`]:
-//! the `.match` groups reproduce the seed's per-device mismatch ordering
-//! (every device carries local parameters, pairs declared jointly).
+//! The circuit is a deck, not a type: [`FoldedCascode::paper_setup`]
+//! compiles it into a [`Testbench`]. The `.match` groups reproduce the
+//! seed's per-device mismatch ordering (every device carries local
+//! parameters, pairs declared jointly).
 
-use specwise_linalg::DVec;
-
-use crate::warm::WarmStartCache;
-use crate::{
-    CircuitEnv, CktError, DesignSpace, OpampMetrics, OperatingPoint, OperatingRange,
-    SlewRateMethod, Spec, StatSpace, Technology, Testbench,
-};
+use crate::Testbench;
 
 /// The annotated deck defining the environment. The `.match` flattening
 /// order (m1 m2 m3 m4 m5 m6 m7 m8 mt mb1 mb2) fixes the statistical
@@ -94,7 +89,8 @@ CL out 0 2.0e-12
 .end
 ";
 
-/// The folded-cascode opamp environment (paper Fig. 7).
+/// The folded-cascode opamp of paper Fig. 7: a namespace for its deck and
+/// the [`Testbench`] compiled from it.
 ///
 /// # Example
 ///
@@ -114,157 +110,31 @@ CL out 0 2.0e-12
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
-pub struct FoldedCascode {
-    tb: Testbench,
-}
+pub enum FoldedCascode {}
 
 impl FoldedCascode {
     /// The paper's experimental setup: initial sizing chosen so that the
     /// initial design is feasible w.r.t. the functional constraints but
     /// violates the ft and CMRR specs at the worst-case operating corner
     /// (Table 1, "Initial" rows).
-    pub fn paper_setup() -> Self {
-        FoldedCascode {
-            tb: Testbench::from_deck(DECK).expect("embedded folded-cascode deck is valid"),
-        }
+    pub fn paper_setup() -> Testbench {
+        Testbench::from_deck(DECK).expect("embedded folded-cascode deck is valid")
     }
 
     /// The annotated deck this environment is compiled from.
     pub fn deck() -> &'static str {
         DECK
     }
-
-    /// Replaces the slew-rate extraction method.
-    pub fn with_sr_method(mut self, method: SlewRateMethod) -> Self {
-        self.tb = self.tb.with_sr_method(method);
-        self
-    }
-
-    /// Forces the DC warm-start cache on or off (overriding the
-    /// `SPECWISE_WARM_START` environment knob); used by benchmarks and
-    /// A/B comparisons.
-    pub fn with_warm_start(mut self, enabled: bool) -> Self {
-        self.tb = self.tb.with_warm_start(enabled);
-        self
-    }
-
-    /// The DC warm-start cache (e.g. to clear between benchmark runs).
-    pub fn warm_cache(&self) -> &WarmStartCache {
-        self.tb.warm_cache()
-    }
-
-    /// The technology card in use.
-    pub fn technology(&self) -> &Technology {
-        self.tb.technology()
-    }
-
-    /// Full metric set (physical units) at one evaluation point — the
-    /// low-level view behind [`CircuitEnv::eval_performances`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CktError`] for dimension mismatches or failed simulations.
-    pub fn metrics(
-        &self,
-        d: &DVec,
-        s_hat: &DVec,
-        theta: &OperatingPoint,
-    ) -> Result<OpampMetrics, CktError> {
-        self.tb.metrics(d, s_hat, theta)
-    }
-}
-
-impl CircuitEnv for FoldedCascode {
-    fn name(&self) -> &str {
-        self.tb.name()
-    }
-
-    fn design_space(&self) -> &DesignSpace {
-        self.tb.design_space()
-    }
-
-    fn stat_space(&self) -> &StatSpace {
-        self.tb.stat_space()
-    }
-
-    fn specs(&self) -> &[Spec] {
-        self.tb.specs()
-    }
-
-    fn operating_range(&self) -> &OperatingRange {
-        self.tb.operating_range()
-    }
-
-    fn constraint_names(&self) -> Vec<String> {
-        self.tb.constraint_names()
-    }
-
-    fn eval_performances(
-        &self,
-        d: &DVec,
-        s_hat: &DVec,
-        theta: &OperatingPoint,
-    ) -> Result<DVec, CktError> {
-        self.tb.eval_performances(d, s_hat, theta)
-    }
-
-    fn eval_constraints(&self, d: &DVec) -> Result<DVec, CktError> {
-        self.tb.eval_constraints(d)
-    }
-
-    fn sim_count(&self) -> u64 {
-        self.tb.sim_count()
-    }
-
-    fn reset_sim_count(&self) {
-        self.tb.reset_sim_count();
-    }
-
-    fn set_sim_phase(&self, phase: crate::SimPhase) {
-        self.tb.set_sim_phase(phase);
-    }
-
-    fn sim_phase_counts(&self) -> [u64; crate::SimPhase::COUNT] {
-        self.tb.sim_phase_counts()
-    }
-
-    fn warm_commit(&self) {
-        self.tb.warm_commit();
-    }
-
-    fn eval_margins_perturbed(
-        &self,
-        d: &DVec,
-        s_hat: &DVec,
-        theta: &OperatingPoint,
-        directions: &[(DVec, DVec)],
-    ) -> Result<Option<(DVec, Vec<DVec>)>, CktError> {
-        self.tb.eval_margins_perturbed(d, s_hat, theta, directions)
-    }
-
-    fn eval_margins_samples(
-        &self,
-        d: &DVec,
-        points: &[(DVec, OperatingPoint)],
-    ) -> Option<Vec<Result<DVec, CktError>>> {
-        self.tb.eval_margins_samples(d, points)
-    }
-
-    fn adjoint_solve_count(&self) -> u64 {
-        self.tb.adjoint_solve_count()
-    }
-
-    fn fd_sims_avoided(&self) -> u64 {
-        self.tb.fd_sims_avoided()
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use specwise_linalg::DVec;
 
-    fn env() -> FoldedCascode {
+    use super::*;
+    use crate::{CircuitEnv, CktError};
+
+    fn env() -> Testbench {
         FoldedCascode::paper_setup()
     }
 

@@ -22,18 +22,12 @@
 //! Specifications (paper Table 6): `A0 ≥ 80 dB`, `ft ≥ 1.3 MHz`,
 //! `Φm ≥ 60°`, `SR ≥ 3 V/µs`, `P ≤ 1.3 mW`.
 //!
-//! The environment is a thin wrapper over the deck-driven [`Testbench`]:
-//! the whole setup — topology, design space, specs, operating range,
-//! harness wiring — lives in the annotated deck returned by
-//! [`MillerOpamp::deck`].
+//! The circuit is a deck, not a type: the whole setup — topology, design
+//! space, specs, operating range, harness wiring — lives in the annotated
+//! deck returned by [`MillerOpamp::deck`], and
+//! [`MillerOpamp::paper_setup`] compiles it into a [`Testbench`].
 
-use specwise_linalg::DVec;
-
-use crate::warm::WarmStartCache;
-use crate::{
-    CircuitEnv, CktError, DesignSpace, OpampMetrics, OperatingPoint, OperatingRange,
-    SlewRateMethod, Spec, StatSpace, Technology, Testbench,
-};
+use crate::Testbench;
 
 /// The annotated deck defining the environment. No `.match` groups: the
 /// paper's Table 6 experiment uses global variations only.
@@ -81,7 +75,8 @@ CL out 0 40.0e-12
 .end
 ";
 
-/// The Miller two-stage opamp environment (paper Fig. 8).
+/// The Miller two-stage opamp of paper Fig. 8: a namespace for its deck
+/// and the [`Testbench`] compiled from it.
 ///
 /// # Example
 ///
@@ -102,155 +97,30 @@ CL out 0 40.0e-12
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
-pub struct MillerOpamp {
-    tb: Testbench,
-}
+pub enum MillerOpamp {}
 
 impl MillerOpamp {
     /// The paper's experimental setup: the initial design has a mid-range
     /// yield (Table 6 "Initial": 33.7 %), marginally failing the slew-rate
     /// specification and sitting close to the phase-margin bound.
-    pub fn paper_setup() -> Self {
-        MillerOpamp {
-            tb: Testbench::from_deck(DECK).expect("embedded Miller deck is valid"),
-        }
+    pub fn paper_setup() -> Testbench {
+        Testbench::from_deck(DECK).expect("embedded Miller deck is valid")
     }
 
     /// The annotated deck this environment is compiled from.
     pub fn deck() -> &'static str {
         DECK
     }
-
-    /// Replaces the slew-rate extraction method.
-    pub fn with_sr_method(mut self, method: SlewRateMethod) -> Self {
-        self.tb = self.tb.with_sr_method(method);
-        self
-    }
-
-    /// Forces the DC warm-start cache on or off (overriding the
-    /// `SPECWISE_WARM_START` environment knob); used by benchmarks and
-    /// A/B comparisons.
-    pub fn with_warm_start(mut self, enabled: bool) -> Self {
-        self.tb = self.tb.with_warm_start(enabled);
-        self
-    }
-
-    /// The DC warm-start cache (e.g. to clear between benchmark runs).
-    pub fn warm_cache(&self) -> &WarmStartCache {
-        self.tb.warm_cache()
-    }
-
-    /// The technology card in use.
-    pub fn technology(&self) -> &Technology {
-        self.tb.technology()
-    }
-
-    /// Full metric set at one evaluation point.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CktError`] for dimension mismatches or failed simulations.
-    pub fn metrics(
-        &self,
-        d: &DVec,
-        s_hat: &DVec,
-        theta: &OperatingPoint,
-    ) -> Result<OpampMetrics, CktError> {
-        self.tb.metrics(d, s_hat, theta)
-    }
-}
-
-impl CircuitEnv for MillerOpamp {
-    fn name(&self) -> &str {
-        self.tb.name()
-    }
-
-    fn design_space(&self) -> &DesignSpace {
-        self.tb.design_space()
-    }
-
-    fn stat_space(&self) -> &StatSpace {
-        self.tb.stat_space()
-    }
-
-    fn specs(&self) -> &[Spec] {
-        self.tb.specs()
-    }
-
-    fn operating_range(&self) -> &OperatingRange {
-        self.tb.operating_range()
-    }
-
-    fn constraint_names(&self) -> Vec<String> {
-        self.tb.constraint_names()
-    }
-
-    fn eval_performances(
-        &self,
-        d: &DVec,
-        s_hat: &DVec,
-        theta: &OperatingPoint,
-    ) -> Result<DVec, CktError> {
-        self.tb.eval_performances(d, s_hat, theta)
-    }
-
-    fn eval_constraints(&self, d: &DVec) -> Result<DVec, CktError> {
-        self.tb.eval_constraints(d)
-    }
-
-    fn sim_count(&self) -> u64 {
-        self.tb.sim_count()
-    }
-
-    fn reset_sim_count(&self) {
-        self.tb.reset_sim_count();
-    }
-
-    fn set_sim_phase(&self, phase: crate::SimPhase) {
-        self.tb.set_sim_phase(phase);
-    }
-
-    fn sim_phase_counts(&self) -> [u64; crate::SimPhase::COUNT] {
-        self.tb.sim_phase_counts()
-    }
-
-    fn warm_commit(&self) {
-        self.tb.warm_commit();
-    }
-
-    fn eval_margins_perturbed(
-        &self,
-        d: &DVec,
-        s_hat: &DVec,
-        theta: &OperatingPoint,
-        directions: &[(DVec, DVec)],
-    ) -> Result<Option<(DVec, Vec<DVec>)>, CktError> {
-        self.tb.eval_margins_perturbed(d, s_hat, theta, directions)
-    }
-
-    fn eval_margins_samples(
-        &self,
-        d: &DVec,
-        points: &[(DVec, OperatingPoint)],
-    ) -> Option<Vec<Result<DVec, CktError>>> {
-        self.tb.eval_margins_samples(d, points)
-    }
-
-    fn adjoint_solve_count(&self) -> u64 {
-        self.tb.adjoint_solve_count()
-    }
-
-    fn fd_sims_avoided(&self) -> u64 {
-        self.tb.fd_sims_avoided()
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use specwise_linalg::DVec;
 
-    fn env() -> MillerOpamp {
+    use super::*;
+    use crate::CircuitEnv;
+
+    fn env() -> Testbench {
         MillerOpamp::paper_setup()
     }
 

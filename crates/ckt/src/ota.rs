@@ -1,6 +1,6 @@
-//! A five-transistor OTA — the minimal reference implementation of a
-//! [`CircuitEnv`], intended as the template for plugging your own circuit
-//! into the yield-optimization flow.
+//! A five-transistor OTA — the minimal reference deck for a
+//! [`crate::CircuitEnv`], intended as the template for plugging your own
+//! circuit into the yield-optimization flow.
 //!
 //! Topology (NMOS input pair, PMOS mirror load, single-ended output):
 //!
@@ -19,17 +19,11 @@
 //! it optimizes in well under a second and is used by the quick-start
 //! documentation and smoke tests.
 //!
-//! The environment is a thin wrapper over the deck-driven [`Testbench`];
-//! see `examples/custom_circuit.rs` for the same pattern applied to a
-//! circuit that has no hand-written Rust at all.
+//! The circuit is a deck, not a type: [`FiveTransistorOta::default_setup`]
+//! compiles it into a [`Testbench`]. `examples/custom_circuit.rs` applies
+//! the same pattern to a circuit of its own.
 
-use specwise_linalg::DVec;
-
-use crate::warm::WarmStartCache;
-use crate::{
-    CircuitEnv, CktError, DesignSpace, OpampMetrics, OperatingPoint, OperatingRange,
-    SlewRateMethod, Spec, StatSpace, Testbench,
-};
+use crate::Testbench;
 
 /// The annotated deck defining the environment.
 const DECK: &str = "\
@@ -72,7 +66,8 @@ CL out 0 2.0e-12
 .end
 ";
 
-/// The five-transistor OTA environment.
+/// The five-transistor OTA: a namespace for its deck and the
+/// [`Testbench`] compiled from it.
 ///
 /// # Example
 ///
@@ -91,149 +86,29 @@ CL out 0 2.0e-12
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
-pub struct FiveTransistorOta {
-    tb: Testbench,
-}
+pub enum FiveTransistorOta {}
 
 impl FiveTransistorOta {
     /// A modest default setup: every spec passes at the nominal point with
     /// a small margin, so the optimizer has work to do on the tails.
-    pub fn default_setup() -> Self {
-        FiveTransistorOta {
-            tb: Testbench::from_deck(DECK).expect("embedded OTA deck is valid"),
-        }
+    pub fn default_setup() -> Testbench {
+        Testbench::from_deck(DECK).expect("embedded OTA deck is valid")
     }
 
     /// The annotated deck this environment is compiled from.
     pub fn deck() -> &'static str {
         DECK
     }
-
-    /// Replaces the slew-rate extraction method.
-    pub fn with_sr_method(mut self, method: SlewRateMethod) -> Self {
-        self.tb = self.tb.with_sr_method(method);
-        self
-    }
-
-    /// Forces the DC warm-start cache on or off (overriding the
-    /// `SPECWISE_WARM_START` environment knob); used by benchmarks and
-    /// A/B comparisons.
-    pub fn with_warm_start(mut self, enabled: bool) -> Self {
-        self.tb = self.tb.with_warm_start(enabled);
-        self
-    }
-
-    /// The DC warm-start cache (e.g. to clear between benchmark runs).
-    pub fn warm_cache(&self) -> &WarmStartCache {
-        self.tb.warm_cache()
-    }
-
-    /// Full metric set at one evaluation point.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CktError`] for dimension mismatches or failed simulations.
-    pub fn metrics(
-        &self,
-        d: &DVec,
-        s_hat: &DVec,
-        theta: &OperatingPoint,
-    ) -> Result<OpampMetrics, CktError> {
-        self.tb.metrics(d, s_hat, theta)
-    }
-}
-
-impl CircuitEnv for FiveTransistorOta {
-    fn name(&self) -> &str {
-        self.tb.name()
-    }
-
-    fn design_space(&self) -> &DesignSpace {
-        self.tb.design_space()
-    }
-
-    fn stat_space(&self) -> &StatSpace {
-        self.tb.stat_space()
-    }
-
-    fn specs(&self) -> &[Spec] {
-        self.tb.specs()
-    }
-
-    fn operating_range(&self) -> &OperatingRange {
-        self.tb.operating_range()
-    }
-
-    fn constraint_names(&self) -> Vec<String> {
-        self.tb.constraint_names()
-    }
-
-    fn eval_performances(
-        &self,
-        d: &DVec,
-        s_hat: &DVec,
-        theta: &OperatingPoint,
-    ) -> Result<DVec, CktError> {
-        self.tb.eval_performances(d, s_hat, theta)
-    }
-
-    fn eval_constraints(&self, d: &DVec) -> Result<DVec, CktError> {
-        self.tb.eval_constraints(d)
-    }
-
-    fn sim_count(&self) -> u64 {
-        self.tb.sim_count()
-    }
-
-    fn reset_sim_count(&self) {
-        self.tb.reset_sim_count();
-    }
-
-    fn set_sim_phase(&self, phase: crate::SimPhase) {
-        self.tb.set_sim_phase(phase);
-    }
-
-    fn sim_phase_counts(&self) -> [u64; crate::SimPhase::COUNT] {
-        self.tb.sim_phase_counts()
-    }
-
-    fn warm_commit(&self) {
-        self.tb.warm_commit();
-    }
-
-    fn eval_margins_perturbed(
-        &self,
-        d: &DVec,
-        s_hat: &DVec,
-        theta: &OperatingPoint,
-        directions: &[(DVec, DVec)],
-    ) -> Result<Option<(DVec, Vec<DVec>)>, CktError> {
-        self.tb.eval_margins_perturbed(d, s_hat, theta, directions)
-    }
-
-    fn eval_margins_samples(
-        &self,
-        d: &DVec,
-        points: &[(DVec, OperatingPoint)],
-    ) -> Option<Vec<Result<DVec, CktError>>> {
-        self.tb.eval_margins_samples(d, points)
-    }
-
-    fn adjoint_solve_count(&self) -> u64 {
-        self.tb.adjoint_solve_count()
-    }
-
-    fn fd_sims_avoided(&self) -> u64 {
-        self.tb.fd_sims_avoided()
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use specwise_linalg::DVec;
 
-    fn env() -> FiveTransistorOta {
+    use super::*;
+    use crate::CircuitEnv;
+
+    fn env() -> Testbench {
         FiveTransistorOta::default_setup()
     }
 

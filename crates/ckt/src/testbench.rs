@@ -50,7 +50,7 @@
 use specwise_linalg::DVec;
 use specwise_mna::{
     parse_deck_ast, parse_deck_ast_limited, Circuit, DeckAst, DeckElementKind, DeckLimits,
-    DeckValue, MosPolarity, MosfetParams, NodeId,
+    DeckValue, MosPolarity, MosfetParams, NodeId, SolverChoice,
 };
 
 use crate::measure::{
@@ -348,6 +348,7 @@ pub struct Testbench {
     range: OperatingRange,
     bench: BenchConfig,
     sr_method: SlewRateMethod,
+    solver: SolverChoice,
     counter: SimCounter,
     warm: WarmStartCache,
     identity: u64,
@@ -774,6 +775,7 @@ impl Testbench {
                 vcm_expr,
             },
             sr_method: SlewRateMethod::Analytic,
+            solver: SolverChoice::Auto,
             counter: SimCounter::new(),
             warm: WarmStartCache::from_env(),
             identity,
@@ -783,6 +785,14 @@ impl Testbench {
     /// Replaces the slew-rate extraction method.
     pub fn with_sr_method(mut self, method: SlewRateMethod) -> Self {
         self.sr_method = method;
+        self
+    }
+
+    /// Forces the linear-solver backend of every circuit this bench builds
+    /// (default [`SolverChoice::Auto`]); used by benchmarks and parity
+    /// checks.
+    pub fn with_solver(mut self, choice: SolverChoice) -> Self {
+        self.solver = choice;
         self
     }
 
@@ -929,6 +939,7 @@ impl OpampBuilder for Testbench {
     ) -> Result<BuiltOpamp, CktError> {
         let mut ckt = Circuit::new();
         ckt.set_temperature(theta.temp_k());
+        ckt.set_solver(self.solver);
         // Pre-intern the declared nodes: this pins the MNA unknown ordering
         // (and thereby the LU pivoting sequence) to the deck's `.nodes`
         // line, independent of element order.

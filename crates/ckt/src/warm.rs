@@ -45,6 +45,7 @@ use std::sync::Mutex;
 use specwise_linalg::DVec;
 use specwise_mna::{Circuit, DcOp, DcSolution, MnaError};
 
+use crate::env_knob::{parse_env_knob, Switch};
 use crate::OperatingPoint;
 
 /// Which circuit configuration a solve belongs to. Configurations have
@@ -148,15 +149,10 @@ impl Default for WarmStartCache {
 
 impl WarmStartCache {
     /// Creates a cache, enabled unless `SPECWISE_WARM_START` is set to
-    /// `0`, `off`, or `false`.
+    /// `0`, `off`, or `false`. Any value other than those and `1`, `on`,
+    /// `true` warns and keeps the cache enabled.
     pub fn from_env() -> Self {
-        let enabled = match std::env::var("SPECWISE_WARM_START") {
-            Ok(v) => !matches!(
-                v.trim().to_ascii_lowercase().as_str(),
-                "0" | "off" | "false"
-            ),
-            Err(_) => true,
-        };
+        let Switch(enabled) = parse_env_knob("SPECWISE_WARM_START").unwrap_or(Switch(true));
         WarmStartCache {
             enabled,
             state: Mutex::new(WarmState::default()),

@@ -40,13 +40,11 @@
 //! Anything beyond tier 2 is a divergence finding. Panics are caught by
 //! the campaign driver and are always findings.
 
-use std::sync::Mutex;
-
 use specwise_ckt::{CktError, Testbench};
 use specwise_linalg::DVec;
 use specwise_mna::{
-    parse_deck_ast_limited, AcSolver, DcOp, DcSensitivity, DeckAst, DeckElementKind, DeckLimits,
-    DeckValue, MnaError, SolverChoice,
+    parse_deck_ast_limited, AcSolver, Circuit, DcOp, DcSensitivity, DeckAst, DeckElementKind,
+    DeckLimits, DeckValue, MnaError, SolverChoice,
 };
 
 /// Upper bound on MNA unknowns the solve oracle will accept — the dense
@@ -148,19 +146,11 @@ impl OracleStats {
     }
 }
 
-/// The solver-backend override is process-global; oracle invocations from
-/// tests must serialize around it.
-static BACKEND_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_backend<R>(choice: SolverChoice, f: impl FnOnce() -> R) -> R {
-    set_override(Some(choice));
-    let out = f();
-    set_override(None);
-    out
-}
-
-fn set_override(choice: Option<SolverChoice>) {
-    specwise_mna::set_solver_override(choice);
+/// A clone of `ckt` that solves on the given backend.
+fn on(ckt: &Circuit, choice: SolverChoice) -> Circuit {
+    let mut ckt = ckt.clone();
+    ckt.set_solver(choice);
+    ckt
 }
 
 fn finding(kind: FindingKind, oracle: &'static str, detail: String, deck: &str) -> Finding {
@@ -343,10 +333,10 @@ pub fn check_solve(
     if n == 0 || n > MAX_ORACLE_UNKNOWNS {
         return Ok(());
     }
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-
-    let dense = with_backend(SolverChoice::Dense, || DcOp::new(&ckt).solve());
-    let sparse = with_backend(SolverChoice::Sparse, || DcOp::new(&ckt).solve());
+    let ckt_d = on(&ckt, SolverChoice::Dense);
+    let ckt_s = on(&ckt, SolverChoice::Sparse);
+    let dense = DcOp::new(&ckt_d).solve();
+    let sparse = DcOp::new(&ckt_s).solve();
     let (op_d, op_s) = match (dense, sparse) {
         (Err(ed), Err(es)) => {
             for (label, e) in [("dense", &ed), ("sparse", &es)] {
@@ -411,12 +401,8 @@ pub fn check_solve(
     });
     if has_ac {
         for freq in AC_FREQS {
-            let yd = with_backend(SolverChoice::Dense, || {
-                AcSolver::new(&ckt, &op_d).solve(freq)
-            });
-            let ys = with_backend(SolverChoice::Sparse, || {
-                AcSolver::new(&ckt, &op_s).solve(freq)
-            });
+            let yd = AcSolver::new(&ckt_d, &op_d).solve(freq);
+            let ys = AcSolver::new(&ckt_s, &op_s).solve(freq);
             match (yd, ys) {
                 (Err(ed), Err(es)) => {
                     for (label, e) in [("dense", &ed), ("sparse", &es)] {
@@ -463,13 +449,11 @@ pub fn check_solve(
         let Ok(pckt) = past.to_circuit() else {
             return Ok(());
         };
-        let (sens_x, full) = with_backend(SolverChoice::Dense, || {
-            let sens = DcSensitivity::new(&ckt, &op_d)
-                .and_then(|s| s.solve_perturbed(&pckt))
-                .map(|sol| sol.unknowns().clone());
-            let full = DcOp::new(&pckt).solve();
-            (sens, full)
-        });
+        let pckt = on(&pckt, SolverChoice::Dense);
+        let sens_x = DcSensitivity::new(&ckt_d, &op_d)
+            .and_then(|s| s.solve_perturbed(&pckt))
+            .map(|sol| sol.unknowns().clone());
+        let full = DcOp::new(&pckt).solve();
         if let (Ok(xs), Ok(full)) = (sens_x, full) {
             // Non-smooth point: a device changed region under the
             // perturbation; the production gradient path declines to FD

@@ -25,6 +25,7 @@ use std::time::Duration;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use specwise_ckt::MillerOpamp;
 use specwise_serve::{Client, Daemon, ServeConfig, SubmitOptions};
+use specwise_trace::json::write_json_string;
 
 use crate::mutate::mutate_n;
 
@@ -47,22 +48,6 @@ pub struct WireReport {
     /// Protocol-level failures (daemon unreachable, bad resync, dropped
     /// victim job). Empty means the daemon survived everything.
     pub findings: Vec<String>,
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn raw_conn(addr: std::net::SocketAddr) -> std::io::Result<(BufReader<TcpStream>, TcpStream)> {
@@ -136,10 +121,10 @@ pub fn run_wire_campaign(seed: u64, iters: usize, log: impl Fn(&str)) -> WireRep
                     let n = rng.gen_range(1..4usize);
                     let deck = mutate_n(seed_deck, &mut rng, n);
                     let (mut r, mut w) = raw_conn(addr).map_err(|e| format!("connect: {e}"))?;
-                    let req = format!(
-                        "{{\"cmd\":\"submit\",\"tenant\":\"fuzzer\",\"deck\":\"{}\"}}\n",
-                        escape_json(&deck)
-                    );
+                    let mut req =
+                        String::from("{\"cmd\":\"submit\",\"tenant\":\"fuzzer\",\"deck\":");
+                    write_json_string(&mut req, &deck);
+                    req.push_str("}\n");
                     w.write_all(req.as_bytes())
                         .map_err(|e| format!("write: {e}"))?;
                     let resp = read_response(&mut r).map_err(|e| format!("read: {e}"))?;

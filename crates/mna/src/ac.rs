@@ -289,7 +289,7 @@ impl AcSolver {
         // Sparse backend: gather G and C onto the cached AC sparsity
         // pattern (a superset of both matrices' nonzeros — the pattern
         // includes every capacitance pair over all MOSFET regions).
-        let sparse = if solver::uses_sparse(n) {
+        let sparse = if circuit.solver().uses_sparse(n) {
             let sym = solver::symbolic_for(circuit, Analysis::Ac);
             let pat = sym.pattern();
             let nnz = pat.nnz();

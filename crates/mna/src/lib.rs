@@ -67,9 +67,6 @@ pub use parser::{
     SpecDirective, TbDirective,
 };
 pub use sens::DcSensitivity;
-pub use solver::{
-    clear_symbolic_cache, set_solver_override, symbolic_cache_len, uses_sparse, SolverChoice,
-    SPARSE_AUTO_THRESHOLD,
-};
+pub use solver::{clear_symbolic_cache, symbolic_cache_len, SolverChoice, SPARSE_AUTO_THRESHOLD};
 pub use sweep::DcSweep;
 pub use transient::{Integrator, Transient, TransientOptions, TransientResult, Waveform};

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use crate::{MnaError, MosfetParams};
+use crate::{MnaError, MosfetParams, SolverChoice};
 
 /// Identifier of a circuit node. Node 0 ([`Circuit::GROUND`]) is ground.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -192,6 +192,7 @@ pub struct Circuit {
     name_lookup: HashMap<String, ElementId>,
     branches: usize,
     temperature: f64,
+    solver: SolverChoice,
 }
 
 impl Default for Circuit {
@@ -216,6 +217,7 @@ impl Circuit {
             name_lookup: HashMap::new(),
             branches: 0,
             temperature: 300.15,
+            solver: SolverChoice::Auto,
         }
     }
 
@@ -285,6 +287,18 @@ impl Circuit {
             "invalid temperature {kelvin}"
         );
         self.temperature = kelvin;
+    }
+
+    /// Linear-solver backend of every analysis of this circuit.
+    pub fn solver(&self) -> SolverChoice {
+        self.solver
+    }
+
+    /// Sets the linear-solver backend (default [`SolverChoice::Auto`]).
+    /// Both backends solve the same system; forcing one is for parity
+    /// checks and benchmarks.
+    pub fn set_solver(&mut self, choice: SolverChoice) {
+        self.solver = choice;
     }
 
     fn insert(&mut self, name: &str, kind: ElementKind) -> Result<ElementId, MnaError> {

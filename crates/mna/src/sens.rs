@@ -26,7 +26,7 @@ use crate::{Circuit, MnaError};
 /// so `F(x) ≈ 0` at the base point.
 const SENS_GMIN: f64 = 1e-12;
 
-/// The factored base Jacobian (dense or sparse per [`solver::uses_sparse`]).
+/// The factored base Jacobian (dense or sparse per [`Circuit::solver`]).
 enum SensFactor {
     Dense(Lu),
     Sparse(Box<SparseLu<f64>>),
@@ -65,7 +65,7 @@ impl DcSensitivity {
             });
         }
         let mut res = DVec::zeros(n);
-        let factor = if solver::uses_sparse(n) {
+        let factor = if circuit.solver().uses_sparse(n) {
             let mut work = SparseWork::new(solver::symbolic_for(circuit, Analysis::Dc));
             stamp_system(
                 circuit,

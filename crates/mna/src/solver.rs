@@ -21,14 +21,14 @@
 //!   (`O(flops)`, no symbolic work); the dense backend zeroes its matrix in
 //!   place instead of reallocating.
 //!
-//! Backend choice: the env knob `SPECWISE_SOLVER=dense|sparse|auto`
-//! (default `auto`: sparse for systems with at least
-//! [`SPARSE_AUTO_THRESHOLD`] unknowns), overridable at runtime with
-//! [`set_solver_override`] for benches and parity tests. The dense path is
-//! bit-identical to the historical implementation.
+//! Backend choice is a property of the circuit: [`Circuit::set_solver`]
+//! (default [`SolverChoice::Auto`]: sparse for systems with at least
+//! [`SPARSE_AUTO_THRESHOLD`] unknowns). Benches and parity tests force a
+//! backend on their own clone of a circuit, so concurrent solves with
+//! different backends never interfere. The dense path is bit-identical to
+//! the historical implementation.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use specwise_linalg::{DMat, DVec, SparseLu, SparsePattern, SparseSymbolic};
@@ -54,46 +54,15 @@ pub enum SolverChoice {
 /// tiny unit-test circuits on the historical bit-exact path).
 pub const SPARSE_AUTO_THRESHOLD: usize = 8;
 
-/// 0 = no override (env / auto), 1 = auto, 2 = dense, 3 = sparse.
-static SOLVER_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Overrides the backend choice process-wide, taking precedence over the
-/// `SPECWISE_SOLVER` environment variable. `None` restores env/auto
-/// behaviour. Intended for benches and parity tests.
-pub fn set_solver_override(choice: Option<SolverChoice>) {
-    let v = match choice {
-        None => 0,
-        Some(SolverChoice::Auto) => 1,
-        Some(SolverChoice::Dense) => 2,
-        Some(SolverChoice::Sparse) => 3,
-    };
-    SOLVER_OVERRIDE.store(v, Ordering::SeqCst);
-}
-
-fn env_choice() -> SolverChoice {
-    match std::env::var("SPECWISE_SOLVER") {
-        Ok(s) => match s.trim().to_ascii_lowercase().as_str() {
-            "dense" => SolverChoice::Dense,
-            "sparse" => SolverChoice::Sparse,
-            _ => SolverChoice::Auto,
-        },
-        Err(_) => SolverChoice::Auto,
-    }
-}
-
-/// Whether a system of `n` unknowns uses the sparse backend under the
-/// current override/env/auto policy.
-pub fn uses_sparse(n: usize) -> bool {
-    let choice = match SOLVER_OVERRIDE.load(Ordering::SeqCst) {
-        1 => SolverChoice::Auto,
-        2 => SolverChoice::Dense,
-        3 => SolverChoice::Sparse,
-        _ => env_choice(),
-    };
-    match choice {
-        SolverChoice::Dense => false,
-        SolverChoice::Sparse => true,
-        SolverChoice::Auto => n >= SPARSE_AUTO_THRESHOLD,
+impl SolverChoice {
+    /// Whether a system of `n` unknowns uses the sparse backend under this
+    /// choice.
+    pub fn uses_sparse(self, n: usize) -> bool {
+        match self {
+            SolverChoice::Dense => false,
+            SolverChoice::Sparse => true,
+            SolverChoice::Auto => n >= SPARSE_AUTO_THRESHOLD,
+        }
     }
 }
 
@@ -304,7 +273,7 @@ pub(crate) struct SystemSolver {
 impl SystemSolver {
     pub(crate) fn new(ckt: &Circuit, analysis: Analysis) -> Self {
         let n = ckt.num_unknowns();
-        let backend = if uses_sparse(n) {
+        let backend = if ckt.solver().uses_sparse(n) {
             Backend::Sparse {
                 work: SparseWork::new(symbolic_for(ckt, analysis)),
                 lu: None,

@@ -3,20 +3,14 @@
 //! BOTH the dense and the sparse LU backend, and the two backends must agree
 //! on whether a given system is solvable.
 
-use std::sync::Mutex;
-
 use proptest::prelude::*;
-use specwise_mna::{set_solver_override, Circuit, DcOp, MnaError, SolverChoice};
+use specwise_mna::{Circuit, DcOp, DcSolution, MnaError, SolverChoice};
 
-/// The backend override is process-global; serialize tests that flip it.
-static BACKEND_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_backend<R>(choice: SolverChoice, f: impl FnOnce() -> R) -> R {
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_solver_override(Some(choice));
-    let out = f();
-    set_solver_override(None);
-    out
+/// Solves the DC operating point of a clone of `ckt` on the given backend.
+fn solve_on(ckt: &Circuit, choice: SolverChoice) -> Result<DcSolution, MnaError> {
+    let mut ckt = ckt.clone();
+    ckt.set_solver(choice);
+    DcOp::new(&ckt).solve()
 }
 
 /// A resistive ladder driven by one voltage source, with optional extras
@@ -61,7 +55,7 @@ proptest! {
         let top = ckt.find_node("n0").unwrap();
         ckt.voltage_source("V2", top, Circuit::GROUND, v2).unwrap();
         for choice in [SolverChoice::Dense, SolverChoice::Sparse] {
-            let r = with_backend(choice, || DcOp::new(&ckt).solve());
+            let r = solve_on(&ckt, choice);
             match r {
                 Err(e) => prop_assert!(
                     clean_failure(&e),
@@ -86,8 +80,8 @@ proptest! {
         let top = ckt.find_node("n0").unwrap();
         let dangling = ckt.node("dangling");
         ckt.resistor("Rbig", top, dangling, 10f64.powf(rexp)).unwrap();
-        let dense = with_backend(SolverChoice::Dense, || DcOp::new(&ckt).solve());
-        let sparse = with_backend(SolverChoice::Sparse, || DcOp::new(&ckt).solve());
+        let dense = solve_on(&ckt, SolverChoice::Dense);
+        let sparse = solve_on(&ckt, SolverChoice::Sparse);
         prop_assert_eq!(
             dense.is_ok(),
             sparse.is_ok(),
@@ -118,8 +112,8 @@ proptest! {
         let mut ckt = ladder(&resistors, v1);
         let island = ckt.node("island");
         ckt.current_source("Iisl", Circuit::GROUND, island, i).unwrap();
-        let dense = with_backend(SolverChoice::Dense, || DcOp::new(&ckt).solve());
-        let sparse = with_backend(SolverChoice::Sparse, || DcOp::new(&ckt).solve());
+        let dense = solve_on(&ckt, SolverChoice::Dense);
+        let sparse = solve_on(&ckt, SolverChoice::Sparse);
         prop_assert_eq!(
             dense.is_ok(),
             sparse.is_ok(),

@@ -1,24 +1,19 @@
 //! Dense-vs-sparse backend parity on a MOSFET circuit large enough to take
-//! the sparse path under `Auto`, plus the symbolic-cache regression: reusing
-//! the cached symbolic factorization across a parameter sweep must produce
-//! solutions bit-identical to factoring fresh every time.
+//! the sparse path under `Auto`. The backend is a property of each circuit,
+//! so every test forces it on its own clone and the tests run concurrently.
 
-use std::sync::Mutex;
+use std::sync::Barrier;
 
 use specwise_mna::{
-    clear_symbolic_cache, set_solver_override, symbolic_cache_len, uses_sparse, AcSolver, Circuit,
-    DcOp, MosfetModel, MosfetParams, SolverChoice, Transient, TransientOptions, Waveform,
+    AcSolver, Circuit, DcOp, MosfetModel, MosfetParams, SolverChoice, Transient, TransientOptions,
+    Waveform,
 };
 
-/// The backend override is process-global; serialize tests that flip it.
-static BACKEND_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_backend<R>(choice: SolverChoice, f: impl FnOnce() -> R) -> R {
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_solver_override(Some(choice));
-    let out = f();
-    set_solver_override(None);
-    out
+/// A clone of `ckt` that solves on the given backend.
+fn on(ckt: &Circuit, choice: SolverChoice) -> Circuit {
+    let mut ckt = ckt.clone();
+    ckt.set_solver(choice);
+    ckt
 }
 
 /// Five-transistor OTA: NMOS differential pair, PMOS mirror load, resistive
@@ -56,20 +51,16 @@ fn ota(vdd_v: f64, w_scale: f64) -> Circuit {
 fn ota_takes_sparse_path_under_auto() {
     let ckt = ota(3.0, 1.0);
     assert!(ckt.num_unknowns() >= 8, "n = {}", ckt.num_unknowns());
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_solver_override(None);
-    // Default env has no SPECWISE_SOLVER; Auto applies.
-    if std::env::var("SPECWISE_SOLVER").is_err() {
-        assert!(uses_sparse(ckt.num_unknowns()));
-    }
-    assert!(!uses_sparse(2));
+    assert_eq!(ckt.solver(), SolverChoice::Auto);
+    assert!(ckt.solver().uses_sparse(ckt.num_unknowns()));
+    assert!(!SolverChoice::Auto.uses_sparse(2));
 }
 
 #[test]
 fn dc_sparse_matches_dense() {
     let ckt = ota(3.0, 1.0);
-    let dense = with_backend(SolverChoice::Dense, || DcOp::new(&ckt).solve().unwrap());
-    let sparse = with_backend(SolverChoice::Sparse, || DcOp::new(&ckt).solve().unwrap());
+    let dense = DcOp::new(&on(&ckt, SolverChoice::Dense)).solve().unwrap();
+    let sparse = DcOp::new(&on(&ckt, SolverChoice::Sparse)).solve().unwrap();
     for i in 0..dense.unknowns().len() {
         assert!(
             (dense.unknowns()[i] - sparse.unknowns()[i]).abs() < 1e-8,
@@ -93,14 +84,13 @@ fn ac_sparse_matches_dense() {
     let ckt = ota(3.0, 1.0);
     let out = ckt.find_node("out").unwrap();
     let run = |choice| {
-        with_backend(choice, || {
-            let op = DcOp::new(&ckt).solve().unwrap();
-            let ac = AcSolver::new(&ckt, &op);
-            [1.0, 1e3, 1e6, 1e9]
-                .iter()
-                .map(|&f| ac.solve(f).unwrap().voltage(out))
-                .collect::<Vec<_>>()
-        })
+        let ckt = on(&ckt, choice);
+        let op = DcOp::new(&ckt).solve().unwrap();
+        let ac = AcSolver::new(&ckt, &op);
+        [1.0, 1e3, 1e6, 1e9]
+            .iter()
+            .map(|&f| ac.solve(f).unwrap().voltage(out))
+            .collect::<Vec<_>>()
     };
     let dense = run(SolverChoice::Dense);
     let sparse = run(SolverChoice::Sparse);
@@ -125,12 +115,10 @@ fn transient_sparse_matches_dense() {
     .unwrap();
     let out = ckt.find_node("out").unwrap();
     let run = |choice| {
-        with_backend(choice, || {
-            Transient::new(&ckt, TransientOptions::new(0.5e-9, 50e-9))
-                .run()
-                .unwrap()
-                .voltage(out)
-        })
+        Transient::new(&on(&ckt, choice), TransientOptions::new(0.5e-9, 50e-9))
+            .run()
+            .unwrap()
+            .voltage(out)
     };
     let dense = run(SolverChoice::Dense);
     let sparse = run(SolverChoice::Sparse);
@@ -140,55 +128,57 @@ fn transient_sparse_matches_dense() {
     }
 }
 
+/// DC unknowns and AC output phasors of the OTA, as raw bits.
+fn dc_ac_bits(ckt: &Circuit) -> Vec<u64> {
+    let out = ckt.find_node("out").unwrap();
+    let op = DcOp::new(ckt).solve().unwrap();
+    let ac = AcSolver::new(ckt, &op);
+    let mut bits: Vec<u64> = op.unknowns().iter().map(|v| v.to_bits()).collect();
+    for f in [1.0, 1e3, 1e6, 1e9] {
+        let h = ac.solve(f).unwrap().voltage(out);
+        bits.extend([h.re.to_bits(), h.im.to_bits()]);
+    }
+    bits
+}
+
 #[test]
-fn symbolic_cache_reuse_is_bit_identical_across_sweep() {
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_solver_override(Some(SolverChoice::Sparse));
+fn concurrent_backends_match_their_serial_runs() {
+    let ckt = ota(3.0, 1.0);
+    let dense = on(&ckt, SolverChoice::Dense);
+    let sparse = on(&ckt, SolverChoice::Sparse);
+    let want_dense = dc_ac_bits(&dense);
+    let want_sparse = dc_ac_bits(&sparse);
+    assert_ne!(
+        want_dense, want_sparse,
+        "the two backends round differently"
+    );
 
-    let vdds = [2.7, 2.85, 3.0, 3.15, 3.3];
-
-    // Pass 1: the symbolic factorization is computed once and reused for
-    // every sweep point (all five circuits share one topology).
-    clear_symbolic_cache();
-    let cached: Vec<Vec<f64>> = vdds
-        .iter()
-        .map(|&v| {
-            let ckt = ota(v, 1.0);
-            DcOp::new(&ckt)
-                .solve()
-                .unwrap()
-                .unknowns()
-                .as_slice()
-                .to_vec()
-        })
-        .collect();
-    assert_eq!(symbolic_cache_len(), 1, "one topology, one DC cache entry");
-
-    // Pass 2: force a fresh symbolic analysis before every point.
-    let fresh: Vec<Vec<f64>> = vdds
-        .iter()
-        .map(|&v| {
-            clear_symbolic_cache();
-            let ckt = ota(v, 1.0);
-            DcOp::new(&ckt)
-                .solve()
-                .unwrap()
-                .unknowns()
-                .as_slice()
-                .to_vec()
-        })
-        .collect();
-
-    set_solver_override(None);
-    for (k, (a, b)) in cached.iter().zip(&fresh).enumerate() {
-        assert_eq!(a, b, "sweep point {k} not bit-identical");
+    let start = Barrier::new(2);
+    let race = |ckt: &Circuit| {
+        start.wait();
+        (0..20).map(|_| dc_ac_bits(ckt)).collect::<Vec<_>>()
+    };
+    let (got_dense, got_sparse) = std::thread::scope(|s| {
+        let d = s.spawn(|| race(&dense));
+        let p = s.spawn(|| race(&sparse));
+        (d.join().unwrap(), p.join().unwrap())
+    });
+    for (k, (d, p)) in got_dense.iter().zip(&got_sparse).enumerate() {
+        assert_eq!(
+            d, &want_dense,
+            "dense round {k} differs from its serial run"
+        );
+        assert_eq!(
+            p, &want_sparse,
+            "sparse round {k} differs from its serial run"
+        );
     }
 }
 
 #[test]
 fn solution_from_reconstructs_operating_records() {
     let ckt = ota(3.0, 1.0);
-    let solved = with_backend(SolverChoice::Sparse, || DcOp::new(&ckt).solve().unwrap());
+    let solved = DcOp::new(&on(&ckt, SolverChoice::Sparse)).solve().unwrap();
     let rebuilt = DcOp::new(&ckt)
         .solution_from(solved.unknowns().clone())
         .unwrap();

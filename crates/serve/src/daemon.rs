@@ -38,6 +38,7 @@ use std::time::Duration;
 
 use specwise::{Checkpoint, Tracer};
 use specwise_ckt::{DeckLimits, Testbench};
+use specwise_exec::config::parse_env_knob;
 use specwise_exec::ExecConfig;
 use specwise_trace::json;
 
@@ -126,20 +127,6 @@ impl Default for ServeConfig {
     }
 }
 
-fn parse_var<T: std::str::FromStr>(name: &str) -> Option<T> {
-    let raw = std::env::var(name).ok()?;
-    match raw.trim().parse() {
-        Ok(value) => Some(value),
-        Err(_) => {
-            eprintln!(
-                "specwise-serve: ignoring malformed {name}={raw:?} (not a valid value); \
-                 keeping default"
-            );
-            None
-        }
-    }
-}
-
 impl ServeConfig {
     /// Reads the configuration from the environment, starting from the
     /// defaults. Set-but-malformed values keep their default after a
@@ -164,25 +151,25 @@ impl ServeConfig {
         {
             cfg.owner = owner.trim().to_owned();
         }
-        if let Some(secs) = parse_var::<f64>("SPECWISE_SERVE_LEASE_EXPIRY") {
+        if let Some(secs) = parse_env_knob::<f64>("SPECWISE_SERVE_LEASE_EXPIRY") {
             cfg.lease_expiry = Duration::from_secs_f64(secs.max(0.05));
         }
-        if let Some(secs) = parse_var::<f64>("SPECWISE_SERVE_HEARTBEAT") {
+        if let Some(secs) = parse_env_knob::<f64>("SPECWISE_SERVE_HEARTBEAT") {
             cfg.heartbeat = Duration::from_secs_f64(secs.max(0.01));
         }
-        if let Some(n) = parse_var::<usize>("SPECWISE_SERVE_SLOTS") {
+        if let Some(n) = parse_env_knob::<usize>("SPECWISE_SERVE_SLOTS") {
             cfg.slots = n.max(1);
         }
-        if let Some(n) = parse_var::<u64>("SPECWISE_SERVE_TENANT_BUDGET") {
+        if let Some(n) = parse_env_knob::<u64>("SPECWISE_SERVE_TENANT_BUDGET") {
             cfg.tenant_budget = if n == 0 { u64::MAX } else { n };
         }
-        if let Some(n) = parse_var::<usize>("SPECWISE_SERVE_MAX_LINE") {
+        if let Some(n) = parse_env_knob::<usize>("SPECWISE_SERVE_MAX_LINE") {
             cfg.max_line_bytes = n.max(1024);
         }
-        if let Some(n) = parse_var::<usize>("SPECWISE_SERVE_MAX_DECK") {
+        if let Some(n) = parse_env_knob::<usize>("SPECWISE_SERVE_MAX_DECK") {
             cfg.deck_limits.max_bytes = n;
         }
-        if let Some(n) = parse_var::<u8>("SPECWISE_SERVE_WARM_START") {
+        if let Some(n) = parse_env_knob::<u8>("SPECWISE_SERVE_WARM_START") {
             cfg.warm_start = n != 0;
         }
         cfg.exec = ExecConfig::from_env();

@@ -20,20 +20,20 @@ static BATCH_KNOB: Mutex<()> = Mutex::new(());
 /// `CircuitEnv` method names).
 mod raw {
     use rand::{Rng, SeedableRng};
-    use specwise_ckt::{CircuitEnv, CktError, MillerOpamp, OperatingPoint};
+    use specwise_ckt::{CircuitEnv, CktError, MillerOpamp, OperatingPoint, Testbench};
     use specwise_linalg::DVec;
 
-    pub(super) fn fresh() -> MillerOpamp {
+    pub(super) fn fresh() -> Testbench {
         MillerOpamp::paper_setup()
     }
 
-    pub(super) fn design(env: &MillerOpamp) -> DVec {
+    pub(super) fn design(env: &Testbench) -> DVec {
         env.design_space().initial()
     }
 
     /// Seeded `(ŝ, θ)` Monte-Carlo-style sample points: |ŝ| ≤ 2, θ ∈ Θ.
     pub(super) fn sample_points(
-        env: &MillerOpamp,
+        env: &Testbench,
         n: usize,
         seed: u64,
     ) -> Vec<(DVec, OperatingPoint)> {
@@ -54,7 +54,7 @@ mod raw {
 
     /// The per-sample scalar loop the batched path must reproduce.
     pub(super) fn scalar_loop(
-        env: &MillerOpamp,
+        env: &Testbench,
         d: &DVec,
         points: &[(DVec, OperatingPoint)],
     ) -> Vec<Result<DVec, CktError>> {
@@ -65,7 +65,7 @@ mod raw {
     }
 
     pub(super) fn batched(
-        env: &MillerOpamp,
+        env: &Testbench,
         d: &DVec,
         points: &[(DVec, OperatingPoint)],
     ) -> Option<Vec<Result<DVec, CktError>>> {

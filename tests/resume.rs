@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use specwise::{Journal, OptimizerConfig, Tracer, YieldOptimizer};
-use specwise_ckt::MillerOpamp;
+use specwise_ckt::{MillerOpamp, Testbench};
 use specwise_harden::KillSwitch;
 use specwise_trace::SpanNode;
 
@@ -23,7 +23,7 @@ fn quick_config() -> OptimizerConfig {
 /// resumed process re-solves from cold starts, which is convergence-
 /// equivalent but not bit-identical. Bit-for-bit reproduction is asserted
 /// with the cache off.
-fn env() -> MillerOpamp {
+fn env() -> Testbench {
     MillerOpamp::paper_setup().with_warm_start(false)
 }
 
