@@ -1,0 +1,100 @@
+//! Golden trajectory: the optimizer's path through the design space must
+//! stay bit-identical under changes to the linear-model yield kernels.
+//!
+//! Each `GOLDEN_*` constant is an FNV-1a hash over every snapshot of one
+//! run: the design bits, the linearized pass count
+//! (`estimated_yield.passed()`) and the per-spec bad-sample bits
+//! (`bad_per_mille`), followed by the run's total simulation count. The
+//! runs use seed 2001, 2,000 linear-model samples, no simulation-based
+//! verification and two iterations, so the pin covers the feasible start,
+//! worst-case analysis, spec-wise linearization, coordinate search and line
+//! search of both paper circuits in a few seconds.
+//!
+//! To regenerate after an *intentional* change of the trajectory:
+//!
+//! ```text
+//! cargo test --release --test golden_trajectory -- --ignored regenerate --nocapture
+//! ```
+
+use specwise::{OptimizationTrace, OptimizerConfig, YieldOptimizer};
+use specwise_ckt::{FoldedCascode, MillerOpamp, Testbench};
+
+/// FNV-1a over a sequence of 64-bit words.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for w in words {
+        for byte in w.to_le_bytes() {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    }
+    h
+}
+
+fn config() -> OptimizerConfig {
+    let mut cfg = OptimizerConfig::default();
+    cfg.seed = 2001;
+    cfg.mc_samples = 2_000;
+    cfg.verify_samples = 0;
+    cfg.max_iterations = 2;
+    cfg
+}
+
+fn trajectory_words(trace: &OptimizationTrace) -> Vec<u64> {
+    let mut words = Vec::new();
+    for snap in trace.snapshots() {
+        words.extend(snap.design.iter().map(|v| v.to_bits()));
+        words.push(snap.estimated_yield.passed() as u64);
+        words.extend(snap.bad_per_mille.iter().map(|v| v.to_bits()));
+    }
+    words.push(trace.total_sims);
+    words
+}
+
+/// `(trajectory hash, total simulations, snapshot count)` of one run.
+fn capture(env: &Testbench) -> (u64, u64, usize) {
+    let trace = YieldOptimizer::new(config())
+        .run(env)
+        .expect("optimization runs");
+    (
+        fnv1a(trajectory_words(&trace)),
+        trace.total_sims,
+        trace.snapshots().len(),
+    )
+}
+
+const GOLDEN_FOLDED: (u64, u64, usize) = (0x48c29f23aaa23b27, 1138, 3);
+const GOLDEN_MILLER: (u64, u64, usize) = (0xe2055e023f79a04a, 720, 2);
+
+fn check(name: &str, env: &Testbench, golden: (u64, u64, usize)) {
+    let (hash, sims, snaps) = capture(env);
+    assert_eq!(snaps, golden.2, "{name}: snapshot count changed");
+    assert_eq!(sims, golden.1, "{name}: simulation count changed");
+    assert_eq!(
+        hash, golden.0,
+        "{name}: trajectory hash {hash:#018x} differs from the pinned {:#018x}",
+        golden.0
+    );
+}
+
+#[test]
+fn folded_trajectory_matches_golden() {
+    check("folded", &FoldedCascode::paper_setup(), GOLDEN_FOLDED);
+}
+
+#[test]
+fn miller_trajectory_matches_golden() {
+    check("miller", &MillerOpamp::paper_setup(), GOLDEN_MILLER);
+}
+
+#[test]
+#[ignore = "prints fresh golden constants"]
+fn regenerate() {
+    for (name, env) in [
+        ("FOLDED", FoldedCascode::paper_setup()),
+        ("MILLER", MillerOpamp::paper_setup()),
+    ] {
+        let (hash, sims, snaps) = capture(&env);
+        println!("const GOLDEN_{name}: (u64, u64, usize) = ({hash:#018x}, {sims}, {snaps});");
+    }
+}
