@@ -50,8 +50,27 @@ impl SpecLinearization {
     /// The sample-constant part of the model: everything except the
     /// `∇_d·(d − d_f)` term (paper Eq. 20's stored per-sample value). The
     /// full model is `sample_part(ŝ) + design_shift(d)`.
+    ///
+    /// Allocation-free: the zipped left-to-right sum has the same bits as
+    /// `grad_s.dot(&(ŝ − ŝ_wc))`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch.
     pub fn sample_part(&self, s_hat: &DVec) -> f64 {
-        self.margin_at_anchor + self.grad_s.dot(&(s_hat - &self.s_wc))
+        assert_eq!(s_hat.len(), self.s_wc.len(), "sample_part: length mismatch");
+        assert_eq!(
+            self.grad_s.len(),
+            self.s_wc.len(),
+            "sample_part: length mismatch"
+        );
+        let dot: f64 = self
+            .grad_s
+            .iter()
+            .zip(s_hat.iter().zip(self.s_wc.iter()))
+            .map(|(g, (s, w))| g * (s - w))
+            .sum();
+        self.margin_at_anchor + dot
     }
 
     /// The design-dependent shift `∇_d·(d − d_f)` (paper's `Δf̄`).
@@ -120,6 +139,19 @@ mod tests {
         // design shift at d = 3: 2·1 = 2.
         assert!((lin.design_shift(&DVec::from_slice(&[3.0])) - 2.0).abs() < 1e-14);
         assert!((lin.design_shift_coord(0, 3.0) - 2.0).abs() < 1e-14);
+    }
+
+    #[test]
+    fn sample_part_matches_the_vector_expression_bit_for_bit() {
+        let mut lin = example();
+        lin.s_wc = DVec::from_fn(9, |i| (i as f64 * 0.71).sin() * 1.3);
+        lin.grad_s = DVec::from_fn(9, |i| (i as f64 * 1.37).cos() * 0.4);
+        lin.margin_at_anchor = 0.37;
+        for t in 0..20 {
+            let s = DVec::from_fn(9, |i| ((t * 9 + i) as f64 * 0.53).sin() * 2.0);
+            let reference = lin.margin_at_anchor + lin.grad_s.dot(&(&s - &lin.s_wc));
+            assert_eq!(lin.sample_part(&s).to_bits(), reference.to_bits());
+        }
     }
 
     #[test]
