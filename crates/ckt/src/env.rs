@@ -312,10 +312,12 @@ pub trait CircuitEnv {
         Ok(None)
     }
 
-    /// Evaluates margins at many `(ŝ, θ)` sample points for a fixed design
-    /// — the Monte-Carlo shape — letting the environment batch the
-    /// underlying solves. `None` (the default) means no batched path:
-    /// callers loop over [`CircuitEnv::eval_margins`].
+    /// Retired sample-batch hook; always `None`, and nothing calls it.
+    /// Monte-Carlo samples run through the evaluator's worker pool as
+    /// ordinary unmemoized points. No environment in this workspace
+    /// answers it any more; only the benchmark's counting wrapper
+    /// (`specwise-perf/src/layers.rs`) still forwards it, so the method is
+    /// deleted together with that override in the next benchmark change.
     fn eval_margins_samples(
         &self,
         _d: &DVec,

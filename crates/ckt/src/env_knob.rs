@@ -1,6 +1,6 @@
 //! Shared warn-and-default parsing of `SPECWISE_*` environment knobs.
 //!
-//! Every knob in the workspace (`SPECWISE_WORKERS`, `SPECWISE_BATCH`,
+//! Every knob in the workspace (`SPECWISE_WORKERS`, `SPECWISE_WARM_START`,
 //! `SPECWISE_GRAD`, `SPECWISE_ESTIMATOR`, …) follows one contract: an
 //! unset variable keeps its default silently; a set-but-malformed value
 //! also keeps the default, after a one-line stderr warning naming the
@@ -8,8 +8,8 @@
 //! typo'd `SPECWISE_WORKERS=8x` quietly ran serial).
 //!
 //! The implementation lives in `specwise-ckt` because it is the lowest
-//! crate in the workspace graph that reads a knob (`SPECWISE_BATCH` in the
-//! testbench's lockstep sample path); `specwise-exec::config` re-exports
+//! crate in the workspace graph that reads a knob (`SPECWISE_WARM_START` in
+//! the warm-start cache); `specwise-exec::config` re-exports
 //! it as the canonical public surface for the higher layers.
 
 use std::str::FromStr;
@@ -67,15 +67,18 @@ mod tests {
 
     #[test]
     fn malformed_values_warn_and_name_the_variable() {
-        let err = parse_knob_checked::<usize>("SPECWISE_BATCH", "64x").unwrap_err();
-        assert!(err.contains("SPECWISE_BATCH"), "{err}");
+        let err = parse_knob_checked::<usize>("SPECWISE_WORKERS", "64x").unwrap_err();
+        assert!(err.contains("SPECWISE_WORKERS"), "{err}");
         assert!(err.contains("64x"), "{err}");
         assert!(err.contains("keeping default"), "{err}");
     }
 
     #[test]
     fn well_formed_values_parse_with_whitespace() {
-        assert_eq!(parse_knob_checked::<usize>("SPECWISE_BATCH", " 8 "), Ok(8));
+        assert_eq!(
+            parse_knob_checked::<usize>("SPECWISE_WORKERS", " 8 "),
+            Ok(8)
+        );
         assert_eq!(parse_knob_checked::<f64>("X", "1e-9"), Ok(1e-9));
     }
 

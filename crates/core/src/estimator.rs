@@ -10,11 +10,11 @@
 //!    exact RNG order a serial draw-then-evaluate loop would use, so the
 //!    result is bit-identical at any worker count;
 //! 2. **evaluate-batch** — the shared driver groups specs by identical
-//!    worst-case operating corner and dispatches one batch per group
-//!    (preferring the environment's lockstep sample path, `SPECWISE_BATCH`,
-//!    falling back to the generic [`EvalPoint`] batch), so an
-//!    [`EvalService`](specwise_exec::EvalService) spreads the simulations
-//!    over its worker pool without changing any result bit;
+//!    worst-case operating corner and dispatches one [`EvalPoint`] batch
+//!    per group, its points unmemoized so the samples do not churn the
+//!    memo cache, so an [`EvalService`](specwise_exec::EvalService)
+//!    spreads the simulations over its worker pool without changing any
+//!    result bit;
 //! 3. **accumulate** — the estimator folds each sample result through the
 //!    shared degradation ladder ([`classify_sample`]): retry exhaustion,
 //!    soft `KillSwitch` budget starvation and non-finite
@@ -220,9 +220,10 @@ fn estimate_inner<X: YieldEstimator, E: Evaluator + ?Sized>(
     let (samples, mut state) = estimator.propose(env, d, &theta_wc)?;
     let n = samples.len();
 
-    // The design vector is shared by reference across every point of every
-    // corner group.
+    // The design vector and each sample are shared by reference across
+    // every point of every corner group.
     let d_arc: Arc<DVec> = Arc::new(d.clone());
+    let samples: Vec<Arc<DVec>> = samples.into_iter().map(Arc::new).collect();
     for (theta, specs) in &groups {
         // Samples a short-circuiting estimator has already settled are
         // excluded — the serial loop would have `break`ed before
@@ -231,21 +232,13 @@ fn estimate_inner<X: YieldEstimator, E: Evaluator + ?Sized>(
         if live.is_empty() {
             break;
         }
-        // Prefer the environment's lockstep sample evaluator (one batched
-        // Newton sweep per corner group, bit-identical to the point loop);
-        // environments without one take the generic batch path.
-        let sample_points: Vec<(DVec, OperatingPoint)> =
-            live.iter().map(|&j| (samples[j].clone(), *theta)).collect();
-        let results = match env.eval_margins_samples(d, &sample_points) {
-            Some(results) => results,
-            None => {
-                let points: Vec<EvalPoint> = live
-                    .iter()
-                    .map(|&j| EvalPoint::new(Arc::clone(&d_arc), samples[j].clone(), *theta))
-                    .collect();
-                env.eval_margins_batch(&points)
-            }
-        };
+        let points: Vec<EvalPoint> = live
+            .iter()
+            .map(|&j| {
+                EvalPoint::new(Arc::clone(&d_arc), Arc::clone(&samples[j]), *theta).unmemoized()
+            })
+            .collect();
+        let results = env.eval_margins_batch(&points);
         for (&j, result) in live.iter().zip(results) {
             estimator.accumulate(&mut state, specs, j, result)?;
         }

@@ -122,8 +122,14 @@ impl ExecConfig {
     /// Unset variables keep their defaults; a set-but-malformed value also
     /// keeps the default, after a one-line stderr warning naming the
     /// variable and the rejected value (a silent fallback here once meant a
-    /// typo'd `SPECWISE_WORKERS=8x` quietly ran serial).
+    /// typo'd `SPECWISE_WORKERS=8x` quietly ran serial). A set
+    /// `SPECWISE_BATCH`, a retired knob, prints a one-line notice saying it
+    /// is no longer read.
     pub fn from_env() -> Self {
+        if let Some(notice) = retired_batch_notice(std::env::var("SPECWISE_BATCH").ok().as_deref())
+        {
+            eprintln!("{notice}");
+        }
         let mut cfg = ExecConfig::default();
         if let Some(n) = parse_var::<usize>("SPECWISE_WORKERS") {
             cfg.workers = n.max(1);
@@ -143,13 +149,24 @@ impl ExecConfig {
 
 /// The shared warn-and-default knob parser used by every `SPECWISE_*`
 /// environment variable in the workspace (`SPECWISE_WORKERS`,
-/// `SPECWISE_BATCH`, `SPECWISE_GRAD`, `SPECWISE_ESTIMATOR`, …). The
+/// `SPECWISE_WARM_START`, `SPECWISE_GRAD`, `SPECWISE_ESTIMATOR`, …). The
 /// implementation lives in `specwise-ckt` (the lowest crate that reads a
 /// knob); this is the canonical public surface.
 pub use specwise_ckt::env_knob::{parse_env_knob, parse_knob_checked};
 
 fn parse_var<T: std::str::FromStr>(name: &str) -> Option<T> {
     parse_env_knob(name)
+}
+
+/// The stderr notice for the retired `SPECWISE_BATCH` knob, given its raw
+/// value (`None` when unset), so a set value is not silently ignored.
+fn retired_batch_notice(raw: Option<&str>) -> Option<String> {
+    raw.map(|raw| {
+        format!(
+            "specwise: SPECWISE_BATCH={raw:?} is no longer read; \
+             Monte-Carlo verification runs on the SPECWISE_WORKERS pool"
+        )
+    })
 }
 
 /// Formats a duration compactly for report tables (`1.23s`, `45.6ms`).
@@ -227,6 +244,16 @@ mod tests {
             parse_knob_checked::<f64>("SPECWISE_RETRY_PERTURB", "1e-9"),
             Ok(1e-9)
         );
+    }
+
+    #[test]
+    fn retired_batch_knob_gets_one_notice_line() {
+        assert_eq!(retired_batch_notice(None), None);
+        let notice = retired_batch_notice(Some("64")).unwrap();
+        assert!(notice.contains("SPECWISE_BATCH=\"64\""), "{notice}");
+        assert!(notice.contains("no longer read"), "{notice}");
+        assert!(notice.contains("SPECWISE_WORKERS pool"), "{notice}");
+        assert!(!notice.contains('\n'), "{notice}");
     }
 
     #[test]

@@ -41,6 +41,11 @@ pub struct EvalPoint {
     pub s_hat: Arc<DVec>,
     /// Operating condition.
     pub theta: OperatingPoint,
+    /// Whether an [`EvalService`] may answer this point from, and store it
+    /// into, its memo cache. Monte-Carlo samples are effectively unique,
+    /// so they clear it ([`EvalPoint::unmemoized`]) instead of evicting
+    /// the optimizer's reusable points.
+    pub memo: bool,
 }
 
 impl EvalPoint {
@@ -56,7 +61,15 @@ impl EvalPoint {
             d: d.into(),
             s_hat: s_hat.into(),
             theta,
+            memo: true,
         }
+    }
+
+    /// The same request with memoization off: the service neither looks
+    /// the point up nor caches its result.
+    pub fn unmemoized(mut self) -> Self {
+        self.memo = false;
+        self
     }
 }
 
@@ -184,18 +197,6 @@ pub trait Evaluator: Sync {
         Ok(None)
     }
 
-    /// Evaluates margins at many `(ŝ, θ)` sample points for a fixed design,
-    /// letting the environment batch the underlying solves (see
-    /// [`CircuitEnv::eval_margins_samples`]). `None` means no batched
-    /// path: callers use [`Evaluator::eval_margins_batch`].
-    fn eval_margins_samples(
-        &self,
-        _d: &DVec,
-        _points: &[(DVec, OperatingPoint)],
-    ) -> Option<Vec<Result<DVec, CktError>>> {
-        None
-    }
-
     /// Adjoint/sensitivity solves recorded so far. Not part of
     /// [`Evaluator::sim_count`].
     fn adjoint_solve_count(&self) -> u64 {
@@ -293,14 +294,6 @@ impl<T: CircuitEnv + Sync + ?Sized> Evaluator for T {
         directions: &[(DVec, DVec)],
     ) -> Result<Option<(DVec, Vec<DVec>)>, CktError> {
         CircuitEnv::eval_margins_perturbed(self, d, s_hat, theta, directions)
-    }
-
-    fn eval_margins_samples(
-        &self,
-        d: &DVec,
-        points: &[(DVec, OperatingPoint)],
-    ) -> Option<Vec<Result<DVec, CktError>>> {
-        CircuitEnv::eval_margins_samples(self, d, points)
     }
 
     fn adjoint_solve_count(&self) -> u64 {
@@ -512,14 +505,17 @@ impl<'e, E: CircuitEnv + Sync + ?Sized> EvalService<'e, E> {
 
     /// Performance evaluation with cache and retry, *without* wall-clock
     /// accounting — timed by the public entry points so batch items are
-    /// not double-counted.
+    /// not double-counted. `memo = false` skips both the cache lookup and
+    /// the insert (see [`EvalPoint::memo`]).
     fn performances_inner(
         &self,
         d: &DVec,
         s_hat: &DVec,
         theta: &OperatingPoint,
+        memo: bool,
     ) -> Result<DVec, CktError> {
-        if self.config.cache_capacity > 0 {
+        let memo = memo && self.config.cache_capacity > 0;
+        if memo {
             if let Some(hit) = self
                 .cache
                 .lock()
@@ -532,13 +528,11 @@ impl<'e, E: CircuitEnv + Sync + ?Sized> EvalService<'e, E> {
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
         let result = self.evaluate_with_retry(d, s_hat, theta);
-        if let Ok(value) = &result {
-            if self.config.cache_capacity > 0 {
-                self.cache
-                    .lock()
-                    .expect("exec cache poisoned")
-                    .put(d, s_hat, theta, value);
-            }
+        if let (true, Ok(value)) = (memo, &result) {
+            self.cache
+                .lock()
+                .expect("exec cache poisoned")
+                .put(d, s_hat, theta, value);
         }
         result
     }
@@ -665,8 +659,10 @@ impl<'e, E: CircuitEnv + Sync + ?Sized> EvalService<'e, E> {
     }
 
     /// Fans `points` out over the worker pool, writing each result into its
-    /// input slot. `op` must be safe to call concurrently (it is: the env is
-    /// `Sync` and the service's shared state is atomics + a mutex).
+    /// input slot. Workers claim point indices one at a time from a shared
+    /// counter, so a slow region of the batch does not leave the other
+    /// workers idle. `op` must be safe to call concurrently (it is: the env
+    /// is `Sync` and the service's shared state is atomics + a mutex).
     fn run_batch<In, Out>(&self, points: &[In], op: impl Fn(&In) -> Out + Sync) -> Vec<Out>
     where
         In: Sync,
@@ -695,16 +691,28 @@ impl<'e, E: CircuitEnv + Sync + ?Sized> EvalService<'e, E> {
         let result = if workers <= 1 || points.len() < self.config.min_parallel_batch {
             points.iter().map(&op).collect()
         } else {
+            // `Relaxed` suffices: the counter only hands out distinct
+            // indices; the results travel back through `join`.
+            let next = AtomicUsize::new(0);
+            let claim = || {
+                let mut done = Vec::new();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(p) = points.get(i) else { break done };
+                    done.push((i, op(p)));
+                }
+            };
             let mut slots: Vec<Option<Out>> = Vec::with_capacity(points.len());
             slots.resize_with(points.len(), || None);
-            let chunk = points.len().div_ceil(workers);
             std::thread::scope(|scope| {
-                for (ins, outs) in points.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-                    scope.spawn(|| {
-                        for (p, slot) in ins.iter().zip(outs.iter_mut()) {
-                            *slot = Some(op(p));
-                        }
-                    });
+                let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
+                let mine = claim();
+                for (i, out) in helpers
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("batch worker panicked"))
+                    .chain(mine)
+                {
+                    slots[i] = Some(out);
                 }
             });
             slots
@@ -774,7 +782,7 @@ impl<E: CircuitEnv + Sync + ?Sized> Evaluator for EvalService<'_, E> {
         theta: &OperatingPoint,
     ) -> Result<DVec, CktError> {
         let t0 = Instant::now();
-        let result = self.performances_inner(d, s_hat, theta);
+        let result = self.performances_inner(d, s_hat, theta, true);
         self.charge_wall(t0.elapsed());
         result
     }
@@ -787,7 +795,7 @@ impl<E: CircuitEnv + Sync + ?Sized> Evaluator for EvalService<'_, E> {
     ) -> Result<DVec, CktError> {
         let t0 = Instant::now();
         let result = self
-            .performances_inner(d, s_hat, theta)
+            .performances_inner(d, s_hat, theta, true)
             .map(|p| self.margins_from_performances(p));
         self.charge_wall(t0.elapsed());
         result
@@ -802,14 +810,14 @@ impl<E: CircuitEnv + Sync + ?Sized> Evaluator for EvalService<'_, E> {
 
     fn eval_margins_batch(&self, points: &[EvalPoint]) -> Vec<Result<DVec, CktError>> {
         self.run_batch(points, |p| {
-            self.performances_inner(&p.d, &p.s_hat, &p.theta)
+            self.performances_inner(&p.d, &p.s_hat, &p.theta, p.memo)
                 .map(|perf| self.margins_from_performances(perf))
         })
     }
 
     fn eval_performances_batch(&self, points: &[EvalPoint]) -> Vec<Result<DVec, CktError>> {
         self.run_batch(points, |p| {
-            self.performances_inner(&p.d, &p.s_hat, &p.theta)
+            self.performances_inner(&p.d, &p.s_hat, &p.theta, p.memo)
         })
     }
 
@@ -863,33 +871,6 @@ impl<E: CircuitEnv + Sync + ?Sized> Evaluator for EvalService<'_, E> {
                 ),
             )
         })
-    }
-
-    fn eval_margins_samples(
-        &self,
-        d: &DVec,
-        points: &[(DVec, OperatingPoint)],
-    ) -> Option<Vec<Result<DVec, CktError>>> {
-        // The batched path bypasses the memo cache (Monte-Carlo samples are
-        // effectively unique) but still counts as one batch and commits the
-        // warm snapshot exactly once, like every other batch entry point.
-        CircuitEnv::warm_commit(self.env);
-        let t0 = Instant::now();
-        let result = CircuitEnv::eval_margins_samples(self.env, d, points)?;
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batch_points
-            .fetch_add(points.len() as u64, Ordering::Relaxed);
-        if self.tracer.is_enabled() {
-            self.tracer.event(
-                "batch",
-                &[
-                    ("points", points.len().into()),
-                    ("phase", self.active_phase().label().into()),
-                ],
-            );
-        }
-        self.charge_wall(t0.elapsed());
-        Some(result)
     }
 
     fn adjoint_solve_count(&self) -> u64 {
@@ -1006,6 +987,57 @@ mod tests {
         let report = service.report();
         assert_eq!(report.cache_hits, 1);
         assert_eq!(report.cache_misses, 1);
+    }
+
+    #[test]
+    fn unmemoized_points_never_hit_nor_insert_and_keep_the_bits() {
+        let e = env();
+        let service = EvalService::new(&e, ExecConfig::default().with_workers(2));
+        let pts = points(5);
+        let memoized = service.eval_margins_batch(&pts);
+        let before = service.report();
+        assert_eq!((before.cache_hits, before.cache_misses), (0, 5));
+        assert_eq!(service.cache_len(), 5);
+
+        // Every point is cached now, yet an unmemoized batch simulates them
+        // all again and leaves the cache and its counters alone.
+        let sims = Evaluator::sim_count(&service);
+        let bare: Vec<EvalPoint> = pts.iter().cloned().map(EvalPoint::unmemoized).collect();
+        let fresh = service.eval_margins_batch(&bare);
+        assert_eq!(Evaluator::sim_count(&service), sims + 5);
+        let after = service.report();
+        assert_eq!((after.cache_hits, after.cache_misses), (0, 5));
+        assert_eq!(service.cache_len(), 5);
+        for (m, f) in memoized.iter().zip(&fresh) {
+            assert_eq!(
+                m.as_ref().unwrap().as_slice(),
+                f.as_ref().unwrap().as_slice()
+            );
+        }
+
+        // An unmemoized first evaluation does not seed the cache either.
+        let cold = EvalService::new(&e, ExecConfig::default().with_workers(1));
+        let _ = cold.eval_performances_batch(&bare);
+        assert_eq!(cold.cache_len(), 0);
+        assert_eq!(cold.report().cache_misses, 0);
+    }
+
+    #[test]
+    fn pooled_batches_fill_every_input_slot() {
+        let e = env();
+        for n in [2usize, 3, 23] {
+            let pts = points(n);
+            let reference = Evaluator::eval_margins_batch(&e, &pts);
+            for workers in [2usize, 3, 8] {
+                let config = ExecConfig::default().with_workers(workers);
+                let got = EvalService::new(&e, config).eval_margins_batch(&pts);
+                assert_eq!(got.len(), n);
+                for (g, r) in got.iter().zip(&reference) {
+                    let (g, r) = (g.as_ref().unwrap(), r.as_ref().unwrap());
+                    assert_eq!(g.as_slice(), r.as_slice(), "n={n} workers={workers}");
+                }
+            }
+        }
     }
 
     #[test]

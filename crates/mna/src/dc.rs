@@ -365,9 +365,8 @@ pub(crate) enum NewtonStep {
 }
 
 /// One iteration of the damped Newton loop: stamp, factor, solve, damp,
-/// update, check convergence. Shared verbatim between the scalar solver
-/// ([`DcOp::solve_from`]) and the lockstep batch solver so the two produce
-/// bit-identical float sequences per sample.
+/// update, check convergence. [`DcOp`]'s plain-Newton and homotopy stages
+/// all step through it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn newton_iteration(
     circuit: &Circuit,

@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 
 mod ac;
-mod batch;
 mod dc;
 mod error;
 mod mosfet;
@@ -56,7 +55,6 @@ mod sweep;
 mod transient;
 
 pub use ac::{AcSolution, AcSolver};
-pub use batch::BatchDcOp;
 pub use dc::{DcOp, DcSolution, MosOpInfo, NewtonOptions};
 pub use error::MnaError;
 pub use mosfet::{MosEval, MosPolarity, MosRegion, MosfetModel, MosfetParams};
