@@ -27,8 +27,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use specwise::{estimate_yield, NormMinIs, NormMinOptions, Tracer};
-use specwise_ckt::{AnalyticEnv, DesignParam, DesignSpace, Spec, SpecKind};
-use specwise_exec::Evaluator;
+use specwise_ckt::{AnalyticEnv, CircuitEnv, DesignParam, DesignSpace, Spec, SpecKind};
 use specwise_linalg::DVec;
 use specwise_stat::std_normal_cdf;
 
@@ -62,25 +61,22 @@ const SEED: u64 = 2001;
 
 /// `(std error of the yield, sims spent)` for one verification pass.
 fn mc_pass(env: &AnalyticEnv, n: usize) -> (f64, u64) {
-    let d = Evaluator::design_space(env).initial();
-    let before = Evaluator::sim_count(env);
+    let d = env.design_space().initial();
+    let before = env.sim_count();
     let r = specwise::mc_verify(env, &d, n, SEED).expect("MC verifies");
-    (
-        r.yield_estimate.std_error(),
-        Evaluator::sim_count(env) - before,
-    )
+    (r.yield_estimate.std_error(), env.sim_count() - before)
 }
 
 fn is_pass(env: &AnalyticEnv, b: f64, n: usize) -> (f64, u64) {
-    let d = Evaluator::design_space(env).initial();
-    let before = Evaluator::sim_count(env);
+    let d = env.design_space().initial();
+    let before = env.sim_count();
     let r = specwise::importance_verify(env, &d, &wc_shift(b), n, SEED).expect("IS verifies");
-    (r.std_error, Evaluator::sim_count(env) - before)
+    (r.std_error, env.sim_count() - before)
 }
 
 fn norm_min_pass(env: &AnalyticEnv, n: usize) -> (f64, u64) {
-    let d = Evaluator::design_space(env).initial();
-    let before = Evaluator::sim_count(env);
+    let d = env.design_space().initial();
+    let before = env.sim_count();
     let r = estimate_yield(
         &NormMinIs {
             options: NormMinOptions {
@@ -94,7 +90,7 @@ fn norm_min_pass(env: &AnalyticEnv, n: usize) -> (f64, u64) {
         &Tracer::disabled(),
     )
     .expect("norm-min verifies");
-    (r.std_error, Evaluator::sim_count(env) - before)
+    (r.std_error, env.sim_count() - before)
 }
 
 /// Doubles the sample budget until the yield's standard error is ≤ 1 %
@@ -146,13 +142,13 @@ fn effort_and_gate(_c: &mut Criterion) {
 
     // High-sigma case: the budget at which plain MC is structurally blind.
     let high = env(HIGH_SIGMA_B);
-    let d = Evaluator::design_space(&high).initial();
+    let d = high.design_space().initial();
     let p_true = std_normal_cdf(-HIGH_SIGMA_B);
 
     let mc = specwise::mc_verify(&high, &d, HIGH_SIGMA_BUDGET, SEED).expect("MC verifies");
     let mc_failures = HIGH_SIGMA_BUDGET - mc.yield_estimate.passed();
 
-    let before = Evaluator::sim_count(&high);
+    let before = high.sim_count();
     let nm = estimate_yield(
         &NormMinIs {
             options: NormMinOptions {
@@ -166,7 +162,7 @@ fn effort_and_gate(_c: &mut Criterion) {
         &Tracer::disabled(),
     )
     .expect("norm-min verifies");
-    let nm_sims_high = Evaluator::sim_count(&high) - before;
+    let nm_sims_high = high.sim_count() - before;
 
     // The MC budget that matches norm-min's relative precision, from the
     // binomial variance: se_mc = sqrt(p(1-p)/n) ≤ se_nm ⇔ n ≥ p(1-p)/se².

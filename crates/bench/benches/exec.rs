@@ -150,7 +150,7 @@ fn svc_eval(
     s: &DVec,
     theta: &specwise_ckt::OperatingPoint,
 ) -> DVec {
-    specwise_exec::Evaluator::eval_margins(svc, d, s, theta).unwrap()
+    svc.eval_margins(d, s, theta).unwrap()
 }
 
 criterion_group!(

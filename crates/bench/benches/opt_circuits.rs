@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use specwise::{OptimizerConfig, YieldOptimizer};
-use specwise_ckt::{FoldedCascode, MillerOpamp};
+use specwise_ckt::{CircuitEnv, FoldedCascode, MillerOpamp};
 
 fn quick_config() -> OptimizerConfig {
     let mut cfg = OptimizerConfig::default();
@@ -37,7 +37,7 @@ fn bench_mc_verification(c: &mut Criterion) {
     let mut group = c.benchmark_group("mc_verification_300_samples");
     group.sample_size(10);
     let env = FoldedCascode::paper_setup();
-    let d0 = specwise_ckt::CircuitEnv::design_space(&env).initial();
+    let d0 = env.design_space().initial();
     group.bench_function("folded_cascode", |b| {
         b.iter(|| specwise::mc_verify(&env, &d0, 300, 42).unwrap())
     });

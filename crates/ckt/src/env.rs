@@ -2,6 +2,8 @@
 //! yield optimizer need from a circuit.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 use specwise_linalg::DVec;
 
@@ -187,6 +189,160 @@ impl SimCounter {
     }
 }
 
+/// One evaluation request: the full argument triple of
+/// [`CircuitEnv::eval_performances`], owned so batches can cross threads.
+///
+/// The vectors are [`Arc`]-shared: gradient and sampling loops build many
+/// points that differ from a base point in only one coordinate block, and
+/// sharing the unchanged block avoids one heap allocation + copy per point
+/// (cloning an `EvalPoint` is two refcount bumps).
+#[derive(Debug, Clone, PartialEq)]
+pub struct EvalPoint {
+    /// Design point.
+    pub d: Arc<DVec>,
+    /// Standardized statistical point.
+    pub s_hat: Arc<DVec>,
+    /// Operating condition.
+    pub theta: OperatingPoint,
+    /// Whether a memoizing evaluator (`specwise_exec::EvalService`) may
+    /// answer this point from, and store it into, its memo cache.
+    /// Monte-Carlo samples are effectively unique, so they clear it
+    /// ([`EvalPoint::unmemoized`]) instead of evicting the optimizer's
+    /// reusable points.
+    pub memo: bool,
+}
+
+impl EvalPoint {
+    /// Creates a request. Accepts owned vectors or pre-shared [`Arc`]s, so
+    /// call sites that reuse a base vector across many points pass
+    /// `Arc::clone(&base)` and allocate nothing.
+    pub fn new(
+        d: impl Into<Arc<DVec>>,
+        s_hat: impl Into<Arc<DVec>>,
+        theta: OperatingPoint,
+    ) -> Self {
+        EvalPoint {
+            d: d.into(),
+            s_hat: s_hat.into(),
+            theta,
+            memo: true,
+        }
+    }
+
+    /// The same request with memoization off: the service neither looks
+    /// the point up nor caches its result.
+    pub fn unmemoized(mut self) -> Self {
+        self.memo = false;
+        self
+    }
+}
+
+/// Snapshot of an evaluation service's execution statistics (see
+/// `specwise_exec::EvalService`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExecReport {
+    /// Configured worker-pool size.
+    pub workers: usize,
+    /// Cache lookups answered from memory (simulations saved).
+    pub cache_hits: u64,
+    /// Cache lookups that fell through to the environment.
+    pub cache_misses: u64,
+    /// Retry attempts issued for failed simulations.
+    pub retries: u64,
+    /// Evaluations that failed at first but succeeded on a retry.
+    pub recovered: u64,
+    /// Evaluations that exhausted retries with a simulation failure.
+    pub sim_failures: u64,
+    /// Worker panics isolated by `catch_unwind` and degraded to
+    /// [`CktError::WorkerPanic`] instead of aborting the process.
+    pub panics_caught: u64,
+    /// Batch calls served.
+    pub batches: u64,
+    /// Total points across all batch calls.
+    pub batch_points: u64,
+    /// Simulations charged to each phase (indexed by [`SimPhase::index`]).
+    pub phase_sims: [u64; SimPhase::COUNT],
+    /// Wall-clock evaluation time charged to each phase.
+    pub phase_wall: [Duration; SimPhase::COUNT],
+    /// Total simulations the wrapped environment performed.
+    pub total_sims: u64,
+    /// Wall-clock time since the service was created (or last reset).
+    pub wall: Duration,
+}
+
+impl ExecReport {
+    /// Cache hit rate in `[0, 1]` (`0` when the cache was never consulted).
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.cache_hits + self.cache_misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.cache_hits as f64 / total as f64
+        }
+    }
+
+    /// Wall-clock time spent evaluating, summed over phases.
+    pub fn eval_wall(&self) -> Duration {
+        self.phase_wall.iter().sum()
+    }
+
+    /// Per-phase rows `(label, simulations, wall time)` for effort tables,
+    /// in [`SimPhase::ALL`] order, zero-simulation phases omitted.
+    pub fn phase_rows(&self) -> Vec<(String, u64, Duration)> {
+        SimPhase::ALL
+            .iter()
+            .filter(|p| self.phase_sims[p.index()] > 0)
+            .map(|p| {
+                (
+                    p.label().to_string(),
+                    self.phase_sims[p.index()],
+                    self.phase_wall[p.index()],
+                )
+            })
+            .collect()
+    }
+}
+
+impl std::fmt::Display for ExecReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        writeln!(
+            f,
+            "exec: {} sims, {} workers, wall {}",
+            self.total_sims,
+            self.workers,
+            fmt_duration(self.wall)
+        )?;
+        writeln!(
+            f,
+            "cache: {} hits / {} misses ({:.1}% hit rate)",
+            self.cache_hits,
+            self.cache_misses,
+            100.0 * self.hit_rate()
+        )?;
+        writeln!(
+            f,
+            "robustness: {} retries, {} recovered, {} failures, {} panics caught",
+            self.retries, self.recovered, self.sim_failures, self.panics_caught
+        )?;
+        for (label, sims, wall) in self.phase_rows() {
+            writeln!(f, "  {label:<14} {sims:>8} sims  {:>9}", fmt_duration(wall))?;
+        }
+        Ok(())
+    }
+}
+
+/// Formats a duration compactly for report tables (`1.23s`, `45.6ms`).
+fn fmt_duration(d: Duration) -> String {
+    let s = d.as_secs_f64();
+    if s >= 1.0 {
+        format!("{s:.2}s")
+    } else if s >= 1e-3 {
+        format!("{:.1}ms", s * 1e3)
+    } else {
+        format!("{:.0}µs", s * 1e6)
+    }
+}
+
 /// A circuit under optimization: design space, standardized statistical
 /// space, specifications, operating range, and the evaluation functions.
 ///
@@ -289,6 +445,36 @@ pub trait CircuitEnv {
     /// no-op (environment has no warm-start cache).
     fn warm_commit(&self) {}
 
+    /// Evaluates margins at every point, returning results in input order.
+    /// A failed point yields its error in the corresponding slot; the other
+    /// points are unaffected.
+    ///
+    /// Default: one [`CircuitEnv::warm_commit`], then the points serially.
+    /// `specwise_exec::EvalService` fans batches out over a worker pool
+    /// with bit-identical results.
+    fn eval_margins_batch(&self, points: &[EvalPoint]) -> Vec<Result<DVec, CktError>> {
+        self.warm_commit();
+        points
+            .iter()
+            .map(|p| self.eval_margins(&p.d, &p.s_hat, &p.theta))
+            .collect()
+    }
+
+    /// Evaluates performances at every point, in input order.
+    fn eval_performances_batch(&self, points: &[EvalPoint]) -> Vec<Result<DVec, CktError>> {
+        self.warm_commit();
+        points
+            .iter()
+            .map(|p| self.eval_performances(&p.d, &p.s_hat, &p.theta))
+            .collect()
+    }
+
+    /// Evaluates constraints at every design point, in input order.
+    fn eval_constraints_batch(&self, designs: &[DVec]) -> Vec<Result<DVec, CktError>> {
+        self.warm_commit();
+        designs.iter().map(|d| self.eval_constraints(d)).collect()
+    }
+
     /// Evaluates the margin vector at `(d, ŝ, θ)` *plus* a set of perturbed
     /// points `(d′, ŝ′)` sharing the same θ, using sensitivity analysis on
     /// the base point's cached factorizations where the environment
@@ -336,6 +522,13 @@ pub trait CircuitEnv {
     /// (see [`SimCounter::fd_sims_avoided`]).
     fn fd_sims_avoided(&self) -> u64 {
         0
+    }
+
+    /// Execution statistics, when the environment collects them
+    /// (`specwise_exec::EvalService` does; plain environments return
+    /// `None`).
+    fn exec_report(&self) -> Option<ExecReport> {
+        None
     }
 }
 
@@ -391,6 +584,13 @@ mod tests {
         c.reset();
         assert_eq!(c.adjoint_solves(), 0);
         assert_eq!(c.fd_sims_avoided(), 0);
+    }
+
+    #[test]
+    fn duration_formatting() {
+        assert_eq!(fmt_duration(Duration::from_secs(2)), "2.00s");
+        assert_eq!(fmt_duration(Duration::from_millis(45)), "45.0ms");
+        assert_eq!(fmt_duration(Duration::from_micros(12)), "12µs");
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! variable and the rejected value (a silent fallback here once meant a
 //! typo'd `SPECWISE_WORKERS=8x` quietly ran serial).
 //!
-//! The implementation lives in `specwise-ckt` because it is the lowest
-//! crate in the workspace graph that reads a knob (`SPECWISE_WARM_START` in
-//! the warm-start cache); `specwise-exec::config` re-exports
-//! it as the canonical public surface for the higher layers.
+//! This module is the parser's one home. It lives in `specwise-ckt`
+//! because that is the lowest crate in the workspace graph that reads a
+//! knob (`SPECWISE_WARM_START` in the warm-start cache); the higher layers
+//! import it from here.
 
 use std::str::FromStr;
 
@@ -93,9 +93,14 @@ mod tests {
                 Ok(Switch(on))
             );
         }
-        let err = parse_knob_checked::<Switch>("SPECWISE_WARM_START", "of").unwrap_err();
-        assert!(err.contains("SPECWISE_WARM_START=\"of\""), "{err}");
-        assert!(err.contains("keeping default"), "{err}");
+        for raw in ["of", "2"] {
+            let err = parse_knob_checked::<Switch>("SPECWISE_WARM_START", raw).unwrap_err();
+            assert!(
+                err.contains(&format!("SPECWISE_WARM_START={raw:?}")),
+                "{err}"
+            );
+            assert!(err.contains("keeping default"), "{err}");
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ mod warm;
 
 pub use analytic::{AnalyticEnv, AnalyticEnvBuilder};
 pub use design::{DesignParam, DesignSpace};
-pub use env::{CircuitEnv, SimCounter, SimPhase};
+pub use env::{CircuitEnv, EvalPoint, ExecReport, SimCounter, SimPhase};
 pub use error::CktError;
 pub use folded::FoldedCascode;
 pub use measure::{Measure, MeasureContext, MeasureFn, OpampMetrics, SlewRateMethod};

@@ -24,17 +24,18 @@
 //! Lookups never see solutions stored since the last [`commit`]: a solve
 //! reads only the *committed snapshot*, and new solutions park in a pending
 //! set until the next commit publishes them. Batch evaluators commit
-//! exactly once per batch (see `Evaluator::eval_*_batch` in
-//! `specwise-exec`), so every point of a batch is seeded from the same
-//! frozen state no matter how many workers evaluate it or in which order
-//! they finish — results and downstream simulation counts are bit-identical
-//! at any worker count. Serial per-point streams commit between points and
-//! therefore seed each solve from the previous one. When several solutions
-//! of one configuration park in the same pending window, the commit keeps
-//! the one with the smallest signature (a deterministic, order-independent
-//! tie-break).
+//! exactly once per batch (see [`CircuitEnv::eval_margins_batch`] and
+//! `specwise-exec`'s `EvalService`), so every point of a batch is seeded
+//! from the same frozen state no matter how many workers evaluate it or in
+//! which order they finish — results and downstream simulation counts are
+//! bit-identical at any worker count. Serial per-point streams commit
+//! between points and therefore seed each solve from the previous one.
+//! When several solutions of one configuration park in the same pending
+//! window, the commit keeps the one with the smallest signature (a
+//! deterministic, order-independent tie-break).
 //!
 //! [`commit`]: WarmStartCache::commit
+//! [`CircuitEnv::eval_margins_batch`]: crate::CircuitEnv::eval_margins_batch
 //!
 //! The cache is disabled by setting `SPECWISE_WARM_START=0` (or `off` /
 //! `false`), in which case every solve is a cold start.

@@ -31,8 +31,7 @@
 
 use std::sync::Arc;
 
-use specwise_ckt::{CktError, OperatingPoint, SimPhase};
-use specwise_exec::{EvalPoint, Evaluator};
+use specwise_ckt::{CircuitEnv, CktError, EvalPoint, OperatingPoint, SimPhase};
 use specwise_linalg::DVec;
 use specwise_trace::{Span, Tracer};
 use specwise_wcd::worst_case_corners;
@@ -70,7 +69,7 @@ pub trait YieldEstimator {
     /// # Errors
     ///
     /// Rejects empty sample budgets and dimension mismatches.
-    fn validate<E: Evaluator + ?Sized>(&self, env: &E) -> Result<(), SpecwiseError>;
+    fn validate<E: CircuitEnv + ?Sized>(&self, env: &E) -> Result<(), SpecwiseError>;
 
     /// Draws every sample up front (serial RNG call order) and returns the
     /// initial accumulator state. `theta_wc` holds the per-spec worst-case
@@ -81,7 +80,7 @@ pub trait YieldEstimator {
     /// # Errors
     ///
     /// Propagates evaluation errors of any proposal-construction search.
-    fn propose<E: Evaluator + ?Sized>(
+    fn propose<E: CircuitEnv + ?Sized>(
         &self,
         env: &E,
         d: &DVec,
@@ -113,7 +112,7 @@ pub trait YieldEstimator {
     ) -> Result<(), SpecwiseError>;
 
     /// Builds the final result from the settled state.
-    fn finalize<E: Evaluator + ?Sized>(
+    fn finalize<E: CircuitEnv + ?Sized>(
         &self,
         env: &E,
         state: Self::State,
@@ -176,7 +175,7 @@ pub fn classify_sample(
 /// # Errors
 ///
 /// Propagates validation and evaluation errors.
-pub fn estimate_yield<X: YieldEstimator, E: Evaluator + ?Sized>(
+pub fn estimate_yield<X: YieldEstimator, E: CircuitEnv + ?Sized>(
     estimator: &X,
     env: &E,
     d: &DVec,
@@ -196,7 +195,7 @@ pub fn estimate_yield<X: YieldEstimator, E: Evaluator + ?Sized>(
     Ok(result)
 }
 
-fn estimate_inner<X: YieldEstimator, E: Evaluator + ?Sized>(
+fn estimate_inner<X: YieldEstimator, E: CircuitEnv + ?Sized>(
     estimator: &X,
     env: &E,
     d: &DVec,
@@ -279,7 +278,7 @@ impl EstimatorKind {
     /// malformed value prints a one-line stderr warning naming the
     /// variable and the rejected value).
     pub fn from_env() -> EstimatorKind {
-        specwise_exec::config::parse_env_knob("SPECWISE_ESTIMATOR").unwrap_or_default()
+        specwise_ckt::env_knob::parse_env_knob("SPECWISE_ESTIMATOR").unwrap_or_default()
     }
 }
 

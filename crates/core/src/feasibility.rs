@@ -1,8 +1,7 @@
 //! The linearized feasibility region (paper Eq. 15) and the feasible
 //! starting-point search (paper Sec. 5.5).
 
-use specwise_ckt::SimPhase;
-use specwise_exec::Evaluator;
+use specwise_ckt::{CircuitEnv, SimPhase};
 use specwise_linalg::{DMat, DVec};
 use specwise_wcd::constraint_jacobian;
 
@@ -64,7 +63,7 @@ impl LinearConstraints {
     /// # Errors
     ///
     /// Propagates evaluation errors.
-    pub fn from_env<E: Evaluator + ?Sized>(
+    pub fn from_env<E: CircuitEnv + ?Sized>(
         env: &E,
         d_f: &DVec,
         fd_step: f64,
@@ -198,7 +197,7 @@ impl Default for FeasibleStartOptions {
 ///
 /// Returns [`SpecwiseError::NoFeasibleStart`] when the projection fails to
 /// reach feasibility within the iteration budget.
-pub fn find_feasible_start<E: Evaluator + ?Sized>(
+pub fn find_feasible_start<E: CircuitEnv + ?Sized>(
     env: &E,
     d0: &DVec,
     options: &FeasibleStartOptions,

@@ -16,8 +16,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use specwise_ckt::{CktError, OperatingPoint};
-use specwise_exec::Evaluator;
+use specwise_ckt::{CircuitEnv, CktError, OperatingPoint};
 use specwise_linalg::DVec;
 use specwise_stat::StandardNormal;
 use specwise_trace::{Span, Tracer};
@@ -89,7 +88,7 @@ impl IsResult {
 /// # Errors
 ///
 /// Propagates evaluation errors; rejects `n == 0` and dimension mismatches.
-pub fn importance_verify<E: Evaluator + ?Sized>(
+pub fn importance_verify<E: CircuitEnv + ?Sized>(
     env: &E,
     d: &DVec,
     shift: &DVec,
@@ -105,7 +104,7 @@ pub fn importance_verify<E: Evaluator + ?Sized>(
 /// # Errors
 ///
 /// Propagates evaluation errors; rejects `n == 0` and dimension mismatches.
-pub fn importance_verify_with<E: Evaluator + ?Sized>(
+pub fn importance_verify_with<E: CircuitEnv + ?Sized>(
     env: &E,
     d: &DVec,
     shift: &DVec,
@@ -155,7 +154,7 @@ impl YieldEstimator for MeanShiftIs {
         "is_verify"
     }
 
-    fn validate<E: Evaluator + ?Sized>(&self, env: &E) -> Result<(), SpecwiseError> {
+    fn validate<E: CircuitEnv + ?Sized>(&self, env: &E) -> Result<(), SpecwiseError> {
         if self.options.n == 0 {
             return Err(SpecwiseError::InvalidConfig {
                 reason: "need at least one sample",
@@ -171,7 +170,7 @@ impl YieldEstimator for MeanShiftIs {
         Ok(())
     }
 
-    fn propose<E: Evaluator + ?Sized>(
+    fn propose<E: CircuitEnv + ?Sized>(
         &self,
         env: &E,
         _d: &DVec,
@@ -233,7 +232,7 @@ impl YieldEstimator for MeanShiftIs {
         Ok(())
     }
 
-    fn finalize<E: Evaluator + ?Sized>(
+    fn finalize<E: CircuitEnv + ?Sized>(
         &self,
         _env: &E,
         state: IsState,

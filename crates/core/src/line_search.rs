@@ -5,8 +5,7 @@
 //! region: `γ_max = max{γ ∈ [0, 1] : c(d_f + γ·r) ≥ 0}` with a small number
 //! of real circuit simulations (the paper quotes ~10).
 
-use specwise_ckt::SimPhase;
-use specwise_exec::Evaluator;
+use specwise_ckt::{CircuitEnv, SimPhase};
 use specwise_linalg::DVec;
 
 use crate::SpecwiseError;
@@ -24,7 +23,7 @@ use crate::SpecwiseError;
 /// # Panics
 ///
 /// Panics when `d_f` and `d_star` have different lengths.
-pub fn line_search_feasible<E: Evaluator + ?Sized>(
+pub fn line_search_feasible<E: CircuitEnv + ?Sized>(
     env: &E,
     d_f: &DVec,
     d_star: &DVec,

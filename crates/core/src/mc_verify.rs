@@ -11,8 +11,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use specwise_ckt::{CktError, OperatingPoint};
-use specwise_exec::Evaluator;
+use specwise_ckt::{CircuitEnv, CktError, OperatingPoint};
 use specwise_linalg::DVec;
 use specwise_stat::{RunningMoments, StandardNormal, YieldEstimate};
 use specwise_trace::{Span, Tracer};
@@ -93,7 +92,7 @@ impl McVerification {
 /// # Errors
 ///
 /// Propagates evaluation errors; rejects `n_samples == 0`.
-pub fn mc_verify<E: Evaluator + ?Sized>(
+pub fn mc_verify<E: CircuitEnv + ?Sized>(
     env: &E,
     d: &DVec,
     n_samples: usize,
@@ -107,7 +106,7 @@ pub fn mc_verify<E: Evaluator + ?Sized>(
 /// # Errors
 ///
 /// Propagates evaluation errors; rejects `n_samples == 0`.
-pub fn mc_verify_with<E: Evaluator + ?Sized>(
+pub fn mc_verify_with<E: CircuitEnv + ?Sized>(
     env: &E,
     d: &DVec,
     options: &McOptions,
@@ -157,7 +156,7 @@ impl YieldEstimator for MonteCarlo {
         "mc_verify"
     }
 
-    fn validate<E: Evaluator + ?Sized>(&self, _env: &E) -> Result<(), SpecwiseError> {
+    fn validate<E: CircuitEnv + ?Sized>(&self, _env: &E) -> Result<(), SpecwiseError> {
         if self.options.n_samples == 0 {
             return Err(SpecwiseError::InvalidConfig {
                 reason: "need at least one sample",
@@ -166,7 +165,7 @@ impl YieldEstimator for MonteCarlo {
         Ok(())
     }
 
-    fn propose<E: Evaluator + ?Sized>(
+    fn propose<E: CircuitEnv + ?Sized>(
         &self,
         env: &E,
         _d: &DVec,
@@ -235,7 +234,7 @@ impl YieldEstimator for MonteCarlo {
         Ok(())
     }
 
-    fn finalize<E: Evaluator + ?Sized>(
+    fn finalize<E: CircuitEnv + ?Sized>(
         &self,
         _env: &E,
         state: McState,

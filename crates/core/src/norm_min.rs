@@ -24,8 +24,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use specwise_ckt::{CktError, OperatingPoint};
-use specwise_exec::Evaluator;
+use specwise_ckt::{CircuitEnv, CktError, OperatingPoint};
 use specwise_linalg::DVec;
 use specwise_stat::StandardNormal;
 use specwise_trace::Span;
@@ -161,7 +160,7 @@ impl NormMinIs {
     /// failure point (module docs). Only simulation-failure evaluation
     /// errors are tolerated mid-search (the search stops where it stands);
     /// structural errors propagate.
-    fn search_failure_point<E: Evaluator + ?Sized>(
+    fn search_failure_point<E: CircuitEnv + ?Sized>(
         &self,
         env: &E,
         d: &DVec,
@@ -299,7 +298,7 @@ impl YieldEstimator for NormMinIs {
         "norm_min_verify"
     }
 
-    fn validate<E: Evaluator + ?Sized>(&self, _env: &E) -> Result<(), SpecwiseError> {
+    fn validate<E: CircuitEnv + ?Sized>(&self, _env: &E) -> Result<(), SpecwiseError> {
         if self.options.n == 0 {
             return Err(SpecwiseError::InvalidConfig {
                 reason: "need at least one sample",
@@ -318,7 +317,7 @@ impl YieldEstimator for NormMinIs {
         Ok(())
     }
 
-    fn propose<E: Evaluator + ?Sized>(
+    fn propose<E: CircuitEnv + ?Sized>(
         &self,
         env: &E,
         d: &DVec,
@@ -390,7 +389,7 @@ impl YieldEstimator for NormMinIs {
         Ok(())
     }
 
-    fn finalize<E: Evaluator + ?Sized>(
+    fn finalize<E: CircuitEnv + ?Sized>(
         &self,
         _env: &E,
         state: NormMinState,

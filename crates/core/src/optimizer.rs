@@ -18,8 +18,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use specwise_ckt::SimPhase;
-use specwise_exec::{Evaluator, ExecReport};
+use specwise_ckt::{CircuitEnv, ExecReport, SimPhase};
 use specwise_linalg::DVec;
 use specwise_stat::YieldEstimate;
 use specwise_trace::{Span, Tracer};
@@ -303,7 +302,7 @@ impl YieldOptimizer {
     /// # Errors
     ///
     /// Propagates evaluation/analysis errors and feasible-start failure.
-    pub fn run<E: Evaluator + ?Sized>(&self, env: &E) -> Result<OptimizationTrace, SpecwiseError> {
+    pub fn run<E: CircuitEnv + ?Sized>(&self, env: &E) -> Result<OptimizationTrace, SpecwiseError> {
         self.run_from(env, &env.design_space().initial())
     }
 
@@ -312,7 +311,7 @@ impl YieldOptimizer {
     /// # Errors
     ///
     /// Propagates evaluation/analysis errors and feasible-start failure.
-    pub fn run_from<E: Evaluator + ?Sized>(
+    pub fn run_from<E: CircuitEnv + ?Sized>(
         &self,
         env: &E,
         d0: &DVec,
@@ -611,7 +610,7 @@ impl YieldOptimizer {
 
     /// Attempts to load and validate a checkpoint; any problem degrades to
     /// a fresh run with a warning (stderr + journal), never an error.
-    fn try_resume<E: Evaluator + ?Sized>(
+    fn try_resume<E: CircuitEnv + ?Sized>(
         &self,
         env: &E,
         path: &Path,
@@ -670,7 +669,7 @@ impl YieldOptimizer {
     /// Writes a checkpoint; a failed write warns and continues (the run
     /// never dies for its life insurance).
     #[allow(clippy::too_many_arguments)]
-    fn save_checkpoint<E: Evaluator + ?Sized>(
+    fn save_checkpoint<E: CircuitEnv + ?Sized>(
         &self,
         path: Option<&Path>,
         env: &E,
@@ -718,7 +717,7 @@ impl YieldOptimizer {
 
     /// Checks the cumulative degradation count against the configured
     /// failure budget; `Some(reason)` aborts the loop.
-    fn budget_exceeded<E: Evaluator + ?Sized>(
+    fn budget_exceeded<E: CircuitEnv + ?Sized>(
         &self,
         env: &E,
         events: u64,
@@ -743,7 +742,7 @@ impl YieldOptimizer {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn snapshot<E: Evaluator + ?Sized>(
+    fn snapshot<E: CircuitEnv + ?Sized>(
         &self,
         env: &E,
         label: &str,
@@ -848,7 +847,7 @@ fn snapshot_degradations(snapshot: Option<&IterationSnapshot>) -> u64 {
 /// per-phase simulation counts (the `SimCounter` attribution), plus the
 /// engine counters (cache hits, retries, batches) when the run went through
 /// an [`EvalService`](specwise_exec::EvalService).
-fn finish_run_span<E: Evaluator + ?Sized>(span: &mut Span, env: &E) {
+fn finish_run_span<E: CircuitEnv + ?Sized>(span: &mut Span, env: &E) {
     if !span.is_enabled() {
         return;
     }

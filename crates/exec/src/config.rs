@@ -1,7 +1,7 @@
 //! Configuration for the evaluation service: worker pool size, cache
 //! capacity, and the retry policy for non-converged simulations.
 
-use std::time::Duration;
+use specwise_ckt::env_knob::parse_env_knob;
 
 /// Retry policy for evaluations that fail with a simulation error
 /// (typically a non-converged DC solve).
@@ -131,31 +131,20 @@ impl ExecConfig {
             eprintln!("{notice}");
         }
         let mut cfg = ExecConfig::default();
-        if let Some(n) = parse_var::<usize>("SPECWISE_WORKERS") {
+        if let Some(n) = parse_env_knob::<usize>("SPECWISE_WORKERS") {
             cfg.workers = n.max(1);
         }
-        if let Some(n) = parse_var::<usize>("SPECWISE_CACHE_CAP") {
+        if let Some(n) = parse_env_knob::<usize>("SPECWISE_CACHE_CAP") {
             cfg.cache_capacity = n;
         }
-        if let Some(n) = parse_var::<u32>("SPECWISE_RETRIES") {
+        if let Some(n) = parse_env_knob::<u32>("SPECWISE_RETRIES") {
             cfg.retry.max_retries = n;
         }
-        if let Some(x) = parse_var::<f64>("SPECWISE_RETRY_PERTURB") {
+        if let Some(x) = parse_env_knob::<f64>("SPECWISE_RETRY_PERTURB") {
             cfg.retry.perturb = x;
         }
         cfg
     }
-}
-
-/// The shared warn-and-default knob parser used by every `SPECWISE_*`
-/// environment variable in the workspace (`SPECWISE_WORKERS`,
-/// `SPECWISE_WARM_START`, `SPECWISE_GRAD`, `SPECWISE_ESTIMATOR`, …). The
-/// implementation lives in `specwise-ckt` (the lowest crate that reads a
-/// knob); this is the canonical public surface.
-pub use specwise_ckt::env_knob::{parse_env_knob, parse_knob_checked};
-
-fn parse_var<T: std::str::FromStr>(name: &str) -> Option<T> {
-    parse_env_knob(name)
 }
 
 /// The stderr notice for the retired `SPECWISE_BATCH` knob, given its raw
@@ -169,21 +158,10 @@ fn retired_batch_notice(raw: Option<&str>) -> Option<String> {
     })
 }
 
-/// Formats a duration compactly for report tables (`1.23s`, `45.6ms`).
-pub(crate) fn fmt_duration(d: Duration) -> String {
-    let s = d.as_secs_f64();
-    if s >= 1.0 {
-        format!("{s:.2}s")
-    } else if s >= 1e-3 {
-        format!("{:.1}ms", s * 1e3)
-    } else {
-        format!("{:.0}µs", s * 1e6)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use specwise_ckt::env_knob::parse_knob_checked;
 
     #[test]
     fn defaults_are_sane() {
@@ -254,12 +232,5 @@ mod tests {
         assert!(notice.contains("no longer read"), "{notice}");
         assert!(notice.contains("SPECWISE_WORKERS pool"), "{notice}");
         assert!(!notice.contains('\n'), "{notice}");
-    }
-
-    #[test]
-    fn duration_formatting() {
-        assert_eq!(fmt_duration(Duration::from_secs(2)), "2.00s");
-        assert_eq!(fmt_duration(Duration::from_millis(45)), "45.0ms");
-        assert_eq!(fmt_duration(Duration::from_micros(12)), "12µs");
     }
 }

@@ -6,25 +6,25 @@
 //! per-spec worst-case stage — reduces to "evaluate the circuit at these
 //! `N` points". This crate turns that shape into a single choke point:
 //!
-//! * [`Evaluator`] — the trait those loops program against. It mirrors the
-//!   [`CircuitEnv`](specwise_ckt::CircuitEnv) surface and adds batch calls
-//!   ([`Evaluator::eval_margins_batch`],
-//!   [`Evaluator::eval_constraints_batch`]). Every `CircuitEnv + Sync` is
-//!   an `Evaluator` via a blanket impl with serial batches, so plain
-//!   environments keep working unchanged.
-//! * [`EvalService`] — wraps an environment and upgrades batches with a
-//!   scoped-thread worker pool (results stay input-ordered and
-//!   bit-identical to serial), a bounded memoization cache with an
-//!   exact-match guard against false hits, a deterministic retry policy
-//!   for non-converged simulations, and per-[`SimPhase`](specwise_ckt::SimPhase)
-//!   simulation counters and wall-clock timers surfaced as an
-//!   [`ExecReport`].
+//! * [`CircuitEnv`](specwise_ckt::CircuitEnv) — the trait those loops
+//!   program against. Its batch calls
+//!   ([`eval_margins_batch`](specwise_ckt::CircuitEnv::eval_margins_batch),
+//!   [`eval_constraints_batch`](specwise_ckt::CircuitEnv::eval_constraints_batch))
+//!   default to a serial loop, so plain environments keep working
+//!   unchanged.
+//! * [`EvalService`] — a `CircuitEnv` that wraps an environment and
+//!   upgrades batches with a scoped-thread worker pool (results stay
+//!   input-ordered and bit-identical to serial), a bounded memoization
+//!   cache with an exact-match guard against false hits, a deterministic
+//!   retry policy for non-converged simulations, and
+//!   per-[`SimPhase`](specwise_ckt::SimPhase) simulation counters and
+//!   wall-clock timers surfaced as an [`ExecReport`].
 //!
 //! # Example
 //!
 //! ```
-//! use specwise_ckt::{AnalyticEnv, DesignParam, DesignSpace, Spec, SpecKind};
-//! use specwise_exec::{EvalPoint, EvalService, Evaluator, ExecConfig};
+//! use specwise_ckt::{AnalyticEnv, CircuitEnv, DesignParam, DesignSpace, Spec, SpecKind};
+//! use specwise_exec::{EvalPoint, EvalService, ExecConfig};
 //! use specwise_linalg::DVec;
 //!
 //! # fn main() -> Result<(), specwise_ckt::CktError> {
@@ -58,4 +58,5 @@ pub mod config;
 pub mod service;
 
 pub use config::{ExecConfig, RetryPolicy};
-pub use service::{EvalPoint, EvalService, Evaluator, ExecReport};
+pub use service::EvalService;
+pub use specwise_ckt::{EvalPoint, ExecReport};

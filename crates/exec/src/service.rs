@@ -1,402 +1,29 @@
-//! The [`Evaluator`] abstraction and the [`EvalService`] engine.
+//! The [`EvalService`] engine.
 //!
-//! [`Evaluator`] is what the worst-case analysis, linearization, line
-//! search, and Monte-Carlo verification layers program against: the same
-//! accessors and evaluation calls as [`CircuitEnv`], plus *batch* variants
-//! that evaluate many points at once. Every `CircuitEnv + Sync` is an
-//! `Evaluator` through a blanket implementation whose batches run serially
-//! — existing behavior, bit for bit.
-//!
-//! [`EvalService`] wraps an environment and upgrades those batch calls
-//! with a scoped-thread worker pool, a bounded memoization cache, and a
-//! retry policy for non-converged simulations, while keeping results in
-//! input order and bit-identical to the serial path.
+//! The worst-case analysis, linearization, line search, and Monte-Carlo
+//! verification layers program against [`CircuitEnv`], whose batch calls
+//! ([`CircuitEnv::eval_margins_batch`] and friends) run serially by
+//! default. [`EvalService`] is itself a [`CircuitEnv`]: it wraps an
+//! environment and upgrades those batch calls with a scoped-thread worker
+//! pool, a bounded memoization cache, and a retry policy for non-converged
+//! simulations, while keeping results in input order and bit-identical to
+//! the serial path. It calls only the wrapped environment's scalar
+//! evaluation methods.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use specwise_ckt::{
-    CircuitEnv, CktError, DesignSpace, OperatingPoint, OperatingRange, SimPhase, Spec, StatSpace,
+    CircuitEnv, CktError, DesignSpace, EvalPoint, ExecReport, OperatingPoint, OperatingRange,
+    SimPhase, Spec, StatSpace,
 };
 use specwise_linalg::DVec;
 use specwise_trace::Tracer;
 
 use crate::cache::Cache;
-use crate::config::{fmt_duration, ExecConfig};
-
-/// One evaluation request: the full argument triple of
-/// [`CircuitEnv::eval_performances`], owned so batches can cross threads.
-///
-/// The vectors are [`Arc`]-shared: gradient and sampling loops build many
-/// points that differ from a base point in only one coordinate block, and
-/// sharing the unchanged block avoids one heap allocation + copy per point
-/// (cloning an `EvalPoint` is two refcount bumps).
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvalPoint {
-    /// Design point.
-    pub d: Arc<DVec>,
-    /// Standardized statistical point.
-    pub s_hat: Arc<DVec>,
-    /// Operating condition.
-    pub theta: OperatingPoint,
-    /// Whether an [`EvalService`] may answer this point from, and store it
-    /// into, its memo cache. Monte-Carlo samples are effectively unique,
-    /// so they clear it ([`EvalPoint::unmemoized`]) instead of evicting
-    /// the optimizer's reusable points.
-    pub memo: bool,
-}
-
-impl EvalPoint {
-    /// Creates a request. Accepts owned vectors or pre-shared [`Arc`]s, so
-    /// call sites that reuse a base vector across many points pass
-    /// `Arc::clone(&base)` and allocate nothing.
-    pub fn new(
-        d: impl Into<Arc<DVec>>,
-        s_hat: impl Into<Arc<DVec>>,
-        theta: OperatingPoint,
-    ) -> Self {
-        EvalPoint {
-            d: d.into(),
-            s_hat: s_hat.into(),
-            theta,
-            memo: true,
-        }
-    }
-
-    /// The same request with memoization off: the service neither looks
-    /// the point up nor caches its result.
-    pub fn unmemoized(mut self) -> Self {
-        self.memo = false;
-        self
-    }
-}
-
-/// The evaluation interface of the simulator-driven loops.
-///
-/// Mirrors the [`CircuitEnv`] surface (same method names, so call sites
-/// only change their bound, not their body) and adds batch evaluation.
-/// Implementors: every `CircuitEnv + Sync` (serial batches, via the blanket
-/// impl) and [`EvalService`] (parallel, cached, fault-tolerant batches).
-pub trait Evaluator: Sync {
-    /// Human-readable circuit name.
-    fn name(&self) -> &str;
-
-    /// The design space.
-    fn design_space(&self) -> &DesignSpace;
-
-    /// The standardized statistical space.
-    fn stat_space(&self) -> &StatSpace;
-
-    /// Dimension of the statistical space.
-    fn stat_dim(&self) -> usize;
-
-    /// The performance specifications.
-    fn specs(&self) -> &[Spec];
-
-    /// The operating range `Θ`.
-    fn operating_range(&self) -> &OperatingRange;
-
-    /// Names of the functional constraints.
-    fn constraint_names(&self) -> Vec<String>;
-
-    /// Evaluates all performances at `(d, ŝ, θ)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CktError`] for dimension mismatches or failed simulations.
-    fn eval_performances(
-        &self,
-        d: &DVec,
-        s_hat: &DVec,
-        theta: &OperatingPoint,
-    ) -> Result<DVec, CktError>;
-
-    /// Evaluates the margin vector at `(d, ŝ, θ)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Evaluator::eval_performances`] errors.
-    fn eval_margins(
-        &self,
-        d: &DVec,
-        s_hat: &DVec,
-        theta: &OperatingPoint,
-    ) -> Result<DVec, CktError>;
-
-    /// Evaluates the functional constraints `c(d) ≥ 0`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CktError`] for dimension mismatches or failed simulations.
-    fn eval_constraints(&self, d: &DVec) -> Result<DVec, CktError>;
-
-    /// Evaluates margins at every point, returning results in input order.
-    /// A failed point yields its error in the corresponding slot; the other
-    /// points are unaffected.
-    fn eval_margins_batch(&self, points: &[EvalPoint]) -> Vec<Result<DVec, CktError>> {
-        self.warm_commit();
-        points
-            .iter()
-            .map(|p| self.eval_margins(&p.d, &p.s_hat, &p.theta))
-            .collect()
-    }
-
-    /// Evaluates performances at every point, in input order.
-    fn eval_performances_batch(&self, points: &[EvalPoint]) -> Vec<Result<DVec, CktError>> {
-        self.warm_commit();
-        points
-            .iter()
-            .map(|p| self.eval_performances(&p.d, &p.s_hat, &p.theta))
-            .collect()
-    }
-
-    /// Evaluates constraints at every design point, in input order.
-    fn eval_constraints_batch(&self, designs: &[DVec]) -> Vec<Result<DVec, CktError>> {
-        self.warm_commit();
-        designs.iter().map(|d| self.eval_constraints(d)).collect()
-    }
-
-    /// Publishes pending warm-start state (see
-    /// [`CircuitEnv::warm_commit`]). Batch entry points call this exactly
-    /// once before running, so every point in a batch is seeded from the
-    /// same committed snapshot regardless of worker count or completion
-    /// order — keeping Newton iteration counts (and therefore simulation
-    /// counts) bitwise-deterministic under parallel evaluation.
-    fn warm_commit(&self) {}
-
-    /// Number of simulator invocations so far.
-    fn sim_count(&self) -> u64;
-
-    /// Resets the simulation counter.
-    fn reset_sim_count(&self);
-
-    /// Selects the [`SimPhase`] subsequent simulations are charged to.
-    fn set_sim_phase(&self, phase: SimPhase);
-
-    /// Per-phase simulation counts.
-    fn sim_phase_counts(&self) -> [u64; SimPhase::COUNT];
-
-    /// Evaluates the margin vector at `(d, ŝ, θ)` plus a set of perturbed
-    /// `(d′, ŝ′)` points via the environment's sensitivity shortcut (see
-    /// [`CircuitEnv::eval_margins_perturbed`]). `Ok(None)` means no
-    /// shortcut applies: callers fall back to finite differences through
-    /// the ordinary batch path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates base-point simulation failures.
-    fn eval_margins_perturbed(
-        &self,
-        _d: &DVec,
-        _s_hat: &DVec,
-        _theta: &OperatingPoint,
-        _directions: &[(DVec, DVec)],
-    ) -> Result<Option<(DVec, Vec<DVec>)>, CktError> {
-        Ok(None)
-    }
-
-    /// Adjoint/sensitivity solves recorded so far. Not part of
-    /// [`Evaluator::sim_count`].
-    fn adjoint_solve_count(&self) -> u64 {
-        0
-    }
-
-    /// Finite-difference simulator calls avoided by the sensitivity path.
-    fn fd_sims_avoided(&self) -> u64 {
-        0
-    }
-
-    /// Execution statistics, when the evaluator collects them
-    /// ([`EvalService`] does; plain environments return `None`).
-    fn exec_report(&self) -> Option<ExecReport> {
-        None
-    }
-}
-
-impl<T: CircuitEnv + Sync + ?Sized> Evaluator for T {
-    fn name(&self) -> &str {
-        CircuitEnv::name(self)
-    }
-
-    fn design_space(&self) -> &DesignSpace {
-        CircuitEnv::design_space(self)
-    }
-
-    fn stat_space(&self) -> &StatSpace {
-        CircuitEnv::stat_space(self)
-    }
-
-    fn stat_dim(&self) -> usize {
-        CircuitEnv::stat_dim(self)
-    }
-
-    fn specs(&self) -> &[Spec] {
-        CircuitEnv::specs(self)
-    }
-
-    fn operating_range(&self) -> &OperatingRange {
-        CircuitEnv::operating_range(self)
-    }
-
-    fn constraint_names(&self) -> Vec<String> {
-        CircuitEnv::constraint_names(self)
-    }
-
-    fn eval_performances(
-        &self,
-        d: &DVec,
-        s_hat: &DVec,
-        theta: &OperatingPoint,
-    ) -> Result<DVec, CktError> {
-        CircuitEnv::eval_performances(self, d, s_hat, theta)
-    }
-
-    fn eval_margins(
-        &self,
-        d: &DVec,
-        s_hat: &DVec,
-        theta: &OperatingPoint,
-    ) -> Result<DVec, CktError> {
-        CircuitEnv::eval_margins(self, d, s_hat, theta)
-    }
-
-    fn eval_constraints(&self, d: &DVec) -> Result<DVec, CktError> {
-        CircuitEnv::eval_constraints(self, d)
-    }
-
-    fn sim_count(&self) -> u64 {
-        CircuitEnv::sim_count(self)
-    }
-
-    fn reset_sim_count(&self) {
-        CircuitEnv::reset_sim_count(self)
-    }
-
-    fn set_sim_phase(&self, phase: SimPhase) {
-        CircuitEnv::set_sim_phase(self, phase)
-    }
-
-    fn sim_phase_counts(&self) -> [u64; SimPhase::COUNT] {
-        CircuitEnv::sim_phase_counts(self)
-    }
-
-    fn warm_commit(&self) {
-        CircuitEnv::warm_commit(self)
-    }
-
-    fn eval_margins_perturbed(
-        &self,
-        d: &DVec,
-        s_hat: &DVec,
-        theta: &OperatingPoint,
-        directions: &[(DVec, DVec)],
-    ) -> Result<Option<(DVec, Vec<DVec>)>, CktError> {
-        CircuitEnv::eval_margins_perturbed(self, d, s_hat, theta, directions)
-    }
-
-    fn adjoint_solve_count(&self) -> u64 {
-        CircuitEnv::adjoint_solve_count(self)
-    }
-
-    fn fd_sims_avoided(&self) -> u64 {
-        CircuitEnv::fd_sims_avoided(self)
-    }
-}
-
-/// Snapshot of an [`EvalService`]'s execution statistics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExecReport {
-    /// Configured worker-pool size.
-    pub workers: usize,
-    /// Cache lookups answered from memory (simulations saved).
-    pub cache_hits: u64,
-    /// Cache lookups that fell through to the environment.
-    pub cache_misses: u64,
-    /// Retry attempts issued for failed simulations.
-    pub retries: u64,
-    /// Evaluations that failed at first but succeeded on a retry.
-    pub recovered: u64,
-    /// Evaluations that exhausted retries with a simulation failure.
-    pub sim_failures: u64,
-    /// Worker panics isolated by `catch_unwind` and degraded to
-    /// [`CktError::WorkerPanic`] instead of aborting the process.
-    pub panics_caught: u64,
-    /// Batch calls served.
-    pub batches: u64,
-    /// Total points across all batch calls.
-    pub batch_points: u64,
-    /// Simulations charged to each phase (indexed by [`SimPhase::index`]).
-    pub phase_sims: [u64; SimPhase::COUNT],
-    /// Wall-clock evaluation time charged to each phase.
-    pub phase_wall: [Duration; SimPhase::COUNT],
-    /// Total simulations the wrapped environment performed.
-    pub total_sims: u64,
-    /// Wall-clock time since the service was created (or last reset).
-    pub wall: Duration,
-}
-
-impl ExecReport {
-    /// Cache hit rate in `[0, 1]` (`0` when the cache was never consulted).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Wall-clock time spent evaluating, summed over phases.
-    pub fn eval_wall(&self) -> Duration {
-        self.phase_wall.iter().sum()
-    }
-
-    /// Per-phase rows `(label, simulations, wall time)` for effort tables,
-    /// in [`SimPhase::ALL`] order, zero-simulation phases omitted.
-    pub fn phase_rows(&self) -> Vec<(String, u64, Duration)> {
-        SimPhase::ALL
-            .iter()
-            .filter(|p| self.phase_sims[p.index()] > 0)
-            .map(|p| {
-                (
-                    p.label().to_string(),
-                    self.phase_sims[p.index()],
-                    self.phase_wall[p.index()],
-                )
-            })
-            .collect()
-    }
-}
-
-impl std::fmt::Display for ExecReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "exec: {} sims, {} workers, wall {}",
-            self.total_sims,
-            self.workers,
-            fmt_duration(self.wall)
-        )?;
-        writeln!(
-            f,
-            "cache: {} hits / {} misses ({:.1}% hit rate)",
-            self.cache_hits,
-            self.cache_misses,
-            100.0 * self.hit_rate()
-        )?;
-        writeln!(
-            f,
-            "robustness: {} retries, {} recovered, {} failures, {} panics caught",
-            self.retries, self.recovered, self.sim_failures, self.panics_caught
-        )?;
-        for (label, sims, wall) in self.phase_rows() {
-            writeln!(f, "  {label:<14} {sims:>8} sims  {:>9}", fmt_duration(wall))?;
-        }
-        Ok(())
-    }
-}
+use crate::config::ExecConfig;
 
 /// Renders a vector for error context: up to four components, then an
 /// ellipsis with the total length, so annotated errors stay one line even
@@ -441,7 +68,7 @@ pub struct EvalService<'e, E: CircuitEnv + Sync + ?Sized> {
 impl<E: CircuitEnv + Sync + ?Sized> std::fmt::Debug for EvalService<'_, E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EvalService")
-            .field("env", &CircuitEnv::name(self.env))
+            .field("env", &self.env.name())
             .field("config", &self.config)
             .finish()
     }
@@ -587,7 +214,7 @@ impl<'e, E: CircuitEnv + Sync + ?Sized> EvalService<'e, E> {
         let mut attempt: u32 = 0;
         loop {
             let result = if attempt == 0 {
-                self.call_isolated(|| CircuitEnv::eval_performances(self.env, d, s_hat, theta))
+                self.call_isolated(|| self.env.eval_performances(d, s_hat, theta))
             } else {
                 // Deterministic nudge off the failing point; see
                 // `RetryPolicy` for the rationale and magnitude.
@@ -595,7 +222,7 @@ impl<'e, E: CircuitEnv + Sync + ?Sized> EvalService<'e, E> {
                 for v in nudged.iter_mut() {
                     *v += self.config.retry.perturb * attempt as f64;
                 }
-                self.call_isolated(|| CircuitEnv::eval_performances(self.env, d, &nudged, theta))
+                self.call_isolated(|| self.env.eval_performances(d, &nudged, theta))
             };
             match result {
                 Err(e) if e.is_simulation_failure() && attempt < self.config.retry.max_retries => {
@@ -629,7 +256,7 @@ impl<'e, E: CircuitEnv + Sync + ?Sized> EvalService<'e, E> {
     fn constraints_with_retry(&self, d: &DVec) -> Result<DVec, CktError> {
         let mut attempt: u32 = 0;
         loop {
-            let result = self.call_isolated(|| CircuitEnv::eval_constraints(self.env, d));
+            let result = self.call_isolated(|| self.env.eval_constraints(d));
             match result {
                 Err(e) if e.is_simulation_failure() && attempt < self.config.retry.max_retries => {
                     self.retries.fetch_add(1, Ordering::Relaxed);
@@ -651,7 +278,8 @@ impl<'e, E: CircuitEnv + Sync + ?Sized> EvalService<'e, E> {
     }
 
     fn margins_from_performances(&self, perf: DVec) -> DVec {
-        CircuitEnv::specs(self.env)
+        self.env
+            .specs()
             .iter()
             .zip(perf.iter())
             .map(|(spec, &f)| spec.margin(f))
@@ -685,7 +313,7 @@ impl<'e, E: CircuitEnv + Sync + ?Sized> EvalService<'e, E> {
         // every point of this batch seeds from the same committed state, so
         // Newton iteration counts do not depend on worker count or
         // completion order.
-        CircuitEnv::warm_commit(self.env);
+        self.env.warm_commit();
         let t0 = Instant::now();
         let workers = self.config.workers.clamp(1, points.len().max(1));
         let result = if workers <= 1 || points.len() < self.config.min_parallel_batch {
@@ -736,43 +364,45 @@ impl<'e, E: CircuitEnv + Sync + ?Sized> EvalService<'e, E> {
             panics_caught: self.panics_caught.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             batch_points: self.batch_points.load(Ordering::Relaxed),
-            phase_sims: CircuitEnv::sim_phase_counts(self.env),
+            phase_sims: self.env.sim_phase_counts(),
             phase_wall: std::array::from_fn(|i| {
                 Duration::from_nanos(self.phase_wall_ns[i].load(Ordering::Relaxed))
             }),
-            total_sims: CircuitEnv::sim_count(self.env),
+            total_sims: self.env.sim_count(),
             wall: self.started.elapsed(),
         }
     }
 }
 
-impl<E: CircuitEnv + Sync + ?Sized> Evaluator for EvalService<'_, E> {
+impl<E: CircuitEnv + Sync + ?Sized> CircuitEnv for EvalService<'_, E> {
     fn name(&self) -> &str {
-        CircuitEnv::name(self.env)
+        self.env.name()
     }
 
     fn design_space(&self) -> &DesignSpace {
-        CircuitEnv::design_space(self.env)
+        self.env.design_space()
     }
 
     fn stat_space(&self) -> &StatSpace {
-        CircuitEnv::stat_space(self.env)
+        self.env.stat_space()
     }
 
     fn stat_dim(&self) -> usize {
-        CircuitEnv::stat_dim(self.env)
+        // Forward explicitly: the trait's default derives the dimension
+        // from the stat space and would drop the wrapped env's override.
+        self.env.stat_dim()
     }
 
     fn specs(&self) -> &[Spec] {
-        CircuitEnv::specs(self.env)
+        self.env.specs()
     }
 
     fn operating_range(&self) -> &OperatingRange {
-        CircuitEnv::operating_range(self.env)
+        self.env.operating_range()
     }
 
     fn constraint_names(&self) -> Vec<String> {
-        CircuitEnv::constraint_names(self.env)
+        self.env.constraint_names()
     }
 
     fn eval_performances(
@@ -826,24 +456,24 @@ impl<E: CircuitEnv + Sync + ?Sized> Evaluator for EvalService<'_, E> {
     }
 
     fn sim_count(&self) -> u64 {
-        CircuitEnv::sim_count(self.env)
+        self.env.sim_count()
     }
 
     fn reset_sim_count(&self) {
-        CircuitEnv::reset_sim_count(self.env)
+        self.env.reset_sim_count()
     }
 
     fn set_sim_phase(&self, phase: SimPhase) {
         self.phase.store(phase.index(), Ordering::Relaxed);
-        CircuitEnv::set_sim_phase(self.env, phase);
+        self.env.set_sim_phase(phase);
     }
 
     fn sim_phase_counts(&self) -> [u64; SimPhase::COUNT] {
-        CircuitEnv::sim_phase_counts(self.env)
+        self.env.sim_phase_counts()
     }
 
     fn warm_commit(&self) {
-        CircuitEnv::warm_commit(self.env)
+        self.env.warm_commit()
     }
 
     fn eval_margins_perturbed(
@@ -855,11 +485,10 @@ impl<E: CircuitEnv + Sync + ?Sized> Evaluator for EvalService<'_, E> {
     ) -> Result<Option<(DVec, Vec<DVec>)>, CktError> {
         // Commit first for parity with the finite-difference batch path:
         // the base point seeds from the same snapshot either way.
-        CircuitEnv::warm_commit(self.env);
+        self.env.warm_commit();
         let t0 = Instant::now();
-        let result = self.call_isolated(|| {
-            CircuitEnv::eval_margins_perturbed(self.env, d, s_hat, theta, directions)
-        });
+        let result =
+            self.call_isolated(|| self.env.eval_margins_perturbed(d, s_hat, theta, directions));
         self.charge_wall(t0.elapsed());
         result.map_err(|e| {
             self.annotate_failure(
@@ -874,11 +503,11 @@ impl<E: CircuitEnv + Sync + ?Sized> Evaluator for EvalService<'_, E> {
     }
 
     fn adjoint_solve_count(&self) -> u64 {
-        CircuitEnv::adjoint_solve_count(self.env)
+        self.env.adjoint_solve_count()
     }
 
     fn fd_sims_avoided(&self) -> u64 {
-        CircuitEnv::fd_sims_avoided(self.env)
+        self.env.fd_sims_avoided()
     }
 
     fn exec_report(&self) -> Option<ExecReport> {
@@ -923,8 +552,8 @@ mod tests {
     fn batch_matches_serial_bit_for_bit_across_worker_counts() {
         let e = env();
         let pts = points(23);
-        // Reference: the blanket (serial) implementation on the raw env.
-        let reference = Evaluator::eval_margins_batch(&e, &pts);
+        // Reference: the default (serial) batch on the raw env.
+        let reference = e.eval_margins_batch(&pts);
         for workers in [1usize, 2, 8] {
             let service = EvalService::new(
                 &e,
@@ -956,7 +585,7 @@ mod tests {
         let designs: Vec<DVec> = (0..11)
             .map(|i| DVec::from_slice(&[0.3 * i as f64]))
             .collect();
-        let reference = Evaluator::eval_constraints_batch(&e, &designs);
+        let reference = e.eval_constraints_batch(&designs);
         for workers in [1usize, 2, 8] {
             let service = EvalService::new(&e, ExecConfig::serial().with_workers(workers));
             let got = service.eval_constraints_batch(&designs);
@@ -976,10 +605,10 @@ mod tests {
         let service = EvalService::new(&e, ExecConfig::default().with_workers(1));
         let p = points(1).remove(0);
         let first = service.eval_margins(&p.d, &p.s_hat, &p.theta).unwrap();
-        let sims_after_first = Evaluator::sim_count(&service);
+        let sims_after_first = service.sim_count();
         let second = service.eval_margins(&p.d, &p.s_hat, &p.theta).unwrap();
         assert_eq!(
-            Evaluator::sim_count(&service),
+            service.sim_count(),
             sims_after_first,
             "hit must not simulate"
         );
@@ -1001,10 +630,10 @@ mod tests {
 
         // Every point is cached now, yet an unmemoized batch simulates them
         // all again and leaves the cache and its counters alone.
-        let sims = Evaluator::sim_count(&service);
+        let sims = service.sim_count();
         let bare: Vec<EvalPoint> = pts.iter().cloned().map(EvalPoint::unmemoized).collect();
         let fresh = service.eval_margins_batch(&bare);
-        assert_eq!(Evaluator::sim_count(&service), sims + 5);
+        assert_eq!(service.sim_count(), sims + 5);
         let after = service.report();
         assert_eq!((after.cache_hits, after.cache_misses), (0, 5));
         assert_eq!(service.cache_len(), 5);
@@ -1027,7 +656,7 @@ mod tests {
         let e = env();
         for n in [2usize, 3, 23] {
             let pts = points(n);
-            let reference = Evaluator::eval_margins_batch(&e, &pts);
+            let reference = e.eval_margins_batch(&pts);
             for workers in [2usize, 3, 8] {
                 let config = ExecConfig::default().with_workers(workers);
                 let got = EvalService::new(&e, config).eval_margins_batch(&pts);
@@ -1051,8 +680,8 @@ mod tests {
         let s_b = DVec::from_slice(&[f64::from_bits(0.5f64.to_bits() + 1), 0.0]);
         let m_a = service.eval_margins(&d, &s_a, &theta).unwrap();
         let m_b = service.eval_margins(&d, &s_b, &theta).unwrap();
-        let expect_a = CircuitEnv::eval_margins(&e, &d, &s_a, &theta).unwrap();
-        let expect_b = CircuitEnv::eval_margins(&e, &d, &s_b, &theta).unwrap();
+        let expect_a = e.eval_margins(&d, &s_a, &theta).unwrap();
+        let expect_b = e.eval_margins(&d, &s_b, &theta).unwrap();
         assert_eq!(m_a.as_slice(), expect_a.as_slice());
         assert_eq!(m_b.as_slice(), expect_b.as_slice());
         assert_eq!(
@@ -1176,7 +805,7 @@ mod tests {
     fn report_tracks_batches_and_phases() {
         let e = env();
         let service = EvalService::new(&e, ExecConfig::default().with_workers(2));
-        Evaluator::set_sim_phase(&service, SimPhase::Verification);
+        service.set_sim_phase(SimPhase::Verification);
         let pts = points(6);
         let _ = service.eval_margins_batch(&pts);
         let report = service.report();

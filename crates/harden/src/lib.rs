@@ -68,9 +68,10 @@ pub use inject::{FaultInjector, FaultReport, KillSwitch, SharedBudget};
 mod tests {
     use super::*;
     use specwise_ckt::{
-        AnalyticEnv, CircuitEnv, CktError, DesignParam, DesignSpace, OperatingPoint, Spec, SpecKind,
+        AnalyticEnv, CircuitEnv, CktError, DesignParam, DesignSpace, OperatingPoint, SimPhase,
+        Spec, SpecKind,
     };
-    use specwise_exec::{EvalPoint, EvalService, Evaluator, ExecConfig, RetryPolicy};
+    use specwise_exec::{EvalPoint, EvalService, ExecConfig, RetryPolicy};
     use specwise_linalg::DVec;
 
     fn env() -> AnalyticEnv {
@@ -100,6 +101,53 @@ mod tests {
     }
 
     #[test]
+    fn wrappers_forward_accessors_and_counters_to_the_bare_env() {
+        // `stat_dim` 2 over a space of 5 globals: a wrapper that fell back
+        // to the trait's default `stat_dim` would report 5.
+        let e = env();
+        assert_ne!(e.stat_dim(), e.stat_space().dim());
+        let svc = EvalService::new(&e, ExecConfig::serial());
+        let inj = FaultInjector::new(&e, FaultConfig::new(1, 0.0));
+        let kill = KillSwitch::new(&e, 100);
+        let inj_over_svc = FaultInjector::new(&svc, FaultConfig::new(1, 0.0));
+        let stacked = KillSwitch::new(&inj_over_svc, 100);
+        let wrappers: [(&str, &dyn CircuitEnv); 4] = [
+            ("service", &svc),
+            ("injector", &inj),
+            ("kill switch", &kill),
+            ("kill switch over injector over service", &stacked),
+        ];
+        let p = &points(1)[0];
+        for (label, w) in wrappers {
+            assert_eq!(w.name(), e.name(), "{label}");
+            assert_eq!(w.stat_dim(), e.stat_dim(), "{label}");
+            assert_eq!(w.specs().len(), e.specs().len(), "{label}");
+            assert_eq!(w.constraint_names(), e.constraint_names(), "{label}");
+            assert_eq!(
+                w.operating_range().corners().len(),
+                e.operating_range().corners().len(),
+                "{label}"
+            );
+            w.set_sim_phase(SimPhase::Wcd);
+            w.eval_margins(&p.d, &p.s_hat, &p.theta).unwrap();
+            assert_eq!(w.sim_count(), e.sim_count(), "{label}");
+            assert_eq!(w.sim_phase_counts(), e.sim_phase_counts(), "{label}");
+        }
+        assert_eq!(e.sim_phase_counts()[SimPhase::Wcd.index()], 4);
+        assert!(svc.exec_report().is_some() && e.exec_report().is_none());
+
+        // The trait's serial batch default and the service's batch agree.
+        let pts = points(9);
+        let served = svc.eval_margins_batch(&pts);
+        for (b, s) in e.eval_margins_batch(&pts).iter().zip(&served) {
+            assert_eq!(
+                b.as_ref().unwrap().as_slice(),
+                s.as_ref().unwrap().as_slice()
+            );
+        }
+    }
+
+    #[test]
     fn injection_is_deterministic_and_order_independent() {
         let e = env();
         let cfg = FaultConfig::new(7, 0.3)
@@ -111,7 +159,7 @@ mod tests {
             let mut faulted = vec![false; pts.len()];
             for &i in order {
                 let p = &pts[i];
-                faulted[i] = CircuitEnv::eval_performances(inj, &p.d, &p.s_hat, &p.theta).is_err();
+                faulted[i] = inj.eval_performances(&p.d, &p.s_hat, &p.theta).is_err();
             }
             let _ = theta;
             faulted
@@ -133,9 +181,9 @@ mod tests {
         let theta = OperatingPoint::new(27.0, 3.3);
         let d = DVec::from_slice(&[1.0]);
         let s = DVec::from_slice(&[0.5, -0.5]);
-        assert!(CircuitEnv::eval_performances(&inj, &d, &s, &theta).is_err());
-        let second = CircuitEnv::eval_performances(&inj, &d, &s, &theta).unwrap();
-        let clean = CircuitEnv::eval_performances(&e, &d, &s, &theta).unwrap();
+        assert!(inj.eval_performances(&d, &s, &theta).is_err());
+        let second = inj.eval_performances(&d, &s, &theta).unwrap();
+        let clean = e.eval_performances(&d, &s, &theta).unwrap();
         assert_eq!(second.as_slice(), clean.as_slice());
         assert_eq!(inj.report().count(FaultKind::NonConvergence), 1);
     }
@@ -144,7 +192,8 @@ mod tests {
     fn retrying_service_over_injector_is_bit_identical_to_fault_free() {
         let e = env();
         let pts = points(31);
-        let clean: Vec<DVec> = Evaluator::eval_margins_batch(&e, &pts)
+        let clean: Vec<DVec> = e
+            .eval_margins_batch(&pts)
             .into_iter()
             .map(Result::unwrap)
             .collect();
@@ -217,10 +266,10 @@ mod tests {
         let theta = OperatingPoint::new(27.0, 3.3);
         let d = DVec::from_slice(&[1.0]);
         let s = DVec::from_slice(&[0.0, 0.0]);
-        let perf = CircuitEnv::eval_performances(&inj, &d, &s, &theta).unwrap();
+        let perf = inj.eval_performances(&d, &s, &theta).unwrap();
         assert!(perf.iter().all(|x| x.is_nan()));
         // Transient: the next evaluation is clean.
-        let perf2 = CircuitEnv::eval_performances(&inj, &d, &s, &theta).unwrap();
+        let perf2 = inj.eval_performances(&d, &s, &theta).unwrap();
         assert!(perf2.iter().all(|x| x.is_finite()));
     }
 
@@ -230,10 +279,10 @@ mod tests {
         let cfg = FaultConfig::new(21, 1.0).with_kinds(&[FaultKind::NonConvergence]);
         let inj = FaultInjector::new(&e, cfg);
         let d = DVec::from_slice(&[1.0]);
-        assert!(CircuitEnv::eval_constraints(&inj, &d).is_err());
+        assert!(inj.eval_constraints(&d).is_err());
         assert_eq!(
-            CircuitEnv::eval_constraints(&inj, &d).unwrap().as_slice(),
-            CircuitEnv::eval_constraints(&e, &d).unwrap().as_slice()
+            inj.eval_constraints(&d).unwrap().as_slice(),
+            e.eval_constraints(&d).unwrap().as_slice()
         );
     }
 
@@ -245,10 +294,10 @@ mod tests {
         let d = DVec::from_slice(&[1.0]);
         let s = DVec::from_slice(&[0.0, 0.0]);
         for _ in 0..3 {
-            assert!(CircuitEnv::eval_performances(&kill, &d, &s, &theta).is_ok());
+            assert!(kill.eval_performances(&d, &s, &theta).is_ok());
         }
         assert!(!kill.tripped());
-        let err = CircuitEnv::eval_performances(&kill, &d, &s, &theta).unwrap_err();
+        let err = kill.eval_performances(&d, &s, &theta).unwrap_err();
         assert!(kill.tripped());
         // Fatal, not retryable: no retry policy may absorb a kill.
         assert!(!err.is_simulation_failure());
@@ -263,14 +312,14 @@ mod tests {
         let d = DVec::from_slice(&[1.0]);
         let s = DVec::from_slice(&[0.0, 0.0]);
         for _ in 0..4 {
-            assert!(CircuitEnv::eval_performances(&kill, &d, &s, &theta).is_ok());
+            assert!(kill.eval_performances(&d, &s, &theta).is_ok());
         }
         // A peer process reports 6 charges against the same allowance:
         // 4 local + 6 external = 10 → the very next charge is rejected.
         budget.set_external(6);
         assert_eq!(budget.total_used(), 10);
         assert!(!budget.tripped(), "at the cap but not yet over");
-        let err = CircuitEnv::eval_performances(&kill, &d, &s, &theta).unwrap_err();
+        let err = kill.eval_performances(&d, &s, &theta).unwrap_err();
         assert!(budget.tripped());
         // Soft mode: retryable, so failure-tolerant layers degrade.
         assert!(err.is_simulation_failure());

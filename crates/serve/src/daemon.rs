@@ -37,8 +37,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use specwise::{Checkpoint, Tracer};
+use specwise_ckt::env_knob::{parse_env_knob, Switch};
 use specwise_ckt::{DeckLimits, Testbench};
-use specwise_exec::config::parse_env_knob;
 use specwise_exec::ExecConfig;
 use specwise_trace::json;
 
@@ -83,7 +83,9 @@ pub struct ServeConfig {
     /// Deck ingestion limits; `SPECWISE_SERVE_MAX_DECK` overrides the
     /// byte cap.
     pub deck_limits: DeckLimits,
-    /// Enable the warm-start cache (`SPECWISE_SERVE_WARM_START`, `0`/`1`).
+    /// Enable the warm-start cache (`SPECWISE_SERVE_WARM_START`:
+    /// `1`/`on`/`true` or `0`/`off`/`false`; anything else warns and keeps
+    /// the default).
     /// Off by default: checkpoints restore optimizer state, not solver
     /// caches, and bit-for-bit resume after a restart requires cold
     /// starts.
@@ -169,8 +171,8 @@ impl ServeConfig {
         if let Some(n) = parse_env_knob::<usize>("SPECWISE_SERVE_MAX_DECK") {
             cfg.deck_limits.max_bytes = n;
         }
-        if let Some(n) = parse_env_knob::<u8>("SPECWISE_SERVE_WARM_START") {
-            cfg.warm_start = n != 0;
+        if let Some(Switch(on)) = parse_env_knob("SPECWISE_SERVE_WARM_START") {
+            cfg.warm_start = on;
         }
         cfg.exec = ExecConfig::from_env();
         cfg

@@ -2,8 +2,7 @@
 //! operating corners, worst-case points, spec-wise linearizations and
 //! mirrored (quadratic) models.
 
-use specwise_ckt::SimPhase;
-use specwise_exec::Evaluator;
+use specwise_ckt::{CircuitEnv, SimPhase};
 use specwise_linalg::DVec;
 use specwise_trace::Tracer;
 
@@ -74,10 +73,10 @@ impl WcResult {
 
 /// Orchestrates the worst-case analysis (paper Secs. 2, 5.2).
 ///
-/// Generic over the [`Evaluator`], so the same analysis runs against a bare
+/// Generic over the [`CircuitEnv`], so the same analysis runs against a bare
 /// environment or an [`EvalService`](specwise_exec::EvalService) with
 /// parallel batches and caching.
-pub struct WcAnalysis<'e, E: Evaluator + ?Sized> {
+pub struct WcAnalysis<'e, E: CircuitEnv + ?Sized> {
     env: &'e E,
     options: WcOptions,
     tracer: Tracer,
@@ -91,7 +90,7 @@ struct WcFallback {
     linearizations: Vec<SpecLinearization>,
 }
 
-impl<E: Evaluator + ?Sized> Clone for WcAnalysis<'_, E> {
+impl<E: CircuitEnv + ?Sized> Clone for WcAnalysis<'_, E> {
     fn clone(&self) -> Self {
         WcAnalysis {
             env: self.env,
@@ -102,7 +101,7 @@ impl<E: Evaluator + ?Sized> Clone for WcAnalysis<'_, E> {
     }
 }
 
-impl<E: Evaluator + ?Sized> std::fmt::Debug for WcAnalysis<'_, E> {
+impl<E: CircuitEnv + ?Sized> std::fmt::Debug for WcAnalysis<'_, E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WcAnalysis")
             .field("env", &self.env.name())
@@ -111,7 +110,7 @@ impl<E: Evaluator + ?Sized> std::fmt::Debug for WcAnalysis<'_, E> {
     }
 }
 
-impl<'e, E: Evaluator + ?Sized> WcAnalysis<'e, E> {
+impl<'e, E: CircuitEnv + ?Sized> WcAnalysis<'e, E> {
     /// Creates an analysis bound to an evaluator.
     pub fn new(env: &'e E, options: WcOptions) -> Self {
         WcAnalysis {

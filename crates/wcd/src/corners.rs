@@ -1,7 +1,6 @@
 //! Worst-case operating-point search by corner enumeration (paper Eq. 2).
 
-use specwise_ckt::OperatingPoint;
-use specwise_exec::{EvalPoint, Evaluator};
+use specwise_ckt::{CircuitEnv, EvalPoint, OperatingPoint};
 use specwise_linalg::DVec;
 
 use crate::WcdError;
@@ -18,7 +17,7 @@ use crate::WcdError;
 /// # Errors
 ///
 /// Propagates circuit-evaluation errors.
-pub fn worst_case_corners<E: Evaluator + ?Sized>(
+pub fn worst_case_corners<E: CircuitEnv + ?Sized>(
     env: &E,
     d: &DVec,
     s_hat: &DVec,

@@ -2,7 +2,8 @@
 //! sensitivities.
 //!
 //! Two backends produce the margin Jacobians (selected by
-//! `SPECWISE_GRAD=fd|adjoint|auto`, overridable with [`set_grad_override`]):
+//! `SPECWISE_GRAD=fd|adjoint|auto`, or passed explicitly to the `_with`
+//! functions):
 //!
 //! - **Forward differences** (`fd`): `n+1` evaluations per gradient. The
 //!   base point is evaluated first, as its own batch, and only then are the
@@ -29,14 +30,11 @@
 //! constraints are cheap sizing rules of `d` alone, with no linear system
 //! behind them to differentiate.
 //!
-//! [`Evaluator::eval_margins_perturbed`]: specwise_exec::Evaluator::eval_margins_perturbed
 //! [`EvalService`]: specwise_exec::EvalService
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-use specwise_ckt::OperatingPoint;
-use specwise_exec::{EvalPoint, Evaluator};
+use specwise_ckt::{CircuitEnv, EvalPoint, OperatingPoint};
 use specwise_linalg::{DMat, DVec};
 
 use crate::WcdError;
@@ -57,24 +55,6 @@ pub enum GradBackend {
     Auto,
 }
 
-/// 0 = no override (env / auto), 1 = auto, 2 = fd, 3 = adjoint.
-static GRAD_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Overrides the gradient backend process-wide, taking precedence over the
-/// `SPECWISE_GRAD` environment variable. `None` restores env/auto
-/// behaviour. Intended for benches and parity tests; library code should
-/// prefer the `_with` variants, which take the backend explicitly and
-/// cannot race.
-pub fn set_grad_override(choice: Option<GradBackend>) {
-    let v = match choice {
-        None => 0,
-        Some(GradBackend::Auto) => 1,
-        Some(GradBackend::Fd) => 2,
-        Some(GradBackend::Adjoint) => 3,
-    };
-    GRAD_OVERRIDE.store(v, Ordering::SeqCst);
-}
-
 impl std::str::FromStr for GradBackend {
     type Err = String;
 
@@ -88,18 +68,10 @@ impl std::str::FromStr for GradBackend {
     }
 }
 
-fn env_backend() -> GradBackend {
-    specwise_ckt::env_knob::parse_env_knob("SPECWISE_GRAD").unwrap_or(GradBackend::Auto)
-}
-
-/// The gradient backend under the current override/env/auto policy.
+/// The gradient backend selected by `SPECWISE_GRAD` (default
+/// [`GradBackend::Auto`]).
 pub fn grad_backend() -> GradBackend {
-    match GRAD_OVERRIDE.load(Ordering::SeqCst) {
-        1 => GradBackend::Auto,
-        2 => GradBackend::Fd,
-        3 => GradBackend::Adjoint,
-        _ => env_backend(),
-    }
+    specwise_ckt::env_knob::parse_env_knob("SPECWISE_GRAD").unwrap_or(GradBackend::Auto)
 }
 
 /// Forward-difference quotients `(m₂ − base) / step`, one column each.
@@ -115,7 +87,7 @@ fn quotients(base: &DVec, perturbed: &[DVec], steps: &[f64]) -> DMat {
 }
 
 /// Jacobian of all margins w.r.t. the standardized statistical parameters at
-/// `(d, ŝ, θ)`, with step `h` (σ units), under the process-wide backend
+/// `(d, ŝ, θ)`, with step `h` (σ units), under the `SPECWISE_GRAD`
 /// policy ([`grad_backend`]).
 ///
 /// Returns `(margins_at_base, jacobian [n_spec × n_s])`.
@@ -123,7 +95,7 @@ fn quotients(base: &DVec, perturbed: &[DVec], steps: &[f64]) -> DMat {
 /// # Errors
 ///
 /// Propagates circuit-evaluation errors; rejects non-positive `h`.
-pub fn margins_gradient_s<E: Evaluator + ?Sized>(
+pub fn margins_gradient_s<E: CircuitEnv + ?Sized>(
     env: &E,
     d: &DVec,
     s_hat: &DVec,
@@ -138,7 +110,7 @@ pub fn margins_gradient_s<E: Evaluator + ?Sized>(
 /// # Errors
 ///
 /// Propagates circuit-evaluation errors; rejects non-positive `h`.
-pub fn margins_gradient_s_with<E: Evaluator + ?Sized>(
+pub fn margins_gradient_s_with<E: CircuitEnv + ?Sized>(
     env: &E,
     backend: GradBackend,
     d: &DVec,
@@ -198,7 +170,7 @@ pub fn margins_gradient_s_with<E: Evaluator + ?Sized>(
 }
 
 /// Jacobian of all margins w.r.t. the design parameters at `(d, ŝ, θ)`,
-/// under the process-wide backend policy ([`grad_backend`]).
+/// under the `SPECWISE_GRAD` policy ([`grad_backend`]).
 ///
 /// The step for parameter `k` is `h_rel·(upper_k − lower_k)`, taken in the
 /// direction that stays inside the design box.
@@ -206,7 +178,7 @@ pub fn margins_gradient_s_with<E: Evaluator + ?Sized>(
 /// # Errors
 ///
 /// Propagates circuit-evaluation errors; rejects non-positive `h_rel`.
-pub fn margins_gradient_d<E: Evaluator + ?Sized>(
+pub fn margins_gradient_d<E: CircuitEnv + ?Sized>(
     env: &E,
     d: &DVec,
     s_hat: &DVec,
@@ -221,7 +193,7 @@ pub fn margins_gradient_d<E: Evaluator + ?Sized>(
 /// # Errors
 ///
 /// Propagates circuit-evaluation errors; rejects non-positive `h_rel`.
-pub fn margins_gradient_d_with<E: Evaluator + ?Sized>(
+pub fn margins_gradient_d_with<E: CircuitEnv + ?Sized>(
     env: &E,
     backend: GradBackend,
     d: &DVec,
@@ -290,7 +262,7 @@ pub fn margins_gradient_d_with<E: Evaluator + ?Sized>(
 /// # Errors
 ///
 /// Propagates circuit-evaluation errors; rejects non-positive `h_rel`.
-pub fn constraint_jacobian<E: Evaluator + ?Sized>(
+pub fn constraint_jacobian<E: CircuitEnv + ?Sized>(
     env: &E,
     d: &DVec,
     h_rel: f64,
@@ -334,9 +306,11 @@ pub fn constraint_jacobian<E: Evaluator + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specwise_ckt::{AnalyticEnv, DesignParam, DesignSpace, Spec, SpecKind};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
-    use adjoint_wrapper::AdjointCapable;
+    use specwise_ckt::{
+        AnalyticEnv, CktError, DesignParam, DesignSpace, OperatingRange, Spec, SpecKind, StatSpace,
+    };
 
     fn env() -> AnalyticEnv {
         AnalyticEnv::builder()
@@ -357,86 +331,73 @@ mod tests {
             .unwrap()
     }
 
-    /// Lives in its own module so only [`CircuitEnv`] is in method-lookup
-    /// scope for the delegation — the blanket `Evaluator` impl would make
-    /// every call ambiguous otherwise.
-    mod adjoint_wrapper {
-        use std::sync::atomic::{AtomicU64, Ordering};
+    /// Wraps [`AnalyticEnv`] with an `eval_margins_perturbed` answered
+    /// from plain margin evaluations, counting how often the adjoint
+    /// entry point is exercised.
+    struct AdjointCapable {
+        inner: AnalyticEnv,
+        perturbed_calls: AtomicU64,
+    }
 
-        use specwise_ckt::{
-            AnalyticEnv, CircuitEnv, CktError, DesignSpace, OperatingPoint, OperatingRange, Spec,
-            StatSpace,
-        };
-        use specwise_linalg::DVec;
-
-        /// Wraps [`AnalyticEnv`] with an `eval_margins_perturbed` answered
-        /// from plain margin evaluations, counting how often the adjoint
-        /// entry point is exercised.
-        pub(super) struct AdjointCapable {
-            inner: AnalyticEnv,
-            pub(super) perturbed_calls: AtomicU64,
-        }
-
-        impl AdjointCapable {
-            pub(super) fn new(inner: AnalyticEnv) -> Self {
-                AdjointCapable {
-                    inner,
-                    perturbed_calls: AtomicU64::new(0),
-                }
+    impl AdjointCapable {
+        fn new(inner: AnalyticEnv) -> Self {
+            AdjointCapable {
+                inner,
+                perturbed_calls: AtomicU64::new(0),
             }
         }
+    }
 
-        impl CircuitEnv for AdjointCapable {
-            fn name(&self) -> &str {
-                self.inner.name()
+    impl CircuitEnv for AdjointCapable {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn design_space(&self) -> &DesignSpace {
+            self.inner.design_space()
+        }
+        fn stat_space(&self) -> &StatSpace {
+            self.inner.stat_space()
+        }
+        fn specs(&self) -> &[Spec] {
+            self.inner.specs()
+        }
+        fn operating_range(&self) -> &OperatingRange {
+            self.inner.operating_range()
+        }
+        fn constraint_names(&self) -> Vec<String> {
+            self.inner.constraint_names()
+        }
+        fn eval_performances(
+            &self,
+            d: &DVec,
+            s_hat: &DVec,
+            theta: &OperatingPoint,
+        ) -> Result<DVec, CktError> {
+            self.inner.eval_performances(d, s_hat, theta)
+        }
+        fn eval_constraints(&self, d: &DVec) -> Result<DVec, CktError> {
+            self.inner.eval_constraints(d)
+        }
+        fn sim_count(&self) -> u64 {
+            self.inner.sim_count()
+        }
+        fn reset_sim_count(&self) {
+            self.inner.reset_sim_count()
+        }
+        fn eval_margins_perturbed(
+            &self,
+            d: &DVec,
+            s_hat: &DVec,
+            theta: &OperatingPoint,
+            directions: &[(DVec, DVec)],
+        ) -> Result<Option<(DVec, Vec<DVec>)>, CktError> {
+            self.perturbed_calls.fetch_add(1, Ordering::SeqCst);
+            let base = self.inner.eval_margins(d, s_hat, theta)?;
+            let mut per = Vec::with_capacity(directions.len());
+            for (dp, sp) in directions {
+                per.push(self.inner.eval_margins(dp, sp, theta)?);
             }
-            fn design_space(&self) -> &DesignSpace {
-                self.inner.design_space()
-            }
-            fn stat_space(&self) -> &StatSpace {
-                self.inner.stat_space()
-            }
-            fn specs(&self) -> &[Spec] {
-                self.inner.specs()
-            }
-            fn operating_range(&self) -> &OperatingRange {
-                self.inner.operating_range()
-            }
-            fn constraint_names(&self) -> Vec<String> {
-                self.inner.constraint_names()
-            }
-            fn eval_performances(
-                &self,
-                d: &DVec,
-                s_hat: &DVec,
-                theta: &OperatingPoint,
-            ) -> Result<DVec, CktError> {
-                self.inner.eval_performances(d, s_hat, theta)
-            }
-            fn eval_constraints(&self, d: &DVec) -> Result<DVec, CktError> {
-                self.inner.eval_constraints(d)
-            }
-            fn sim_count(&self) -> u64 {
-                self.inner.sim_count()
-            }
-            fn reset_sim_count(&self) {
-                self.inner.reset_sim_count()
-            }
-            fn eval_margins_perturbed(
-                &self,
-                d: &DVec,
-                s_hat: &DVec,
-                theta: &OperatingPoint,
-                directions: &[(DVec, DVec)],
-            ) -> Result<Option<(DVec, Vec<DVec>)>, CktError> {
-                self.perturbed_calls.fetch_add(1, Ordering::SeqCst);
-                let base = self.inner.eval_margins(d, s_hat, theta)?;
-                let mut per = Vec::with_capacity(directions.len());
-                for (dp, sp) in directions {
-                    per.push(self.inner.eval_margins(dp, sp, theta)?);
-                }
-                Ok(Some((base, per)))
-            }
+            Ok(Some((base, per)))
         }
     }
 
@@ -597,16 +558,5 @@ mod tests {
                 assert_eq!(jd_adj[(i, k)].to_bits(), jd_fd[(i, k)].to_bits());
             }
         }
-    }
-
-    #[test]
-    fn override_takes_precedence_and_restores() {
-        let default = grad_backend();
-        set_grad_override(Some(GradBackend::Fd));
-        assert_eq!(grad_backend(), GradBackend::Fd);
-        set_grad_override(Some(GradBackend::Adjoint));
-        assert_eq!(grad_backend(), GradBackend::Adjoint);
-        set_grad_override(None);
-        assert_eq!(grad_backend(), default);
     }
 }

@@ -53,7 +53,7 @@ pub use corners::worst_case_corners;
 pub use error::WcdError;
 pub use gradient::{
     constraint_jacobian, grad_backend, margins_gradient_d, margins_gradient_d_with,
-    margins_gradient_s, margins_gradient_s_with, set_grad_override, GradBackend,
+    margins_gradient_s, margins_gradient_s_with, GradBackend,
 };
 pub use linearize::SpecLinearization;
 pub use options::{LinearizationPoint, WcOptions};

@@ -10,8 +10,7 @@
 //! accuracies can be compared against simulation Monte Carlo (see
 //! `tests/model_order.rs` at the workspace root).
 
-use specwise_ckt::OperatingPoint;
-use specwise_exec::{EvalPoint, Evaluator};
+use specwise_ckt::{CircuitEnv, EvalPoint, OperatingPoint};
 use specwise_linalg::DVec;
 
 use crate::{SpecLinearization, WcdError};
@@ -50,7 +49,7 @@ impl QuadraticMarginModel {
     /// # Errors
     ///
     /// Propagates evaluation errors; rejects non-positive steps.
-    pub fn fit<E: Evaluator + ?Sized>(
+    pub fn fit<E: CircuitEnv + ?Sized>(
         env: &E,
         d_f: &DVec,
         spec: usize,

@@ -7,8 +7,7 @@
 //! inside the `Θ` box — an optional extension beyond the paper's corner
 //! assumption.
 
-use specwise_ckt::OperatingPoint;
-use specwise_exec::Evaluator;
+use specwise_ckt::{CircuitEnv, OperatingPoint};
 use specwise_linalg::DVec;
 
 use crate::WcdError;
@@ -56,7 +55,7 @@ fn golden_min(
 /// # Errors
 ///
 /// Propagates evaluation errors; rejects too-small budgets.
-pub fn refine_worst_theta<E: Evaluator + ?Sized>(
+pub fn refine_worst_theta<E: CircuitEnv + ?Sized>(
     env: &E,
     d: &DVec,
     s_hat: &DVec,

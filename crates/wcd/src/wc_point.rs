@@ -6,8 +6,7 @@
 //! iterate and jump to the point of the zero-margin hyperplane closest to
 //! the origin, repeating until the true margin vanishes there.
 
-use specwise_ckt::OperatingPoint;
-use specwise_exec::Evaluator;
+use specwise_ckt::{CircuitEnv, OperatingPoint};
 use specwise_linalg::DVec;
 
 use crate::gradient::margins_gradient_s;
@@ -81,7 +80,7 @@ impl WorstCaseSearch {
     /// Propagates evaluation errors; returns
     /// [`WcdError::DegenerateGradient`] when the margin does not depend on
     /// the statistical parameters at all.
-    pub fn run<E: Evaluator + ?Sized>(
+    pub fn run<E: CircuitEnv + ?Sized>(
         &self,
         env: &E,
         d: &DVec,

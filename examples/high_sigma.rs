@@ -19,8 +19,7 @@ use specwise::{
     estimate_yield, EstimatorKind, IsOptions, McOptions, MeanShiftIs, MonteCarlo, NormMinIs,
     NormMinOptions, Tracer,
 };
-use specwise_ckt::{AnalyticEnv, DesignParam, DesignSpace, Spec, SpecKind};
-use specwise_exec::Evaluator;
+use specwise_ckt::{AnalyticEnv, CircuitEnv, DesignParam, DesignSpace, Spec, SpecKind};
 use specwise_linalg::DVec;
 use specwise_stat::std_normal_cdf;
 
@@ -42,7 +41,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let quick = std::env::var("SPECWISE_EXAMPLE_QUICK").is_ok();
     let n = if quick { 1_000 } else { 4_000 };
     let env = high_sigma_env();
-    let d = Evaluator::design_space(&env).initial();
+    let d = env.design_space().initial();
     let p_true = std_normal_cdf(-B);
     println!("true failure probability at {B} sigma: {p_true:.3e}");
 

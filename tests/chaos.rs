@@ -30,18 +30,16 @@ fn exec_config() -> ExecConfig {
 
 #[test]
 fn miller_flow_under_ten_percent_faults_matches_fault_free_run() {
-    // The fault injector must observe every evaluation point, so it
-    // declines the adjoint and batched shortcuts and routes everything
-    // through the scalar per-point path (see `FaultInjector`'s
-    // `CircuitEnv` impl). Pin the fault-free reference to the same
-    // finite-difference path so the two runs compute identical floats —
-    // this test is about retry absorption, not gradient backends.
-    specwise_wcd::set_grad_override(Some(specwise_wcd::GradBackend::Fd));
-
-    // Fault-free reference, through the same evaluation engine so the two
-    // runs differ only in the injected faults.
+    // Fault-free reference, through the same evaluation engine and the same
+    // injector at rate 0, so the two runs differ only in the injected
+    // faults. The injector must observe every evaluation point, so it
+    // declines the adjoint shortcut (see `FaultInjector`'s `CircuitEnv`
+    // impl) at any rate: both runs take the finite-difference path and
+    // compute identical floats — this test is about retry absorption, not
+    // gradient backends.
     let clean_env = MillerOpamp::paper_setup();
-    let clean_svc = EvalService::new(&clean_env, exec_config());
+    let clean_inj = FaultInjector::new(&clean_env, FaultConfig::new(0x5EC5, 0.0));
+    let clean_svc = EvalService::new(&clean_inj, exec_config());
     let clean = YieldOptimizer::new(quick_config())
         .run(&clean_svc)
         .expect("fault-free run completes");

@@ -21,7 +21,7 @@ use specwise::{
     McVerification, MeanShiftIs, MonteCarlo,
 };
 use specwise_ckt::{CircuitEnv, FiveTransistorOta, FoldedCascode, MillerOpamp, OperatingPoint};
-use specwise_exec::{EvalService, Evaluator, ExecConfig};
+use specwise_exec::{EvalService, ExecConfig};
 use specwise_linalg::DVec;
 use specwise_stat::{RunningMoments, StandardNormal, YieldEstimate};
 use specwise_trace::{Journal, SpanNode, TraceValue, Tracer};
@@ -50,7 +50,7 @@ impl ReferenceMc {
     }
 }
 
-fn corner_groups<E: Evaluator + ?Sized>(
+fn corner_groups<E: CircuitEnv + ?Sized>(
     env: &E,
     d: &DVec,
 ) -> (Vec<OperatingPoint>, Vec<(OperatingPoint, Vec<usize>)>) {
@@ -66,7 +66,7 @@ fn corner_groups<E: Evaluator + ?Sized>(
     (theta_wc, groups)
 }
 
-fn reference_mc<E: Evaluator + ?Sized>(env: &E, d: &DVec, options: &McOptions) -> ReferenceMc {
+fn reference_mc<E: CircuitEnv + ?Sized>(env: &E, d: &DVec, options: &McOptions) -> ReferenceMc {
     let n_samples = options.n_samples;
     let n_spec = env.specs().len();
     let (theta_wc, groups) = corner_groups(env, d);
@@ -149,7 +149,7 @@ struct ReferenceIs {
     degraded_weight: f64,
 }
 
-fn reference_is<E: Evaluator + ?Sized>(
+fn reference_is<E: CircuitEnv + ?Sized>(
     env: &E,
     d: &DVec,
     shift: &DVec,
@@ -318,7 +318,7 @@ fn test_shift(dim: usize) -> DVec {
 }
 
 fn check_env<E: CircuitEnv + Sync>(env: &E, label: &str) {
-    let d = Evaluator::design_space(env).initial();
+    let d = env.design_space().initial();
     let mc_options = McOptions {
         n_samples: MC_SAMPLES,
         seed: SEED,
@@ -327,20 +327,20 @@ fn check_env<E: CircuitEnv + Sync>(env: &E, label: &str) {
         n: IS_SAMPLES,
         seed: SEED,
     };
-    let shift = test_shift(Evaluator::stat_dim(env));
+    let shift = test_shift(env.stat_dim());
     let want_mc = reference_mc(env, &d, &mc_options);
     let want_is = reference_is(env, &d, &shift, &is_options);
 
     // Bare environment: the ports must match reference bits *and* spend
     // exactly as many simulations.
-    let sims_before = Evaluator::sim_count(env);
+    let sims_before = env.sim_count();
     let got = mc_verify_with(env, &d, &mc_options).expect("MC verifies");
-    let mc_sims = Evaluator::sim_count(env) - sims_before;
+    let mc_sims = env.sim_count() - sims_before;
     assert_mc_matches(&got, &want_mc, &format!("{label} bare MC"));
 
-    let sims_before = Evaluator::sim_count(env);
+    let sims_before = env.sim_count();
     let got = importance_verify_with(env, &d, &shift, &is_options).expect("IS verifies");
-    let is_sims = Evaluator::sim_count(env) - sims_before;
+    let is_sims = env.sim_count() - sims_before;
     assert_is_matches(&got, &want_is, &format!("{label} bare IS"));
 
     // Through the EvalService at 1 and 4 workers: identical results and
@@ -408,7 +408,7 @@ fn attr_f64(node: &SpanNode, key: &str) -> f64 {
 #[test]
 fn journal_spans_keep_pre_refactor_shapes() {
     let env = MillerOpamp::paper_setup();
-    let d = Evaluator::design_space(&env).initial();
+    let d = env.design_space().initial();
     let mc_options = McOptions {
         n_samples: MC_SAMPLES,
         seed: SEED,
@@ -453,7 +453,7 @@ fn journal_spans_keep_pre_refactor_shapes() {
     );
     assert!(mc.span.counter("sims").is_some_and(|s| s > 0));
 
-    let shift = test_shift(Evaluator::stat_dim(&env));
+    let shift = test_shift(env.stat_dim());
     let is_options = IsOptions {
         n: IS_SAMPLES,
         seed: SEED,

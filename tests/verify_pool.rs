@@ -15,8 +15,8 @@
 //! starts cold on every path.
 
 use specwise::{estimate_yield, McOptions, MonteCarlo, NormMinIs, NormMinOptions, Tracer};
-use specwise_ckt::{FoldedCascode, MillerOpamp, Testbench};
-use specwise_exec::{EvalService, Evaluator, ExecConfig};
+use specwise_ckt::{CircuitEnv, FoldedCascode, MillerOpamp, Testbench};
+use specwise_exec::{EvalService, ExecConfig};
 use specwise_linalg::DVec;
 use specwise_wcd::worst_case_corners;
 
@@ -30,7 +30,7 @@ fn service(env: &Testbench, workers: usize) -> EvalService<'_, Testbench> {
 }
 
 /// Everything an MC verification reports, as comparable bits.
-fn mc_bits<E: Evaluator + ?Sized>(env: &E, d: &DVec) -> Vec<u64> {
+fn mc_bits<E: CircuitEnv + ?Sized>(env: &E, d: &DVec) -> Vec<u64> {
     let sims = env.sim_count();
     let mc = estimate_yield(
         &MonteCarlo {
@@ -63,7 +63,7 @@ fn mc_bits<E: Evaluator + ?Sized>(env: &E, d: &DVec) -> Vec<u64> {
 }
 
 /// Everything a norm-min verification reports, as comparable bits.
-fn norm_min_bits<E: Evaluator + ?Sized>(env: &E, d: &DVec) -> Vec<u64> {
+fn norm_min_bits<E: CircuitEnv + ?Sized>(env: &E, d: &DVec) -> Vec<u64> {
     let sims = env.sim_count();
     let r = estimate_yield(
         &NormMinIs {
@@ -98,14 +98,14 @@ fn norm_min_bits<E: Evaluator + ?Sized>(env: &E, d: &DVec) -> Vec<u64> {
 }
 
 fn check_worker_independence(make: fn() -> Testbench, label: &str) {
-    type Bits = fn(&dyn Evaluator, &DVec) -> Vec<u64>;
+    type Bits = fn(&dyn CircuitEnv, &DVec) -> Vec<u64>;
     let estimators: [(&str, Bits); 2] = [
         ("mc", |env, d| mc_bits(env, d)),
         ("norm-min", |env, d| norm_min_bits(env, d)),
     ];
     for (name, bits) in estimators {
         let serial = make();
-        let d = Evaluator::design_space(&serial).initial();
+        let d = serial.design_space().initial();
         let reference = bits(&service(&serial, 1), &d);
         for workers in [2usize, 4] {
             let env = make();
@@ -133,11 +133,11 @@ fn verification_samples_leave_the_memo_cache_alone() {
     for make in [FoldedCascode::paper_setup, MillerOpamp::paper_setup] {
         let env = make();
         let svc = service(&env, 2);
-        let d = Evaluator::design_space(&svc).initial();
+        let d = svc.design_space().initial();
         // The optimizer has evaluated the worst-case corners at the nominal
         // statistical point before it verifies; do the same here.
-        let corners = Evaluator::operating_range(&svc).corners().len() as u64;
-        worst_case_corners(&svc, &d, &DVec::zeros(Evaluator::stat_dim(&svc))).unwrap();
+        let corners = svc.operating_range().corners().len() as u64;
+        worst_case_corners(&svc, &d, &DVec::zeros(svc.stat_dim())).unwrap();
         let (len, before) = (svc.cache_len(), svc.report());
 
         mc_bits(&svc, &d);
