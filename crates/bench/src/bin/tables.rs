@@ -29,6 +29,7 @@ use specwise_bench::{
     run_fig1, run_fig2, run_fig3, run_fig4, run_fig5, run_table1, run_table1_exec, run_table3,
     run_table4, run_table5, run_table6, run_table6_exec,
 };
+use specwise_exec::ExecConfig;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
@@ -141,8 +142,9 @@ fn table7() -> Result<(), Box<dyn Error>> {
     println!("(on 5x Pentium III with TITAN's internal sensitivities; our");
     println!("totals add Monte-Carlo verification, the Verify column below,");
     println!("and each call is far cheaper — see EXPERIMENTS.md)\n");
-    let (_, trace_fc) = run_table1_exec()?;
-    let (_, trace_mi) = run_table6_exec()?;
+    let exec = ExecConfig::from_env();
+    let (_, trace_fc) = run_table1_exec(exec.clone())?;
+    let (_, trace_mi) = run_table6_exec(exec)?;
     let rows = vec![
         (
             "Folded-Cascode".to_string(),

@@ -31,15 +31,14 @@ pub fn run_table1() -> Result<(Testbench, OptimizationTrace), SpecwiseError> {
 
 /// Runs the Table 1 optimization through an [`EvalService`] so the trace
 /// carries the execution-engine report (per-phase simulation counts, cache
-/// hit rate, parallel wall time). The service configuration comes from the
-/// `SPECWISE_*` environment variables on top of the defaults.
+/// hit rate, parallel wall time) under `exec`.
 ///
 /// # Errors
 ///
 /// Propagates optimizer errors.
-pub fn run_table1_exec() -> Result<(Testbench, OptimizationTrace), SpecwiseError> {
+pub fn run_table1_exec(exec: ExecConfig) -> Result<(Testbench, OptimizationTrace), SpecwiseError> {
     let env = FoldedCascode::paper_setup();
-    let service = EvalService::new(&env, ExecConfig::from_env());
+    let service = EvalService::new(&env, exec);
     let trace = YieldOptimizer::new(OptimizerConfig::default()).run(&service)?;
     Ok((env, trace))
 }
@@ -50,9 +49,9 @@ pub fn run_table1_exec() -> Result<(Testbench, OptimizationTrace), SpecwiseError
 /// # Errors
 ///
 /// Propagates optimizer errors.
-pub fn run_table6_exec() -> Result<(Testbench, OptimizationTrace), SpecwiseError> {
+pub fn run_table6_exec(exec: ExecConfig) -> Result<(Testbench, OptimizationTrace), SpecwiseError> {
     let env = MillerOpamp::paper_setup();
-    let service = EvalService::new(&env, ExecConfig::from_env());
+    let service = EvalService::new(&env, exec);
     let trace = YieldOptimizer::new(OptimizerConfig::default()).run(&service)?;
     Ok((env, trace))
 }

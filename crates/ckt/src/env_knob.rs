@@ -1,18 +1,23 @@
 //! Shared warn-and-default parsing of `SPECWISE_*` environment knobs.
 //!
-//! Every knob in the workspace (`SPECWISE_WORKERS`, `SPECWISE_WARM_START`,
-//! `SPECWISE_GRAD`, `SPECWISE_ESTIMATOR`, …) follows one contract: an
-//! unset variable keeps its default silently; a set-but-malformed value
-//! also keeps the default, after a one-line stderr warning naming the
-//! variable and the rejected value (a silent fallback here once meant a
-//! typo'd `SPECWISE_WORKERS=8x` quietly ran serial).
+//! Every knob in the workspace (`SPECWISE_WORKERS`,
+//! `SPECWISE_SERVE_WARM_START`, `SPECWISE_ESTIMATOR`, …) follows one
+//! contract: an unset variable keeps its default silently; a
+//! set-but-malformed value also keeps the default, after a one-line stderr
+//! warning naming the variable and the rejected value (a silent fallback
+//! here once meant a typo'd `SPECWISE_WORKERS=8x` quietly ran serial). A
+//! set knob the workspace no longer reads prints a one-line notice
+//! ([`warn_retired_knobs`]) instead of being ignored.
 //!
-//! This module is the parser's one home. It lives in `specwise-ckt`
-//! because that is the lowest crate in the workspace graph that reads a
-//! knob (`SPECWISE_WARM_START` in the warm-start cache); the higher layers
-//! import it from here.
+//! Library call paths never read the environment: only the explicit
+//! `from_env` constructors (`ExecConfig`, `ServeConfig`, `EstimatorKind`,
+//! `FaultConfig`, `Tracer`) do, and only binaries, examples and benches
+//! call those. This module is the parser's one home; it lives in
+//! `specwise-ckt` because every crate whose `from_env` uses it depends on
+//! `specwise-ckt`.
 
 use std::str::FromStr;
+use std::time::Duration;
 
 /// Reads and parses one `SPECWISE_*` environment knob.
 ///
@@ -61,6 +66,52 @@ impl FromStr for Switch {
     }
 }
 
+/// A finite float knob value: `nan` and `inf` are malformed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Finite(pub f64);
+
+impl FromStr for Finite {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Self, ()> {
+        match s.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Finite(x)),
+            _ => Err(()),
+        }
+    }
+}
+
+/// A duration knob value in seconds. Values [`Duration::try_from_secs_f64`]
+/// rejects (negative, non-finite, or too long) are malformed, so `inf` warns
+/// instead of panicking the reader.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Secs(pub Duration);
+
+impl FromStr for Secs {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Self, ()> {
+        let secs: f64 = s.parse().map_err(|_| ())?;
+        Duration::try_from_secs_f64(secs).map(Secs).map_err(|_| ())
+    }
+}
+
+/// The one-line stderr notice for a retired knob given its raw value
+/// (`None` when unset): names the variable and says what replaced it.
+pub fn retired_knob_notice(name: &str, hint: &str, raw: Option<&str>) -> Option<String> {
+    raw.map(|raw| format!("specwise: {name}={raw:?} is no longer read; {hint}"))
+}
+
+/// Prints [`retired_knob_notice`] for every `(name, hint)` in `retired`
+/// whose variable is set.
+pub fn warn_retired_knobs(retired: &[(&str, &str)]) {
+    for &(name, hint) in retired {
+        if let Some(notice) = retired_knob_notice(name, hint, std::env::var(name).ok().as_deref()) {
+            eprintln!("{notice}");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,18 +140,57 @@ mod tests {
             .chain([("1", true), ("On", true), ("true", true)]);
         for (raw, on) in words {
             assert_eq!(
-                parse_knob_checked("SPECWISE_WARM_START", raw),
+                parse_knob_checked("SPECWISE_SERVE_WARM_START", raw),
                 Ok(Switch(on))
             );
         }
         for raw in ["of", "2"] {
-            let err = parse_knob_checked::<Switch>("SPECWISE_WARM_START", raw).unwrap_err();
+            let err = parse_knob_checked::<Switch>("SPECWISE_SERVE_WARM_START", raw).unwrap_err();
             assert!(
-                err.contains(&format!("SPECWISE_WARM_START={raw:?}")),
+                err.contains(&format!("SPECWISE_SERVE_WARM_START={raw:?}")),
                 "{err}"
             );
             assert!(err.contains("keeping default"), "{err}");
         }
+    }
+
+    #[test]
+    fn finite_rejects_nan_and_infinities() {
+        for raw in ["inf", "-inf", "nan", "NaN"] {
+            let err = parse_knob_checked::<Finite>("SPECWISE_RETRY_PERTURB", raw).unwrap_err();
+            assert!(err.contains("keeping default"), "{err}");
+        }
+        for (raw, x) in [("1e30", 1e30), ("-1", -1.0), (" 1e-9 ", 1e-9)] {
+            assert_eq!(
+                parse_knob_checked("SPECWISE_RETRY_PERTURB", raw),
+                Ok(Finite(x))
+            );
+        }
+    }
+
+    #[test]
+    fn secs_rejects_what_a_duration_cannot_hold() {
+        for raw in ["inf", "1e30", "nan", "-1"] {
+            let err = parse_knob_checked::<Secs>("SPECWISE_SERVE_LEASE_EXPIRY", raw).unwrap_err();
+            assert!(
+                err.contains(&format!("SPECWISE_SERVE_LEASE_EXPIRY={raw:?}")),
+                "{err}"
+            );
+        }
+        assert_eq!(
+            parse_knob_checked("SPECWISE_SERVE_HEARTBEAT", "0.25"),
+            Ok(Secs(Duration::from_millis(250)))
+        );
+    }
+
+    #[test]
+    fn retired_knobs_get_one_notice_line() {
+        assert_eq!(retired_knob_notice("SPECWISE_GRAD", "gone", None), None);
+        let notice = retired_knob_notice("SPECWISE_GRAD", "gone", Some("fd")).unwrap();
+        assert_eq!(
+            notice,
+            "specwise: SPECWISE_GRAD=\"fd\" is no longer read; gone"
+        );
     }
 
     #[test]

@@ -777,7 +777,7 @@ impl Testbench {
             sr_method: SlewRateMethod::Analytic,
             solver: SolverChoice::Auto,
             counter: SimCounter::new(),
-            warm: WarmStartCache::from_env(),
+            warm: WarmStartCache::new(true),
             identity,
         })
     }
@@ -796,14 +796,9 @@ impl Testbench {
         self
     }
 
-    /// Forces the DC warm-start cache on or off (overriding the
-    /// `SPECWISE_WARM_START` environment knob).
+    /// Turns the DC warm-start cache on or off (default on).
     pub fn with_warm_start(mut self, enabled: bool) -> Self {
-        self.warm = if enabled {
-            WarmStartCache::always_enabled()
-        } else {
-            WarmStartCache::disabled()
-        };
+        self.warm = WarmStartCache::new(enabled);
         self
     }
 

@@ -36,9 +36,6 @@
 //!
 //! [`commit`]: WarmStartCache::commit
 //! [`CircuitEnv::eval_margins_batch`]: crate::CircuitEnv::eval_margins_batch
-//!
-//! The cache is disabled by setting `SPECWISE_WARM_START=0` (or `off` /
-//! `false`), in which case every solve is a cold start.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -46,7 +43,6 @@ use std::sync::Mutex;
 use specwise_linalg::DVec;
 use specwise_mna::{Circuit, DcOp, DcSolution, MnaError};
 
-use crate::env_knob::{parse_env_knob, Switch};
 use crate::OperatingPoint;
 
 /// Which circuit configuration a solve belongs to. Configurations have
@@ -142,36 +138,12 @@ pub struct WarmStartCache {
     state: Mutex<WarmState>,
 }
 
-impl Default for WarmStartCache {
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
-
 impl WarmStartCache {
-    /// Creates a cache, enabled unless `SPECWISE_WARM_START` is set to
-    /// `0`, `off`, or `false`. Any value other than those and `1`, `on`,
-    /// `true` warns and keeps the cache enabled.
-    pub fn from_env() -> Self {
-        let Switch(enabled) = parse_env_knob("SPECWISE_WARM_START").unwrap_or(Switch(true));
+    /// Creates an empty cache; a disabled one makes every solve a cold
+    /// start.
+    pub fn new(enabled: bool) -> Self {
         WarmStartCache {
             enabled,
-            state: Mutex::new(WarmState::default()),
-        }
-    }
-
-    /// Creates a disabled cache (every solve is a cold start).
-    pub fn disabled() -> Self {
-        WarmStartCache {
-            enabled: false,
-            state: Mutex::new(WarmState::default()),
-        }
-    }
-
-    /// Creates an enabled cache regardless of the environment.
-    pub fn always_enabled() -> Self {
-        WarmStartCache {
-            enabled: true,
             state: Mutex::new(WarmState::default()),
         }
     }
@@ -327,7 +299,7 @@ mod tests {
 
     #[test]
     fn exact_hit_after_commit_skips_newton_and_is_bit_identical() {
-        let cache = WarmStartCache::always_enabled();
+        let cache = WarmStartCache::new(true);
         let ckt = divider(3.0);
         let first = cache.solve(&ckt, key(3.0)).unwrap();
         assert!(first.iterations() > 0);
@@ -339,7 +311,7 @@ mod tests {
 
     #[test]
     fn pending_solutions_are_invisible_until_commit() {
-        let cache = WarmStartCache::always_enabled();
+        let cache = WarmStartCache::new(true);
         let ckt = divider(3.0);
         let first = cache.solve(&ckt, key(3.0)).unwrap();
         // No commit: the same signature must re-solve from cold, giving
@@ -352,7 +324,7 @@ mod tests {
 
     #[test]
     fn near_hit_seeds_from_committed_snapshot() {
-        let cache = WarmStartCache::always_enabled();
+        let cache = WarmStartCache::new(true);
         let a = cache.solve(&divider(3.0), key(3.0)).unwrap();
         cache.commit();
         // Different signature, same configuration: seeded from `a`.
@@ -364,7 +336,7 @@ mod tests {
 
     #[test]
     fn commit_seed_tiebreak_is_smallest_signature() {
-        let cache = WarmStartCache::always_enabled();
+        let cache = WarmStartCache::new(true);
         // Two solutions park in the same pending window, stored in
         // descending-signature order; the committed seed must be the
         // smallest signature regardless.
@@ -379,7 +351,7 @@ mod tests {
 
     #[test]
     fn identities_do_not_replay_each_others_points() {
-        let cache = WarmStartCache::always_enabled();
+        let cache = WarmStartCache::new(true);
         let ckt = divider(3.0);
         cache.solve(&ckt, key_for(1, 3.0)).unwrap();
         cache.commit();
@@ -396,7 +368,7 @@ mod tests {
 
     #[test]
     fn disabled_cache_stores_nothing() {
-        let cache = WarmStartCache::disabled();
+        let cache = WarmStartCache::new(false);
         let ckt = divider(3.0);
         let first = cache.solve(&ckt, key(3.0)).unwrap();
         cache.commit();
@@ -408,7 +380,7 @@ mod tests {
 
     #[test]
     fn clear_resets_state() {
-        let cache = WarmStartCache::always_enabled();
+        let cache = WarmStartCache::new(true);
         cache.solve(&divider(3.0), key(3.0)).unwrap();
         cache.commit();
         assert!(!cache.is_empty());

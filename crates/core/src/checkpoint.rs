@@ -31,12 +31,6 @@ use specwise_wcd::{SpecLinearization, WcResult, WorstCasePoint};
 
 use crate::{EstimatorKind, IterationSnapshot, McVerification, TailVerification};
 
-/// Name of the environment variable holding the checkpoint path: set
-/// `SPECWISE_CHECKPOINT=run.ckpt` and [`crate::YieldOptimizer::run`] will
-/// write a checkpoint there after every completed iteration — and resume
-/// from it when the file already exists.
-pub const CHECKPOINT_ENV_VAR: &str = "SPECWISE_CHECKPOINT";
-
 /// Current checkpoint layout version. Bump on any incompatible change;
 /// [`Checkpoint::load`] rejects files with a different version.
 pub const CHECKPOINT_VERSION: u64 = 1;

@@ -246,10 +246,10 @@ fn estimate_inner<X: YieldEstimator, E: CircuitEnv + ?Sized>(
     Ok(estimator.finalize(env, state, theta_wc))
 }
 
-/// Which yield estimator verifies a run — selectable per job in
-/// `specwise-serve` and via the `SPECWISE_ESTIMATOR` environment knob
-/// (`mc` | `is` | `norm-min`, malformed values warn and keep the
-/// default).
+/// Which yield estimator verifies a run (`mc` | `is` | `norm-min`) —
+/// [`OptimizerConfig::estimator`](crate::OptimizerConfig::estimator), the
+/// `estimator` field of a `specwise-serve` job, or `SPECWISE_ESTIMATOR` in
+/// programs that call [`EstimatorKind::from_env`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EstimatorKind {
     /// Plain simulation Monte Carlo at the worst-case corners (Eqs. 6–7).

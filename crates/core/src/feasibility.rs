@@ -63,7 +63,7 @@ impl LinearConstraints {
     /// # Errors
     ///
     /// Propagates evaluation errors.
-    pub fn from_env<E: CircuitEnv + ?Sized>(
+    pub fn linearize<E: CircuitEnv + ?Sized>(
         env: &E,
         d_f: &DVec,
         fd_step: f64,
@@ -367,9 +367,9 @@ mod tests {
     }
 
     #[test]
-    fn from_env_builds_linearization() {
+    fn linearize_builds_from_the_environment() {
         let env = env_with_constraints();
-        let lc = LinearConstraints::from_env(&env, &DVec::from_slice(&[2.0, 3.0]), 1e-5).unwrap();
+        let lc = LinearConstraints::linearize(&env, &DVec::from_slice(&[2.0, 3.0]), 1e-5).unwrap();
         assert_eq!(lc.len(), 2);
         let c = lc.eval(&DVec::from_slice(&[2.0, 3.0]));
         assert!((c[0] - 1.0).abs() < 1e-9);

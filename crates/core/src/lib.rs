@@ -61,9 +61,7 @@ mod report;
 mod wcd_max;
 mod yield_model;
 
-pub use checkpoint::{
-    Checkpoint, CheckpointError, CheckpointMeta, CHECKPOINT_ENV_VAR, CHECKPOINT_VERSION,
-};
+pub use checkpoint::{Checkpoint, CheckpointError, CheckpointMeta, CHECKPOINT_VERSION};
 pub use coordinate_search::{CoordinateSearch, CoordinateSearchOptions};
 pub use error::SpecwiseError;
 pub use estimator::{

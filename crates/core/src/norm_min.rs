@@ -121,8 +121,8 @@ impl NormMinResult {
 }
 
 /// Minimum-norm failure-point importance sampling as a
-/// [`YieldEstimator`] (see the module docs). Selectable through
-/// `SPECWISE_ESTIMATOR=norm-min`; run it through
+/// [`YieldEstimator`] (see the module docs). Selectable as
+/// [`EstimatorKind::NormMin`](crate::EstimatorKind::NormMin); run it through
 /// [`estimate_yield`](crate::estimate_yield) to record a `norm_min_verify`
 /// span.
 #[derive(Debug, Clone, Copy, PartialEq)]

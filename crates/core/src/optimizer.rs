@@ -28,7 +28,7 @@ use crate::{
     estimate_yield, find_feasible_start, line_search_feasible, Checkpoint, CoordinateSearch,
     CoordinateSearchOptions, EstimatorKind, FeasibleStartOptions, IsOptions, LinearConstraints,
     LinearizedYield, McOptions, McVerification, MeanShiftIs, MonteCarlo, NormMinIs, NormMinOptions,
-    SpecwiseError, TailVerification, WcdMaximizer, CHECKPOINT_ENV_VAR, CHECKPOINT_VERSION,
+    SpecwiseError, TailVerification, WcdMaximizer, CHECKPOINT_VERSION,
 };
 
 /// The objective maximized by the inner coordinate search.
@@ -79,8 +79,8 @@ pub struct OptimizerConfig {
     /// `None` (the default) never aborts on degradations.
     pub failure_budget: Option<u64>,
     /// Which yield estimator verifies each snapshot (plain Monte Carlo by
-    /// default; construct with [`EstimatorKind::from_env`] to honor the
-    /// `SPECWISE_ESTIMATOR` knob). Non-MC estimators fill
+    /// default; a program may take it from `SPECWISE_ESTIMATOR` with
+    /// [`EstimatorKind::from_env`]). Non-MC estimators fill
     /// [`IterationSnapshot::verified_tail`] instead of
     /// [`IterationSnapshot::verified`].
     pub estimator: EstimatorKind,
@@ -166,8 +166,8 @@ pub struct OptimizationTrace {
     /// The snapshots up to the abort point are intact — callers get a
     /// partial but well-formed trace instead of an opaque error.
     pub aborted: Option<String>,
-    /// `true` when this trace continued from a checkpoint instead of
-    /// starting fresh (see [`CHECKPOINT_ENV_VAR`]).
+    /// `true` when this trace continued from the checkpoint file attached
+    /// with [`YieldOptimizer::with_checkpoint`] instead of starting fresh.
     pub resumed: bool,
 }
 
@@ -244,8 +244,7 @@ impl YieldOptimizer {
     /// every completed iteration (atomically — temp file + rename), and a
     /// later run pointed at the same file resumes from the last completed
     /// iteration, reproducing the uninterrupted run bit-for-bit. Without
-    /// this call the path is taken from the [`CHECKPOINT_ENV_VAR`]
-    /// environment variable when set.
+    /// this call the run writes no checkpoint and never resumes.
     ///
     /// An unreadable or incompatible checkpoint file degrades to a fresh
     /// run with a warning; a failed checkpoint *write* warns and continues
@@ -341,19 +340,11 @@ impl YieldOptimizer {
         }
         let tr = run_span.tracer();
 
-        // Checkpoint/resume: an explicit path wins, then the environment
-        // knob. A loadable checkpoint resumes the run from its last
-        // completed iteration; anything else degrades to a fresh run.
-        let ckpt_path: Option<PathBuf> = self.checkpoint.clone().or_else(|| {
-            std::env::var(CHECKPOINT_ENV_VAR)
-                .ok()
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-                .map(PathBuf::from)
-        });
-        let resume = ckpt_path
-            .as_deref()
-            .and_then(|p| self.try_resume(env, p, &tr));
+        // Checkpoint/resume: a loadable checkpoint at the attached path
+        // resumes the run from its last completed iteration; anything else
+        // degrades to a fresh run.
+        let ckpt_path = self.checkpoint.as_deref();
+        let resume = ckpt_path.and_then(|p| self.try_resume(env, p, &tr));
         let resumed = resume.is_some();
         if run_span.is_enabled() {
             run_span.set_attr("resumed", resumed);
@@ -425,7 +416,7 @@ impl YieldOptimizer {
         if !resumed {
             degradation_events += snapshot_degradations(snapshots.last());
             self.save_checkpoint(
-                ckpt_path.as_deref(),
+                ckpt_path,
                 env,
                 0,
                 &d_f,
@@ -454,7 +445,7 @@ impl YieldOptimizer {
                 let mut span = itr.span("constraints");
                 let sims_before = env.sim_count();
                 let constraints = if cfg.use_constraints {
-                    LinearConstraints::from_env(env, &d_f, cfg.wc_options.fd_step_d)?
+                    LinearConstraints::linearize(env, &d_f, cfg.wc_options.fd_step_d)?
                 } else {
                     LinearConstraints::box_only(
                         &d_f,
@@ -555,7 +546,7 @@ impl YieldOptimizer {
                     degradation_events += snapshot_degradations(snapshots.last());
                     drop(iter_span);
                     self.save_checkpoint(
-                        ckpt_path.as_deref(),
+                        ckpt_path,
                         env,
                         iter,
                         &d_f,

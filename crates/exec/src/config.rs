@@ -1,7 +1,7 @@
 //! Configuration for the evaluation service: worker pool size, cache
 //! capacity, and the retry policy for non-converged simulations.
 
-use specwise_ckt::env_knob::parse_env_knob;
+use specwise_ckt::env_knob::{parse_env_knob, warn_retired_knobs, Finite};
 
 /// Retry policy for evaluations that fail with a simulation error
 /// (typically a non-converged DC solve).
@@ -122,14 +122,12 @@ impl ExecConfig {
     /// Unset variables keep their defaults; a set-but-malformed value also
     /// keeps the default, after a one-line stderr warning naming the
     /// variable and the rejected value (a silent fallback here once meant a
-    /// typo'd `SPECWISE_WORKERS=8x` quietly ran serial). A set
-    /// `SPECWISE_BATCH`, a retired knob, prints a one-line notice saying it
-    /// is no longer read.
+    /// typo'd `SPECWISE_WORKERS=8x` quietly ran serial); `nan` and `inf`
+    /// are malformed. A set retired knob (`SPECWISE_BATCH`, `SPECWISE_GRAD`,
+    /// `SPECWISE_WARM_START`) prints a one-line notice saying it is no
+    /// longer read.
     pub fn from_env() -> Self {
-        if let Some(notice) = retired_batch_notice(std::env::var("SPECWISE_BATCH").ok().as_deref())
-        {
-            eprintln!("{notice}");
-        }
+        warn_retired_knobs(RETIRED_KNOBS);
         let mut cfg = ExecConfig::default();
         if let Some(n) = parse_env_knob::<usize>("SPECWISE_WORKERS") {
             cfg.workers = n.max(1);
@@ -140,28 +138,34 @@ impl ExecConfig {
         if let Some(n) = parse_env_knob::<u32>("SPECWISE_RETRIES") {
             cfg.retry.max_retries = n;
         }
-        if let Some(x) = parse_env_knob::<f64>("SPECWISE_RETRY_PERTURB") {
+        if let Some(Finite(x)) = parse_env_knob("SPECWISE_RETRY_PERTURB") {
             cfg.retry.perturb = x;
         }
         cfg
     }
 }
 
-/// The stderr notice for the retired `SPECWISE_BATCH` knob, given its raw
-/// value (`None` when unset), so a set value is not silently ignored.
-fn retired_batch_notice(raw: Option<&str>) -> Option<String> {
-    raw.map(|raw| {
-        format!(
-            "specwise: SPECWISE_BATCH={raw:?} is no longer read; \
-             Monte-Carlo verification runs on the SPECWISE_WORKERS pool"
-        )
-    })
-}
+/// Knobs the workspace no longer reads, each with a one-line hint naming
+/// what replaced it; [`ExecConfig::from_env`] warns when one is set.
+const RETIRED_KNOBS: &[(&str, &str)] = &[
+    (
+        "SPECWISE_BATCH",
+        "Monte-Carlo verification runs on the SPECWISE_WORKERS pool",
+    ),
+    (
+        "SPECWISE_GRAD",
+        "margin gradients always use adjoint sensitivities",
+    ),
+    (
+        "SPECWISE_WARM_START",
+        "benches warm-start by default; Testbench::with_warm_start(false) runs cold",
+    ),
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specwise_ckt::env_knob::parse_knob_checked;
+    use specwise_ckt::env_knob::{parse_knob_checked, retired_knob_notice};
 
     #[test]
     fn defaults_are_sane() {
@@ -226,11 +230,18 @@ mod tests {
 
     #[test]
     fn retired_batch_knob_gets_one_notice_line() {
-        assert_eq!(retired_batch_notice(None), None);
-        let notice = retired_batch_notice(Some("64")).unwrap();
-        assert!(notice.contains("SPECWISE_BATCH=\"64\""), "{notice}");
-        assert!(notice.contains("no longer read"), "{notice}");
-        assert!(notice.contains("SPECWISE_WORKERS pool"), "{notice}");
-        assert!(!notice.contains('\n'), "{notice}");
+        let names: Vec<&str> = RETIRED_KNOBS.iter().map(|&(name, _)| name).collect();
+        assert_eq!(
+            names,
+            ["SPECWISE_BATCH", "SPECWISE_GRAD", "SPECWISE_WARM_START"]
+        );
+        for &(name, hint) in RETIRED_KNOBS {
+            assert_eq!(retired_knob_notice(name, hint, None), None);
+            let notice = retired_knob_notice(name, hint, Some("64")).unwrap();
+            assert!(notice.contains(&format!("{name}=\"64\"")), "{notice}");
+            assert!(notice.contains("no longer read"), "{notice}");
+            assert!(!notice.contains('\n'), "{notice}");
+        }
+        assert!(RETIRED_KNOBS[0].1.contains("SPECWISE_WORKERS pool"));
     }
 }

@@ -104,12 +104,6 @@ impl<'e, E: CircuitEnv + Sync + ?Sized> EvalService<'e, E> {
         self
     }
 
-    /// Wraps `env` with configuration from the process environment
-    /// ([`ExecConfig::from_env`]).
-    pub fn from_env(env: &'e E) -> Self {
-        EvalService::new(env, ExecConfig::from_env())
-    }
-
     /// The active configuration.
     pub fn config(&self) -> &ExecConfig {
         &self.config

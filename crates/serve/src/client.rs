@@ -60,7 +60,7 @@ pub struct SubmitOptions {
     /// Optimizer iterations.
     pub max_iterations: Option<u64>,
     /// Verification estimator (`"mc"` | `"is"` | `"norm-min"`); unset
-    /// takes the daemon's `SPECWISE_ESTIMATOR` default.
+    /// takes plain Monte Carlo.
     pub estimator: Option<String>,
 }
 

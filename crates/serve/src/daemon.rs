@@ -37,7 +37,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use specwise::{Checkpoint, Tracer};
-use specwise_ckt::env_knob::{parse_env_knob, Switch};
+use specwise_ckt::env_knob::{parse_env_knob, warn_retired_knobs, Secs, Switch};
 use specwise_ckt::{DeckLimits, Testbench};
 use specwise_exec::ExecConfig;
 use specwise_trace::json;
@@ -132,8 +132,15 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// Reads the configuration from the environment, starting from the
     /// defaults. Set-but-malformed values keep their default after a
-    /// one-line stderr warning naming the variable.
+    /// one-line stderr warning naming the variable; a duration that is
+    /// negative, non-finite or too long for [`Duration`] is malformed. The
+    /// daemon no longer reads `SPECWISE_ESTIMATOR` (each job names its own
+    /// estimator), so a set value prints a one-line notice.
     pub fn from_env() -> ServeConfig {
+        warn_retired_knobs(&[(
+            "SPECWISE_ESTIMATOR",
+            "set each job's `estimator` field (default mc)",
+        )]);
         let mut cfg = ServeConfig::default();
         if let Some(addr) = std::env::var("SPECWISE_SERVE_ADDR")
             .ok()
@@ -153,11 +160,11 @@ impl ServeConfig {
         {
             cfg.owner = owner.trim().to_owned();
         }
-        if let Some(secs) = parse_env_knob::<f64>("SPECWISE_SERVE_LEASE_EXPIRY") {
-            cfg.lease_expiry = Duration::from_secs_f64(secs.max(0.05));
+        if let Some(Secs(expiry)) = parse_env_knob("SPECWISE_SERVE_LEASE_EXPIRY") {
+            cfg.lease_expiry = expiry.max(Duration::from_millis(50));
         }
-        if let Some(secs) = parse_env_knob::<f64>("SPECWISE_SERVE_HEARTBEAT") {
-            cfg.heartbeat = Duration::from_secs_f64(secs.max(0.01));
+        if let Some(Secs(heartbeat)) = parse_env_knob("SPECWISE_SERVE_HEARTBEAT") {
+            cfg.heartbeat = heartbeat.max(Duration::from_millis(10));
         }
         if let Some(n) = parse_env_knob::<usize>("SPECWISE_SERVE_SLOTS") {
             cfg.slots = n.max(1);

@@ -39,7 +39,7 @@ pub struct JobRequest {
     /// Optimizer iterations.
     pub max_iterations: Option<u64>,
     /// Verification estimator override (`mc` | `is` | `norm-min`). Unset
-    /// falls back to the daemon's `SPECWISE_ESTIMATOR` default.
+    /// takes the paper default, plain Monte Carlo.
     pub estimator: Option<String>,
 }
 
@@ -57,9 +57,8 @@ impl JobRequest {
         }
     }
 
-    /// Resolves the overrides against the defaults. An unset estimator
-    /// falls back to the daemon's `SPECWISE_ESTIMATOR` environment default
-    /// (plain Monte Carlo when that is unset too).
+    /// Resolves the overrides against the [`JobOptions`] defaults (an unset
+    /// estimator is plain Monte Carlo).
     ///
     /// # Errors
     ///
@@ -69,7 +68,7 @@ impl JobRequest {
         let d = JobOptions::default();
         let estimator = match &self.estimator {
             Some(name) => name.parse::<EstimatorKind>()?,
-            None => EstimatorKind::from_env(),
+            None => d.estimator,
         };
         Ok(JobOptions {
             seed: self.seed.unwrap_or(d.seed),

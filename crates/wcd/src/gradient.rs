@@ -1,9 +1,8 @@
 //! Margin and constraint Jacobians: forward differences or adjoint
 //! sensitivities.
 //!
-//! Two backends produce the margin Jacobians (selected by
-//! `SPECWISE_GRAD=fd|adjoint|auto`, or passed explicitly to the `_with`
-//! functions):
+//! Two backends produce the margin Jacobians (the plain functions use the
+//! adjoint; the `_with` functions take the backend explicitly):
 //!
 //! - **Forward differences** (`fd`): `n+1` evaluations per gradient. The
 //!   base point is evaluated first, as its own batch, and only then are the
@@ -14,7 +13,7 @@
 //!   fans them out over its worker pool while a plain environment runs them
 //!   serially; the results are bit-identical either way.
 //!
-//! - **Adjoint sensitivities** (`adjoint`, and the default `auto`): one base
+//! - **Adjoint sensitivities** (`adjoint`, the default): one base
 //!   measurement, then every perturbed point is priced from the *cached*
 //!   base factorizations — a frozen-Jacobian Newton step per DC
 //!   configuration and transposed-solve transfer-function updates for the
@@ -48,30 +47,6 @@ pub enum GradBackend {
     /// back to forward differences when the environment reports the
     /// shortcut unavailable (`eval_margins_perturbed` returns `None`).
     Adjoint,
-    /// Resolve to the best available backend: currently identical to
-    /// [`GradBackend::Adjoint`] (try the shortcut, fall back to FD). The
-    /// named variant lets configuration say "whatever is best" distinctly
-    /// from an explicit request.
-    Auto,
-}
-
-impl std::str::FromStr for GradBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "fd" => Ok(GradBackend::Fd),
-            "adjoint" => Ok(GradBackend::Adjoint),
-            "auto" => Ok(GradBackend::Auto),
-            other => Err(format!("unknown gradient backend {other:?}")),
-        }
-    }
-}
-
-/// The gradient backend selected by `SPECWISE_GRAD` (default
-/// [`GradBackend::Auto`]).
-pub fn grad_backend() -> GradBackend {
-    specwise_ckt::env_knob::parse_env_knob("SPECWISE_GRAD").unwrap_or(GradBackend::Auto)
 }
 
 /// Forward-difference quotients `(m₂ − base) / step`, one column each.
@@ -87,8 +62,8 @@ fn quotients(base: &DVec, perturbed: &[DVec], steps: &[f64]) -> DMat {
 }
 
 /// Jacobian of all margins w.r.t. the standardized statistical parameters at
-/// `(d, ŝ, θ)`, with step `h` (σ units), under the `SPECWISE_GRAD`
-/// policy ([`grad_backend`]).
+/// `(d, ŝ, θ)`, with step `h` (σ units), on the
+/// [`GradBackend::Adjoint`] backend.
 ///
 /// Returns `(margins_at_base, jacobian [n_spec × n_s])`.
 ///
@@ -102,7 +77,7 @@ pub fn margins_gradient_s<E: CircuitEnv + ?Sized>(
     theta: &OperatingPoint,
     h: f64,
 ) -> Result<(DVec, DMat), WcdError> {
-    margins_gradient_s_with(env, grad_backend(), d, s_hat, theta, h)
+    margins_gradient_s_with(env, GradBackend::Adjoint, d, s_hat, theta, h)
 }
 
 /// [`margins_gradient_s`] with an explicit backend (race-free in tests).
@@ -170,7 +145,7 @@ pub fn margins_gradient_s_with<E: CircuitEnv + ?Sized>(
 }
 
 /// Jacobian of all margins w.r.t. the design parameters at `(d, ŝ, θ)`,
-/// under the `SPECWISE_GRAD` policy ([`grad_backend`]).
+/// on the [`GradBackend::Adjoint`] backend.
 ///
 /// The step for parameter `k` is `h_rel·(upper_k − lower_k)`, taken in the
 /// direction that stays inside the design box.
@@ -185,7 +160,7 @@ pub fn margins_gradient_d<E: CircuitEnv + ?Sized>(
     theta: &OperatingPoint,
     h_rel: f64,
 ) -> Result<(DVec, DMat), WcdError> {
-    margins_gradient_d_with(env, grad_backend(), d, s_hat, theta, h_rel)
+    margins_gradient_d_with(env, GradBackend::Adjoint, d, s_hat, theta, h_rel)
 }
 
 /// [`margins_gradient_d`] with an explicit backend (race-free in tests).
@@ -513,7 +488,7 @@ mod tests {
         let s = DVec::zeros(2);
         let (m_fd, j_fd) =
             margins_gradient_s_with(&e, GradBackend::Fd, &d, &s, &theta, 1e-5).unwrap();
-        for backend in [GradBackend::Adjoint, GradBackend::Auto] {
+        for backend in [GradBackend::Adjoint] {
             let (m, j) = margins_gradient_s_with(&e, backend, &d, &s, &theta, 1e-5).unwrap();
             assert_eq!(m.as_slice(), m_fd.as_slice());
             for i in 0..2 {

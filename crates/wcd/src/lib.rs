@@ -52,8 +52,8 @@ pub use analysis::{WcAnalysis, WcResult};
 pub use corners::worst_case_corners;
 pub use error::WcdError;
 pub use gradient::{
-    constraint_jacobian, grad_backend, margins_gradient_d, margins_gradient_d_with,
-    margins_gradient_s, margins_gradient_s_with, GradBackend,
+    constraint_jacobian, margins_gradient_d, margins_gradient_d_with, margins_gradient_s,
+    margins_gradient_s_with, GradBackend,
 };
 pub use linearize::SpecLinearization;
 pub use options::{LinearizationPoint, WcOptions};

@@ -9,7 +9,9 @@
 //!   every evaluation (e.g. `7:0.1:nonconv,panic`); the retrying engine
 //!   absorbs them and reports what it recovered.
 //! * `SPECWISE_CHECKPOINT=path` — write an atomic checkpoint after every
-//!   iteration and resume from it when the file already exists.
+//!   iteration and resume from it when the file already exists. The bench
+//!   always runs with cold DC starts, so a resumed run reproduces the
+//!   uninterrupted one bit for bit.
 //! * `SPECWISE_KILL_AFTER=n` — die fatally after `n` evaluation calls (the
 //!   in-process stand-in for a killed job).
 //! * `SPECWISE_EXAMPLE_QUICK=1` — reduced sample counts.
@@ -22,7 +24,9 @@ use specwise_exec::{EvalService, ExecConfig};
 use specwise_harden::{FaultConfig, FaultInjector, KillSwitch};
 
 fn main() -> Result<(), Box<dyn Error>> {
-    let base = MillerOpamp::paper_setup();
+    // Cold starts: warm-start seeds live in memory only, so a resumed run
+    // would seed its solves differently from the uninterrupted one.
+    let base = MillerOpamp::paper_setup().with_warm_start(false);
     let tracer = Tracer::from_env();
     let mut config = OptimizerConfig::default();
     if std::env::var("SPECWISE_EXAMPLE_QUICK").is_ok() {
@@ -55,9 +59,14 @@ fn main() -> Result<(), Box<dyn Error>> {
     // The retrying, panic-isolating evaluation engine in front of it all.
     let service = EvalService::new(&kill, ExecConfig::from_env());
 
-    let result = YieldOptimizer::new(config)
-        .with_tracer(tracer.clone())
-        .run(&service);
+    let mut optimizer = YieldOptimizer::new(config).with_tracer(tracer.clone());
+    if let Some(path) = std::env::var("SPECWISE_CHECKPOINT")
+        .ok()
+        .filter(|s| !s.trim().is_empty())
+    {
+        optimizer = optimizer.with_checkpoint(path.trim());
+    }
+    let result = optimizer.run(&service);
     println!("evaluation calls: {}", kill.used());
     if let Some(i) = &injector {
         println!("injected faults: {}", i.report());
