@@ -4,9 +4,10 @@
 
 use std::sync::Barrier;
 
+use specwise_linalg::{CVec, Complex64};
 use specwise_mna::{
-    AcSolver, Circuit, DcOp, MosfetModel, MosfetParams, SolverChoice, Transient, TransientOptions,
-    Waveform,
+    AcSolver, Circuit, DcOp, DcSensitivity, MosfetModel, MosfetParams, SolverChoice, Transient,
+    TransientOptions, Waveform,
 };
 
 /// A clone of `ckt` that solves on the given backend.
@@ -128,17 +129,132 @@ fn transient_sparse_matches_dense() {
     }
 }
 
-/// DC unknowns and AC output phasors of the OTA, as raw bits.
-fn dc_ac_bits(ckt: &Circuit) -> Vec<u64> {
+/// Frequencies of the AC forward and adjoint checks, DC included.
+const FREQS: [f64; 4] = [0.0, 1e3, 1e6, 1e9];
+
+/// Supply nudge of the DC-sensitivity checks.
+const VDD_NUDGE: f64 = 1e-3;
+
+/// Unit adjoint stimulus on the OTA output.
+fn output_selector(ckt: &Circuit) -> CVec {
+    let mut e = CVec::zeros(ckt.num_unknowns());
+    e[ckt.find_node("out").unwrap().index() - 1] = Complex64::ONE;
+    e
+}
+
+/// Every MNA solve of the OTA at supply `vdd_v`, as raw bits: the DC
+/// unknowns, the AC output phasors, the unity-gain crossing, the adjoint
+/// solutions at [`FREQS`], and the frozen-Jacobian re-solve of a
+/// [`VDD_NUDGE`] supply step.
+fn dc_ac_bits(ckt: &Circuit, vdd_v: f64) -> Vec<u64> {
     let out = ckt.find_node("out").unwrap();
     let op = DcOp::new(ckt).solve().unwrap();
     let ac = AcSolver::new(ckt, &op);
     let mut bits: Vec<u64> = op.unknowns().iter().map(|v| v.to_bits()).collect();
+    let mut push = |z: Complex64| bits.extend([z.re.to_bits(), z.im.to_bits()]);
     for f in [1.0, 1e3, 1e6, 1e9] {
-        let h = ac.solve(f).unwrap().voltage(out);
-        bits.extend([h.re.to_bits(), h.im.to_bits()]);
+        push(ac.solve(f).unwrap().voltage(out));
     }
+    let ft = ac.find_crossing(out, 1.0, 1.0, 20e9).unwrap();
+    push(Complex64::from_real(ft.unwrap_or(-1.0)));
+    let e_out = output_selector(ckt);
+    for f in FREQS {
+        ac.solve_adjoint(f, &e_out)
+            .unwrap()
+            .iter()
+            .for_each(|&z| push(z));
+    }
+    let mut nudged = ckt.clone();
+    nudged.set_dc("VDD", vdd_v + VDD_NUDGE).unwrap();
+    let sens = DcSensitivity::new(ckt, &op).unwrap();
+    let xp = sens.solve_perturbed(&nudged).unwrap();
+    bits.extend(xp.unknowns().iter().map(|v| v.to_bits()));
     bits
+}
+
+/// FNV-1a over a sequence of 64-bit words.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for w in words {
+        for byte in w.to_le_bytes() {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    }
+    h
+}
+
+/// `(vdd, width scale)` of the three pinned OTA operating points.
+const PINNED_POINTS: [(f64, f64); 3] = [(3.0, 1.0), (2.7, 0.8), (3.3, 1.25)];
+
+/// FNV-1a of [`dc_ac_bits`] at [`PINNED_POINTS`], per backend, captured
+/// before the dense and sparse solves were merged into one workspace.
+const GOLDEN_DENSE: [u64; 3] = [0xd566150ebc53dc47, 0xedd974d174bd9430, 0xae3a1758377ce0f0];
+const GOLDEN_SPARSE: [u64; 3] = [0xb0d979202a752162, 0x76ba7f8ad1c4e86a, 0x121b018e6b184717];
+
+#[test]
+fn backend_bits_match_golden() {
+    for (choice, golden) in [
+        (SolverChoice::Dense, GOLDEN_DENSE),
+        (SolverChoice::Sparse, GOLDEN_SPARSE),
+    ] {
+        let got: Vec<u64> = PINNED_POINTS
+            .iter()
+            .map(|&(vdd, w)| fnv1a(dc_ac_bits(&on(&ota(vdd, w), choice), vdd)))
+            .collect();
+        assert_eq!(got, golden, "{choice:?}: {got:#018x?}");
+    }
+}
+
+#[test]
+fn adjoint_sparse_matches_dense() {
+    let ckt = ota(3.0, 1.0);
+    let run = |choice| {
+        let ckt = on(&ckt, choice);
+        let op = DcOp::new(&ckt).solve().unwrap();
+        let ac = AcSolver::new(&ckt, &op);
+        let e_out = output_selector(&ckt);
+        FREQS
+            .iter()
+            .map(|&f| ac.solve_adjoint(f, &e_out).unwrap())
+            .collect::<Vec<_>>()
+    };
+    let dense = run(SolverChoice::Dense);
+    let sparse = run(SolverChoice::Sparse);
+    for (f, (ld, ls)) in FREQS.iter().zip(dense.iter().zip(&sparse)) {
+        for (zd, zs) in ld.iter().zip(ls.iter()) {
+            let err = (*zd - *zs).abs() / (1.0 + zd.abs());
+            assert!(err < 1e-9, "f = {f}: dense {zd:?} sparse {zs:?}");
+        }
+    }
+}
+
+#[test]
+fn sensitivity_sparse_matches_dense() {
+    let ckt = ota(3.0, 1.0);
+    let run = |choice| {
+        let ckt = on(&ckt, choice);
+        let op = DcOp::new(&ckt).solve().unwrap();
+        let mut nudged = ckt.clone();
+        nudged.set_dc("VDD", 3.0 + VDD_NUDGE).unwrap();
+        DcSensitivity::new(&ckt, &op)
+            .unwrap()
+            .solve_perturbed(&nudged)
+            .unwrap()
+            .unknowns()
+            .clone()
+    };
+    let dense = run(SolverChoice::Dense);
+    let sparse = run(SolverChoice::Sparse);
+    for i in 0..dense.len() {
+        let err = (dense[i] - sparse[i]).abs() / (1.0 + dense[i].abs());
+        assert!(
+            err < 1e-9,
+            "unknown {i}: dense {} sparse {}",
+            dense[i],
+            sparse[i]
+        );
+    }
 }
 
 #[test]
@@ -146,8 +262,8 @@ fn concurrent_backends_match_their_serial_runs() {
     let ckt = ota(3.0, 1.0);
     let dense = on(&ckt, SolverChoice::Dense);
     let sparse = on(&ckt, SolverChoice::Sparse);
-    let want_dense = dc_ac_bits(&dense);
-    let want_sparse = dc_ac_bits(&sparse);
+    let want_dense = dc_ac_bits(&dense, 3.0);
+    let want_sparse = dc_ac_bits(&sparse, 3.0);
     assert_ne!(
         want_dense, want_sparse,
         "the two backends round differently"
@@ -156,7 +272,7 @@ fn concurrent_backends_match_their_serial_runs() {
     let start = Barrier::new(2);
     let race = |ckt: &Circuit| {
         start.wait();
-        (0..20).map(|_| dc_ac_bits(ckt)).collect::<Vec<_>>()
+        (0..20).map(|_| dc_ac_bits(ckt, 3.0)).collect::<Vec<_>>()
     };
     let (got_dense, got_sparse) = std::thread::scope(|s| {
         let d = s.spawn(|| race(&dense));
