@@ -29,8 +29,8 @@ use specwise_mna::{
     AcSolver, Circuit, DcSensitivity, DcSolution, NodeId, Stimulus, Transient, TransientOptions,
 };
 
-use crate::warm::{WarmConfig, WarmKey, WarmStartCache};
-use crate::{CktError, OperatingPoint, SimCounter};
+use crate::warm::{WarmConfig, WarmKey};
+use crate::{CktError, OperatingPoint, SimCounter, Testbench};
 
 /// Everything a [`Measure`] can read: the harness metrics plus the feedback
 /// configuration's netlist and DC operating point.
@@ -195,23 +195,6 @@ pub(crate) struct BuiltOpamp {
     pub slew_cap: f64,
     /// Name of the tail-current device (its |I_D| limits slewing).
     pub tail_device: String,
-}
-
-/// Netlist factory implemented by each opamp topology.
-pub(crate) trait OpampBuilder {
-    /// Builds the netlist at `(d, ŝ, θ)`.
-    ///
-    /// With `feedback == true` the output node is wired to the inverting
-    /// gate (unity buffer) and `vinn_dc` is ignored; otherwise the inverting
-    /// input is driven by an ideal source at `vinn_dc`.
-    fn build(
-        &self,
-        d: &DVec,
-        s_hat: &DVec,
-        theta: &OperatingPoint,
-        feedback: bool,
-        vinn_dc: f64,
-    ) -> Result<BuiltOpamp, CktError>;
 }
 
 /// Value returned when the gain never reaches unity (degenerate design):
@@ -423,19 +406,15 @@ impl MeasureState {
 
 /// The base measurement flow, keeping every intermediate the adjoint
 /// direction pass needs.
-#[allow(clippy::too_many_arguments)]
 fn measure_full(
-    builder: &dyn OpampBuilder,
-    identity: u64,
+    tb: &Testbench,
     d: &DVec,
     s_hat: &DVec,
     theta: &OperatingPoint,
-    sr_method: SlewRateMethod,
-    counter: &SimCounter,
-    warm: &WarmStartCache,
 ) -> Result<MeasureState, CktError> {
+    let (identity, counter, warm) = (tb.identity, &tb.counter, &tb.warm);
     // 1. Feedback configuration: operating point, power, slew.
-    let fb = builder.build(d, s_hat, theta, true, 0.0)?;
+    let fb = tb.build(d, s_hat, theta, true, 0.0)?;
     let op_fb = warm
         .solve(
             &fb.circuit,
@@ -446,10 +425,10 @@ fn measure_full(
     let vout_fb = op_fb.voltage(fb.out);
     let i_vdd = op_fb.branch_current(&fb.vdd_src).map_err(CktError::from)?;
     let power_w = theta.vdd * i_vdd.abs();
-    let slew_v_per_s = slew_rate(&fb, &op_fb, sr_method, counter)?;
+    let slew_v_per_s = slew_rate(&fb, &op_fb, tb.sr_method, counter)?;
 
     // 2. Open-loop configuration biased by the feedback result.
-    let ol = builder.build(d, s_hat, theta, false, vout_fb)?;
+    let ol = tb.build(d, s_hat, theta, false, vout_fb)?;
     let vinn = ol.vinn_src.clone().ok_or(CktError::Extraction {
         performance: "open-loop analysis",
         reason: "builder did not provide an inverting input source",
@@ -468,28 +447,22 @@ fn measure_full(
         op_fb,
         slew_v_per_s,
         power_w,
-        slew_is_transient: matches!(sr_method, SlewRateMethod::Transient { .. }),
+        slew_is_transient: matches!(tb.sr_method, SlewRateMethod::Transient { .. }),
         ol,
         op_ol,
         acs,
     })
 }
 
-/// Runs the full measurement flow. `identity` namespaces the warm-start
-/// cache entries per environment/netlist.
-#[allow(clippy::too_many_arguments)]
+/// Runs the full measurement flow on the bench's netlist, simulation
+/// counter and warm-start cache.
 pub(crate) fn measure(
-    builder: &dyn OpampBuilder,
-    identity: u64,
+    tb: &Testbench,
     d: &DVec,
     s_hat: &DVec,
     theta: &OperatingPoint,
-    sr_method: SlewRateMethod,
-    counter: &SimCounter,
-    warm: &WarmStartCache,
 ) -> Result<Measured, CktError> {
-    measure_full(builder, identity, d, s_hat, theta, sr_method, counter, warm)
-        .map(MeasureState::into_measured)
+    measure_full(tb, d, s_hat, theta).map(MeasureState::into_measured)
 }
 
 /// Runs the base measurement flow once, then evaluates every perturbed
@@ -505,19 +478,15 @@ pub(crate) fn measure(
 /// extraction, degenerate unity-gain crossing, ill-conditioned magnitude
 /// slope, or a sensitivity factorization/solve failure — so callers fall
 /// back to finite differences.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn measure_with_directions(
-    builder: &dyn OpampBuilder,
-    identity: u64,
+    tb: &Testbench,
     d: &DVec,
     s_hat: &DVec,
     theta: &OperatingPoint,
-    sr_method: SlewRateMethod,
-    counter: &SimCounter,
-    warm: &WarmStartCache,
     directions: &[(DVec, DVec)],
 ) -> Result<Option<(Measured, Vec<Measured>)>, CktError> {
-    let state = measure_full(builder, identity, d, s_hat, theta, sr_method, counter, warm)?;
+    let counter = &tb.counter;
+    let state = measure_full(tb, d, s_hat, theta)?;
     if state.slew_is_transient {
         // A large-signal transient has no small-signal shortcut.
         return Ok(None);
@@ -560,7 +529,7 @@ pub(crate) fn measure_with_directions(
 
     let mut perturbed = Vec::with_capacity(directions.len());
     for (dp, sp) in directions {
-        let fbp = builder.build(dp, sp, theta, true, 0.0)?;
+        let fbp = tb.build(dp, sp, theta, true, 0.0)?;
         let Ok(op_fbp) = sens_fb.solve_perturbed(&fbp.circuit) else {
             return Ok(None);
         };
@@ -573,7 +542,7 @@ pub(crate) fn measure_with_directions(
 
         // The open-loop bias tracks the perturbed feedback output — an
         // RHS-only change the frozen-Jacobian step resolves exactly.
-        let olp = builder.build(dp, sp, theta, false, vout_fbp)?;
+        let olp = tb.build(dp, sp, theta, false, vout_fbp)?;
         let Ok(op_olp) = sens_ol.solve_perturbed(&olp.circuit) else {
             return Ok(None);
         };
@@ -654,26 +623,24 @@ pub(crate) fn saturation_constraints(
     DVec::from(c)
 }
 
-/// Helper used by topologies: pretty errors for simulation failures during
-/// constraint evaluation. The solve is warm-started from the cache under the
-/// constraint-configuration key derived from the design vector and θ.
+/// Counted DC solve of a constraint-configuration netlist of `tb`,
+/// warm-started from the bench's cache under the key derived from the
+/// design vector and θ.
 pub(crate) fn dc_solve_counted(
+    tb: &Testbench,
     circuit: &Circuit,
-    identity: u64,
-    counter: &SimCounter,
-    warm: &WarmStartCache,
     d: &DVec,
     theta: &OperatingPoint,
 ) -> Result<DcSolution, CktError> {
     let key = WarmKey::new(
-        identity,
+        tb.identity,
         WarmConfig::Constraint,
         d,
         &DVec::zeros(0),
         theta,
         &[],
     );
-    let op = warm.solve(circuit, key);
-    counter.add(1);
+    let op = tb.warm.solve(circuit, key);
+    tb.counter.add(1);
     op.map_err(CktError::from)
 }

@@ -55,7 +55,7 @@ use specwise_mna::{
 
 use crate::measure::{
     dc_solve_counted, measure, measure_with_directions, saturation_constraints, BuiltOpamp,
-    Measure, MeasureContext, Measured, OpampBuilder,
+    Measure, MeasureContext, Measured,
 };
 use crate::warm::WarmStartCache;
 use crate::{
@@ -347,11 +347,11 @@ pub struct Testbench {
     measures: Vec<(Measure, UnitConv)>,
     range: OperatingRange,
     bench: BenchConfig,
-    sr_method: SlewRateMethod,
+    pub(crate) sr_method: SlewRateMethod,
     solver: SolverChoice,
-    counter: SimCounter,
-    warm: WarmStartCache,
-    identity: u64,
+    pub(crate) counter: SimCounter,
+    pub(crate) warm: WarmStartCache,
+    pub(crate) identity: u64,
 }
 
 impl Testbench {
@@ -861,16 +861,7 @@ impl Testbench {
         theta: &OperatingPoint,
     ) -> Result<OpampMetrics, CktError> {
         self.check_dims(d, s_hat)?;
-        let m = measure(
-            self,
-            self.identity,
-            d,
-            s_hat,
-            theta,
-            self.sr_method,
-            &self.counter,
-            &self.warm,
-        )?;
+        let m = measure(self, d, s_hat, theta)?;
         Ok(m.metrics)
     }
 
@@ -923,8 +914,13 @@ fn el_nodes(kind: &TElemKind) -> Vec<&String> {
     }
 }
 
-impl OpampBuilder for Testbench {
-    fn build(
+impl Testbench {
+    /// Builds the netlist at `(d, ŝ, θ)`.
+    ///
+    /// With `feedback == true` the output node is wired to the inverting
+    /// gate (unity buffer) and `vinn_dc` is ignored; otherwise the inverting
+    /// input is driven by an ideal source at `vinn_dc`.
+    pub(crate) fn build(
         &self,
         d: &DVec,
         s_hat: &DVec,
@@ -1094,16 +1090,7 @@ impl CircuitEnv for Testbench {
         theta: &OperatingPoint,
     ) -> Result<DVec, CktError> {
         self.check_dims(d, s_hat)?;
-        let m = measure(
-            self,
-            self.identity,
-            d,
-            s_hat,
-            theta,
-            self.sr_method,
-            &self.counter,
-            &self.warm,
-        )?;
+        let m = measure(self, d, s_hat, theta)?;
         let ctx = MeasureContext {
             metrics: &m.metrics,
             op: &m.op_fb,
@@ -1121,14 +1108,7 @@ impl CircuitEnv for Testbench {
         self.check_dims(d, &s0)?;
         let theta = self.range.nominal();
         let built = self.build(d, &s0, &theta, true, 0.0)?;
-        let op = dc_solve_counted(
-            &built.circuit,
-            self.identity,
-            &self.counter,
-            &self.warm,
-            d,
-            &theta,
-        )?;
+        let op = dc_solve_counted(self, &built.circuit, d, &theta)?;
         Ok(saturation_constraints(&op, 0.05, 0.05, 0.5))
     }
 
@@ -1163,18 +1143,7 @@ impl CircuitEnv for Testbench {
         for (dp, sp) in directions {
             self.check_dims(dp, sp)?;
         }
-        let Some((base, per)) = measure_with_directions(
-            self,
-            self.identity,
-            d,
-            s_hat,
-            theta,
-            self.sr_method,
-            &self.counter,
-            &self.warm,
-            directions,
-        )?
-        else {
+        let Some((base, per)) = measure_with_directions(self, d, s_hat, theta, directions)? else {
             return Ok(None);
         };
         let base_margins = self.margins_from(&base)?;

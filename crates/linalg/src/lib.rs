@@ -5,13 +5,14 @@
 //! implemented from scratch with no external dependencies:
 //!
 //! * [`DVec`] / [`DMat`] — dense real vectors and (row-major) matrices,
-//! * [`Lu`] — LU factorization with partial pivoting (the workhorse of the
-//!   DC Newton iteration in the circuit simulator),
+//! * [`Lu`] — dense LU factorization with partial pivoting, real or complex
+//!   (the dense workhorse of the circuit simulator's DC Newton iteration and
+//!   AC frequency points),
 //! * [`Cholesky`] — used to factor covariance matrices `C(d) = G·Gᵀ`
 //!   (paper Eq. 11) and to sample correlated Gaussians,
 //! * [`Qr`] — Householder QR for least-squares sub-problems,
-//! * [`Complex64`], [`CVec`], [`CMat`], [`CLu`] — complex arithmetic and a
-//!   complex solver for small-signal AC analysis,
+//! * [`Complex64`], [`CVec`] — complex arithmetic and phasor vectors for
+//!   small-signal AC analysis,
 //! * [`SparsePattern`], [`SparseSymbolic`], [`SparseLu`], [`Triplets`] —
 //!   sparse CSC assembly and a fill-reducing sparse LU (real and complex)
 //!   with a cached symbolic/numeric split for repeated factorizations of
@@ -36,8 +37,8 @@
 #![warn(missing_docs)]
 
 mod cholesky;
-mod cmatrix;
 mod complex;
+mod cvector;
 mod error;
 mod lu;
 mod matrix;
@@ -46,8 +47,8 @@ mod sparse;
 mod vector;
 
 pub use cholesky::Cholesky;
-pub use cmatrix::{CLu, CMat, CVec};
 pub use complex::Complex64;
+pub use cvector::CVec;
 pub use error::LinalgError;
 pub use lu::Lu;
 pub use matrix::DMat;

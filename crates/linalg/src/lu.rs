@@ -1,10 +1,14 @@
-use crate::{DMat, DVec, LinalgError};
+use crate::{DMat, DVec, LinalgError, SparseScalar};
 
-/// LU factorization with partial (row) pivoting: `P·A = L·U`.
+/// Dense LU factorization with partial (row) pivoting: `P·A = L·U`, generic
+/// over the real and complex scalars of [`SparseScalar`].
 ///
-/// This is the workhorse solver of the circuit simulator's Newton iteration:
-/// the MNA Jacobian is factored once per Newton step and solved against the
-/// residual.
+/// This is the dense workhorse of the circuit simulator: the real MNA
+/// Jacobian is factored once per Newton step, the complex matrix `G + jωC`
+/// once per AC frequency point. The slice solves mirror
+/// [`SparseLu::solve_slice`](crate::SparseLu::solve_slice) and
+/// [`SparseLu::solve_transposed_slice`](crate::SparseLu::solve_transposed_slice),
+/// so callers drive either backend through one set of reusable buffers.
 ///
 /// # Example
 ///
@@ -21,47 +25,58 @@ use crate::{DMat, DVec, LinalgError};
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct Lu {
-    /// Packed L (unit lower, below diagonal) and U (upper, including diagonal).
-    lu: DMat,
+pub struct Lu<T = f64> {
+    n: usize,
+    /// Packed row-major L (unit lower, below diagonal) and U (upper,
+    /// including diagonal).
+    lu: Vec<T>,
     /// Row permutation: `perm[i]` is the original row now in position `i`.
     perm: Vec<usize>,
-    /// Sign of the permutation (+1 / −1), for determinants.
-    perm_sign: f64,
 }
 
 /// Relative pivot threshold below which a matrix is declared singular.
 const PIVOT_REL_TOL: f64 = 1e-300;
 
-impl Lu {
-    /// Factors a square matrix.
+fn check_lens<T>(op: &'static str, n: usize, slices: [&[T]; 3]) -> Result<(), LinalgError> {
+    match slices.iter().find(|s| s.len() != n) {
+        Some(s) => Err(LinalgError::DimensionMismatch {
+            op,
+            expected: n,
+            found: s.len(),
+        }),
+        None => Ok(()),
+    }
+}
+
+impl<T: SparseScalar> Lu<T> {
+    /// Factors the `n × n` matrix whose row-major entries are `a`.
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::NotSquare`] if `a` is not square, and
+    /// Returns [`LinalgError::Empty`] for `n == 0`,
+    /// [`LinalgError::DimensionMismatch`] when `a.len() != n²`, and
     /// [`LinalgError::Singular`] when a pivot underflows the threshold.
-    pub fn new(a: &DMat) -> Result<Self, LinalgError> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: a.nrows(),
-                cols: a.ncols(),
-            });
-        }
-        let n = a.nrows();
+    pub fn factor(n: usize, a: &[T]) -> Result<Self, LinalgError> {
         if n == 0 {
             return Err(LinalgError::Empty);
         }
-        let mut lu = a.clone();
+        if a.len() != n * n {
+            return Err(LinalgError::DimensionMismatch {
+                op: "lu values",
+                expected: n * n,
+                found: a.len(),
+            });
+        }
+        let mut lu = a.to_vec();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
-        let scale = a.norm_max().max(1.0);
+        let scale = a.iter().fold(0.0_f64, |m, v| m.max(v.modulus())).max(1.0);
 
         for k in 0..n {
             // Find pivot row.
             let mut p = k;
-            let mut pmax = lu[(k, k)].abs();
+            let mut pmax = lu[k * n + k].modulus();
             for i in (k + 1)..n {
-                let v = lu[(i, k)].abs();
+                let v = lu[i * n + k].modulus();
                 if v > pmax {
                     pmax = v;
                     p = i;
@@ -71,74 +86,66 @@ impl Lu {
                 return Err(LinalgError::Singular { pivot: k });
             }
             if p != k {
-                for j in 0..n {
-                    let tmp = lu[(k, j)];
-                    lu[(k, j)] = lu[(p, j)];
-                    lu[(p, j)] = tmp;
-                }
+                let (upper, lower) = lu.split_at_mut(p * n);
+                upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
                 perm.swap(k, p);
-                perm_sign = -perm_sign;
             }
-            let pivot = lu[(k, k)];
-            for i in (k + 1)..n {
-                let factor = lu[(i, k)] / pivot;
-                lu[(i, k)] = factor;
-                if factor != 0.0 {
-                    for j in (k + 1)..n {
-                        let ukj = lu[(k, j)];
-                        lu[(i, j)] -= factor * ukj;
+            let (upper, lower) = lu.split_at_mut((k + 1) * n);
+            let urow = &upper[k * n..];
+            let pivot = urow[k];
+            for row in lower.chunks_exact_mut(n) {
+                let factor = row[k] / pivot;
+                row[k] = factor;
+                if factor != T::ZERO {
+                    for (a, &u) in row[k + 1..].iter_mut().zip(&urow[k + 1..]) {
+                        *a = *a - factor * u;
                     }
                 }
             }
         }
-        Ok(Lu {
-            lu,
-            perm,
-            perm_sign,
-        })
+        Ok(Lu { n, lu, perm })
     }
 
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
-        self.lu.nrows()
+        self.n
     }
 
-    /// Solves `A·x = b`.
+    /// Solves `A·x = b` using slices, with caller-provided scratch of
+    /// length `n` (no allocation).
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `b.len() != dim()`.
-    pub fn solve(&self, b: &DVec) -> Result<DVec, LinalgError> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "lu solve",
-                expected: n,
-                found: b.len(),
-            });
-        }
+    /// [`LinalgError::DimensionMismatch`] on length mismatches.
+    pub fn solve_slice(&self, b: &[T], x: &mut [T], scratch: &mut [T]) -> Result<(), LinalgError> {
+        let n = self.n;
+        check_lens("lu solve", n, [b, x, scratch])?;
         // Apply permutation, then forward substitution with unit-lower L.
-        let mut y = DVec::from_fn(n, |i| b[self.perm[i]]);
+        for (y, &p) in scratch.iter_mut().zip(&self.perm) {
+            *y = b[p];
+        }
         for i in 1..n {
-            let mut acc = y[i];
-            for j in 0..i {
-                acc -= self.lu[(i, j)] * y[j];
+            let mut acc = scratch[i];
+            for (&l, &y) in self.lu[i * n..i * n + i].iter().zip(&scratch[..i]) {
+                acc = acc - l * y;
             }
-            y[i] = acc;
+            scratch[i] = acc;
         }
         // Backward substitution with U.
-        let mut x = y;
         for i in (0..n).rev() {
-            let mut acc = x[i];
-            for j in (i + 1)..n {
-                acc -= self.lu[(i, j)] * x[j];
+            let row = &self.lu[i * n..(i + 1) * n];
+            let mut acc = scratch[i];
+            for (&u, &y) in row[i + 1..].iter().zip(&scratch[i + 1..]) {
+                acc = acc - u * y;
             }
-            x[i] = acc / self.lu[(i, i)];
+            scratch[i] = acc / row[i];
         }
-        Ok(x)
+        x.copy_from_slice(scratch);
+        Ok(())
     }
 
-    /// Solves the transposed system `Aᵀ·y = c` on the same factors.
+    /// Solves the (unconjugated) transposed system `Aᵀ·y = c` on the same
+    /// factors, with caller-provided scratch of length `n`.
     ///
     /// With `P·A = L·U` this is `Uᵀ·(Lᵀ·(P·y)) = c`: one forward sweep with
     /// `Uᵀ` and one backward sweep with `Lᵀ`, then the row permutation is
@@ -147,75 +154,124 @@ impl Lu {
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `c.len() != dim()`.
-    pub fn solve_transposed(&self, c: &DVec) -> Result<DVec, LinalgError> {
-        let n = self.dim();
-        if c.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "lu transposed solve",
-                expected: n,
-                found: c.len(),
-            });
-        }
+    /// [`LinalgError::DimensionMismatch`] on length mismatches.
+    pub fn solve_transposed_slice(
+        &self,
+        c: &[T],
+        y: &mut [T],
+        scratch: &mut [T],
+    ) -> Result<(), LinalgError> {
+        let n = self.n;
+        check_lens("lu transposed solve", n, [c, y, scratch])?;
         // Forward substitution with Uᵀ (lower triangular, non-unit diagonal).
-        let mut w = DVec::zeros(n);
         for i in 0..n {
             let mut acc = c[i];
-            for j in 0..i {
-                acc -= self.lu[(j, i)] * w[j];
+            for (j, &w) in scratch[..i].iter().enumerate() {
+                acc = acc - self.lu[j * n + i] * w;
             }
-            w[i] = acc / self.lu[(i, i)];
+            scratch[i] = acc / self.lu[i * n + i];
         }
         // Backward substitution with Lᵀ (unit upper triangular).
         for i in (0..n).rev() {
-            let mut acc = w[i];
-            for j in (i + 1)..n {
-                acc -= self.lu[(j, i)] * w[j];
+            let mut acc = scratch[i];
+            for (j, &w) in scratch.iter().enumerate().skip(i + 1) {
+                acc = acc - self.lu[j * n + i] * w;
             }
-            w[i] = acc;
+            scratch[i] = acc;
         }
         // Undo the row permutation: the permuted solve produced y[perm[i]].
-        let mut y = DVec::zeros(n);
-        for i in 0..n {
-            y[self.perm[i]] = w[i];
+        for (&w, &p) in scratch.iter().zip(&self.perm) {
+            y[p] = w;
         }
-        Ok(y)
+        Ok(())
     }
+}
 
-    /// Determinant of the original matrix.
-    pub fn det(&self) -> f64 {
-        let mut d = self.perm_sign;
-        for i in 0..self.dim() {
-            d *= self.lu[(i, i)];
-        }
-        d
-    }
-
-    /// Explicit inverse (column-by-column solve). Prefer [`Lu::solve`] where
-    /// possible; the inverse is only needed for small covariance work.
+impl Lu<f64> {
+    /// Factors a square real matrix.
     ///
     /// # Errors
     ///
-    /// Propagates solve errors (none expected once factored).
-    pub fn inverse(&self) -> Result<DMat, LinalgError> {
-        let n = self.dim();
-        let mut inv = DMat::zeros(n, n);
-        for j in 0..n {
-            let x = self.solve(&DVec::basis(n, j))?;
-            for i in 0..n {
-                inv[(i, j)] = x[i];
-            }
+    /// Returns [`LinalgError::NotSquare`] if `a` is not square, otherwise as
+    /// [`Lu::factor`].
+    pub fn new(a: &DMat) -> Result<Self, LinalgError> {
+        if !a.is_square() {
+            return Err(LinalgError::NotSquare {
+                rows: a.nrows(),
+                cols: a.ncols(),
+            });
         }
-        Ok(inv)
+        Lu::factor(a.nrows(), a.as_slice())
+    }
+
+    /// Solves `A·x = b`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] if `b.len() != dim()`.
+    pub fn solve(&self, b: &DVec) -> Result<DVec, LinalgError> {
+        let mut x = DVec::zeros(self.n);
+        let mut scratch = vec![0.0; self.n];
+        self.solve_slice(b.as_slice(), x.as_mut_slice(), &mut scratch)?;
+        Ok(x)
+    }
+
+    /// Solves the transposed system `Aᵀ·y = c` (see
+    /// [`Lu::solve_transposed_slice`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] if `c.len() != dim()`.
+    pub fn solve_transposed(&self, c: &DVec) -> Result<DVec, LinalgError> {
+        let mut y = DVec::zeros(self.n);
+        let mut scratch = vec![0.0; self.n];
+        self.solve_transposed_slice(c.as_slice(), y.as_mut_slice(), &mut scratch)?;
+        Ok(y)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Complex64;
 
     fn residual(a: &DMat, x: &DVec, b: &DVec) -> f64 {
         (&a.matvec(x) - b).norm_inf()
+    }
+
+    /// Deterministic pseudo-random values in `[-1, 1)` (LCG, no rand
+    /// dependency here).
+    fn lcg(mut state: u64) -> impl FnMut() -> f64 {
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+        }
+    }
+
+    fn c(re: f64, im: f64) -> Complex64 {
+        Complex64::new(re, im)
+    }
+
+    /// A diagonally dominant random complex matrix, row-major.
+    fn complex_matrix(n: usize, next: &mut impl FnMut() -> f64) -> Vec<Complex64> {
+        let mut a: Vec<Complex64> = (0..n * n).map(|_| c(next(), next())).collect();
+        for i in 0..n {
+            a[i * n + i] += c(n as f64, 0.0);
+        }
+        a
+    }
+
+    fn complex_solve(lu: &Lu<Complex64>, b: &[Complex64], transposed: bool) -> Vec<Complex64> {
+        let n = b.len();
+        let (mut x, mut scratch) = (vec![Complex64::ZERO; n], vec![Complex64::ZERO; n]);
+        if transposed {
+            lu.solve_transposed_slice(b, &mut x, &mut scratch).unwrap();
+        } else {
+            lu.solve_slice(b, &mut x, &mut scratch).unwrap();
+        }
+        x
     }
 
     #[test]
@@ -241,40 +297,34 @@ mod tests {
     fn rejects_singular() {
         let a = DMat::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap();
         assert!(matches!(a.lu(), Err(LinalgError::Singular { .. })));
+        assert!(matches!(
+            Lu::factor(2, &[Complex64::ZERO; 4]),
+            Err(LinalgError::Singular { .. })
+        ));
     }
 
     #[test]
-    fn rejects_non_square() {
-        let a = DMat::zeros(2, 3);
-        assert!(matches!(a.lu(), Err(LinalgError::NotSquare { .. })));
-    }
-
-    #[test]
-    fn det_of_known_matrix() {
-        let a = DMat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        assert!((a.lu().unwrap().det() + 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn det_sign_with_pivot_swap() {
-        let a = DMat::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        assert!((a.lu().unwrap().det() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn inverse_times_matrix_is_identity() {
-        let a = DMat::from_rows(&[&[4.0, 7.0], &[2.0, 6.0]]).unwrap();
-        let inv = a.lu().unwrap().inverse().unwrap();
-        let prod = a.matmul(&inv).unwrap();
-        assert!((&prod - &DMat::identity(2)).norm_max() < 1e-12);
+    fn rejects_non_square_and_bad_lengths() {
+        assert!(matches!(
+            DMat::zeros(2, 3).lu(),
+            Err(LinalgError::NotSquare { .. })
+        ));
+        assert!(matches!(
+            Lu::factor(2, &[1.0; 3]),
+            Err(LinalgError::DimensionMismatch { .. })
+        ));
+        assert!(matches!(Lu::<f64>::factor(0, &[]), Err(LinalgError::Empty)));
     }
 
     #[test]
     fn solve_rejects_wrong_length() {
-        let a = DMat::identity(3);
-        let lu = a.lu().unwrap();
+        let lu = DMat::identity(3).lu().unwrap();
         assert!(matches!(
             lu.solve(&DVec::zeros(2)),
+            Err(LinalgError::DimensionMismatch { .. })
+        ));
+        assert!(matches!(
+            lu.solve_transposed(&DVec::zeros(2)),
             Err(LinalgError::DimensionMismatch { .. })
         ));
     }
@@ -285,61 +335,78 @@ mod tests {
         let c = DVec::from_slice(&[1.0, -2.0, 0.5]);
         let y = a.lu().unwrap().solve_transposed(&c).unwrap();
         // Oracle: factor Aᵀ explicitly and solve the plain system.
-        let at = DMat::from_fn(3, 3, |i, j| a[(j, i)]);
-        let want = at.lu().unwrap().solve(&c).unwrap();
+        let want = a.transpose().lu().unwrap().solve(&c).unwrap();
         assert!((&y - &want).norm_inf() < 1e-12);
     }
 
     #[test]
-    fn transposed_solve_random_systems() {
-        let mut state = 987654321u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
-        };
+    fn random_real_systems_both_directions() {
+        let mut next = lcg(987654321);
         for n in [1usize, 2, 5, 13, 20] {
             let mut a = DMat::from_fn(n, n, |_, _| next());
             for i in 0..n {
-                a[(i, i)] += n as f64;
+                a[(i, i)] += n as f64; // diagonal dominance => nonsingular
             }
+            let lu = a.lu().unwrap();
+            let xtrue = DVec::from_fn(n, |i| (i + 1) as f64);
+            let x = lu.solve(&a.matvec(&xtrue)).unwrap();
+            assert!((&x - &xtrue).norm_inf() < 1e-9, "n={n}");
             let ytrue = DVec::from_fn(n, |i| (i as f64) - 2.0);
-            // c = Aᵀ·ytrue.
-            let c = DVec::from_fn(n, |j| (0..n).map(|i| a[(i, j)] * ytrue[i]).sum());
-            let y = a.lu().unwrap().solve_transposed(&c).unwrap();
+            let y = lu.solve_transposed(&a.transpose().matvec(&ytrue)).unwrap();
             assert!((&y - &ytrue).norm_inf() < 1e-9, "n={n}");
         }
     }
 
     #[test]
-    fn transposed_solve_rejects_wrong_length() {
-        let lu = DMat::identity(3).lu().unwrap();
-        assert!(matches!(
-            lu.solve_transposed(&DVec::zeros(2)),
-            Err(LinalgError::DimensionMismatch { .. })
-        ));
+    fn complex_pivoting_handles_zero_diagonal() {
+        let a = [
+            Complex64::ZERO,
+            Complex64::ONE,
+            Complex64::ONE,
+            Complex64::ZERO,
+        ];
+        let lu = Lu::factor(2, &a).unwrap();
+        let x = complex_solve(&lu, &[c(5.0, 0.0), c(7.0, 0.0)], false);
+        assert!((x[0] - c(7.0, 0.0)).abs() < 1e-14);
+        assert!((x[1] - c(5.0, 0.0)).abs() < 1e-14);
     }
 
     #[test]
-    fn random_like_system_small_residual() {
-        // Deterministic pseudo-random fill (LCG) to avoid a rand dependency here.
-        let mut state = 12345u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
-        };
-        for n in [1usize, 2, 5, 10, 20] {
-            let mut a = DMat::from_fn(n, n, |_, _| next());
+    fn complex_rc_impedance_divider() {
+        // Voltage divider: R in series with C at ω=1/(RC) gives |H| = 1/√2.
+        // Node equation form: single unknown node v_out,
+        // (v_in - v_out)/R = jωC v_out.
+        let r = 1.0e3;
+        let cap = 1.0e-6;
+        let omega = 1.0 / (r * cap);
+        let lu = Lu::factor(1, &[c(1.0 / r, omega * cap)]).unwrap();
+        let x = complex_solve(&lu, &[c(1.0 / r, 0.0)], false);
+        assert!((x[0].abs() - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-12);
+        assert!((x[0].arg() + std::f64::consts::FRAC_PI_4).abs() < 1e-12);
+    }
+
+    #[test]
+    fn random_complex_systems_both_directions() {
+        let mut next = lcg(4242);
+        for n in [1usize, 2, 6, 11] {
+            let a = complex_matrix(n, &mut next);
+            let lu = Lu::factor(n, &a).unwrap();
+            let xtrue: Vec<Complex64> = (0..n).map(|_| c(next(), next())).collect();
+            // b = A·x and rhs = Aᵀ·x (unconjugated).
+            let mut b = vec![Complex64::ZERO; n];
+            let mut rhs = vec![Complex64::ZERO; n];
             for i in 0..n {
-                a[(i, i)] += n as f64; // diagonal dominance => nonsingular
+                for j in 0..n {
+                    b[i] += a[i * n + j] * xtrue[j];
+                    rhs[j] += a[i * n + j] * xtrue[i];
+                }
             }
-            let xtrue = DVec::from_fn(n, |i| (i + 1) as f64);
-            let b = a.matvec(&xtrue);
-            let x = a.lu().unwrap().solve(&b).unwrap();
-            assert!((&x - &xtrue).norm_inf() < 1e-9, "n={n}");
+            for (transposed, rhs) in [(false, &b), (true, &rhs)] {
+                let x = complex_solve(&lu, rhs, transposed);
+                for i in 0..n {
+                    assert!((x[i] - xtrue[i]).abs() < 1e-10, "n={n} component {i}");
+                }
+            }
         }
     }
 }

@@ -44,7 +44,8 @@ const REFACTOR_PIVOT_RATIO: f64 = 1e-8;
 
 const UNSET: usize = usize::MAX;
 
-/// Scalar types the sparse LU can factor: real [`f64`] and [`Complex64`].
+/// Scalar types the dense [`Lu`](crate::Lu) and the sparse LU can factor:
+/// real [`f64`] and [`Complex64`].
 pub trait SparseScalar:
     Copy
     + PartialEq
@@ -889,11 +890,11 @@ mod tests {
     }
 
     #[test]
-    fn complex_transposed_solve_matches_dense() {
-        use crate::{CMat, CVec};
+    fn complex_solves_match_dense_complex() {
+        use crate::Lu;
         let n = 4;
         let mut entries = Vec::new();
-        let mut dense = CMat::zeros(n, n);
+        let mut dense = vec![Complex64::ZERO; n * n];
         let coords = [
             (0usize, 0usize, 3.0, 0.5),
             (1, 1, 4.0, -1.0),
@@ -906,7 +907,7 @@ mod tests {
         ];
         for &(r, c, re, im) in &coords {
             entries.push((r, c));
-            dense[(r, c)] = Complex64::new(re, im);
+            dense[r * n + c] = Complex64::new(re, im);
         }
         let pattern = SparsePattern::from_entries(n, &entries).unwrap();
         let mut vals = vec![Complex64::ZERO; pattern.nnz()];
@@ -915,16 +916,24 @@ mod tests {
         }
         let sym = SparseSymbolic::new(pattern);
         let lu = SparseLu::factor(&sym, &vals).unwrap();
-        let c: Vec<Complex64> = (0..n)
+        let dense = Lu::factor(n, &dense).unwrap();
+        let b: Vec<Complex64> = (0..n)
             .map(|i| Complex64::new(i as f64 + 1.0, -0.5))
             .collect();
-        let mut y = vec![Complex64::ZERO; n];
+        let mut x = vec![Complex64::ZERO; n];
+        let mut xd = vec![Complex64::ZERO; n];
         let mut scratch = vec![Complex64::ZERO; n];
-        lu.solve_transposed_slice(&c, &mut y, &mut scratch).unwrap();
-        let cd = CVec::from_slice(&c);
-        let yd = dense.lu().unwrap().solve_transposed(&cd).unwrap();
+        lu.solve_slice(&b, &mut x, &mut scratch).unwrap();
+        dense.solve_slice(&b, &mut xd, &mut scratch).unwrap();
         for i in 0..n {
-            assert!((y[i] - yd[i]).abs() < 1e-12, "component {i}");
+            assert!((x[i] - xd[i]).abs() < 1e-12, "component {i}");
+        }
+        lu.solve_transposed_slice(&b, &mut x, &mut scratch).unwrap();
+        dense
+            .solve_transposed_slice(&b, &mut xd, &mut scratch)
+            .unwrap();
+        for i in 0..n {
+            assert!((x[i] - xd[i]).abs() < 1e-12, "transposed component {i}");
         }
     }
 
@@ -990,46 +999,6 @@ mod tests {
             SparseLu::<f64>::factor(&sym, &[1.0, 1.0]),
             Err(LinalgError::Singular { .. })
         ));
-    }
-
-    #[test]
-    fn complex_solve_matches_dense_complex() {
-        use crate::{CMat, CVec};
-        let n = 4;
-        let mut entries = Vec::new();
-        let mut dense = CMat::zeros(n, n);
-        let coords = [
-            (0usize, 0usize, 3.0, 0.5),
-            (1, 1, 4.0, -1.0),
-            (2, 2, 5.0, 0.0),
-            (3, 3, 2.0, 2.0),
-            (0, 2, 1.0, 0.1),
-            (2, 0, -1.0, 0.2),
-            (1, 3, 0.5, -0.5),
-            (3, 1, 0.25, 0.0),
-        ];
-        for &(r, c, re, im) in &coords {
-            entries.push((r, c));
-            dense[(r, c)] = Complex64::new(re, im);
-        }
-        let pattern = SparsePattern::from_entries(n, &entries).unwrap();
-        let mut vals = vec![Complex64::ZERO; pattern.nnz()];
-        for &(r, c, re, im) in &coords {
-            vals[pattern.index_of(r, c).unwrap()] = Complex64::new(re, im);
-        }
-        let sym = SparseSymbolic::new(pattern);
-        let lu = SparseLu::factor(&sym, &vals).unwrap();
-        let b: Vec<Complex64> = (0..n)
-            .map(|i| Complex64::new(i as f64 + 1.0, -0.5))
-            .collect();
-        let mut x = vec![Complex64::ZERO; n];
-        let mut scratch = vec![Complex64::ZERO; n];
-        lu.solve_slice(&b, &mut x, &mut scratch).unwrap();
-        let bd = CVec::from_slice(&b);
-        let xd = dense.lu().unwrap().solve(&bd).unwrap();
-        for i in 0..n {
-            assert!((x[i] - xd[i]).abs() < 1e-12, "component {i}");
-        }
     }
 
     #[test]

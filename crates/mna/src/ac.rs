@@ -4,14 +4,14 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use specwise_linalg::{CMat, CVec, Complex64, DMat, DVec, SparseLu, SparseSymbolic};
+use specwise_linalg::{CVec, Complex64, DMat, DVec};
 
 use crate::dc::{eval_mosfet_at, stamp_system, DcSolution};
 use crate::mosfet::MosRegion;
 use crate::netlist::ElementKind;
-use crate::solver::{self, Analysis};
+use crate::solver::{Analysis, SystemSolver};
 use crate::{Circuit, MnaError, NodeId};
 
 /// Phasor solution of one AC frequency point.
@@ -74,90 +74,27 @@ impl AcSolution {
 /// The real conductance matrix `G` (the DC Jacobian at the operating point),
 /// the capacitance matrix `C` (linear capacitors plus Meyer MOSFET
 /// capacitances) and the stimulus vector are built once; each
-/// [`AcSolver::solve`] then factors one complex system. On the sparse
-/// backend the cached symbolic factorization of the circuit topology is
-/// shared across every frequency point, and the numeric factorization of
-/// one frequency refactors in place for the next; the dense backend reuses
-/// one complex workspace instead of allocating `n²` per point.
+/// [`AcSolver::solve`] then fills `G + jωC` into one reused complex
+/// workspace and factors it. On the sparse backend the cached symbolic
+/// factorization of the circuit topology is shared across every frequency
+/// point, and the numeric factorization of one frequency refactors in place
+/// for the next.
 pub struct AcSolver {
     g: DMat,
     c: DMat,
     b: DVec,
+    /// `G` and `C` in the workspace's value layout.
+    g_vals: Vec<f64>,
+    c_vals: Vec<f64>,
     branch_of: Arc<HashMap<String, usize>>,
     branch_base: usize,
-    sparse: Option<AcSparse>,
-    dense_ws: Mutex<DenseWs>,
-}
-
-/// Reused dense complex system (one allocation for all frequency points).
-struct DenseWs {
-    a: CMat,
-    rhs: CVec,
-}
-
-impl DenseWs {
-    fn fresh(n: usize) -> Self {
-        DenseWs {
-            a: CMat::zeros(n, n),
-            rhs: CVec::zeros(n),
-        }
-    }
-}
-
-/// Sparse AC data: G and C gathered onto the cached AC sparsity pattern.
-struct AcSparse {
-    sym: Arc<SparseSymbolic>,
-    gvals: Vec<f64>,
-    cvals: Vec<f64>,
-    state: Mutex<AcSparseState>,
-}
-
-/// Mutable per-solve state: complex values, warm factorization, buffers.
-struct AcSparseState {
-    zvals: Vec<Complex64>,
-    lu: Option<SparseLu<Complex64>>,
-    bbuf: Vec<Complex64>,
-    xbuf: Vec<Complex64>,
-    scratch: Vec<Complex64>,
-}
-
-impl AcSparseState {
-    fn fresh(n: usize, nnz: usize) -> Self {
-        AcSparseState {
-            zvals: vec![Complex64::ZERO; nnz],
-            lu: None,
-            bbuf: vec![Complex64::ZERO; n],
-            xbuf: vec![Complex64::ZERO; n],
-            scratch: vec![Complex64::ZERO; n],
-        }
-    }
-}
-
-impl Clone for AcSolver {
-    fn clone(&self) -> Self {
-        let n = self.g.nrows();
-        AcSolver {
-            g: self.g.clone(),
-            c: self.c.clone(),
-            b: self.b.clone(),
-            branch_of: Arc::clone(&self.branch_of),
-            branch_base: self.branch_base,
-            sparse: self.sparse.as_ref().map(|s| AcSparse {
-                sym: Arc::clone(&s.sym),
-                gvals: s.gvals.clone(),
-                cvals: s.cvals.clone(),
-                state: Mutex::new(AcSparseState::fresh(n, s.gvals.len())),
-            }),
-            dense_ws: Mutex::new(DenseWs::fresh(n)),
-        }
-    }
+    sys: Mutex<SystemSolver<Complex64>>,
 }
 
 impl fmt::Debug for AcSolver {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AcSolver")
             .field("n", &self.g.nrows())
-            .field("sparse", &self.sparse.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -230,33 +167,6 @@ fn stamp_gcb(circuit: &Circuit, x: &DVec) -> (DMat, DMat, DVec) {
     (g, c, b)
 }
 
-/// Assembles `G + jωC` onto the cached sparse pattern and factors it,
-/// refactoring on the frozen pivot sequence of the previous frequency
-/// point; falls back to a fresh factorization when the pivots go stale
-/// (bit-identical results whenever both succeed). The caller stores the
-/// returned factor back into `st.lu` after its solves.
-fn factor_sparse(
-    sp: &AcSparse,
-    st: &mut AcSparseState,
-    omega: f64,
-) -> Result<SparseLu<Complex64>, MnaError> {
-    for k in 0..sp.gvals.len() {
-        st.zvals[k] = Complex64::new(sp.gvals[k], omega * sp.cvals[k]);
-    }
-    let refreshed = match st.lu.take() {
-        Some(mut f) => match f.refactor(&sp.sym, &st.zvals) {
-            Ok(()) => Some(f),
-            Err(_) => None,
-        },
-        None => None,
-    };
-    match refreshed {
-        Some(f) => Ok(f),
-        None => SparseLu::factor(&sp.sym, &st.zvals)
-            .map_err(|_| MnaError::SingularMatrix { analysis: "ac" }),
-    }
-}
-
 impl AcSolver {
     /// Builds the AC system for `circuit` linearized at `op`.
     ///
@@ -286,40 +196,19 @@ impl AcSolver {
             }
         }
 
-        // Sparse backend: gather G and C onto the cached AC sparsity
-        // pattern (a superset of both matrices' nonzeros — the pattern
-        // includes every capacitance pair over all MOSFET regions).
-        let sparse = if circuit.solver().uses_sparse(n) {
-            let sym = solver::symbolic_for(circuit, Analysis::Ac);
-            let pat = sym.pattern();
-            let nnz = pat.nnz();
-            let mut gvals = vec![0.0; nnz];
-            let mut cvals = vec![0.0; nnz];
-            for col in 0..n {
-                let start = pat.col_range(col).start;
-                for (off, &row) in pat.col(col).iter().enumerate() {
-                    gvals[start + off] = g[(row, col)];
-                    cvals[start + off] = c[(row, col)];
-                }
-            }
-            Some(AcSparse {
-                sym,
-                gvals,
-                cvals,
-                state: Mutex::new(AcSparseState::fresh(n, nnz)),
-            })
-        } else {
-            None
-        };
-
+        // The AC pattern of the sparse backend is a superset of both
+        // matrices' nonzeros: it includes every capacitance pair over all
+        // MOSFET regions.
+        let sys = SystemSolver::new(circuit, Analysis::Ac);
         AcSolver {
+            g_vals: sys.gather(&g),
+            c_vals: sys.gather(&c),
             g,
             c,
             b,
             branch_of: Arc::new(branch_of),
             branch_base: circuit.num_nodes() - 1,
-            sparse,
-            dense_ws: Mutex::new(DenseWs::fresh(n)),
+            sys: Mutex::new(sys),
         }
     }
 
@@ -398,31 +287,8 @@ impl AcSolver {
                 reason: "stimulus vector length does not match system size",
             });
         }
-        let omega = 2.0 * std::f64::consts::PI * freq;
-        let x = if let Some(sp) = &self.sparse {
-            let mut guard = sp.state.lock().expect("ac sparse state poisoned");
-            let st = &mut *guard;
-            let f = factor_sparse(sp, st, omega)?;
-            for i in 0..n {
-                st.bbuf[i] = Complex64::from_real(b[i]);
-            }
-            f.solve_slice(&st.bbuf, &mut st.xbuf, &mut st.scratch)?;
-            st.lu = Some(f);
-            CVec::from_slice(&st.xbuf)
-        } else {
-            let mut ws = self.dense_ws.lock().expect("ac dense workspace poisoned");
-            for i in 0..n {
-                for j in 0..n {
-                    ws.a[(i, j)] = Complex64::new(self.g[(i, j)], omega * self.c[(i, j)]);
-                }
-            }
-            for i in 0..n {
-                ws.rhs[i] = Complex64::from_real(b[i]);
-            }
-            ws.a.lu()
-                .map_err(|_| MnaError::SingularMatrix { analysis: "ac" })?
-                .solve(&ws.rhs)?
-        };
+        let mut sys = self.factor_at(freq)?;
+        let x = CVec::from_slice(sys.solve(|i| Complex64::from_real(b[i]))?);
         Ok(AcSolution {
             x,
             branch_of: Arc::clone(&self.branch_of),
@@ -452,27 +318,24 @@ impl AcSolver {
                 reason: "adjoint rhs length does not match system size",
             });
         }
+        let mut sys = self.factor_at(freq)?;
+        Ok(CVec::from_slice(sys.solve_transposed(|i| rhs[i])?))
+    }
+
+    /// Fills `G + jωC` at `freq` \[Hz\] into the workspace and factors it;
+    /// the returned guard holds the factors for the caller's solve.
+    fn factor_at(&self, freq: f64) -> Result<MutexGuard<'_, SystemSolver<Complex64>>, MnaError> {
         let omega = 2.0 * std::f64::consts::PI * freq;
-        if let Some(sp) = &self.sparse {
-            let mut guard = sp.state.lock().expect("ac sparse state poisoned");
-            let st = &mut *guard;
-            let f = factor_sparse(sp, st, omega)?;
-            st.bbuf.copy_from_slice(rhs.as_slice());
-            f.solve_transposed_slice(&st.bbuf, &mut st.xbuf, &mut st.scratch)?;
-            st.lu = Some(f);
-            Ok(CVec::from_slice(&st.xbuf))
-        } else {
-            let mut ws = self.dense_ws.lock().expect("ac dense workspace poisoned");
-            for i in 0..n {
-                for j in 0..n {
-                    ws.a[(i, j)] = Complex64::new(self.g[(i, j)], omega * self.c[(i, j)]);
-                }
-            }
-            let lu =
-                ws.a.lu()
-                    .map_err(|_| MnaError::SingularMatrix { analysis: "ac" })?;
-            Ok(lu.solve_transposed(rhs)?)
+        let mut sys = self.sys.lock().expect("ac workspace poisoned");
+        for (z, (&g, &c)) in sys
+            .values_mut()
+            .iter_mut()
+            .zip(self.g_vals.iter().zip(&self.c_vals))
+        {
+            *z = Complex64::new(g, omega * c);
         }
+        sys.factor("ac")?;
+        Ok(sys)
     }
 
     /// Evaluates the first-order transfer-function perturbation

@@ -295,15 +295,7 @@ impl<'c> DcOp<'c> {
                 NewtonStep::Failed(e) => return Err(e),
             }
         }
-        stamp_system(
-            self.circuit,
-            &x,
-            gshunt,
-            scale,
-            None,
-            sys.stamper(),
-            &mut res,
-        );
+        stamp_system(self.circuit, &x, gshunt, scale, None, sys, &mut res);
         Err(MnaError::NoConvergence {
             analysis: "dc",
             iterations: self.options.max_iterations,
@@ -379,7 +371,7 @@ pub(crate) fn newton_iteration(
     damping_vmax: f64,
 ) -> NewtonStep {
     let nv = circuit.num_nodes() - 1;
-    stamp_system(circuit, x, gshunt, scale, None, sys.stamper(), res);
+    stamp_system(circuit, x, gshunt, scale, None, sys, res);
     if !res.is_finite() || !sys.is_finite() {
         return NewtonStep::NonFinite;
     }
@@ -413,7 +405,7 @@ pub(crate) fn newton_iteration(
         }
     }
     if dv_ok {
-        stamp_system(circuit, x, gshunt, scale, None, sys.stamper(), res);
+        stamp_system(circuit, x, gshunt, scale, None, sys, res);
         if res.norm_inf() < options.restol {
             return NewtonStep::Converged;
         }

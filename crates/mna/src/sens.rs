@@ -15,10 +15,12 @@
 //! the same order as the finite-difference truncation error the adjoint
 //! gradient path replaces.
 
-use specwise_linalg::{DMat, DVec, Lu, SparseLu};
+use std::sync::Mutex;
+
+use specwise_linalg::DVec;
 
 use crate::dc::{residual_at, stamp_system, DcOp, DcSolution};
-use crate::solver::{self, Analysis, SparseWork};
+use crate::solver::{Analysis, SystemSolver};
 use crate::{Circuit, MnaError};
 
 /// Shunt conductance used for the sensitivity Jacobian and residuals —
@@ -26,24 +28,17 @@ use crate::{Circuit, MnaError};
 /// so `F(x) ≈ 0` at the base point.
 const SENS_GMIN: f64 = 1e-12;
 
-/// The factored base Jacobian (dense or sparse per [`Circuit::solver`]).
-enum SensFactor {
-    Dense(Lu),
-    Sparse(Box<SparseLu<f64>>),
-}
-
 /// Factored DC operating-point Jacobian for semi-analytic re-solves of
 /// perturbed circuits (see the module docs).
 pub struct DcSensitivity {
     x: DVec,
-    factor: SensFactor,
+    sys: Mutex<SystemSolver>,
 }
 
 impl std::fmt::Debug for DcSensitivity {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DcSensitivity")
             .field("n", &self.x.len())
-            .field("sparse", &matches!(self.factor, SensFactor::Sparse(_)))
             .finish_non_exhaustive()
     }
 }
@@ -64,42 +59,21 @@ impl DcSensitivity {
                 reason: "operating point does not match circuit size",
             });
         }
+        let mut sys = SystemSolver::new(circuit, Analysis::Dc);
         let mut res = DVec::zeros(n);
-        let factor = if circuit.solver().uses_sparse(n) {
-            let mut work = SparseWork::new(solver::symbolic_for(circuit, Analysis::Dc));
-            stamp_system(
-                circuit,
-                op.unknowns(),
-                SENS_GMIN,
-                1.0,
-                None,
-                &mut work,
-                &mut res,
-            );
-            let f = SparseLu::factor(work.symbolic(), &work.vals).map_err(|_| {
-                MnaError::SingularMatrix {
-                    analysis: "dc sensitivity",
-                }
-            })?;
-            SensFactor::Sparse(Box::new(f))
-        } else {
-            let mut jac = DMat::zeros(n, n);
-            stamp_system(
-                circuit,
-                op.unknowns(),
-                SENS_GMIN,
-                1.0,
-                None,
-                &mut jac,
-                &mut res,
-            );
-            SensFactor::Dense(jac.lu().map_err(|_| MnaError::SingularMatrix {
-                analysis: "dc sensitivity",
-            })?)
-        };
+        stamp_system(
+            circuit,
+            op.unknowns(),
+            SENS_GMIN,
+            1.0,
+            None,
+            &mut sys,
+            &mut res,
+        );
+        sys.factor("dc sensitivity")?;
         Ok(DcSensitivity {
             x: op.unknowns().clone(),
-            factor,
+            sys: Mutex::new(sys),
         })
     }
 
@@ -135,10 +109,8 @@ impl DcSensitivity {
                 residual: f64::NAN,
             });
         }
-        let delta = match &self.factor {
-            SensFactor::Dense(lu) => lu.solve(&res)?,
-            SensFactor::Sparse(f) => f.solve(&res)?,
-        };
+        let mut sys = self.sys.lock().expect("sensitivity workspace poisoned");
+        let delta = DVec::from_slice(sys.solve(|i| res[i])?);
         let xp = &self.x - &delta;
         Ok(DcOp::new(perturbed).finish(xp, 1))
     }

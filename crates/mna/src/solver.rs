@@ -1,4 +1,4 @@
-//! Solver-backend selection and the shared Newton linear-system workspace.
+//! Solver-backend selection and the shared MNA linear-system workspace.
 //!
 //! Every analysis (DC, transient, AC) assembles the same MNA Jacobian
 //! structure over and over: per Newton iteration, per homotopy step, per
@@ -6,19 +6,23 @@
 //! module provides the machinery that makes the repeat work cheap:
 //!
 //! * [`Stamper`] — the assembly target abstraction. Element stamps write
-//!   through `add(r, c, v)`, which lands either in a dense [`DMat`] or in a
-//!   flat sparse value array through a precomputed CSC index map (no
-//!   hashing, no allocation per iteration).
+//!   through `add(r, c, v)`, which lands in a dense [`DMat`] or in a
+//!   [`SystemSolver`]'s value buffer — row-major, or sparse through a
+//!   precomputed CSC index map (no hashing, no allocation per iteration).
 //! * a process-wide **symbolic cache**: the sparsity pattern and
 //!   fill-reducing ordering of a circuit topology are computed once, keyed
 //!   by an exact structural key (element kinds + node wiring — values
 //!   excluded), and shared by every subsequent solve of any circuit with
 //!   that topology. MC/IS sampling re-evaluates one topology thousands of
 //!   times, so the hit rate is essentially 100% after the first sample.
-//! * [`SystemSolver`] — the per-analysis workspace holding the assembly
-//!   buffer and the numeric factorization. The sparse backend keeps its
-//!   [`SparseLu`] alive across Newton iterations and refactors in place
-//!   (`O(flops)`, no symbolic work); the dense backend zeroes its matrix in
+//! * [`SystemSolver`] — the one linear-system workspace every MNA solve
+//!   runs through (DC and transient Newton in `f64`, AC forward and adjoint
+//!   in `Complex64`, DC sensitivity). It alone reads the backend choice,
+//!   owns the value buffer (dense row-major or sparse pattern order) and the
+//!   factorization, and runs the "refactor on the frozen pivots, else
+//!   factor afresh" policy. The sparse backend keeps its [`SparseLu`] alive
+//!   across Newton iterations and frequency points and refactors in place
+//!   (`O(flops)`, no symbolic work); the dense backend zeroes its buffer in
 //!   place instead of reallocating.
 //!
 //! Backend choice is a property of the circuit: [`Circuit::set_solver`]
@@ -31,7 +35,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use specwise_linalg::{DMat, DVec, SparseLu, SparsePattern, SparseSymbolic};
+use specwise_linalg::{DMat, DVec, Lu, SparseLu, SparsePattern, SparseScalar, SparseSymbolic};
 
 use crate::dc::stamp_system;
 use crate::netlist::ElementKind;
@@ -77,8 +81,8 @@ pub(crate) enum Analysis {
     Ac,
 }
 
-/// Assembly target of [`stamp_system`]: dense matrix, sparse value array,
-/// or pattern collector.
+/// Assembly target of [`stamp_system`]: dense matrix, linear-system
+/// workspace, or pattern collector.
 pub(crate) trait Stamper {
     /// Zeroes the assembly buffer in place (no reallocation).
     fn clear(&mut self);
@@ -108,41 +112,6 @@ impl Stamper for PatternCollector {
     #[inline]
     fn add(&mut self, r: usize, c: usize, _v: f64) {
         self.entries.push((r, c));
-    }
-}
-
-/// Sparse assembly buffer: values laid out per the cached pattern.
-pub(crate) struct SparseWork {
-    sym: Arc<SparseSymbolic>,
-    pub vals: Vec<f64>,
-}
-
-impl SparseWork {
-    pub(crate) fn new(sym: Arc<SparseSymbolic>) -> Self {
-        let nnz = sym.pattern().nnz();
-        SparseWork {
-            sym,
-            vals: vec![0.0; nnz],
-        }
-    }
-
-    pub(crate) fn symbolic(&self) -> &Arc<SparseSymbolic> {
-        &self.sym
-    }
-}
-
-impl Stamper for SparseWork {
-    fn clear(&mut self) {
-        self.vals.fill(0.0);
-    }
-    #[inline]
-    fn add(&mut self, r: usize, c: usize, v: f64) {
-        let idx = self
-            .sym
-            .pattern()
-            .index_of(r, c)
-            .expect("stamp lands outside the precomputed sparsity pattern");
-        self.vals[idx] += v;
     }
 }
 
@@ -241,120 +210,165 @@ pub(crate) fn symbolic_for(ckt: &Circuit, analysis: Analysis) -> Arc<SparseSymbo
 }
 
 // ---------------------------------------------------------------------------
-// Newton system workspace
+// Linear-system workspace
 // ---------------------------------------------------------------------------
 
-// One long-lived instance per analysis run; the variant size gap is
-// irrelevant next to the heap buffers both variants own.
+/// The numeric factorization of a [`SystemSolver`]. One long-lived
+/// instance per workspace, so the variant size gap does not matter.
 #[allow(clippy::large_enum_variant)]
-enum Backend {
-    Dense {
-        jac: DMat,
-    },
-    Sparse {
-        work: SparseWork,
-        lu: Option<SparseLu<f64>>,
-        bbuf: Vec<f64>,
-        xbuf: Vec<f64>,
-        scratch: Vec<f64>,
-    },
+enum Factor<T> {
+    Dense(Lu<T>),
+    Sparse(SparseLu<T>),
 }
 
-/// Reusable linear-system workspace of one Newton-based analysis.
+/// Reusable MNA linear-system workspace, real (DC, transient, sensitivity)
+/// or complex (AC).
 ///
-/// Created once per analysis run; the assembly buffer and (for the sparse
-/// backend) the numeric factorization survive across Newton iterations,
-/// homotopy stages, and time steps.
-pub(crate) struct SystemSolver {
+/// Created once per analysis run; the value buffer, the factorization and
+/// the solve buffers survive across Newton iterations, homotopy stages,
+/// time steps and frequency points. This is the only code that reads the
+/// circuit's [`SolverChoice`].
+pub(crate) struct SystemSolver<T: SparseScalar = f64> {
     n: usize,
-    backend: Backend,
+    /// The cached symbolic factorization on the sparse backend, whose
+    /// pattern orders `vals`; `None` on the dense backend, where `vals` is
+    /// the row-major `n × n` matrix.
+    sym: Option<Arc<SparseSymbolic>>,
+    vals: Vec<T>,
+    factor: Option<Factor<T>>,
+    rhs: Vec<T>,
+    x: Vec<T>,
+    scratch: Vec<T>,
 }
 
-impl SystemSolver {
+impl<T: SparseScalar> SystemSolver<T> {
     pub(crate) fn new(ckt: &Circuit, analysis: Analysis) -> Self {
         let n = ckt.num_unknowns();
-        let backend = if ckt.solver().uses_sparse(n) {
-            Backend::Sparse {
-                work: SparseWork::new(symbolic_for(ckt, analysis)),
-                lu: None,
-                bbuf: vec![0.0; n],
-                xbuf: vec![0.0; n],
-                scratch: vec![0.0; n],
-            }
-        } else {
-            Backend::Dense {
-                jac: DMat::zeros(n, n),
-            }
+        let sym = ckt
+            .solver()
+            .uses_sparse(n)
+            .then(|| symbolic_for(ckt, analysis));
+        let len = sym.as_ref().map_or(n * n, |s| s.pattern().nnz());
+        SystemSolver {
+            n,
+            sym,
+            vals: vec![T::ZERO; len],
+            factor: None,
+            rhs: vec![T::ZERO; n],
+            x: vec![T::ZERO; n],
+            scratch: vec![T::ZERO; n],
+        }
+    }
+
+    /// The matrix values, laid out like [`SystemSolver::gather`] output.
+    pub(crate) fn values_mut(&mut self) -> &mut [T] {
+        &mut self.vals
+    }
+
+    /// The entries of a dense matrix in this workspace's value layout.
+    pub(crate) fn gather(&self, m: &DMat) -> Vec<f64> {
+        let Some(sym) = &self.sym else {
+            return m.as_slice().to_vec();
         };
-        SystemSolver { n, backend }
-    }
-
-    /// Whether this workspace runs the sparse backend.
-    #[allow(dead_code)]
-    pub(crate) fn is_sparse(&self) -> bool {
-        matches!(self.backend, Backend::Sparse { .. })
-    }
-
-    /// The assembly target for [`stamp_system`] and companion stamps.
-    pub(crate) fn stamper(&mut self) -> &mut dyn Stamper {
-        match &mut self.backend {
-            Backend::Dense { jac } => jac,
-            Backend::Sparse { work, .. } => work,
+        let pat = sym.pattern();
+        let mut out = vec![0.0; pat.nnz()];
+        for col in 0..self.n {
+            for (p, &row) in pat.col_range(col).zip(pat.col(col)) {
+                out[p] = m[(row, col)];
+            }
         }
+        out
     }
 
-    /// True when every assembled Jacobian entry is finite.
+    /// True when every assembled matrix entry is finite.
     pub(crate) fn is_finite(&self) -> bool {
-        match &self.backend {
-            Backend::Dense { jac } => jac.is_finite(),
-            Backend::Sparse { work, .. } => work.vals.iter().all(|v| v.is_finite()),
-        }
+        self.vals.iter().all(|v| v.is_finite_scalar())
     }
 
-    /// Factors the assembled Jacobian and solves `J·delta = −res`.
+    /// Factors the assembled matrix.
     ///
     /// The sparse backend refactors in place on the frozen pivot sequence,
     /// falling back to a fresh (re-pivoting) factorization when the frozen
     /// pivots go numerically stale — the two produce bit-identical results
     /// whenever both succeed, so the fallback is purely a robustness path.
+    pub(crate) fn factor(&mut self, analysis: &'static str) -> Result<(), MnaError> {
+        let singular = |_| MnaError::SingularMatrix { analysis };
+        self.factor = Some(match (&self.sym, self.factor.take()) {
+            (None, _) => Factor::Dense(Lu::factor(self.n, &self.vals).map_err(singular)?),
+            (Some(sym), prev) => {
+                let frozen = match prev {
+                    Some(Factor::Sparse(mut lu)) => {
+                        lu.refactor(sym, &self.vals).is_ok().then_some(lu)
+                    }
+                    _ => None,
+                };
+                match frozen {
+                    Some(lu) => Factor::Sparse(lu),
+                    None => Factor::Sparse(SparseLu::factor(sym, &self.vals).map_err(singular)?),
+                }
+            }
+        });
+        Ok(())
+    }
+
+    /// Solves `A·x = b` with `b[i] = rhs(i)` on the last factorization.
+    pub(crate) fn solve(&mut self, rhs: impl Fn(usize) -> T) -> Result<&[T], MnaError> {
+        self.solve_with(false, rhs)
+    }
+
+    /// Solves the transposed system `Aᵀ·x = b` with `b[i] = rhs(i)` on the
+    /// last factorization.
+    pub(crate) fn solve_transposed(&mut self, rhs: impl Fn(usize) -> T) -> Result<&[T], MnaError> {
+        self.solve_with(true, rhs)
+    }
+
+    fn solve_with(&mut self, transposed: bool, rhs: impl Fn(usize) -> T) -> Result<&[T], MnaError> {
+        for (i, b) in self.rhs.iter_mut().enumerate() {
+            *b = rhs(i);
+        }
+        let (b, x, s) = (&self.rhs, &mut self.x, &mut self.scratch);
+        match (
+            self.factor.as_ref().expect("solve before factor"),
+            transposed,
+        ) {
+            (Factor::Dense(lu), false) => lu.solve_slice(b, x, s),
+            (Factor::Dense(lu), true) => lu.solve_transposed_slice(b, x, s),
+            (Factor::Sparse(lu), false) => lu.solve_slice(b, x, s),
+            (Factor::Sparse(lu), true) => lu.solve_transposed_slice(b, x, s),
+        }?;
+        Ok(&self.x)
+    }
+}
+
+impl SystemSolver<f64> {
+    /// Factors the assembled Jacobian and solves the Newton step
+    /// `J·delta = −res`.
     pub(crate) fn factor_solve(
         &mut self,
         res: &DVec,
         analysis: &'static str,
     ) -> Result<DVec, MnaError> {
-        match &mut self.backend {
-            Backend::Dense { jac } => {
-                let lu = jac
-                    .lu()
-                    .map_err(|_| MnaError::SingularMatrix { analysis })?;
-                Ok(lu.solve(&(-res))?)
+        self.factor(analysis)?;
+        Ok(DVec::from_slice(self.solve(|i| -res[i])?))
+    }
+}
+
+impl Stamper for SystemSolver<f64> {
+    fn clear(&mut self) {
+        self.vals.fill(0.0);
+    }
+    #[inline]
+    fn add(&mut self, r: usize, c: usize, v: f64) {
+        let idx = match &self.sym {
+            None => {
+                assert!(r < self.n && c < self.n, "stamp ({r},{c}) out of range");
+                r * self.n + c
             }
-            Backend::Sparse {
-                work,
-                lu,
-                bbuf,
-                xbuf,
-                scratch,
-            } => {
-                let refreshed = match lu.take() {
-                    Some(mut f) => match f.refactor(work.symbolic(), &work.vals) {
-                        Ok(()) => Some(f),
-                        Err(_) => None,
-                    },
-                    None => None,
-                };
-                let f = match refreshed {
-                    Some(f) => f,
-                    None => SparseLu::factor(work.symbolic(), &work.vals)
-                        .map_err(|_| MnaError::SingularMatrix { analysis })?,
-                };
-                for i in 0..self.n {
-                    bbuf[i] = -res[i];
-                }
-                f.solve_slice(bbuf, xbuf, scratch)?;
-                *lu = Some(f);
-                Ok(DVec::from_slice(xbuf))
-            }
-        }
+            Some(sym) => sym
+                .pattern()
+                .index_of(r, c)
+                .expect("stamp lands outside the precomputed sparsity pattern"),
+        };
+        self.vals[idx] += v;
     }
 }

@@ -12,7 +12,7 @@ use specwise_linalg::DVec;
 use crate::dc::{eval_mosfet_at, stamp_system, DcOp};
 use crate::mosfet::MosRegion;
 use crate::netlist::ElementKind;
-use crate::solver::{Analysis, SystemSolver};
+use crate::solver::{Analysis, Stamper, SystemSolver};
 use crate::{Circuit, MnaError, NodeId};
 
 /// Integration method for the capacitor companion models.
@@ -235,8 +235,7 @@ impl<'c> Transient<'c> {
             // Newton at time t with companion models.
             let mut converged = false;
             for _ in 0..self.options.max_iterations {
-                stamp_system(ckt, &x, 1e-12, 1.0, Some(t), sys.stamper(), &mut res);
-                let jac = sys.stamper();
+                stamp_system(ckt, &x, 1e-12, 1.0, Some(t), &mut sys, &mut res);
                 for cap in &caps {
                     let v_now = vnode(&x, cap.a) - vnode(&x, cap.b);
                     let (geq, ieq_hist) = match self.options.integrator {
@@ -253,15 +252,15 @@ impl<'c> Transient<'c> {
                     let (ia, ib) = (ckt.node_unknown(cap.a), ckt.node_unknown(cap.b));
                     if let Some(i) = ia {
                         res[i] += i_cap;
-                        jac.add(i, i, geq);
+                        sys.add(i, i, geq);
                     }
                     if let Some(j) = ib {
                         res[j] -= i_cap;
-                        jac.add(j, j, geq);
+                        sys.add(j, j, geq);
                     }
                     if let (Some(i), Some(j)) = (ia, ib) {
-                        jac.add(i, j, -geq);
-                        jac.add(j, i, -geq);
+                        sys.add(i, j, -geq);
+                        sys.add(j, i, -geq);
                     }
                 }
                 let delta = sys.factor_solve(&res, "transient")?;

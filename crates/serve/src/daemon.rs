@@ -43,7 +43,7 @@ use specwise_exec::ExecConfig;
 use specwise_trace::json;
 
 use crate::job::{run_job, JobOutcome, JobRequest, JobSpec};
-use crate::lease::{self, Acquire, Lease};
+use crate::lease::{self, create_exclusive, unique_suffix, Acquire, Lease};
 use crate::ledger::TenantLedger;
 use crate::protocol::{end_marker, read_line_bounded, LineRead, Request, WireError};
 use crate::state::{FleetStatus, JobState, ServeState};
@@ -93,18 +93,6 @@ pub struct ServeConfig {
     /// Evaluation-engine base configuration (shared `SPECWISE_WORKERS`
     /// etc. knobs), sharded [`ServeConfig::slots`] ways per job.
     pub exec: ExecConfig,
-}
-
-/// Process-unique suffix for temp files and default owner ids (two
-/// daemons in one test process share a pid, so the pid alone is not
-/// unique).
-fn unique_suffix() -> String {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    format!(
-        "{}-{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    )
 }
 
 fn default_owner() -> String {
@@ -221,17 +209,6 @@ fn write_atomic(path: &std::path::Path, contents: &str) -> io::Result<()> {
     let tmp = path.with_extension(format!("tmp-{}", unique_suffix()));
     std::fs::write(&tmp, contents)?;
     std::fs::rename(&tmp, path)
-}
-
-/// Exclusive file creation (`O_EXCL`): fails with `AlreadyExists` when a
-/// peer daemon spooled the same path first — the job-id claim.
-fn write_new(path: &std::path::Path, contents: &str) -> io::Result<()> {
-    let mut file = std::fs::OpenOptions::new()
-        .write(true)
-        .create_new(true)
-        .open(path)?;
-    file.write_all(contents.as_bytes())?;
-    file.sync_all()
 }
 
 /// Fleet bookkeeping shared by the workers, the fleet loop, and the
@@ -780,7 +757,7 @@ fn accept_job(
             deck: request.deck.clone(),
             options,
         };
-        match write_new(&cfg.req_path(&spec.id), &spec.to_json()) {
+        match create_exclusive(&cfg.req_path(&spec.id), &spec.to_json()) {
             Ok(()) => {
                 let id = spec.id.clone();
                 state.enqueue(spec);
@@ -944,8 +921,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("specwise-serve-xw-{}", unique_suffix()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("job-0001.req");
-        write_new(&path, "first").unwrap();
-        let err = write_new(&path, "second").unwrap_err();
+        create_exclusive(&path, "first").unwrap();
+        let err = create_exclusive(&path, "second").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "first");
         let _ = std::fs::remove_dir_all(&dir);

@@ -97,15 +97,16 @@ pub fn lease_path(spool: &Path, job: &str) -> PathBuf {
     spool.join(format!("{job}.lease"))
 }
 
-/// Process-wide nonce for unique temp/stale file names (two daemons in
-/// one test process share a pid, so the pid alone is not unique).
-fn nonce() -> u64 {
+/// Process-unique suffix for temp/stale file names and default owner ids
+/// (two daemons in one test process share a pid, so the pid alone is not
+/// unique).
+pub(crate) fn unique_suffix() -> String {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
-    COUNTER.fetch_add(1, Ordering::Relaxed)
-}
-
-fn unique_suffix() -> String {
-    format!("{}-{}", std::process::id(), nonce())
+    format!(
+        "{}-{}",
+        std::process::id(),
+        COUNTER.fetch_add(1, Ordering::Relaxed)
+    )
 }
 
 /// Age of `path` by modification time; `None` when the file vanished or
@@ -116,7 +117,9 @@ fn file_age(path: &Path) -> Option<Duration> {
     SystemTime::now().duration_since(mtime).ok()
 }
 
-fn create_exclusive(path: &Path, content: &str) -> io::Result<()> {
+/// Exclusive file creation (`O_EXCL`): fails with `AlreadyExists` when a
+/// peer daemon created the same path first — the lease and job-id claim.
+pub(crate) fn create_exclusive(path: &Path, content: &str) -> io::Result<()> {
     let mut file = std::fs::OpenOptions::new()
         .write(true)
         .create_new(true)
@@ -351,11 +354,7 @@ mod tests {
     use super::*;
 
     fn spool(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "specwise-lease-{tag}-{}-{}",
-            std::process::id(),
-            nonce()
-        ));
+        let dir = std::env::temp_dir().join(format!("specwise-lease-{tag}-{}", unique_suffix()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir

@@ -19,6 +19,7 @@
 use std::error::Error;
 
 use specwise::{run_report, OptimizerConfig, Tracer, YieldOptimizer};
+use specwise_ckt::env_knob::parse_env_knob;
 use specwise_ckt::{CircuitEnv, MillerOpamp};
 use specwise_exec::{EvalService, ExecConfig};
 use specwise_harden::{FaultConfig, FaultInjector, KillSwitch};
@@ -48,9 +49,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // Kill switch: a pass-through evaluation counter by default, fatal
     // after `SPECWISE_KILL_AFTER` evaluations when set.
-    let kill_after = std::env::var("SPECWISE_KILL_AFTER")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok());
+    let kill_after = parse_env_knob::<u64>("SPECWISE_KILL_AFTER");
     if let Some(n) = kill_after {
         println!("kill switch armed: fatal after {n} evaluation calls");
     }
