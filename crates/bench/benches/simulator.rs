@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use specwise_ckt::{CircuitEnv, FoldedCascode, MillerOpamp};
 use specwise_linalg::DVec;
-use specwise_mna::{AcSolver, Circuit, DcOp, MosfetModel, MosfetParams};
+use specwise_mna::{AcSolver, Circuit, DcOp, MosfetModel, MosfetParams, SolverChoice};
 
 fn common_source() -> Circuit {
     let mut ckt = Circuit::new();
@@ -45,6 +45,16 @@ fn bench_ac(c: &mut Criterion) {
     c.bench_function("ac_single_frequency", |b| b.iter(|| ac.solve(1e6).unwrap()));
     let out = ckt.find_node("out").unwrap();
     c.bench_function("ac_find_unity_crossing", |b| {
+        b.iter(|| ac.find_crossing(out, 1.0, 1e3, 1e12).unwrap())
+    });
+
+    // The same search on the sparse complex LU (refactor per probe), which
+    // the opamp testbenches take under `Auto`.
+    let mut sparse = ckt.clone();
+    sparse.set_solver(SolverChoice::Sparse);
+    let op = DcOp::new(&sparse).solve().unwrap();
+    let ac = AcSolver::new(&sparse, &op);
+    c.bench_function("ac_find_unity_crossing_sparse", |b| {
         b.iter(|| ac.find_crossing(out, 1.0, 1e3, 1e12).unwrap())
     });
 }

@@ -19,9 +19,12 @@
 //!   [`SparseLu::factor`] learns the elimination structure (reach sets,
 //!   fill pattern, pivot sequence); every later [`SparseLu::refactor`]
 //!   replays that structure on new values in `O(flops)` with no graph
-//!   traversal, falling back with an error when the frozen pivot sequence
-//!   becomes numerically unacceptable so the caller can re-factor from
-//!   scratch.
+//!   traversal and no allocation, falling back with an error when the
+//!   frozen pivot sequence becomes numerically unacceptable so the caller
+//!   can re-factor from scratch. Its pivot acceptance is filtered: a cheap
+//!   modulus bound settles almost every check, and only an inconclusive
+//!   bound pays for the exact modulus (`hypot` on complex values), with the
+//!   same accept/reject either way.
 //!
 //! Singular detection mirrors the dense [`Lu`](crate::Lu): a factorization
 //! fails with [`LinalgError::Singular`] when the best available pivot does
@@ -62,6 +65,13 @@ pub trait SparseScalar:
     fn modulus(self) -> f64;
     /// True when the value contains no NaN/infinity.
     fn is_finite_scalar(self) -> bool;
+    /// A cheap stand-in `M` for the modulus with `M ≤ |x| ≤ √2·M` whenever
+    /// `M` is finite, so [`SparseLu::refactor`] can settle most pivot
+    /// checks without a square root. The default is the modulus itself.
+    #[inline]
+    fn modulus_bound(self) -> f64 {
+        self.modulus()
+    }
 }
 
 impl SparseScalar for f64 {
@@ -85,6 +95,11 @@ impl SparseScalar for Complex64 {
     #[inline]
     fn is_finite_scalar(self) -> bool {
         self.is_finite()
+    }
+    /// `max(|re|, |im|)`, skipping a NaN part like [`f64::max`] does.
+    #[inline]
+    fn modulus_bound(self) -> f64 {
+        self.re.abs().max(self.im.abs())
     }
 }
 
@@ -172,32 +187,6 @@ impl SparsePattern {
     pub fn col_range(&self, c: usize) -> std::ops::Range<usize> {
         self.col_ptr[c]..self.col_ptr[c + 1]
     }
-
-    /// Compressed-sparse-row view: `(row_ptr, col_idx, csc_pos)`, where
-    /// `csc_pos[k]` is the position in the CSC values array of the `k`-th
-    /// CSR entry. Useful for row-oriented traversals over the same values.
-    pub fn to_csr(&self) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
-        let mut row_ptr = vec![0usize; self.n + 1];
-        for &r in &self.row_idx {
-            row_ptr[r + 1] += 1;
-        }
-        for r in 0..self.n {
-            row_ptr[r + 1] += row_ptr[r];
-        }
-        let mut cursor = row_ptr.clone();
-        let mut col_idx = vec![0usize; self.nnz()];
-        let mut csc_pos = vec![0usize; self.nnz()];
-        for c in 0..self.n {
-            for p in self.col_range(c) {
-                let r = self.row_idx[p];
-                let slot = cursor[r];
-                cursor[r] += 1;
-                col_idx[slot] = c;
-                csc_pos[slot] = p;
-            }
-        }
-        (row_ptr, col_idx, csc_pos)
-    }
 }
 
 /// Triplet (coordinate-format) accumulator for assembling a sparse matrix.
@@ -278,12 +267,6 @@ impl SparseSymbolic {
     pub fn pattern(&self) -> &SparsePattern {
         &self.pattern
     }
-
-    /// Column elimination order: `colperm[k]` is the original column
-    /// eliminated at step `k`.
-    pub fn colperm(&self) -> &[usize] {
-        &self.colperm
-    }
 }
 
 /// Greedy minimum-degree ordering on the symmetrized pattern.
@@ -362,19 +345,27 @@ pub struct SparseLu<T> {
     scratch_epoch: u32,
 }
 
+/// Marks workspace row `r` as part of step `epoch`, zeroing it on first
+/// touch; returns whether this was the first touch.
 #[inline]
-fn ensure<T: SparseScalar>(
-    r: usize,
-    epoch: u32,
-    flags: &mut [u32],
-    w: &mut [T],
-    wrows: &mut Vec<usize>,
-) {
-    if flags[r] != epoch {
+fn ensure<T: SparseScalar>(r: usize, epoch: u32, flags: &mut [u32], w: &mut [T]) -> bool {
+    let fresh = flags[r] != epoch;
+    if fresh {
         flags[r] = epoch;
         w[r] = T::ZERO;
-        wrows.push(r);
     }
+    fresh
+}
+
+/// The singular-check scale `max(1, max|aᵢⱼ|)`, shared with the dense LU.
+fn pivot_scale<T: SparseScalar>(vals: &[T]) -> f64 {
+    vals.iter().fold(0.0f64, |m, v| m.max(v.modulus())).max(1.0)
+}
+
+/// `max(1, 2·max M(aᵢⱼ))`, an upper bound on [`pivot_scale`] (see
+/// [`SparseLu::refactor`]'s filter).
+fn pivot_scale_bound<T: SparseScalar>(vals: &[T]) -> f64 {
+    (2.0 * vals.iter().fold(0.0f64, |m, v| m.max(v.modulus_bound()))).max(1.0)
 }
 
 impl<T: SparseScalar> SparseLu<T> {
@@ -401,7 +392,7 @@ impl<T: SparseScalar> SparseLu<T> {
             });
         }
         assert!(n < u32::MAX as usize, "dimension exceeds epoch capacity");
-        let scale = vals.iter().fold(0.0f64, |m, v| m.max(v.modulus())).max(1.0);
+        let scale = pivot_scale(vals);
 
         let mut pinv = vec![UNSET; n];
         let mut prow: Vec<usize> = Vec::with_capacity(n);
@@ -472,13 +463,17 @@ impl<T: SparseScalar> SparseLu<T> {
             // Eliminate in reverse postorder (dependencies first).
             for &k in post.iter().rev() {
                 let pr = prow[k];
-                ensure(pr, epoch, &mut in_w, &mut w, &mut wrows);
+                if ensure(pr, epoch, &mut in_w, &mut w) {
+                    wrows.push(pr);
+                }
                 let ukj = w[pr];
                 u_pos.push(k);
                 u_vals.push(ukj);
                 for p in l_ptr[k]..l_ptr[k + 1] {
                     let r = l_rows[p];
-                    ensure(r, epoch, &mut in_w, &mut w, &mut wrows);
+                    if ensure(r, epoch, &mut in_w, &mut w) {
+                        wrows.push(r);
+                    }
                     w[r] = w[r] - l_vals[p] * ukj;
                 }
             }
@@ -533,7 +528,8 @@ impl<T: SparseScalar> SparseLu<T> {
 
     /// Re-runs the numeric factorization on new values with the frozen
     /// pattern, pivot sequence, and elimination schedule. Bit-identical to
-    /// [`SparseLu::factor`] when called with the same values.
+    /// [`SparseLu::factor`] when called with the same values. Allocates
+    /// nothing.
     ///
     /// # Errors
     ///
@@ -543,6 +539,45 @@ impl<T: SparseScalar> SparseLu<T> {
     /// column — the caller should then [`SparseLu::factor`] afresh, which
     /// re-pivots (and decides singularity for real).
     pub fn refactor(&mut self, sym: &SparseSymbolic, vals: &[T]) -> Result<(), LinalgError> {
+        self.refactor_checked::<true>(sym, vals)
+    }
+
+    /// [`SparseLu::refactor`] with the pivot checks filtered (`FILTERED`)
+    /// or, as a reference, every check on the exact modulus.
+    ///
+    /// # The filter
+    ///
+    /// Both checks compare moduli (`hypot` for complex values), yet almost
+    /// never come close to failing. The filter first tries the cheap bound
+    /// `M` of [`SparseScalar::modulus_bound`]: for finite `z`,
+    /// `M ≤ |z| ≤ √2·M`, and the filter takes `2·M` as the upper bound, so
+    /// the ~29% slack absorbs `hypot`'s rounding on either side.
+    ///
+    /// * **Singular check** (`|p| > scale·1e-300` with
+    ///   `scale = max(1, max|aᵢⱼ|)`). `scale_ub = max(1, 2·max M(aᵢⱼ))`
+    ///   bounds `scale` from above, so a finite pivot with
+    ///   `M(p) > scale_ub·1e-300` passes: `hypot` is faithfully rounded, so
+    ///   it never returns less than the representable `M(p)`, and as
+    ///   `scale_ub ≥ 1` such an `M(p)` is also in the normal range.
+    /// * **Ratio check** (`|p| ≥ 1e-8·max(|p|, max|lᵢ|)`). A pivot with
+    ///   `M(p) ≥ 1e-8·2·max M(lᵢ)` passes, since `|p| ≥ M(p)` and every
+    ///   `|lᵢ| ≤ 2·M(lᵢ)`.
+    /// * **Fallback.** Otherwise — a non-finite pivot or an inconclusive
+    ///   bound — the exact check runs, computing `scale` at most once per
+    ///   refactor.
+    ///
+    /// A NaN part is skipped by [`f64::max`] in both folds: `hypot` of a
+    /// value with a NaN part is NaN (dropped from the exact fold) or
+    /// infinite (and then so is its `M`), while its `M` is the other part's
+    /// magnitude or NaN (dropped), so such a value can only raise a bound.
+    /// A pivot with a NaN part never takes the fast singular path. Accept
+    /// and reject are therefore identical with and without the filter, and
+    /// the factor values (`w − l·u`, `w / p`) never depend on it.
+    fn refactor_checked<const FILTERED: bool>(
+        &mut self,
+        sym: &SparseSymbolic,
+        vals: &[T],
+    ) -> Result<(), LinalgError> {
         let pattern = sym.pattern();
         if pattern.n() != self.n || vals.len() != pattern.nnz() {
             return Err(LinalgError::DimensionMismatch {
@@ -551,8 +586,8 @@ impl<T: SparseScalar> SparseLu<T> {
                 found: pattern.n(),
             });
         }
-        let scale = vals.iter().fold(0.0f64, |m, v| m.max(v.modulus())).max(1.0);
-        let mut wrows: Vec<usize> = Vec::new();
+        let scale_ub = pivot_scale_bound(vals);
+        let mut scale = None;
         for jj in 0..self.n {
             if self.scratch_epoch == u32::MAX {
                 self.scratch_flag.fill(0);
@@ -562,16 +597,16 @@ impl<T: SparseScalar> SparseLu<T> {
             let epoch = self.scratch_epoch;
             let w = &mut self.scratch_w;
             let flags = &mut self.scratch_flag;
-            wrows.clear();
+            let l_range = self.l_ptr[jj]..self.l_ptr[jj + 1];
 
             // Zero the frozen work pattern of this step: pivot row, U rows,
             // L rows (every A entry lands inside this set — see factor()).
-            ensure(self.prow[jj], epoch, flags, w, &mut wrows);
+            ensure(self.prow[jj], epoch, flags, w);
             for p in self.u_ptr[jj]..self.u_ptr[jj + 1] {
-                ensure(self.prow[self.u_pos[p]], epoch, flags, w, &mut wrows);
+                ensure(self.prow[self.u_pos[p]], epoch, flags, w);
             }
-            for p in self.l_ptr[jj]..self.l_ptr[jj + 1] {
-                ensure(self.l_rows[p], epoch, flags, w, &mut wrows);
+            for p in l_range.clone() {
+                ensure(self.l_rows[p], epoch, flags, w);
             }
             let c = self.colperm[jj];
             for idx in pattern.col_range(c) {
@@ -593,19 +628,29 @@ impl<T: SparseScalar> SparseLu<T> {
 
             // Pivot acceptance: frozen pivot must remain dominant enough.
             let pivot = w[self.prow[jj]];
-            let pm = pivot.modulus();
-            if !(pm > scale * PIVOT_REL_TOL) {
-                return Err(LinalgError::Singular { pivot: jj });
+            let pm_ub = pivot.modulus_bound();
+            if !(FILTERED && pivot.is_finite_scalar() && pm_ub > scale_ub * PIVOT_REL_TOL) {
+                let scale = *scale.get_or_insert_with(|| pivot_scale(vals));
+                if !(pivot.modulus() > scale * PIVOT_REL_TOL) {
+                    return Err(LinalgError::Singular { pivot: jj });
+                }
             }
-            let mut col_max = pm;
-            for p in self.l_ptr[jj]..self.l_ptr[jj + 1] {
-                col_max = col_max.max(w[self.l_rows[p]].modulus());
-            }
-            if pm < REFACTOR_PIVOT_RATIO * col_max {
-                return Err(LinalgError::Singular { pivot: jj });
+            let l_ub = || {
+                l_range
+                    .clone()
+                    .fold(0.0f64, |m, p| m.max(w[self.l_rows[p]].modulus_bound()))
+            };
+            if !(FILTERED && pm_ub >= REFACTOR_PIVOT_RATIO * (2.0 * l_ub())) {
+                let pm = pivot.modulus();
+                let col_max = l_range
+                    .clone()
+                    .fold(pm, |m, p| m.max(w[self.l_rows[p]].modulus()));
+                if pm < REFACTOR_PIVOT_RATIO * col_max {
+                    return Err(LinalgError::Singular { pivot: jj });
+                }
             }
             self.u_diag[jj] = pivot;
-            for p in self.l_ptr[jj]..self.l_ptr[jj + 1] {
+            for p in l_range {
                 self.l_vals[p] = w[self.l_rows[p]] / pivot;
             }
         }
@@ -615,16 +660,6 @@ impl<T: SparseScalar> SparseLu<T> {
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
         self.n
-    }
-
-    /// Structural nonzeros in L (excluding the unit diagonal).
-    pub fn nnz_l(&self) -> usize {
-        self.l_rows.len()
-    }
-
-    /// Structural nonzeros in U (including the diagonal).
-    pub fn nnz_u(&self) -> usize {
-        self.u_pos.len() + self.n
     }
 
     /// Solves `A·x = b` using slices, with caller-provided scratch of
@@ -782,22 +817,13 @@ mod tests {
     }
 
     #[test]
-    fn pattern_lookup_and_csr_roundtrip() {
+    fn pattern_lookup_merges_duplicates() {
         let p = SparsePattern::from_entries(3, &[(0, 0), (2, 1), (1, 1), (2, 2), (2, 1)]).unwrap();
         assert_eq!(p.nnz(), 4);
         assert_eq!(p.col(1), &[1, 2]);
-        assert!(p.index_of(2, 1).is_some());
+        assert_eq!(p.col_range(1), 1..3);
+        assert_eq!(p.index_of(2, 1), Some(2));
         assert!(p.index_of(0, 1).is_none());
-        let (row_ptr, col_idx, csc_pos) = p.to_csr();
-        assert_eq!(row_ptr, vec![0, 1, 2, 4]);
-        assert_eq!(col_idx, vec![0, 1, 1, 2]);
-        for (k, &pos) in csc_pos.iter().enumerate() {
-            let r = (0..3)
-                .find(|&r| row_ptr[r] <= k && k < row_ptr[r + 1])
-                .unwrap();
-            assert!(p.col(col_idx[k]).contains(&r));
-            assert_eq!(p.index_of(r, col_idx[k]).unwrap(), pos);
-        }
     }
 
     #[test]
@@ -1020,11 +1046,12 @@ mod tests {
         let sym = SparseSymbolic::new(pattern.clone());
         // The hub (initial degree n−1) must sink to the end of the order;
         // it can tie with the final spoke once its degree has shrunk to 1.
-        assert!(sym.colperm()[n - 2..].contains(&0));
+        assert!(sym.colperm[n - 2..].contains(&0));
         let lu = SparseLu::factor(&sym, &vals).unwrap();
-        // With the hub last there is zero fill beyond the original pattern.
-        assert_eq!(lu.nnz_l(), n - 1);
-        assert_eq!(lu.nnz_u(), (n - 1) + n);
+        // With the hub last there is zero fill beyond the original pattern:
+        // n − 1 entries in L and in U, plus the n pivots.
+        assert_eq!(lu.l_rows.len(), n - 1);
+        assert_eq!(lu.u_pos.len() + lu.u_diag.len(), (n - 1) + n);
     }
 
     #[test]
@@ -1043,5 +1070,256 @@ mod tests {
             SparseLu::<f64>::factor(&sym, &[1.0]),
             Err(LinalgError::DimensionMismatch { .. })
         ));
+    }
+
+    /// Scalars the pivot-filter referee draws: raw bits for comparison, and
+    /// a value of modulus `m` at phase `phi` (the sign of `cos phi` for
+    /// reals).
+    trait Probe: SparseScalar {
+        fn bits(self) -> [u64; 2];
+        fn polar(m: f64, phi: f64) -> Self;
+        fn parts(re: f64, im: f64) -> Self;
+    }
+
+    impl Probe for f64 {
+        fn bits(self) -> [u64; 2] {
+            [self.to_bits(), 0]
+        }
+        fn polar(m: f64, phi: f64) -> f64 {
+            if phi.cos() < 0.0 {
+                -m
+            } else {
+                m
+            }
+        }
+        fn parts(re: f64, _im: f64) -> f64 {
+            re
+        }
+    }
+
+    impl Probe for Complex64 {
+        fn bits(self) -> [u64; 2] {
+            [self.re.to_bits(), self.im.to_bits()]
+        }
+        fn polar(m: f64, phi: f64) -> Complex64 {
+            Complex64::from_polar(m, phi)
+        }
+        fn parts(re: f64, im: f64) -> Complex64 {
+            Complex64::new(re, im)
+        }
+    }
+
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next_u64(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            self.0 >> 11
+        }
+        fn below(&mut self, k: u64) -> u64 {
+            self.next_u64() % k
+        }
+        /// Uniform in `[-1, 1)`.
+        fn unit(&mut self) -> f64 {
+            (self.next_u64() as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+        }
+        /// A real part drawn across the hostile range: ordinary magnitudes
+        /// over six decades, zeros, subnormals, values near 1e±300 and
+        /// beyond, infinities and NaN.
+        fn part(&mut self) -> f64 {
+            let u = self.unit();
+            match self.below(20) {
+                0 => 0.0,
+                1 => f64::NAN,
+                2 => f64::INFINITY.copysign(u),
+                3 => f64::MIN_POSITIVE * u,
+                4 => 5e-324 * (1.0 + self.below(8) as f64).copysign(u),
+                5 => 1e300 * u,
+                6 => 1e-300 * u,
+                7 => f64::MAX.copysign(u),
+                _ => u * 10f64.powi(self.below(7) as i32 - 3),
+            }
+        }
+        fn scalar<T: Probe>(&mut self) -> T {
+            let re = self.part();
+            let im = if self.below(4) == 0 { 0.0 } else { self.part() };
+            T::parts(re, im)
+        }
+        /// `1 + k·ε` for a small ulp offset `k ∈ [-4, 4]`.
+        fn ulps(&mut self) -> f64 {
+            1.0 + (self.below(9) as f64 - 4.0) * f64::EPSILON
+        }
+        /// On an axis, on a diagonal (where `M` is furthest below the
+        /// modulus) or anywhere.
+        fn phase(&mut self) -> f64 {
+            match self.below(3) {
+                0 => 0.0,
+                1 => std::f64::consts::FRAC_PI_4,
+                _ => self.unit() * std::f64::consts::PI,
+            }
+        }
+    }
+
+    /// Arrow matrix with its hub at row/column 0. Minimum degree eliminates
+    /// the spokes first, so each spoke step pivots on the raw `A(i,i)` with
+    /// the raw `A(0,i)` as its only L entry — the referee sets both exactly.
+    fn arrow(n: usize) -> Vec<(usize, usize)> {
+        let mut e = vec![(0, 0)];
+        for i in 1..n {
+            e.extend([(i, i), (0, i), (i, 0)]);
+        }
+        e
+    }
+
+    fn referee_patterns() -> Vec<SparsePattern> {
+        let tridiagonal: Vec<(usize, usize)> = (0..7)
+            .flat_map(|i: usize| [(i, i), (i, (i + 1) % 7), ((i + 1) % 7, i)])
+            .collect();
+        let dense: Vec<(usize, usize)> = (0..4).flat_map(|r| (0..4).map(move |c| (r, c))).collect();
+        [(6, arrow(6)), (7, tridiagonal), (4, dense)]
+            .iter()
+            .map(|(n, e)| SparsePattern::from_entries(*n, e).unwrap())
+            .collect()
+    }
+
+    /// A frozen factorization of `pattern` on diagonally dominant values.
+    fn frozen<T: Probe>(pattern: &SparsePattern) -> (SparseSymbolic, SparseLu<T>) {
+        let n = pattern.n();
+        let mut vals = vec![T::ZERO; pattern.nnz()];
+        for c in 0..n {
+            for (p, &r) in pattern.col_range(c).zip(pattern.col(c)) {
+                let v = if r == c { n as f64 + 1.0 } else { 0.5 };
+                vals[p] = T::parts(v, 0.25 * v);
+            }
+        }
+        let sym = SparseSymbolic::new(pattern.clone());
+        let lu = SparseLu::factor(&sym, &vals).unwrap();
+        (sym, lu)
+    }
+
+    /// Refactors with the filter and with exact checks on two copies of
+    /// `lu`; both must return the same result and leave bit-identical
+    /// factor values.
+    fn refactor_both<T: Probe>(
+        sym: &SparseSymbolic,
+        lu: &SparseLu<T>,
+        vals: &[T],
+    ) -> Result<Result<(), LinalgError>, String> {
+        let (mut fast, mut exact) = (lu.clone(), lu.clone());
+        let got = fast.refactor(sym, vals);
+        let want = exact.refactor_checked::<false>(sym, vals);
+        if got != want {
+            return Err(format!("filtered {got:?} vs exact {want:?} on {vals:?}"));
+        }
+        let bits = |lu: &SparseLu<T>| -> Vec<[u64; 2]> {
+            let all = lu.l_vals.iter().chain(&lu.u_vals).chain(&lu.u_diag);
+            all.map(|v| v.bits()).collect()
+        };
+        if bits(&fast) != bits(&exact) {
+            return Err(format!("factor bits differ on {vals:?}"));
+        }
+        Ok(got)
+    }
+
+    /// Random values on `pattern`, with one arrow spoke pushed onto a
+    /// threshold: the pivot-to-L ratio near `1e-8` (or the filter's `2e-8`,
+    /// `√2·1e-8`), or the pivot near `scale·1e-300` (or `scale_ub·1e-300`,
+    /// possibly with a dominant hub entry), each within a few ulps.
+    fn hostile_values<T: Probe>(rng: &mut Lcg, pattern: &SparsePattern) -> Vec<T> {
+        let mut vals: Vec<T> = (0..pattern.nnz()).map(|_| rng.scalar()).collect();
+        if pattern.nnz() != arrow(pattern.n()).len() || rng.below(4) == 0 {
+            return vals;
+        }
+        let spoke = 1 + rng.below(pattern.n() as u64 - 1) as usize;
+        let piv = pattern.index_of(spoke, spoke).unwrap();
+        let low = pattern.index_of(0, spoke).unwrap();
+        if rng.below(2) == 0 {
+            let pm = 10f64.powi(rng.below(13) as i32 - 6);
+            let ratio = [1e-8, 2e-8, 2f64.sqrt() * 1e-8][rng.below(3) as usize] * rng.ulps();
+            vals[piv] = T::polar(pm, rng.phase());
+            vals[low] = T::polar(pm / ratio, rng.phase());
+        } else {
+            vals[piv] = T::ZERO;
+            if rng.below(2) == 0 {
+                // An off-axis hub entry large enough to set the scale.
+                vals[pattern.index_of(0, 0).unwrap()] = T::polar(1e305 * rng.ulps(), rng.phase());
+            }
+            let scale = pivot_scale(&vals);
+            let base = if rng.below(2) == 0 {
+                scale
+            } else {
+                pivot_scale_bound(&vals)
+            };
+            vals[piv] = T::polar(base * PIVOT_REL_TOL * rng.ulps(), rng.phase());
+        }
+        vals
+    }
+
+    /// One referee draw: hostile values refactored on a frozen
+    /// factorization of `pattern`, with and without the filter.
+    fn referee_case<T: Probe>(
+        rng: &mut Lcg,
+        pattern: &SparsePattern,
+    ) -> Result<Result<(), LinalgError>, String> {
+        let (sym, lu) = frozen::<T>(pattern);
+        let vals = hostile_values(rng, pattern);
+        refactor_both(&sym, &lu, &vals)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn filtered_pivot_checks_match_exact_checks(seed in 0u64..u64::MAX) {
+            let mut rng = Lcg(seed);
+            for pattern in referee_patterns() {
+                for res in [
+                    referee_case::<f64>(&mut rng, &pattern),
+                    referee_case::<Complex64>(&mut rng, &pattern),
+                ] {
+                    proptest::prop_assert!(res.is_ok(), "{}", res.unwrap_err());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn filter_referee_reaches_both_outcomes_at_each_threshold() {
+        // Sweep a spoke of a clean arrow matrix across the ratio and
+        // singular thresholds: the filter must agree with the exact checks
+        // on every step and both outcomes must occur.
+        fn sweep<T: Probe>() {
+            let pattern = SparsePattern::from_entries(4, &arrow(4)).unwrap();
+            let (sym, lu) = frozen::<T>(&pattern);
+            let (piv, low) = (
+                pattern.index_of(2, 2).unwrap(),
+                pattern.index_of(0, 2).unwrap(),
+            );
+            let mut outcomes = [[false; 2]; 2];
+            for k in -6..=6 {
+                let ulps = 1.0 + k as f64 * f64::EPSILON;
+                for phi in [0.0, 0.3, std::f64::consts::FRAC_PI_4, 2.5] {
+                    let mut vals = vec![T::parts(1.0, 0.0); pattern.nnz()];
+                    for i in 0..4 {
+                        vals[pattern.index_of(i, i).unwrap()] = T::parts(8.0, 0.0);
+                    }
+                    vals[piv] = T::polar(1.0, phi);
+                    vals[low] = T::polar(1e8 * ulps, 1.0 - phi);
+                    let ratio = refactor_both(&sym, &lu, &vals).unwrap();
+                    outcomes[0][usize::from(ratio.is_ok())] = true;
+
+                    vals[low] = T::ZERO;
+                    vals[piv] = T::polar(8.0 * PIVOT_REL_TOL * ulps, phi);
+                    let singular = refactor_both(&sym, &lu, &vals).unwrap();
+                    outcomes[1][usize::from(singular.is_ok())] = true;
+                }
+            }
+            assert_eq!(outcomes, [[true; 2]; 2]);
+        }
+        sweep::<f64>();
+        sweep::<Complex64>();
     }
 }

@@ -62,18 +62,6 @@ impl DVec {
         }
     }
 
-    /// A standard-basis vector `e_k` of length `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k >= n`.
-    pub fn basis(n: usize, k: usize) -> Self {
-        assert!(k < n, "basis index {k} out of range for length {n}");
-        let mut v = DVec::zeros(n);
-        v[k] = 1.0;
-        v
-    }
-
     /// Number of components.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -127,22 +115,6 @@ impl DVec {
     /// Maximum absolute component (∞-norm); `0.0` for the empty vector.
     pub fn norm_inf(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
-    }
-
-    /// Index of the component with the largest absolute value.
-    ///
-    /// Returns `None` for an empty vector.
-    pub fn argmax_abs(&self) -> Option<usize> {
-        if self.is_empty() {
-            return None;
-        }
-        let mut best = 0;
-        for i in 1..self.len() {
-            if self.data[i].abs() > self.data[best].abs() {
-                best = i;
-            }
-        }
-        Some(best)
     }
 
     /// Componentwise product (Hadamard product).
@@ -338,29 +310,11 @@ mod tests {
     }
 
     #[test]
-    fn basis_vector() {
-        let e1 = DVec::basis(3, 1);
-        assert_eq!(e1.as_slice(), &[0.0, 1.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn basis_out_of_range_panics() {
-        let _ = DVec::basis(2, 2);
-    }
-
-    #[test]
     fn dot_and_norms() {
         let a = DVec::from_slice(&[3.0, -4.0]);
         assert_eq!(a.dot(&a), 25.0);
         assert_eq!(a.norm2(), 5.0);
         assert_eq!(a.norm_inf(), 4.0);
-        assert_eq!(a.argmax_abs(), Some(1));
-    }
-
-    #[test]
-    fn argmax_abs_empty_is_none() {
-        assert_eq!(DVec::zeros(0).argmax_abs(), None);
     }
 
     #[test]

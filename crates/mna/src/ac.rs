@@ -167,6 +167,16 @@ fn stamp_gcb(circuit: &Circuit, x: &DVec) -> (DMat, DMat, DVec) {
     (g, c, b)
 }
 
+/// Rejects a negative or non-finite analysis frequency.
+fn check_freq(freq: f64) -> Result<(), MnaError> {
+    if !freq.is_finite() || freq < 0.0 {
+        return Err(MnaError::InvalidRequest {
+            reason: "frequency must be finite and >= 0",
+        });
+    }
+    Ok(())
+}
+
 impl AcSolver {
     /// Builds the AC system for `circuit` linearized at `op`.
     ///
@@ -276,17 +286,8 @@ impl AcSolver {
     /// As [`AcSolver::solve`], plus [`MnaError::InvalidRequest`] when `b`
     /// has the wrong length.
     pub fn solve_driven(&self, freq: f64, b: &DVec) -> Result<AcSolution, MnaError> {
-        if !freq.is_finite() || freq < 0.0 {
-            return Err(MnaError::InvalidRequest {
-                reason: "frequency must be finite and >= 0",
-            });
-        }
-        let n = self.g.nrows();
-        if b.len() != n {
-            return Err(MnaError::InvalidRequest {
-                reason: "stimulus vector length does not match system size",
-            });
-        }
+        check_freq(freq)?;
+        self.check_stimulus(b)?;
         let mut sys = self.factor_at(freq)?;
         let x = CVec::from_slice(sys.solve(|i| Complex64::from_real(b[i]))?);
         Ok(AcSolution {
@@ -307,11 +308,7 @@ impl AcSolver {
     ///
     /// As [`AcSolver::solve_driven`].
     pub fn solve_adjoint(&self, freq: f64, rhs: &CVec) -> Result<CVec, MnaError> {
-        if !freq.is_finite() || freq < 0.0 {
-            return Err(MnaError::InvalidRequest {
-                reason: "frequency must be finite and >= 0",
-            });
-        }
+        check_freq(freq)?;
         let n = self.g.nrows();
         if rhs.len() != n {
             return Err(MnaError::InvalidRequest {
@@ -322,11 +319,27 @@ impl AcSolver {
         Ok(CVec::from_slice(sys.solve_transposed(|i| rhs[i])?))
     }
 
-    /// Fills `G + jωC` at `freq` \[Hz\] into the workspace and factors it;
-    /// the returned guard holds the factors for the caller's solve.
+    /// Rejects a stimulus vector whose length is not the system size.
+    fn check_stimulus(&self, b: &DVec) -> Result<(), MnaError> {
+        if b.len() != self.g.nrows() {
+            return Err(MnaError::InvalidRequest {
+                reason: "stimulus vector length does not match system size",
+            });
+        }
+        Ok(())
+    }
+
+    /// Locks the workspace, then fills and factors `G + jωC` at `freq`
+    /// \[Hz\]; the returned guard holds the factors for the caller's solve.
     fn factor_at(&self, freq: f64) -> Result<MutexGuard<'_, SystemSolver<Complex64>>, MnaError> {
-        let omega = 2.0 * std::f64::consts::PI * freq;
         let mut sys = self.sys.lock().expect("ac workspace poisoned");
+        self.fill_factor(&mut sys, freq)?;
+        Ok(sys)
+    }
+
+    /// Fills `G + jωC` at `freq` \[Hz\] into a held workspace and factors it.
+    fn fill_factor(&self, sys: &mut SystemSolver<Complex64>, freq: f64) -> Result<(), MnaError> {
+        let omega = 2.0 * std::f64::consts::PI * freq;
         for (z, (&g, &c)) in sys
             .values_mut()
             .iter_mut()
@@ -334,8 +347,7 @@ impl AcSolver {
         {
             *z = Complex64::new(g, omega * c);
         }
-        sys.factor("ac")?;
-        Ok(sys)
+        sys.factor("ac")
     }
 
     /// Evaluates the first-order transfer-function perturbation
@@ -428,6 +440,10 @@ impl AcSolver {
     /// (see [`AcSolver::drive`]), sharing this solver's factorization
     /// state across drives.
     ///
+    /// The search holds the workspace lock throughout, and each probe reads
+    /// `|V(node)|` straight from the solve buffer: no allocation per probe,
+    /// and the same bits as [`AcSolver::solve_driven`] at each frequency.
+    ///
     /// # Errors
     ///
     /// Propagates solver errors.
@@ -444,10 +460,19 @@ impl AcSolver {
                 reason: "need 0 < f_lo < f_hi",
             });
         }
-        let mag = |s: &AcSolution| s.voltage(node).abs();
-        let mut prev_f = f_lo;
-        let mut prev_m = mag(&self.solve_driven(f_lo, b)?);
-        if prev_m < target {
+        self.check_stimulus(b)?;
+        let mut sys = self.sys.lock().expect("ac workspace poisoned");
+        let mut mag = |freq: f64| -> Result<f64, MnaError> {
+            check_freq(freq)?;
+            self.fill_factor(&mut sys, freq)?;
+            let x = sys.solve(|i| Complex64::from_real(b[i]))?;
+            Ok(if node.is_ground() {
+                0.0
+            } else {
+                x[node.index() - 1].abs()
+            })
+        };
+        if mag(f_lo)? < target {
             return Ok(None); // already below target at the low end
         }
         // Scan upward in fractional decades until the magnitude drops below
@@ -455,18 +480,17 @@ impl AcSolver {
         let steps_per_decade = 4.0;
         let ratio = 10f64.powf(1.0 / steps_per_decade);
         let mut f = f_lo * ratio;
+        let mut prev_f = f_lo;
         let mut bracket = None;
         while f <= f_hi * (1.0 + 1e-12) {
-            let m = mag(&self.solve_driven(f, b)?);
+            let m = mag(f)?;
             if m < target {
                 bracket = Some((prev_f, f));
                 break;
             }
             prev_f = f;
-            prev_m = m;
             f *= ratio;
         }
-        let _ = prev_m;
         let (mut lo, mut hi) = match bracket {
             Some(b) => b,
             None => return Ok(None),
@@ -474,7 +498,7 @@ impl AcSolver {
         // Bisection on log-frequency.
         for _ in 0..80 {
             let mid = (lo * hi).sqrt();
-            let m = mag(&self.solve_driven(mid, b)?);
+            let m = mag(mid)?;
             if m >= target {
                 lo = mid;
             } else {

@@ -365,6 +365,57 @@ mod tests {
     }
 
     #[test]
+    fn sine_driven_rc_converges_at_the_integrator_order() {
+        // τ·v' + v = sin(ωt) from rest has the closed form
+        // v(t) = (sin ωt − ωτ·cos ωt + ωτ·e^(−t/τ)) / (1 + (ωτ)²).
+        let (r, c, freq) = (1e3, 1e-9, 1e5);
+        let (tau, omega) = (r * c, 2.0 * std::f64::consts::PI * freq);
+        let wt = omega * tau;
+        let exact = |t: f64| {
+            ((omega * t).sin() - wt * (omega * t).cos() + wt * (-t / tau).exp()) / (1.0 + wt * wt)
+        };
+        let mut ckt = Circuit::new();
+        let vin = ckt.node("in");
+        let vout = ckt.node("out");
+        ckt.voltage_source("VIN", vin, Circuit::GROUND, 0.0)
+            .unwrap();
+        let sine = Waveform::Sine {
+            offset: 0.0,
+            ampl: 1.0,
+            freq,
+            delay: 0.0,
+        };
+        ckt.set_stimulus("VIN", sine).unwrap();
+        ckt.resistor("R1", vin, vout, r).unwrap();
+        ckt.capacitor("C1", vout, Circuit::GROUND, c).unwrap();
+
+        // Error at t = 3τ while halving dt three times from τ/10.
+        let t_at = 3.0 * tau;
+        for (integrator, band) in [
+            (Integrator::BackwardEuler, 1.7..=2.3),
+            (Integrator::Trapezoidal, 3.4..=4.6),
+        ] {
+            let errors: Vec<f64> = (0..4)
+                .map(|halvings| {
+                    let dt = tau / 10.0 / f64::from(1 << halvings);
+                    let mut opts = TransientOptions::new(dt, t_at * 1.5);
+                    opts.integrator = integrator;
+                    let tr = Transient::new(&ckt, opts).run().unwrap();
+                    let k = (t_at / dt).round() as usize;
+                    (tr.voltage(vout)[k] - exact(tr.times()[k])).abs()
+                })
+                .collect();
+            for pair in errors.windows(2) {
+                let ratio = pair[0] / pair[1];
+                assert!(
+                    band.contains(&ratio),
+                    "{integrator:?}: error ratio {ratio} (errors {errors:?})"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn sine_amplitude_preserved_well_below_pole() {
         let mut ckt = Circuit::new();
         let vin = ckt.node("in");

@@ -4,10 +4,10 @@
 
 use std::sync::Barrier;
 
-use specwise_linalg::{CVec, Complex64};
+use specwise_linalg::{CVec, Complex64, DVec};
 use specwise_mna::{
-    AcSolver, Circuit, DcOp, DcSensitivity, MosfetModel, MosfetParams, SolverChoice, Transient,
-    TransientOptions, Waveform,
+    AcSolver, Circuit, DcOp, DcSensitivity, MnaError, MosfetModel, MosfetParams, NodeId,
+    SolverChoice, Transient, TransientOptions, Waveform,
 };
 
 /// A clone of `ckt` that solves on the given backend.
@@ -203,6 +203,95 @@ fn backend_bits_match_golden() {
             .map(|&(vdd, w)| fnv1a(dc_ac_bits(&on(&ota(vdd, w), choice), vdd)))
             .collect();
         assert_eq!(got, golden, "{choice:?}: {got:#018x?}");
+    }
+}
+
+/// The unity-gain search of [`AcSolver::find_crossing_driven`] written as
+/// a plain loop over [`AcSolver::solve_driven`]: quarter-decade scan, then
+/// log-frequency bisection.
+fn crossing_by_solves(
+    ac: &AcSolver,
+    node: NodeId,
+    target: f64,
+    (f_lo, f_hi): (f64, f64),
+    b: &DVec,
+) -> Result<Option<f64>, MnaError> {
+    let mag = |f: f64| -> Result<f64, MnaError> { Ok(ac.solve_driven(f, b)?.voltage(node).abs()) };
+    if mag(f_lo)? < target {
+        return Ok(None);
+    }
+    let ratio = 10f64.powf(1.0 / 4.0);
+    let (mut lo, mut f) = (f_lo, f_lo * ratio);
+    let mut hi = loop {
+        if f > f_hi * (1.0 + 1e-12) {
+            return Ok(None);
+        }
+        if mag(f)? < target {
+            break f;
+        }
+        lo = f;
+        f *= ratio;
+    };
+    for _ in 0..80 {
+        let mid = (lo * hi).sqrt();
+        if mag(mid)? >= target {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+        if hi / lo < 1.0 + 1e-12 {
+            break;
+        }
+    }
+    Ok(Some((lo * hi).sqrt()))
+}
+
+#[test]
+fn crossing_matches_a_loop_over_solve_driven() {
+    for choice in [SolverChoice::Dense, SolverChoice::Sparse] {
+        for (vdd, w) in PINNED_POINTS {
+            let ckt = on(&ota(vdd, w), choice);
+            let out = ckt.find_node("out").unwrap();
+            let op = DcOp::new(&ckt).solve().unwrap();
+            let ac = AcSolver::new(&ckt, &op);
+            let drives = [
+                ac.drive(&[("VINP", 1.0)]).unwrap(),
+                ac.drive(&[("VINP", 0.5), ("VINN", -0.5)]).unwrap(),
+                ac.drive(&[("VDD", 1.0)]).unwrap(),
+            ];
+            for b in &drives {
+                // Crossings, a target never reached, and a search that
+                // scans past every finite frequency and errors.
+                for (target, bounds) in [
+                    (1.0, (1.0, 20e9)),
+                    (0.1, (10.0, 1e12)),
+                    (1e9, (1.0, 20e9)),
+                    (0.0, (1.0, f64::INFINITY)),
+                ] {
+                    let got = ac.find_crossing_driven(out, target, bounds.0, bounds.1, b);
+                    let want = crossing_by_solves(&ac, out, target, bounds, b);
+                    let bits = |r: &Result<Option<f64>, MnaError>| match r {
+                        Ok(f) => Ok(f.map(f64::to_bits)),
+                        Err(e) => Err(e.clone()),
+                    };
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{choice:?} vdd={vdd} target={target}"
+                    );
+                    assert_eq!(got.is_err(), target == 0.0);
+                }
+            }
+            let short = DVec::zeros(ckt.num_unknowns() - 1);
+            assert!(matches!(
+                ac.find_crossing_driven(out, 1.0, 1.0, 20e9, &short),
+                Err(MnaError::InvalidRequest { .. })
+            ));
+            assert!(matches!(
+                ac.find_crossing_driven(out, 1.0, 0.0, 20e9, &drives[0]),
+                Err(MnaError::InvalidRequest { .. })
+            ));
+        }
     }
 }
 
