@@ -175,26 +175,27 @@ pub struct OpampMetrics {
     pub psrr_db: f64,
 }
 
-/// A fully built opamp netlist plus the handles the harness needs.
+/// A fully built opamp netlist plus the handles the harness needs; the
+/// names are borrowed from the testbench.
 #[derive(Debug)]
-pub(crate) struct BuiltOpamp {
+pub(crate) struct BuiltOpamp<'a> {
     /// The netlist (temperature already set from θ).
     pub circuit: Circuit,
     /// Name of the non-inverting input voltage source.
-    pub vinp_src: String,
+    pub vinp_src: &'a str,
     /// Name of the inverting input voltage source (absent in feedback
     /// configuration, where the gate is wired to the output node).
-    pub vinn_src: Option<String>,
+    pub vinn_src: Option<&'a str>,
     /// Output node.
     pub out: NodeId,
     /// Name of the supply voltage source.
-    pub vdd_src: String,
+    pub vdd_src: &'a str,
     /// Input common-mode voltage \[V\].
     pub vcm: f64,
     /// Capacitance that limits slewing \[F\].
     pub slew_cap: f64,
     /// Name of the tail-current device (its |I_D| limits slewing).
-    pub tail_device: String,
+    pub tail_device: &'a str,
 }
 
 /// Value returned when the gain never reaches unity (degenerate design):
@@ -243,7 +244,7 @@ struct AcStage {
 /// increments (dm gain, crossing search, cm, ps) and every metric formula
 /// match the historical per-stimulus-solver flow exactly.
 fn ac_stage(
-    ol: &BuiltOpamp,
+    ol: &BuiltOpamp<'_>,
     vinn: &str,
     op_ol: &DcSolution,
     counter: &SimCounter,
@@ -252,7 +253,7 @@ fn ac_stage(
 
     // Differential drive: +1/2 on vinp, −1/2 on vinn.
     let b_dm = ac
-        .drive(&[(&ol.vinp_src, 0.5), (vinn, -0.5)])
+        .drive(&[(ol.vinp_src, 0.5), (vinn, -0.5)])
         .map_err(CktError::from)?;
     let sol_dm0 = ac.solve_driven(0.0, &b_dm).map_err(CktError::from)?;
     let h0 = sol_dm0.voltage(ol.out);
@@ -285,7 +286,7 @@ fn ac_stage(
 
     // Common-mode drive: +1 on both inputs.
     let b_cm = ac
-        .drive(&[(&ol.vinp_src, 1.0), (vinn, 1.0)])
+        .drive(&[(ol.vinp_src, 1.0), (vinn, 1.0)])
         .map_err(CktError::from)?;
     let sol_cm0 = ac.solve_driven(0.0, &b_cm).map_err(CktError::from)?;
     let h_cm0 = sol_cm0.voltage(ol.out);
@@ -298,7 +299,7 @@ fn ac_stage(
     };
 
     // Supply drive: +1 on VDD, inputs quiet — PSRR = Adm/Apsr.
-    let b_ps = ac.drive(&[(&ol.vdd_src, 1.0)]).map_err(CktError::from)?;
+    let b_ps = ac.drive(&[(ol.vdd_src, 1.0)]).map_err(CktError::from)?;
     let sol_ps0 = ac.solve_driven(0.0, &b_ps).map_err(CktError::from)?;
     let h_ps0 = sol_ps0.voltage(ol.out);
     counter.add(1);
@@ -330,7 +331,7 @@ fn ac_stage(
 
 /// Extracts the slew rate from the feedback configuration.
 fn slew_rate(
-    fb: &BuiltOpamp,
+    fb: &BuiltOpamp<'_>,
     op_fb: &DcSolution,
     sr_method: SlewRateMethod,
     counter: &SimCounter,
@@ -338,7 +339,7 @@ fn slew_rate(
     match sr_method {
         SlewRateMethod::Analytic => {
             let tail = op_fb
-                .mosfet_op(&fb.tail_device)
+                .mosfet_op(fb.tail_device)
                 .ok_or(CktError::Extraction {
                     performance: "slew rate",
                     reason: "tail device not found",
@@ -349,7 +350,7 @@ fn slew_rate(
             let mut tr_ckt = fb.circuit.clone();
             tr_ckt
                 .set_stimulus(
-                    &fb.vinp_src,
+                    fb.vinp_src,
                     Stimulus::Step {
                         v0: fb.vcm,
                         v1: fb.vcm + step,
@@ -370,18 +371,18 @@ fn slew_rate(
 /// Everything the base measurement pass computed, shared between the scalar
 /// metric extraction ([`measure`]) and the adjoint direction pass
 /// ([`measure_with_directions`]).
-struct MeasureState {
-    fb: BuiltOpamp,
+struct MeasureState<'a> {
+    fb: BuiltOpamp<'a>,
     op_fb: DcSolution,
     slew_v_per_s: f64,
     power_w: f64,
     slew_is_transient: bool,
-    ol: BuiltOpamp,
+    ol: BuiltOpamp<'a>,
     op_ol: DcSolution,
     acs: AcStage,
 }
 
-impl MeasureState {
+impl MeasureState<'_> {
     fn metrics(&self) -> OpampMetrics {
         OpampMetrics {
             a0_db: self.acs.a0_db,
@@ -406,12 +407,12 @@ impl MeasureState {
 
 /// The base measurement flow, keeping every intermediate the adjoint
 /// direction pass needs.
-fn measure_full(
-    tb: &Testbench,
+fn measure_full<'a>(
+    tb: &'a Testbench,
     d: &DVec,
     s_hat: &DVec,
     theta: &OperatingPoint,
-) -> Result<MeasureState, CktError> {
+) -> Result<MeasureState<'a>, CktError> {
     let (identity, counter, warm) = (tb.identity, &tb.counter, &tb.warm);
     // 1. Feedback configuration: operating point, power, slew.
     let fb = tb.build(d, s_hat, theta, true, 0.0)?;
@@ -423,13 +424,13 @@ fn measure_full(
         .map_err(CktError::from)?;
     counter.add(1);
     let vout_fb = op_fb.voltage(fb.out);
-    let i_vdd = op_fb.branch_current(&fb.vdd_src).map_err(CktError::from)?;
+    let i_vdd = op_fb.branch_current(fb.vdd_src).map_err(CktError::from)?;
     let power_w = theta.vdd * i_vdd.abs();
     let slew_v_per_s = slew_rate(&fb, &op_fb, tb.sr_method, counter)?;
 
     // 2. Open-loop configuration biased by the feedback result.
     let ol = tb.build(d, s_hat, theta, false, vout_fb)?;
-    let vinn = ol.vinn_src.clone().ok_or(CktError::Extraction {
+    let vinn = ol.vinn_src.ok_or(CktError::Extraction {
         performance: "open-loop analysis",
         reason: "builder did not provide an inverting input source",
     })?;
@@ -441,7 +442,7 @@ fn measure_full(
         .map_err(CktError::from)?;
     counter.add(1);
 
-    let acs = ac_stage(&ol, &vinn, &op_ol, counter)?;
+    let acs = ac_stage(&ol, vinn, &op_ol, counter)?;
     Ok(MeasureState {
         fb,
         op_fb,
@@ -534,9 +535,7 @@ pub(crate) fn measure_with_directions(
             return Ok(None);
         };
         let vout_fbp = op_fbp.voltage(fbp.out);
-        let i_vddp = op_fbp
-            .branch_current(&fbp.vdd_src)
-            .map_err(CktError::from)?;
+        let i_vddp = op_fbp.branch_current(fbp.vdd_src).map_err(CktError::from)?;
         let power_wp = theta.vdd * i_vddp.abs();
         let slewp = slew_rate(&fbp, &op_fbp, SlewRateMethod::Analytic, counter)?;
 

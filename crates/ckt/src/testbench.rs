@@ -50,7 +50,7 @@
 use specwise_linalg::DVec;
 use specwise_mna::{
     parse_deck_ast, parse_deck_ast_limited, Circuit, DeckAst, DeckElementKind, DeckLimits,
-    DeckValue, MosPolarity, MosfetParams, NodeId, SolverChoice,
+    DeckValue, ElementId, MosPolarity, MosfetParams, NodeId, SolverChoice,
 };
 
 use crate::measure::{
@@ -228,67 +228,88 @@ fn design_unit_scale(unit: &str) -> Option<f64> {
     })
 }
 
-/// A compiled element: the deck element with values resolved to
-/// [`ValueExpr`]s.
-#[derive(Debug, Clone)]
-struct TElem {
-    name: String,
-    kind: TElemKind,
-}
-
-#[derive(Debug, Clone)]
-enum TElemKind {
-    Resistor {
-        a: String,
-        b: String,
-        value: ValueExpr,
-    },
-    Capacitor {
-        a: String,
-        b: String,
-        value: ValueExpr,
-    },
-    VoltageSource {
-        p: String,
-        n: String,
-        dc: ValueExpr,
-        ac: Option<f64>,
-    },
-    CurrentSource {
-        p: String,
-        n: String,
-        dc: ValueExpr,
-        ac: Option<f64>,
-    },
-    Vcvs {
-        p: String,
-        n: String,
-        cp: String,
-        cn: String,
-        gain: ValueExpr,
-    },
-    Vccs {
-        p: String,
-        n: String,
-        cp: String,
-        cn: String,
-        gm: ValueExpr,
-    },
+/// The value fields of one compiled element, written into its template
+/// slot at every evaluation.
+#[derive(Debug, Clone, Copy)]
+enum Binding {
+    /// The principal value: resistance, source DC value, gain or
+    /// transconductance.
+    Value(ValueExpr),
+    /// A capacitance, scaled by the global capacitance factor of ŝ.
+    Capacitance(ValueExpr),
+    /// MOSFET geometry; the model card and the mismatch deltas follow from
+    /// the polarity, the geometry and ŝ.
     Mosfet {
-        d: String,
-        g: String,
-        s: String,
-        b: String,
         polarity: MosPolarity,
         w: ValueExpr,
         l: ValueExpr,
     },
+    /// Diode saturation current and ideality factor.
     Diode {
-        a: String,
-        k: String,
         is_sat: ValueExpr,
         ideality: ValueExpr,
     },
+}
+
+/// One harness configuration, lowered once from the deck: the circuit with
+/// every `{param}` at a placeholder, and the binding of each of its
+/// elements in element order.
+#[derive(Debug)]
+struct Template {
+    circuit: Circuit,
+    out: NodeId,
+    bindings: Vec<(ElementId, Binding)>,
+    /// The open-loop inverting-input source, whose DC value is the feedback
+    /// output voltage instead of its deck value; `None` in feedback.
+    vinn: Option<ElementId>,
+}
+
+impl Template {
+    /// Lowers the deck's elements, less `omit`, after the `.nodes` list and
+    /// the `.tb out` node, with `alias` applied to terminals and every
+    /// `{param}` at 1.0 (each evaluation overwrites it). Literal values and
+    /// element names are checked here, once.
+    fn compile(
+        ast: &DeckAst,
+        omit: Option<&str>,
+        alias: Option<(&str, &str)>,
+        (out_line, out): (usize, &str),
+        bindings: &[Binding],
+    ) -> Result<Self, CktError> {
+        let mut nodes = ast.nodes.clone();
+        nodes.push(out.to_string());
+        let deck = DeckAst {
+            nodes,
+            elements: ast
+                .elements
+                .iter()
+                .filter(|e| Some(e.name.as_str()) != omit)
+                .cloned()
+                .collect(),
+            ..DeckAst::default()
+        };
+        let circuit = deck
+            .lower(alias, |_, v| match v {
+                DeckValue::Num(x) => Ok(*x),
+                DeckValue::Param(_) => Ok(1.0),
+            })
+            .map_err(|e| derr(e.line(), e.to_string()))?;
+        let bindings = ast
+            .elements
+            .iter()
+            .zip(bindings)
+            .filter_map(|(e, b)| circuit.find(&e.name).ok().map(|id| (id, *b)))
+            .collect();
+        let out = circuit
+            .find_node(out)
+            .map_err(|_| derr(out_line, format!(".tb out names unknown node {out:?}")))?;
+        Ok(Template {
+            circuit,
+            out,
+            bindings,
+            vinn: None,
+        })
+    }
 }
 
 /// Harness wiring resolved from the `.tb` directives.
@@ -298,17 +319,13 @@ struct BenchConfig {
     vinp: String,
     /// Inverting input source (element name).
     vinn: String,
-    /// Output node name.
-    out: String,
     /// Supply source (element name).
     vdd: String,
     /// Tail device (element name) whose |I_D| limits slewing.
     tail: String,
-    /// The capacitor (element name) that limits slewing.
-    slewcap: String,
-    /// Positive node of the `vinn` source — aliased to the output in the
-    /// feedback configuration.
-    inn_node: String,
+    /// Value of the capacitor that limits slewing, before the capacitance
+    /// factor.
+    slewcap: ValueExpr,
     /// DC expression of the `vinp` source (the input common mode).
     vcm_expr: ValueExpr,
 }
@@ -337,8 +354,8 @@ struct BenchConfig {
 pub struct Testbench {
     name: String,
     tech: Technology,
-    declared_nodes: Vec<String>,
-    elements: Vec<TElem>,
+    feedback: Template,
+    open_loop: Template,
     design: DesignSpace,
     design_map: DesignMap,
     stats: StatSpace,
@@ -530,7 +547,7 @@ impl Testbench {
         let stat_map = StatMap { groups };
         let stats = StatSpace::with_locals(&stat_map.devices());
 
-        // Element templates, with `{param}` resolution and design-map
+        // Element bindings, with `{param}` resolution and design-map
         // recording.
         let mut design_map = DesignMap {
             per_var: design
@@ -539,7 +556,7 @@ impl Testbench {
                 .map(|p| (p.name.clone(), Vec::new()))
                 .collect(),
         };
-        let mut elements = Vec::with_capacity(ast.elements.len());
+        let mut bindings = Vec::with_capacity(ast.elements.len());
         for e in &ast.elements {
             let mut resolve =
                 |v: &DeckValue, target: DesignTarget| -> Result<ValueExpr, CktError> {
@@ -568,68 +585,25 @@ impl Testbench {
                         }
                     }
                 };
-            let kind = match &e.kind {
-                DeckElementKind::Resistor { a, b, value } => TElemKind::Resistor {
-                    a: a.clone(),
-                    b: b.clone(),
-                    value: resolve(value, DesignTarget::Value)?,
-                },
-                DeckElementKind::Capacitor { a, b, value } => TElemKind::Capacitor {
-                    a: a.clone(),
-                    b: b.clone(),
-                    value: resolve(value, DesignTarget::Value)?,
-                },
-                DeckElementKind::VoltageSource { p, n, dc, ac } => TElemKind::VoltageSource {
-                    p: p.clone(),
-                    n: n.clone(),
-                    dc: resolve(dc, DesignTarget::Value)?,
-                    ac: *ac,
-                },
-                DeckElementKind::CurrentSource { p, n, dc, ac } => TElemKind::CurrentSource {
-                    p: p.clone(),
-                    n: n.clone(),
-                    dc: resolve(dc, DesignTarget::Value)?,
-                    ac: *ac,
-                },
-                DeckElementKind::Vcvs { p, n, cp, cn, gain } => TElemKind::Vcvs {
-                    p: p.clone(),
-                    n: n.clone(),
-                    cp: cp.clone(),
-                    cn: cn.clone(),
-                    gain: resolve(gain, DesignTarget::Value)?,
-                },
-                DeckElementKind::Vccs { p, n, cp, cn, gm } => TElemKind::Vccs {
-                    p: p.clone(),
-                    n: n.clone(),
-                    cp: cp.clone(),
-                    cn: cn.clone(),
-                    gm: resolve(gm, DesignTarget::Value)?,
-                },
-                DeckElementKind::Mosfet {
-                    d,
-                    g,
-                    s,
-                    b,
-                    polarity,
-                    w,
-                    l,
-                } => TElemKind::Mosfet {
-                    d: d.clone(),
-                    g: g.clone(),
-                    s: s.clone(),
-                    b: b.clone(),
+            bindings.push(match &e.kind {
+                DeckElementKind::Capacitor { value, .. } => {
+                    Binding::Capacitance(resolve(value, DesignTarget::Value)?)
+                }
+                DeckElementKind::Resistor { value, .. }
+                | DeckElementKind::VoltageSource { dc: value, .. }
+                | DeckElementKind::CurrentSource { dc: value, .. }
+                | DeckElementKind::Vcvs { gain: value, .. }
+                | DeckElementKind::Vccs { gm: value, .. } => {
+                    Binding::Value(resolve(value, DesignTarget::Value)?)
+                }
+                DeckElementKind::Mosfet { polarity, w, l, .. } => Binding::Mosfet {
                     polarity: *polarity,
                     w: resolve(w, DesignTarget::Width)?,
                     l: resolve(l, DesignTarget::Length)?,
                 },
                 DeckElementKind::Diode {
-                    a,
-                    k,
-                    is_sat,
-                    ideality,
-                } => TElemKind::Diode {
-                    a: a.clone(),
-                    k: k.clone(),
+                    is_sat, ideality, ..
+                } => Binding::Diode {
                     is_sat: resolve(is_sat, DesignTarget::Value)?,
                     ideality: resolve(ideality, DesignTarget::Value)?,
                 },
@@ -641,10 +615,6 @@ impl Testbench {
                         format!("element kind {other:?} is not supported by the testbench"),
                     ));
                 }
-            };
-            elements.push(TElem {
-                name: e.name.clone(),
-                kind,
             });
         }
 
@@ -683,48 +653,39 @@ impl Testbench {
         let (tail_line, tail) = require(tail, "tail")?;
         let (slewcap_line, slewcap) = require(slewcap, "slewcap")?;
 
-        let find = |name: &str| elements.iter().find(|el| el.name == name);
-        let vsource =
-            |line: usize, name: &str, key: &str| -> Result<(ValueExpr, String), CktError> {
-                match find(name) {
-                    Some(TElem {
-                        kind: TElemKind::VoltageSource { p, dc, .. },
-                        ..
-                    }) => Ok((*dc, p.clone())),
-                    _ => Err(derr(
-                        line,
-                        format!(".tb {key} must name a voltage source, got {name:?}"),
-                    )),
-                }
+        // The first element of each `.tb` name, with its binding.
+        let find = |name: &str| {
+            ast.elements
+                .iter()
+                .zip(&bindings)
+                .find(|(e, _)| e.name == name)
+        };
+        let wired =
+            |line: usize, key: &str, name: &str, what: &str, is: fn(&DeckElementKind) -> bool| {
+                find(name)
+                    .filter(|(e, _)| is(&e.kind))
+                    .ok_or_else(|| derr(line, format!(".tb {key} must name {what}, got {name:?}")))
             };
-        let (vcm_expr, _) = vsource(vinp_line, &vinp, "vinp")?;
-        let (_, inn_node) = vsource(vinn_line, &vinn, "vinn")?;
-        vsource(vdd_line, &vdd_src, "vdd")?;
-        if !matches!(
-            find(&tail),
-            Some(TElem {
-                kind: TElemKind::Mosfet { .. },
-                ..
-            })
-        ) {
-            return Err(derr(
-                tail_line,
-                format!(".tb tail must name a MOSFET, got {tail:?}"),
-            ));
-        }
-        if !matches!(
-            find(&slewcap),
-            Some(TElem {
-                kind: TElemKind::Capacitor { .. },
-                ..
-            })
-        ) {
-            return Err(derr(
-                slewcap_line,
-                format!(".tb slewcap must name a capacitor, got {slewcap:?}"),
-            ));
-        }
-        if ast.nodes.contains(&inn_node) {
+        let vsource = |k: &DeckElementKind| matches!(k, DeckElementKind::VoltageSource { .. });
+        let vcm_expr = match wired(vinp_line, "vinp", &vinp, "a voltage source", vsource)? {
+            (_, Binding::Value(dc)) => *dc,
+            _ => unreachable!("a voltage source binds its DC value"),
+        };
+        let inn_node = wired(vinn_line, "vinn", &vinn, "a voltage source", vsource)?
+            .0
+            .kind
+            .nodes()[0];
+        wired(vdd_line, "vdd", &vdd_src, "a voltage source", vsource)?;
+        wired(tail_line, "tail", &tail, "a MOSFET", |k| {
+            matches!(k, DeckElementKind::Mosfet { .. })
+        })?;
+        let slewcap = match wired(slewcap_line, "slewcap", &slewcap, "a capacitor", |k| {
+            matches!(k, DeckElementKind::Capacitor { .. })
+        })? {
+            (_, Binding::Capacitance(c)) => *c,
+            _ => unreachable!("a capacitor binds its capacitance"),
+        };
+        if ast.nodes.iter().any(|n| n == inn_node) {
             return Err(derr(
                 vinn_line,
                 format!(
@@ -739,9 +700,10 @@ impl Testbench {
             }
         }
         let node_exists = ast.nodes.contains(&out)
-            || elements
+            || ast
+                .elements
                 .iter()
-                .any(|el| el_nodes(&el.kind).iter().any(|n| **n == out));
+                .any(|e| e.kind.nodes().contains(&out.as_str()));
         if !node_exists {
             return Err(derr(
                 out_line,
@@ -749,14 +711,24 @@ impl Testbench {
             ));
         }
 
+        // One lowering per configuration. The feedback circuit drops the
+        // inverting-input source and wires its node to the output; it is
+        // lowered first, so a bad literal reports the element every
+        // evaluation would have failed on first.
+        let template =
+            |omit, alias| Template::compile(ast, omit, alias, (out_line, &out), &bindings);
+        let feedback = template(Some(&vinn), Some((inn_node, &out)))?;
+        let mut open_loop = template(None, None)?;
+        open_loop.vinn = open_loop.circuit.find(&vinn).ok();
+
         Ok(Testbench {
             name: ast
                 .title
                 .clone()
                 .unwrap_or_else(|| "deck testbench".to_string()),
             tech: Technology::c06(),
-            declared_nodes: ast.nodes.clone(),
-            elements,
+            feedback,
+            open_loop,
             design,
             design_map,
             stats,
@@ -767,11 +739,9 @@ impl Testbench {
             bench: BenchConfig {
                 vinp,
                 vinn,
-                out,
                 vdd: vdd_src,
                 tail,
                 slewcap,
-                inn_node,
                 vcm_expr,
             },
             sr_method: SlewRateMethod::Analytic,
@@ -799,12 +769,6 @@ impl Testbench {
     /// Turns the DC warm-start cache on or off (default on).
     pub fn with_warm_start(mut self, enabled: bool) -> Self {
         self.warm = WarmStartCache::new(enabled);
-        self
-    }
-
-    /// Replaces the technology card (default: [`Technology::c06`]).
-    pub fn with_technology(mut self, tech: Technology) -> Self {
-        self.tech = tech;
         self
     }
 
@@ -900,22 +864,10 @@ impl Testbench {
     }
 }
 
-fn el_nodes(kind: &TElemKind) -> Vec<&String> {
-    match kind {
-        TElemKind::Resistor { a, b, .. } | TElemKind::Capacitor { a, b, .. } => vec![a, b],
-        TElemKind::VoltageSource { p, n, .. } | TElemKind::CurrentSource { p, n, .. } => {
-            vec![p, n]
-        }
-        TElemKind::Vcvs { p, n, cp, cn, .. } | TElemKind::Vccs { p, n, cp, cn, .. } => {
-            vec![p, n, cp, cn]
-        }
-        TElemKind::Mosfet { d, g, s, b, .. } => vec![d, g, s, b],
-        TElemKind::Diode { a, k, .. } => vec![a, k],
-    }
-}
-
 impl Testbench {
-    /// Builds the netlist at `(d, ŝ, θ)`.
+    /// The netlist at `(d, ŝ, θ)`: a copy of the compiled template with
+    /// every value written in element order, so the first bad value is
+    /// reported the way the element's constructor reports it.
     ///
     /// With `feedback == true` the output node is wired to the inverting
     /// gate (unity buffer) and `vinn_dc` is ignored; otherwise the inverting
@@ -927,125 +879,46 @@ impl Testbench {
         theta: &OperatingPoint,
         feedback: bool,
         vinn_dc: f64,
-    ) -> Result<BuiltOpamp, CktError> {
-        let mut ckt = Circuit::new();
+    ) -> Result<BuiltOpamp<'_>, CktError> {
+        let t = if feedback {
+            &self.feedback
+        } else {
+            &self.open_loop
+        };
+        let mut ckt = t.circuit.clone();
         ckt.set_temperature(theta.temp_k());
         ckt.set_solver(self.solver);
-        // Pre-intern the declared nodes: this pins the MNA unknown ordering
-        // (and thereby the LU pivoting sequence) to the deck's `.nodes`
-        // line, independent of element order.
-        for n in &self.declared_nodes {
-            ckt.node(n);
-        }
-        let out = ckt.node(&self.bench.out);
         let cap_factor = self.stats.cap_factor(&self.tech, s_hat)?;
-
-        let mut slew_cap = 0.0;
-        for el in &self.elements {
-            // The feedback configuration drops the inverting-input source
-            // and wires its node to the output.
-            if feedback && el.name == self.bench.vinn {
-                continue;
-            }
-            let mut node = |name: &String| -> NodeId {
-                if name == "0" || name.eq_ignore_ascii_case("gnd") {
-                    Circuit::GROUND
-                } else if feedback && *name == self.bench.inn_node {
-                    out
-                } else {
-                    ckt.node(name)
-                }
-            };
-            match &el.kind {
-                TElemKind::Resistor { a, b, value } => {
-                    let (a, b) = (node(a), node(b));
-                    ckt.resistor(&el.name, a, b, value.eval(d, theta))?;
-                }
-                TElemKind::Capacitor { a, b, value } => {
-                    let (a, b) = (node(a), node(b));
-                    let c = value.eval(d, theta) * cap_factor;
-                    if el.name == self.bench.slewcap {
-                        slew_cap = c;
-                    }
-                    ckt.capacitor(&el.name, a, b, c)?;
-                }
-                TElemKind::VoltageSource { p, n, dc, ac } => {
-                    let (p, n) = (node(p), node(n));
-                    let v = if el.name == self.bench.vinn {
-                        vinn_dc
-                    } else {
-                        dc.eval(d, theta)
-                    };
-                    ckt.voltage_source(&el.name, p, n, v)?;
-                    if let Some(mag) = ac {
-                        ckt.set_ac(&el.name, *mag)?;
-                    }
-                }
-                TElemKind::CurrentSource { p, n, dc, ac } => {
-                    let (p, n) = (node(p), node(n));
-                    ckt.current_source(&el.name, p, n, dc.eval(d, theta))?;
-                    if let Some(mag) = ac {
-                        ckt.set_ac(&el.name, *mag)?;
-                    }
-                }
-                TElemKind::Vcvs { p, n, cp, cn, gain } => {
-                    let (p, n, cp, cn) = (node(p), node(n), node(cp), node(cn));
-                    ckt.vcvs(&el.name, p, n, cp, cn, gain.eval(d, theta))?;
-                }
-                TElemKind::Vccs { p, n, cp, cn, gm } => {
-                    let (p, n, cp, cn) = (node(p), node(n), node(cp), node(cn));
-                    ckt.vccs(&el.name, p, n, cp, cn, gm.eval(d, theta))?;
-                }
-                TElemKind::Mosfet {
-                    d: dn,
-                    g,
-                    s,
-                    b,
-                    polarity,
-                    w,
-                    l,
-                } => {
-                    let (dn, g, s, b) = (node(dn), node(g), node(s), node(b));
-                    let (wv, lv) = (w.eval(d, theta), l.eval(d, theta));
+        for &(id, binding) in &t.bindings {
+            match binding {
+                Binding::Value(_) if Some(id) == t.vinn => ckt.set_value(id, vinn_dc)?,
+                Binding::Value(v) => ckt.set_value(id, v.eval(d, theta))?,
+                Binding::Capacitance(c) => ckt.set_value(id, c.eval(d, theta) * cap_factor)?,
+                Binding::Mosfet { polarity, w, l } => {
+                    let (w, l) = (w.eval(d, theta), l.eval(d, theta));
+                    let name = t.circuit.element_name(id);
                     let (delta_vth, beta_factor) = self
                         .stats
-                        .device_deltas(&self.tech, &el.name, *polarity, wv, lv, s_hat)?;
-                    let mut p = MosfetParams::new(*self.tech.model(*polarity), wv, lv);
+                        .device_deltas(&self.tech, name, polarity, w, l, s_hat)?;
+                    let mut p = MosfetParams::new(*self.tech.model(polarity), w, l);
                     p.delta_vth = delta_vth;
                     p.beta_factor = beta_factor;
-                    ckt.mosfet(&el.name, dn, g, s, b, p)?;
+                    ckt.set_mosfet(id, p)?;
                 }
-                TElemKind::Diode {
-                    a,
-                    k,
-                    is_sat,
-                    ideality,
-                } => {
-                    let (a, k) = (node(a), node(k));
-                    ckt.diode(
-                        &el.name,
-                        a,
-                        k,
-                        is_sat.eval(d, theta),
-                        ideality.eval(d, theta),
-                    )?;
+                Binding::Diode { is_sat, ideality } => {
+                    ckt.set_diode(id, is_sat.eval(d, theta), ideality.eval(d, theta))?;
                 }
             }
         }
-
         Ok(BuiltOpamp {
             circuit: ckt,
-            vinp_src: self.bench.vinp.clone(),
-            vinn_src: if feedback {
-                None
-            } else {
-                Some(self.bench.vinn.clone())
-            },
-            out,
-            vdd_src: self.bench.vdd.clone(),
+            vinp_src: &self.bench.vinp,
+            vinn_src: (!feedback).then_some(self.bench.vinn.as_str()),
+            out: t.out,
+            vdd_src: &self.bench.vdd,
             vcm: self.bench.vcm_expr.eval(d, theta),
-            slew_cap,
-            tail_device: self.bench.tail.clone(),
+            slew_cap: self.bench.slewcap.eval(d, theta) * cap_factor,
+            tail_device: &self.bench.tail,
         })
     }
 }
@@ -1073,12 +946,10 @@ impl CircuitEnv for Testbench {
 
     fn constraint_names(&self) -> Vec<String> {
         let mut names = Vec::new();
-        for el in &self.elements {
-            if matches!(el.kind, TElemKind::Mosfet { .. }) {
-                names.push(format!("vsat_{}", el.name));
-                names.push(format!("vov_{}", el.name));
-                names.push(format!("vovmax_{}", el.name));
-            }
+        for m in self.open_loop.circuit.mosfet_names() {
+            names.push(format!("vsat_{m}"));
+            names.push(format!("vov_{m}"));
+            names.push(format!("vovmax_{m}"));
         }
         names
     }
@@ -1306,6 +1177,83 @@ CL out 0 2.0e-12
             Testbench::from_deck(&bad),
             Err(CktError::Deck { .. })
         ));
+    }
+
+    #[test]
+    fn literals_and_names_that_fail_every_evaluation_are_compile_errors() {
+        let expect = |deck: &str, want_line: usize, needle: &str| match Testbench::from_deck(deck)
+            .unwrap_err()
+        {
+            CktError::Deck { line, reason } => {
+                assert_eq!(line, want_line, "{reason}");
+                assert!(reason.contains(needle), "{reason}");
+            }
+            other => panic!("unexpected: {other:?}"),
+        };
+        // A negative literal capacitance (line 33).
+        expect(
+            &DECK.replace("CL out 0 2.0e-12", "CL out 0 -2.0e-12"),
+            33,
+            "capacitance must be non-negative",
+        );
+        // A zero literal MOSFET length (line 32).
+        expect(
+            &DECK.replace(
+                "mb1 vbn vbn 0 0 NMOS W=10e-6 L=2e-6",
+                "mb1 vbn vbn 0 0 NMOS W=10e-6 L=0",
+            ),
+            32,
+            "W and L must be positive",
+        );
+        // A duplicate element name, reported at its second use.
+        expect(&DECK.replace("mb1 vbn vbn", "m1 vbn vbn"), 32, "duplicate");
+        // A duplicate of the inverting-input source, which only the
+        // open-loop configuration contains.
+        expect(
+            &DECK.replace("CL out 0 2.0e-12", "VINN x9 0 1.0\nCL out 0 2.0e-12"),
+            33,
+            "duplicate",
+        );
+        // The feedback configuration is lowered first: with a bad literal
+        // after a duplicate inverting-input source, the literal is reported.
+        expect(
+            &DECK
+                .replace("IB1 vdd vbn {ib}", "VINN x9 0 1.0\nIB1 vdd vbn {ib}")
+                .replace("CL out 0 2.0e-12", "CL out 0 -1.0"),
+            34,
+            "capacitance",
+        );
+        // An output named after ground is not a node of the circuit.
+        expect(
+            &DECK.replace(".tb out out", ".tb out gnd"),
+            19,
+            "unknown node",
+        );
+    }
+
+    #[test]
+    fn bad_bound_values_fail_like_the_element_constructors() {
+        // `{ib}` drives a current source whose value the design box allows
+        // to be anything; bind it to a resistor with a non-positive range.
+        let deck = DECK
+            .replace(
+                ".design ib uA 1.0 100.0 5.0",
+                ".design ib uA 1.0 100.0 5.0\n.design rb Ohm -10.0 10.0 -1.0",
+            )
+            .replace("CL out 0 2.0e-12", "CL out 0 2.0e-12\nRB out 0 {rb}");
+        let tb = Testbench::from_deck(&deck).unwrap();
+        let d0 = tb.design_space().initial();
+        let s0 = DVec::zeros(tb.stat_dim());
+        let theta = tb.operating_range().nominal();
+        let want = Circuit::new()
+            .resistor("RB", Circuit::GROUND, Circuit::GROUND, -1.0)
+            .unwrap_err();
+        for err in [
+            tb.eval_performances(&d0, &s0, &theta).unwrap_err(),
+            tb.eval_constraints(&d0).unwrap_err(),
+        ] {
+            assert_eq!(err.to_string(), CktError::from(want.clone()).to_string());
+        }
     }
 
     #[test]
