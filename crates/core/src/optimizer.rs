@@ -15,7 +15,6 @@
 //!    yield) and repeat until the estimate stops improving.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use specwise_ckt::{CircuitEnv, ExecReport, SimPhase};
@@ -203,29 +202,13 @@ impl OptimizationTrace {
     }
 }
 
-/// Observer invoked with every checkpoint state the optimizer persists.
-type CheckpointHook = Arc<dyn Fn(&Checkpoint) + Send + Sync>;
-
 /// The yield optimizer (paper Fig. 6).
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct YieldOptimizer {
     config: OptimizerConfig,
     tracer: Tracer,
     checkpoint: Option<PathBuf>,
-    checkpoint_hook: Option<CheckpointHook>,
     checkpoint_owner: Option<String>,
-}
-
-impl std::fmt::Debug for YieldOptimizer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("YieldOptimizer")
-            .field("config", &self.config)
-            .field("tracer", &self.tracer)
-            .field("checkpoint", &self.checkpoint)
-            .field("checkpoint_hook", &self.checkpoint_hook.is_some())
-            .field("checkpoint_owner", &self.checkpoint_owner)
-            .finish()
-    }
 }
 
 impl YieldOptimizer {
@@ -235,7 +218,6 @@ impl YieldOptimizer {
             config,
             tracer: Tracer::disabled(),
             checkpoint: None,
-            checkpoint_hook: None,
             checkpoint_owner: None,
         }
     }
@@ -252,21 +234,6 @@ impl YieldOptimizer {
     #[must_use]
     pub fn with_checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint = Some(path.into());
-        self
-    }
-
-    /// Registers a job-granular checkpoint observer: `hook` is called with
-    /// every checkpoint state the run produces — after the initial analysis
-    /// and after each completed iteration — whether or not a checkpoint
-    /// *path* is configured. Services supervising many runs (e.g.
-    /// `specwise-serve`) use this to publish per-job progress without
-    /// re-reading checkpoint files.
-    #[must_use]
-    pub fn with_checkpoint_hook(
-        mut self,
-        hook: impl Fn(&Checkpoint) + Send + Sync + 'static,
-    ) -> Self {
-        self.checkpoint_hook = Some(Arc::new(hook));
         self
     }
 
@@ -302,19 +269,6 @@ impl YieldOptimizer {
     ///
     /// Propagates evaluation/analysis errors and feasible-start failure.
     pub fn run<E: CircuitEnv + ?Sized>(&self, env: &E) -> Result<OptimizationTrace, SpecwiseError> {
-        self.run_from(env, &env.design_space().initial())
-    }
-
-    /// Runs the optimization from a caller-supplied starting design.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation/analysis errors and feasible-start failure.
-    pub fn run_from<E: CircuitEnv + ?Sized>(
-        &self,
-        env: &E,
-        d0: &DVec,
-    ) -> Result<OptimizationTrace, SpecwiseError> {
         let cfg = &self.config;
         if cfg.mc_samples == 0 {
             return Err(SpecwiseError::InvalidConfig {
@@ -379,13 +333,14 @@ impl YieldOptimizer {
                 }
                 None => {
                     // Step 0 (Sec. 5.5): feasible starting point.
+                    let d0 = env.design_space().initial();
                     let d_f = {
                         let mut span = tr.span("feasible_start");
                         let sims_before = env.sim_count();
                         let d_f = if cfg.use_constraints {
-                            find_feasible_start(env, d0, &cfg.feasible_start)?
+                            find_feasible_start(env, &d0, &cfg.feasible_start)?
                         } else {
-                            env.design_space().project(d0)?
+                            env.design_space().project(&d0)?
                         };
                         span.add_count("sims", env.sim_count() - sims_before);
                         d_f
@@ -672,9 +627,7 @@ impl YieldOptimizer {
         phase_base: &[u64; SimPhase::COUNT],
         tr: &Tracer,
     ) {
-        if path.is_none() && self.checkpoint_hook.is_none() {
-            return;
-        }
+        let Some(path) = path else { return };
         let mut phase_sims = env.sim_phase_counts();
         for (total, base) in phase_sims.iter_mut().zip(phase_base) {
             *total += base;
@@ -690,10 +643,6 @@ impl YieldOptimizer {
             snapshots: snapshots.to_vec(),
             owner: self.checkpoint_owner.clone(),
         };
-        if let Some(hook) = &self.checkpoint_hook {
-            hook(&ck);
-        }
-        let Some(path) = path else { return };
         if let Err(e) = ck.save(path) {
             eprintln!("specwise: checkpoint write to {path:?} failed: {e}; continuing without");
             tr.warn(
@@ -1237,29 +1186,6 @@ mod tests {
         assert!(trace.resumed);
         assert!(reasons.is_empty(), "warnings: {reasons:?}");
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn checkpoint_hook_observes_every_state_even_without_a_path() {
-        let states: std::sync::Arc<std::sync::Mutex<Vec<(usize, usize)>>> =
-            std::sync::Arc::default();
-        let sink = std::sync::Arc::clone(&states);
-        let e = env();
-        let trace = YieldOptimizer::new(quick_config())
-            .with_checkpoint_hook(move |ck| {
-                sink.lock()
-                    .unwrap()
-                    .push((ck.iteration, ck.snapshots.len()));
-            })
-            .run(&e)
-            .unwrap();
-        let states = states.lock().unwrap();
-        // One state after the initial analysis, one per completed iteration.
-        assert_eq!(states.len(), trace.snapshots().len());
-        for (i, (iteration, snaps)) in states.iter().enumerate() {
-            assert_eq!(*iteration, i);
-            assert_eq!(*snaps, i + 1);
-        }
     }
 
     /// The optimizer test env with a failing corner of the sample space

@@ -34,7 +34,6 @@
 mod dist;
 mod erf;
 mod error;
-mod lhs;
 mod moments;
 mod mvn;
 mod sampler;
@@ -43,7 +42,6 @@ mod yield_est;
 pub use dist::{LogNormal, Normal, Uniform, UnivariateDistribution};
 pub use erf::{erf, erfc, std_normal_cdf, std_normal_pdf, std_normal_quantile};
 pub use error::StatError;
-pub use lhs::latin_hypercube_normal;
 pub use moments::RunningMoments;
 pub use mvn::Mvn;
 pub use sampler::StandardNormal;
