@@ -144,11 +144,6 @@ impl SimCounter {
             .min(SimPhase::COUNT - 1)]
     }
 
-    /// Count charged to one phase.
-    pub fn phase_count(&self, phase: SimPhase) -> u64 {
-        self.per_phase[phase.index()].load(Ordering::Relaxed)
-    }
-
     /// Counts for every phase, indexed by [`SimPhase::index`].
     pub fn phase_counts(&self) -> [u64; SimPhase::COUNT] {
         std::array::from_fn(|i| self.per_phase[i].load(Ordering::Relaxed))
@@ -558,11 +553,12 @@ mod tests {
         c.set_phase(SimPhase::Verification);
         c.add(5);
         assert_eq!(c.count(), 10);
-        assert_eq!(c.phase_count(SimPhase::Other), 2);
-        assert_eq!(c.phase_count(SimPhase::Wcd), 3);
-        assert_eq!(c.phase_count(SimPhase::Verification), 5);
-        assert_eq!(c.phase_count(SimPhase::Feasibility), 0);
-        let sum: u64 = c.phase_counts().iter().sum();
+        let counts = c.phase_counts();
+        assert_eq!(counts[SimPhase::Other.index()], 2);
+        assert_eq!(counts[SimPhase::Wcd.index()], 3);
+        assert_eq!(counts[SimPhase::Verification.index()], 5);
+        assert_eq!(counts[SimPhase::Feasibility.index()], 0);
+        let sum: u64 = counts.iter().sum();
         assert_eq!(sum, c.count(), "phase counts must partition the total");
         c.reset();
         assert_eq!(c.phase_counts(), [0; SimPhase::COUNT]);

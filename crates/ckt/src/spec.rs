@@ -82,15 +82,6 @@ impl Spec {
         }
     }
 
-    /// Margin gradient sign: margins are `±(f − f_b)`, so gradients of the
-    /// margin are the performance gradient multiplied by this factor.
-    pub fn margin_sign(&self) -> f64 {
-        match self.kind {
-            SpecKind::LowerBound => 1.0,
-            SpecKind::UpperBound => -1.0,
-        }
-    }
-
     /// `true` when the value satisfies the specification.
     pub fn satisfied(&self, value: f64) -> bool {
         self.margin(value) >= 0.0
@@ -117,7 +108,6 @@ mod tests {
         assert!((s.margin(37.7) + 2.3).abs() < 1e-12);
         assert!(!s.satisfied(37.7));
         assert!(s.satisfied(40.0));
-        assert_eq!(s.margin_sign(), 1.0);
     }
 
     #[test]
@@ -126,7 +116,6 @@ mod tests {
         assert!((s.margin(2.96) - 0.54).abs() < 1e-12);
         assert!(s.satisfied(3.5));
         assert!(!s.satisfied(4.0));
-        assert_eq!(s.margin_sign(), -1.0);
     }
 
     #[test]

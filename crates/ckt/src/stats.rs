@@ -231,19 +231,6 @@ impl StatSpace {
         }
         Ok(f.max(0.2))
     }
-
-    /// Indices of the local-Vth parameters, with their device names — the
-    /// candidate mismatch pairs of the Sec. 3 analysis.
-    pub fn local_vth_indices(&self) -> Vec<(usize, &str)> {
-        self.params
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| match &p.kind {
-                StatKind::LocalVth { device } => Some((i, device.as_str())),
-                _ => None,
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -360,17 +347,6 @@ mod tests {
             sp.device_deltas(&t, "m1", MosPolarity::Nmos, 1e-6, 1e-6, &DVec::zeros(2)),
             Err(CktError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn local_vth_index_listing() {
-        let devs = devices();
-        let sp = StatSpace::build(&devs, true);
-        let idx = sp.local_vth_indices();
-        assert_eq!(idx.len(), 3);
-        assert_eq!(idx[0].1, "m1");
-        let sp_glob = StatSpace::build(&devs, false);
-        assert!(sp_glob.local_vth_indices().is_empty());
     }
 
     #[test]

@@ -157,15 +157,6 @@ impl LinearConstraints {
     pub fn anchor(&self) -> &DVec {
         &self.d_f
     }
-
-    /// Width of the design box along coordinate `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    pub fn box_width(&self, k: usize) -> f64 {
-        self.upper[k] - self.lower[k]
-    }
 }
 
 /// Options of the feasible-start search.

@@ -168,12 +168,6 @@ impl MismatchAnalysis {
         entries.sort_by(|a, b| b.measure.partial_cmp(&a.measure).expect("finite measures"));
         entries
     }
-
-    /// `true` when a spec counts as mismatch-sensitive: some pair reaches
-    /// at least `threshold`.
-    pub fn is_mismatch_sensitive(&self, wc: &WorstCasePoint, threshold: f64) -> bool {
-        !self.rank(wc, threshold).is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -292,12 +286,5 @@ mod tests {
     fn zero_vector_scores_zero() {
         let a = MismatchAnalysis::new();
         assert_eq!(a.measure(&DVec::zeros(3), 0.0, 0, 1), 0.0);
-    }
-
-    #[test]
-    fn sensitivity_predicate() {
-        let a = MismatchAnalysis::new();
-        assert!(a.is_mismatch_sensitive(&wc(&[1.0, -1.0], 0.0), 0.3));
-        assert!(!a.is_mismatch_sensitive(&wc(&[1.0, 0.0], 0.0), 0.3));
     }
 }

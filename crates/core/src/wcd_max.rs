@@ -102,21 +102,6 @@ impl WcdMaximizer {
         })
     }
 
-    /// Overrides the coordinate-scan resolution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecwiseError::InvalidConfig`] for fewer than 2 points.
-    pub fn with_grid(mut self, grid_points: usize) -> Result<Self, SpecwiseError> {
-        if grid_points < 2 {
-            return Err(SpecwiseError::InvalidConfig {
-                reason: "grid_points must be >= 2",
-            });
-        }
-        self.grid_points = grid_points;
-        Ok(self)
-    }
-
     /// The minimum linearized worst-case distance at `d`.
     pub fn min_beta(&self, d: &DVec) -> f64 {
         self.models

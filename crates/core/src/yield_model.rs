@@ -134,64 +134,24 @@ impl LinearizedYield {
         n_samples: usize,
         seed: u64,
     ) -> Result<Self, SpecwiseError> {
-        validate(&models, n_specs, n_samples)?;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let normal = StandardNormal::new();
-        Ok(Self::from_samples(
-            models,
-            n_specs,
-            n_samples,
-            |_, sample| normal.fill(&mut rng, sample),
-        ))
-    }
-
-    /// Like [`LinearizedYield::new`] but with Latin-hypercube stratified
-    /// samples (variance reduction; see
-    /// [`specwise_stat::latin_hypercube_normal`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LinearizedYield::new`].
-    pub fn new_lhs(
-        models: Vec<SpecLinearization>,
-        n_specs: usize,
-        n_samples: usize,
-        seed: u64,
-    ) -> Result<Self, SpecwiseError> {
         let n_s = validate(&models, n_specs, n_samples)?;
         let mut rng = StdRng::seed_from_u64(seed);
-        let flat = specwise_stat::latin_hypercube_normal(&mut rng, n_samples, n_s);
-        Ok(Self::from_samples(
-            models,
-            n_specs,
-            n_samples,
-            |j, sample| sample.copy_from_slice(&flat[j * n_s..(j + 1) * n_s]),
-        ))
-    }
-
-    /// Precomputes the sample parts of every model over `n_samples`
-    /// samples; `fill(j, ŝ)` writes sample `j` into the reused buffer.
-    fn from_samples(
-        models: Vec<SpecLinearization>,
-        n_specs: usize,
-        n_samples: usize,
-        mut fill: impl FnMut(usize, &mut [f64]),
-    ) -> Self {
+        let normal = StandardNormal::new();
         let mut parts = vec![0.0; n_samples * models.len()];
-        let mut sample = DVec::zeros(models[0].s_wc.len());
-        for (j, row) in parts.chunks_exact_mut(models.len()).enumerate() {
-            fill(j, sample.as_mut_slice());
+        let mut sample = DVec::zeros(n_s);
+        for row in parts.chunks_exact_mut(models.len()) {
+            normal.fill(&mut rng, sample.as_mut_slice());
             for (part, m) in row.iter_mut().zip(&models) {
                 *part = m.sample_part(&sample);
             }
         }
-        LinearizedYield {
+        Ok(LinearizedYield {
             d_f: models[0].d_f.clone(),
             models,
             parts,
             n_samples,
             n_specs,
-        }
+        })
     }
 
     /// Number of Monte-Carlo samples.
@@ -525,42 +485,6 @@ mod tests {
         assert!(LinearizedYield::new(vec![m.clone()], 1, 0, 1).is_err());
         let ly = LinearizedYield::new(vec![m], 1, 100, 1).unwrap();
         assert!(ly.estimate(&DVec::zeros(3)).is_err());
-    }
-
-    #[test]
-    fn lhs_estimate_is_tighter_across_seeds() {
-        // margin = 1 + s0: yield Φ(1). Compare the spread of the estimate
-        // over seeds for iid vs Latin-hypercube sampling.
-        let m = lin(0, 0.0, &[1.0], &[0.0], &[-1.0]);
-        let spread = |lhs: bool| -> f64 {
-            let trials = 25;
-            let vals: Vec<f64> = (0..trials)
-                .map(|seed| {
-                    let ly = if lhs {
-                        LinearizedYield::new_lhs(vec![m.clone()], 1, 400, seed).unwrap()
-                    } else {
-                        LinearizedYield::new(vec![m.clone()], 1, 400, seed).unwrap()
-                    };
-                    ly.estimate(&DVec::from_slice(&[0.0])).unwrap().value()
-                })
-                .collect();
-            let mean = vals.iter().sum::<f64>() / trials as f64;
-            (vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / trials as f64).sqrt()
-        };
-        let sd_lhs = spread(true);
-        let sd_iid = spread(false);
-        assert!(
-            sd_lhs < 0.5 * sd_iid,
-            "LHS spread {sd_lhs} should clearly beat iid spread {sd_iid}"
-        );
-    }
-
-    #[test]
-    fn lhs_matches_analytic_probability() {
-        let m = lin(0, 0.0, &[1.0], &[0.0], &[-2.0]);
-        let ly = LinearizedYield::new_lhs(vec![m], 1, 20_000, 7).unwrap();
-        let y = ly.estimate(&DVec::from_slice(&[0.0])).unwrap();
-        assert!((y.value() - 0.97725).abs() < 0.003, "y = {}", y.value());
     }
 
     #[test]

@@ -35,7 +35,7 @@ use specwise_mna::DeckLimits;
 
 use generator::{generate_deck, GenConfig};
 use minimize::minimize;
-use mutate::{mutate_n, OPERATOR_NAMES};
+use mutate::mutate_n;
 use oracle::{check_all, check_compile, check_parser, Finding, FindingKind, OracleStats};
 
 /// Which oracle stage a campaign exercises.
@@ -292,11 +292,6 @@ pub fn summarize(report: &CampaignReport, mode: OracleMode) -> String {
         report.stats.adjoint_skipped,
         report.findings.len(),
     )
-}
-
-/// The operator name table, re-exported for reports.
-pub fn operator_names() -> &'static [&'static str] {
-    OPERATOR_NAMES
 }
 
 #[cfg(test)]

@@ -105,13 +105,6 @@ impl FaultConfig {
         self
     }
 
-    /// Sets the latency-spike sleep duration.
-    #[must_use]
-    pub fn with_latency(mut self, latency: Duration) -> Self {
-        self.latency = latency;
-        self
-    }
-
     /// Parses a `seed:rate:kinds` spec string: `seed` a `u64`, `rate` a
     /// probability in `[0, 1]`, `kinds` a comma-separated subset of
     /// `nonconv,nan,latency,panic` or `all`. The kinds field may be

@@ -134,15 +134,6 @@ impl Cholesky {
         }
         Ok(x)
     }
-
-    /// `ln det(A)`, numerically safe for small determinants.
-    pub fn ln_det(&self) -> f64 {
-        let mut d = 0.0;
-        for i in 0..self.dim() {
-            d += self.l[(i, i)].ln();
-        }
-        2.0 * d
-    }
 }
 
 #[cfg(test)]
@@ -195,13 +186,6 @@ mod tests {
         let y = c.transform(&x);
         let back = c.inverse_transform(&y).unwrap();
         assert!((&back - &x).norm_inf() < 1e-12);
-    }
-
-    #[test]
-    fn determinants() {
-        let a = DMat::from_diagonal(&DVec::from_slice(&[2.0, 8.0]));
-        let c = a.cholesky().unwrap();
-        assert!((c.ln_det() - 16.0_f64.ln()).abs() < 1e-12);
     }
 
     #[test]

@@ -81,16 +81,6 @@ impl Complex64 {
         }
     }
 
-    /// Multiplicative inverse `1/z`, using Smith's algorithm to avoid
-    /// overflow for extreme magnitudes.
-    ///
-    /// # Panics
-    ///
-    /// Does not panic; returns infinities for `z = 0` like `1.0 / 0.0` would.
-    pub fn recip(self) -> Complex64 {
-        Complex64::ONE / self
-    }
-
     /// `true` when both parts are finite.
     pub fn is_finite(self) -> bool {
         self.re.is_finite() && self.im.is_finite()
@@ -240,11 +230,5 @@ mod tests {
         let z = Complex64::from_polar(2.0, 0.7);
         assert!((z.abs() - 2.0).abs() < 1e-14);
         assert!((z.arg() - 0.7).abs() < 1e-14);
-    }
-
-    #[test]
-    fn recip_identity() {
-        let z = Complex64::new(0.3, -0.8);
-        assert!((z * z.recip() - Complex64::ONE).abs() < 1e-14);
     }
 }

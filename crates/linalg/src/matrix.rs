@@ -207,11 +207,6 @@ impl DMat {
         DMat::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
     }
 
-    /// Frobenius norm.
-    pub fn norm_frobenius(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute entry.
     pub fn norm_max(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
@@ -404,7 +399,6 @@ mod tests {
     #[test]
     fn norms() {
         let a = DMat::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]).unwrap();
-        assert_eq!(a.norm_frobenius(), 5.0);
         assert_eq!(a.norm_max(), 4.0);
     }
 }

@@ -82,11 +82,6 @@ impl DVec {
         &mut self.data
     }
 
-    /// Consumes the vector and returns the underlying storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Iterator over the components.
     pub fn iter(&self) -> std::slice::Iter<'_, f64> {
         self.data.iter()

@@ -50,16 +50,6 @@ impl AcSolution {
         self.freq
     }
 
-    /// Gain magnitude in dB of a node voltage (assuming unit stimulus).
-    pub fn gain_db(&self, n: NodeId) -> f64 {
-        20.0 * self.voltage(n).abs().log10()
-    }
-
-    /// Phase of a node voltage in degrees.
-    pub fn phase_deg(&self, n: NodeId) -> f64 {
-        self.voltage(n).arg().to_degrees()
-    }
-
     /// The raw complex unknown vector (node voltages then branch currents).
     ///
     /// Adjoint sensitivity analysis consumes this as the forward solution
@@ -405,15 +395,6 @@ impl AcSolver {
             acc += li * row;
         }
         acc
-    }
-
-    /// Solves a list of frequencies.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first per-point error.
-    pub fn solve_many(&self, freqs: &[f64]) -> Result<Vec<AcSolution>, MnaError> {
-        freqs.iter().map(|&f| self.solve(f)).collect()
     }
 
     /// Finds the frequency where the magnitude of the node voltage crosses

@@ -77,11 +77,6 @@ impl DcSensitivity {
         })
     }
 
-    /// The base operating-point unknowns the Jacobian was factored at.
-    pub fn base_unknowns(&self) -> &DVec {
-        &self.x
-    }
-
     /// Solves the operating point of a perturbed circuit of identical
     /// topology with one frozen-Jacobian Newton step (see module docs).
     /// The returned solution carries re-derived MOSFET operating records

@@ -16,7 +16,6 @@
 use std::io::{self, BufRead};
 
 use specwise_trace::json::{self, Json};
-use specwise_trace::TraceValue;
 
 use crate::job::JobRequest;
 
@@ -308,18 +307,6 @@ pub fn end_marker(job: &str, state: &str) -> String {
     json::write_json_string(&mut out, state);
     out.push('}');
     out
-}
-
-/// Extracts an event attribute as a string (used by tests and the CLI to
-/// inspect streamed records without pattern-matching `TraceValue`).
-pub fn attr_str<'a>(attrs: &'a [(String, TraceValue)], key: &str) -> Option<&'a str> {
-    attrs.iter().find(|(k, _)| k == key).and_then(|(_, v)| {
-        if let TraceValue::Str(s) = v {
-            Some(s.as_str())
-        } else {
-            None
-        }
-    })
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 
 use rand::Rng;
 
-use crate::{std_normal_cdf, std_normal_quantile, StandardNormal, StatError};
+use crate::{std_normal_cdf, std_normal_quantile, StatError};
 
 /// Common interface of the univariate distributions used for statistical
 /// circuit parameters.
@@ -115,12 +115,6 @@ impl Normal {
     /// Scale parameter σ.
     pub fn sigma(&self) -> f64 {
         self.sigma
-    }
-
-    /// Draws a sample using a provided Box–Muller sampler (avoids the
-    /// quantile evaluation of the generic path).
-    pub fn sample_with<R: Rng + ?Sized>(&self, normal: &StandardNormal, rng: &mut R) -> f64 {
-        self.mu + self.sigma * normal.sample(rng)
     }
 }
 
@@ -352,15 +346,5 @@ mod tests {
             "mean {mean} vs {}",
             d.mean()
         );
-    }
-
-    #[test]
-    fn normal_sample_with_box_muller() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let bm = StandardNormal::new();
-        let d = Normal::new(100.0, 5.0).unwrap();
-        let n = 50_000;
-        let mean: f64 = (0..n).map(|_| d.sample_with(&bm, &mut rng)).sum::<f64>() / n as f64;
-        assert!((mean - 100.0).abs() < 0.1);
     }
 }

@@ -17,7 +17,6 @@
 /// }
 /// assert_eq!(m.count(), 8);
 /// assert!((m.mean() - 5.0).abs() < 1e-12);
-/// assert!((m.population_variance() - 4.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunningMoments {
@@ -68,15 +67,6 @@ impl RunningMoments {
             0.0
         } else {
             self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Population variance (`n` denominator); `0.0` before any observation.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
         }
     }
 
@@ -160,7 +150,6 @@ mod tests {
         assert_eq!(m.count(), 0);
         assert_eq!(m.mean(), 0.0);
         assert_eq!(m.sample_variance(), 0.0);
-        assert_eq!(m.population_variance(), 0.0);
     }
 
     #[test]

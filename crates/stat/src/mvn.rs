@@ -109,53 +109,11 @@ impl Mvn {
         &self.chol.transform(s_hat) + &self.mean
     }
 
-    /// Maps a physical vector into the standardized space: `ŝ = G⁻¹(s − µ)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a dimension error if `s.len() != dim()`.
-    pub fn to_standard(&self, s: &DVec) -> Result<DVec, StatError> {
-        Ok(self.chol.inverse_transform(&(s - &self.mean))?)
-    }
-
-    /// Mahalanobis distance of `s` from the mean — in the standardized
-    /// space this is just the Euclidean norm, i.e. the worst-case distance
-    /// `β` of the paper.
-    ///
-    /// # Errors
-    ///
-    /// Returns a dimension error if `s.len() != dim()`.
-    pub fn mahalanobis(&self, s: &DVec) -> Result<f64, StatError> {
-        Ok(self.to_standard(s)?.norm2())
-    }
-
     /// Draws one sample.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> DVec {
         let normal = StandardNormal::new();
         let s_hat = DVec::from(normal.sample_vec(rng, self.dim()));
         self.from_standard(&s_hat)
-    }
-
-    /// Draws `n` samples as rows of a matrix.
-    pub fn sample_matrix<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> DMat {
-        let mut out = DMat::zeros(n, self.dim());
-        for i in 0..n {
-            out.set_row(i, &self.sample(rng));
-        }
-        out
-    }
-
-    /// Natural logarithm of the density at `s`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a dimension error if `s.len() != dim()`.
-    pub fn ln_pdf(&self, s: &DVec) -> Result<f64, StatError> {
-        let z = self.to_standard(s)?;
-        let n = self.dim() as f64;
-        Ok(-0.5 * z.dot(&z)
-            - 0.5 * n * (2.0 * std::f64::consts::PI).ln()
-            - 0.5 * self.chol.ln_det())
     }
 }
 
@@ -172,30 +130,15 @@ mod tests {
     }
 
     #[test]
-    fn standard_roundtrip() {
-        let mvn = example();
-        let s_hat = DVec::from_slice(&[0.5, -1.5, 2.0]);
-        let s = mvn.from_standard(&s_hat);
-        let back = mvn.to_standard(&s).unwrap();
-        assert!((&back - &s_hat).norm_inf() < 1e-12);
-    }
-
-    #[test]
-    fn mahalanobis_of_mean_is_zero() {
-        let mvn = example();
-        assert!(mvn.mahalanobis(mvn.mean()).unwrap() < 1e-14);
-    }
-
-    #[test]
     fn sample_covariance_matches() {
         let mvn = example();
         let mut rng = StdRng::seed_from_u64(17);
         let n = 40_000;
-        let samples = mvn.sample_matrix(&mut rng, n);
+        let samples: Vec<DVec> = (0..n).map(|_| mvn.sample(&mut rng)).collect();
         // Empirical mean.
         let mut mean = DVec::zeros(3);
-        for i in 0..n {
-            mean += &samples.row(i);
+        for s in &samples {
+            mean += s;
         }
         mean *= 1.0 / n as f64;
         for k in 0..3 {
@@ -207,8 +150,8 @@ mod tests {
         for a in 0..3 {
             for b in 0..3 {
                 let mut acc = 0.0;
-                for i in 0..n {
-                    acc += (samples[(i, a)] - mean[a]) * (samples[(i, b)] - mean[b]);
+                for s in &samples {
+                    acc += (s[a] - mean[a]) * (s[b] - mean[b]);
                 }
                 let emp = acc / (n - 1) as f64;
                 assert!(
@@ -247,16 +190,6 @@ mod tests {
         assert!((s[0] - 2.0).abs() < 1e-14);
         assert!((s[1] - 3.0).abs() < 1e-14);
         assert!(Mvn::from_sigmas(DVec::zeros(2), &DVec::from_slice(&[1.0, 0.0])).is_err());
-    }
-
-    #[test]
-    fn ln_pdf_peak_at_mean() {
-        let mvn = example();
-        let at_mean = mvn.ln_pdf(mvn.mean()).unwrap();
-        let off = mvn
-            .ln_pdf(&(mvn.mean() + &DVec::from_slice(&[1.0, 0.0, 0.0])))
-            .unwrap();
-        assert!(at_mean > off);
     }
 
     #[test]

@@ -78,13 +78,6 @@ impl SpecLinearization {
         self.grad_d.dot(&(d - &self.d_f))
     }
 
-    /// Incremental design shift when only coordinate `k` moves from
-    /// `d_f[k]` to `value` — the single-product update that makes the
-    /// coordinate search cheap (paper Sec. 5.3).
-    pub fn design_shift_coord(&self, k: usize, value: f64) -> f64 {
-        self.grad_d[k] * (value - self.d_f[k])
-    }
-
     /// Builds the mirrored twin at `−ŝ_wc` with negated statistical
     /// gradient (paper Eqs. 21–22). The design gradient and anchor margin
     /// are reused.
@@ -138,7 +131,6 @@ mod tests {
         assert!((lin.sample_part(&DVec::zeros(2)) + 1.0).abs() < 1e-14);
         // design shift at d = 3: 2·1 = 2.
         assert!((lin.design_shift(&DVec::from_slice(&[3.0])) - 2.0).abs() < 1e-14);
-        assert!((lin.design_shift_coord(0, 3.0) - 2.0).abs() < 1e-14);
     }
 
     #[test]

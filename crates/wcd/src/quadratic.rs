@@ -13,7 +13,7 @@
 use specwise_ckt::{CircuitEnv, EvalPoint, OperatingPoint};
 use specwise_linalg::DVec;
 
-use crate::{SpecLinearization, WcdError};
+use crate::WcdError;
 
 /// A margin model with linear design dependence and diagonal-quadratic
 /// statistical dependence:
@@ -125,21 +125,6 @@ impl QuadraticMarginModel {
     pub fn eval(&self, d: &DVec, s_hat: &DVec) -> f64 {
         self.sample_part(s_hat) + self.design_shift(d)
     }
-
-    /// Drops the quadratic term, yielding the corresponding (central
-    /// difference) linearization.
-    pub fn to_linear(&self) -> SpecLinearization {
-        SpecLinearization {
-            spec: self.spec,
-            mirrored: false,
-            theta_wc: self.theta_wc,
-            s_wc: self.s_anchor.clone(),
-            d_f: self.d_f.clone(),
-            margin_at_anchor: self.margin_at_anchor,
-            grad_s: self.grad_s.clone(),
-            grad_d: self.grad_d.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -198,18 +183,6 @@ mod tests {
                 q.eval(&d, &s)
             );
         }
-    }
-
-    #[test]
-    fn to_linear_drops_curvature() {
-        let e = env();
-        let theta = e.operating_range().nominal();
-        let d0 = DVec::from_slice(&[0.0]);
-        let q = QuadraticMarginModel::fit(&e, &d0, 0, &theta, &DVec::zeros(2), 0.05).unwrap();
-        let lin = q.to_linear();
-        // At the anchor both agree; away along s1 they diverge by s1².
-        let s = DVec::from_slice(&[0.0, 2.0]);
-        assert!((q.eval(&d0, &s) - (lin.eval(&d0, &s) - 4.0)).abs() < 1e-6);
     }
 
     #[test]

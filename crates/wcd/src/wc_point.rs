@@ -36,27 +36,6 @@ pub struct WorstCasePoint {
     pub converged: bool,
 }
 
-impl WorstCasePoint {
-    /// The component pair `(k, l)` of `ŝ_wc` with the largest magnitudes —
-    /// a convenience accessor for the mismatch analysis.
-    ///
-    /// Returns `None` when the statistical space has fewer than two
-    /// dimensions.
-    pub fn dominant_pair(&self) -> Option<(usize, usize)> {
-        if self.s_wc.len() < 2 {
-            return None;
-        }
-        let mut idx: Vec<usize> = (0..self.s_wc.len()).collect();
-        idx.sort_by(|&a, &b| {
-            self.s_wc[b]
-                .abs()
-                .partial_cmp(&self.s_wc[a].abs())
-                .expect("finite components")
-        });
-        Some((idx[0], idx[1]))
-    }
-}
-
 /// Worst-case distance solver for one specification.
 ///
 /// See the [crate-level example](crate) for typical usage through
