@@ -269,20 +269,15 @@ fn spawn_daemon(spool: &Path, slots: usize) -> (std::process::Child, String) {
     (child, addr)
 }
 
-fn wait_for_checkpoints(spool: &Path, jobs: &[String], timeout: Duration) {
+/// Polls every millisecond until `job` has written its first checkpoint.
+fn wait_for_checkpoint(spool: &Path, job: &str, timeout: Duration) {
     let start = Instant::now();
-    loop {
-        let all = jobs
-            .iter()
-            .all(|id| spool.join(format!("{id}.ckpt")).exists());
-        if all {
-            return;
-        }
+    while !spool.join(format!("{job}.ckpt")).exists() {
         assert!(
             start.elapsed() < timeout,
-            "checkpoints did not appear within {timeout:?}"
+            "{job}: no checkpoint within {timeout:?}"
         );
-        std::thread::sleep(Duration::from_millis(100));
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -295,9 +290,11 @@ fn wait_for_checkpoints(spool: &Path, jobs: &[String], timeout: Duration) {
 fn three_decks_concurrent_kill_restart_resume_bit_for_bit() {
     let spool = unique_spool("killrestart");
     std::fs::create_dir_all(&spool).unwrap();
+    // Slowest deck first: the folded cascode has the most work left after
+    // its first checkpoint, the OTA the least.
     let decks: [(&str, &str); 3] = [
-        ("miller", MillerOpamp::deck()),
         ("folded", FoldedCascode::deck()),
+        ("miller", MillerOpamp::deck()),
         ("ota", FiveTransistorOta::deck()),
     ];
     // Paper-scale sampling: enough work per job that the kill below lands
@@ -310,28 +307,26 @@ fn three_decks_concurrent_kill_restart_resume_bit_for_bit() {
 
     let (mut child, addr) = spawn_daemon(&spool, 3);
 
-    // Three concurrent submissions on three connections.
-    let jobs: Vec<String> = std::thread::scope(|scope| {
-        let handles: Vec<_> = decks
-            .iter()
-            .map(|(tenant, deck)| {
-                let addr = addr.clone();
-                let mut opts = opts.clone();
-                opts.tenant = (*tenant).to_owned();
-                scope.spawn(move || {
-                    Client::connect(addr.as_str())
-                        .expect("client connects")
-                        .submit(deck, &opts)
-                        .expect("submit accepted")
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-
-    // Kill the daemon once every job has checkpointed (all three run
-    // concurrently on three slots, so all are mid-flight).
-    wait_for_checkpoints(&spool, &jobs, Duration::from_secs(120));
+    // Staggered submissions on three connections: each job is submitted
+    // once the one before it has checkpointed, and the daemon is killed as
+    // soon as the last, fastest job checkpoints. The jobs then run
+    // concurrently on three slots, and each earlier job has more work left
+    // after its first checkpoint than the later ones need to reach theirs.
+    // Submitting all three at once let the OTA job settle before the
+    // folded cascode's first checkpoint.
+    let jobs: Vec<String> = decks
+        .iter()
+        .map(|(tenant, deck)| {
+            let mut opts = opts.clone();
+            opts.tenant = (*tenant).to_owned();
+            let job = Client::connect(addr.as_str())
+                .expect("client connects")
+                .submit(deck, &opts)
+                .expect("submit accepted");
+            wait_for_checkpoint(&spool, &job, Duration::from_secs(120));
+            job
+        })
+        .collect();
     child.kill().expect("daemon killed");
     let _ = child.wait();
     for job in &jobs {
