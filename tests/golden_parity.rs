@@ -10,6 +10,12 @@
 //! different unit-conversion operation, a changed Newton seed — changes a
 //! hash.
 //!
+//! The `GOLDEN_*_PERTURBED` constants pin the adjoint shortcut the same
+//! way: FNV-1a over the bits of `eval_margins_perturbed` (the base margins,
+//! then every direction's margins) at three seeded points with every ŝ and
+//! every d direction of a worst-case-distance gradient, plus one point
+//! where the shortcut declines and returns `None`.
+//!
 //! To regenerate after an *intentional* numerical change:
 //!
 //! ```text
@@ -142,6 +148,118 @@ const GOLDEN_OTA_NOMINAL: [u64; 5] = [
     0x3fa94e00f29d62fc,
 ];
 
+/// The directions of one ŝ gradient and one d gradient, as the worst-case
+/// search and the linearization build them: a 0.01 step on every ŝ
+/// coordinate, then a step of 1e-3 of the box width on every design
+/// coordinate, taken inward at the upper bound.
+fn gradient_directions(env: &dyn CircuitEnv, d: &DVec, s: &DVec) -> Vec<(DVec, DVec)> {
+    let mut dirs = Vec::new();
+    for j in 0..s.len() {
+        let mut s2 = s.clone();
+        s2[j] += 0.01;
+        dirs.push((d.clone(), s2));
+    }
+    for (k, p) in env.design_space().params().iter().enumerate() {
+        let step = 1e-3 * (p.upper - p.lower);
+        let mut d2 = d.clone();
+        d2[k] += if d[k] + step <= p.upper { step } else { -step };
+        dirs.push((d2, s.clone()));
+    }
+    dirs
+}
+
+/// Hash of one `eval_margins_perturbed` answer: a tag, then the base
+/// margins and every direction's margins.
+fn perturbed_hash(
+    env: &dyn CircuitEnv,
+    d: &DVec,
+    s: &DVec,
+    theta: &specwise_ckt::OperatingPoint,
+    dirs: &[(DVec, DVec)],
+) -> u64 {
+    let answer = env
+        .eval_margins_perturbed(d, s, theta, dirs)
+        .expect("perturbed point evaluates");
+    match answer {
+        None => fnv1a([1]),
+        Some((base, per)) => fnv1a(
+            std::iter::once(0)
+                .chain(base.iter().map(|v| v.to_bits()))
+                .chain(per.iter().flat_map(|m| m.iter().map(|v| v.to_bits()))),
+        ),
+    }
+}
+
+/// Three seeded points (the first three random points of [`points`]),
+/// each with the full gradient direction set.
+fn capture_perturbed(env: &dyn CircuitEnv, seed: u64) -> Vec<u64> {
+    points(env, seed)
+        .iter()
+        .skip(1)
+        .take(3)
+        .map(|p| {
+            let theta = specwise_ckt::OperatingPoint::new(p.temp_c, p.vdd);
+            perturbed_hash(
+                env,
+                &p.d,
+                &p.s,
+                &theta,
+                &gradient_directions(env, &p.d, &p.s),
+            )
+        })
+        .collect()
+}
+
+/// The folded cascode at its initial design and nominal θ, with the ŝ
+/// gradient directions followed by a tenfold shrink of design variable 3:
+/// the first-order step of that last direction leaves the model's range,
+/// so the whole answer is `None`.
+fn declined_point() -> (u64, bool) {
+    let env = FoldedCascode::paper_setup();
+    let d = env.design_space().initial();
+    let s = DVec::zeros(env.stat_dim());
+    let nominal = env.operating_range().nominal();
+    let theta = specwise_ckt::OperatingPoint::new(nominal.temp_c, nominal.vdd);
+    let mut dirs: Vec<_> = gradient_directions(&env, &d, &s)
+        .into_iter()
+        .take(env.stat_dim())
+        .collect();
+    let mut d2 = d.clone();
+    d2[3] *= 0.1;
+    dirs.push((d2, s.clone()));
+    let declined = env
+        .eval_margins_perturbed(&d, &s, &theta, &dirs)
+        .expect("declined point evaluates")
+        .is_none();
+    (perturbed_hash(&env, &d, &s, &theta, &dirs), declined)
+}
+
+const MILLER_PERTURBED_SEED: u64 = 201;
+const FOLDED_PERTURBED_SEED: u64 = 202;
+
+const GOLDEN_MILLER_PERTURBED: [u64; 3] =
+    [0xf6abb76836d36281, 0x6c069cf7bf58bec4, 0x041f96145b0dda73];
+const GOLDEN_FOLDED_PERTURBED: [u64; 3] =
+    [0xefef3b73e8f62d17, 0x4260e5be77060a24, 0xef36dc95dfaba3ed];
+const GOLDEN_DECLINED_PERTURBED: u64 = 0x89cd31291d2aefa4;
+
+fn check_perturbed(env: &dyn CircuitEnv, seed: u64, golden: &[u64]) {
+    for (i, (got, want)) in capture_perturbed(env, seed).iter().zip(golden).enumerate() {
+        assert_ne!(
+            *got,
+            fnv1a([1]),
+            "{}: the shortcut must answer at point {i}",
+            env.name()
+        );
+        assert_eq!(
+            got,
+            want,
+            "{}: eval_margins_perturbed hash mismatch at point {i}",
+            env.name()
+        );
+    }
+}
+
 fn check(env: &dyn CircuitEnv, seed: u64, golden: &[(u64, u64)], golden_nominal: &[u64]) {
     let (hashes, nominal_bits) = capture(env, seed);
     for (i, (bits, want)) in nominal_bits.iter().zip(golden_nominal).enumerate() {
@@ -202,6 +320,31 @@ fn ota_matches_seed_golden() {
     );
 }
 
+#[test]
+fn miller_perturbed_matches_golden() {
+    check_perturbed(
+        &MillerOpamp::paper_setup(),
+        MILLER_PERTURBED_SEED,
+        &GOLDEN_MILLER_PERTURBED,
+    );
+}
+
+#[test]
+fn folded_perturbed_matches_golden() {
+    check_perturbed(
+        &FoldedCascode::paper_setup(),
+        FOLDED_PERTURBED_SEED,
+        &GOLDEN_FOLDED_PERTURBED,
+    );
+}
+
+#[test]
+fn declined_perturbed_matches_golden() {
+    let (hash, declined) = declined_point();
+    assert!(declined, "the pinned point must decline the shortcut");
+    assert_eq!(hash, GOLDEN_DECLINED_PERTURBED);
+}
+
 /// Prints fresh golden constants (run with `--ignored --nocapture` and paste
 /// the output over the `GOLDEN_*` constants above).
 #[test]
@@ -223,4 +366,21 @@ fn regenerate() {
     print("MILLER", &MillerOpamp::paper_setup(), MILLER_SEED);
     print("FOLDED", &FoldedCascode::paper_setup(), FOLDED_SEED);
     print("OTA", &FiveTransistorOta::default_setup(), OTA_SEED);
+    let print_perturbed = |label: &str, env: &dyn CircuitEnv, seed: u64| {
+        println!("const GOLDEN_{label}_PERTURBED: [u64; 3] = [");
+        for h in capture_perturbed(env, seed) {
+            println!("    {h:#018x},");
+        }
+        println!("];");
+    };
+    print_perturbed("MILLER", &MillerOpamp::paper_setup(), MILLER_PERTURBED_SEED);
+    print_perturbed(
+        "FOLDED",
+        &FoldedCascode::paper_setup(),
+        FOLDED_PERTURBED_SEED,
+    );
+    println!(
+        "const GOLDEN_DECLINED_PERTURBED: u64 = {:#018x};",
+        declined_point().0
+    );
 }
