@@ -238,24 +238,52 @@ struct AcStage {
     h_ps0: Complex64,
     y_ps0: CVec,
     psrr_db: f64,
+    /// The output adjoints `(λ(0), λ(ft))` when they were asked for, the
+    /// gain crossed unity and both transposed solves succeeded.
+    adjoints: Option<(CVec, CVec)>,
 }
 
-/// Runs the three small-signal analyses on one shared solver. The counter
-/// increments (dm gain, crossing search, cm, ps) and every metric formula
-/// match the historical per-stimulus-solver flow exactly.
+/// Runs the three small-signal analyses on one shared solver. The dm, cm
+/// and ps stimuli at 0 Hz share one factorization, and the output
+/// adjoints (with `adjoint`) are taken on the factors of the 0 Hz and the
+/// final crossing solve. Results are unwrapped and counted in the
+/// historical order (dm gain, crossing search, cm, ps), so the counter and
+/// the error a failure reports match the one-solve-per-stimulus flow.
 fn ac_stage(
     ol: &BuiltOpamp<'_>,
     vinn: &str,
     op_ol: &DcSolution,
     counter: &SimCounter,
+    adjoint: bool,
 ) -> Result<AcStage, CktError> {
     let ac = AcSolver::new(&ol.circuit, op_ol);
+    // The output selector of the adjoint solves. A grounded output never
+    // crosses unity, so it needs none.
+    let e_out = match ol.out.index().checked_sub(1) {
+        Some(k) if adjoint => {
+            let mut e = CVec::zeros(ol.circuit.num_unknowns());
+            e[k] = Complex64::ONE;
+            Some(e)
+        }
+        _ => None,
+    };
 
-    // Differential drive: +1/2 on vinp, −1/2 on vinn.
+    // Differential drive: +1/2 on vinp, −1/2 on vinn; common-mode drive:
+    // +1 on both inputs; supply drive: +1 on VDD, inputs quiet.
     let b_dm = ac
         .drive(&[(ol.vinp_src, 0.5), (vinn, -0.5)])
         .map_err(CktError::from)?;
-    let sol_dm0 = ac.solve_driven(0.0, &b_dm).map_err(CktError::from)?;
+    let mut at_dc = ac.factor(0.0).map_err(CktError::from)?;
+    let sol_dm0 = at_dc.solve_driven(&b_dm).map_err(CktError::from)?;
+    let sol_cm0 = ac
+        .drive(&[(ol.vinp_src, 1.0), (vinn, 1.0)])
+        .and_then(|b| at_dc.solve_driven(&b));
+    let sol_ps0 = ac
+        .drive(&[(ol.vdd_src, 1.0)])
+        .and_then(|b| at_dc.solve_driven(&b));
+    let lam0 = e_out.as_ref().map(|e| at_dc.solve_adjoint(e));
+    drop(at_dc);
+
     let h0 = sol_dm0.voltage(ol.out);
     counter.add(1);
     let adm0 = h0.abs();
@@ -265,30 +293,29 @@ fn ac_stage(
     let crossing = ac
         .find_crossing_driven(ol.out, 1.0, 1.0, 20e9, &b_dm)
         .map_err(CktError::from)?;
-    let (h_t, y_t, ft_hz, phase_margin_deg) = match crossing {
+    let (h_t, y_t, ft_hz, phase_margin_deg, lam_t) = match crossing {
         Some(ft) => {
-            let sol_t = ac.solve_driven(ft, &b_dm).map_err(CktError::from)?;
-            let at_ft = sol_t.voltage(ol.out);
+            let mut at_ft = ac.factor(ft).map_err(CktError::from)?;
+            let sol_t = at_ft.solve_driven(&b_dm).map_err(CktError::from)?;
+            let lam_t = e_out.as_ref().map(|e| at_ft.solve_adjoint(e));
+            let h_ft = sol_t.voltage(ol.out);
             // Phase margin relative to the stage's own low-frequency phase:
             // the excess phase lag accumulated up to ft determines stability
             // in unity feedback.
-            let phase_lag = (h0.arg() - at_ft.arg()).rem_euclid(2.0 * std::f64::consts::PI);
+            let phase_lag = (h0.arg() - h_ft.arg()).rem_euclid(2.0 * std::f64::consts::PI);
             (
-                at_ft,
+                h_ft,
                 Some(sol_t.unknowns().clone()),
                 ft,
                 180.0 - phase_lag.to_degrees(),
+                lam_t,
             )
         }
-        None => (Complex64::ZERO, None, DEGENERATE_FT_HZ, 0.0),
+        None => (Complex64::ZERO, None, DEGENERATE_FT_HZ, 0.0, None),
     };
     counter.add(1);
 
-    // Common-mode drive: +1 on both inputs.
-    let b_cm = ac
-        .drive(&[(ol.vinp_src, 1.0), (vinn, 1.0)])
-        .map_err(CktError::from)?;
-    let sol_cm0 = ac.solve_driven(0.0, &b_cm).map_err(CktError::from)?;
+    let sol_cm0 = sol_cm0.map_err(CktError::from)?;
     let h_cm0 = sol_cm0.voltage(ol.out);
     counter.add(1);
     let acm0 = h_cm0.abs();
@@ -298,9 +325,8 @@ fn ac_stage(
         (20.0 * (adm0 / acm0).log10()).min(200.0)
     };
 
-    // Supply drive: +1 on VDD, inputs quiet — PSRR = Adm/Apsr.
-    let b_ps = ac.drive(&[(ol.vdd_src, 1.0)]).map_err(CktError::from)?;
-    let sol_ps0 = ac.solve_driven(0.0, &b_ps).map_err(CktError::from)?;
+    // PSRR = Adm/Apsr.
+    let sol_ps0 = sol_ps0.map_err(CktError::from)?;
     let h_ps0 = sol_ps0.voltage(ol.out);
     counter.add(1);
     let apsr0 = h_ps0.abs();
@@ -310,6 +336,10 @@ fn ac_stage(
         (20.0 * (adm0 / apsr0).log10()).min(200.0)
     };
 
+    let adjoints = match (lam0, lam_t) {
+        (Some(Ok(l0)), Some(Ok(lt))) => Some((l0, lt)),
+        _ => None,
+    };
     Ok(AcStage {
         ac,
         h0,
@@ -326,6 +356,7 @@ fn ac_stage(
         h_ps0,
         y_ps0: sol_ps0.unknowns().clone(),
         psrr_db,
+        adjoints,
     })
 }
 
@@ -406,12 +437,14 @@ impl MeasureState<'_> {
 }
 
 /// The base measurement flow, keeping every intermediate the adjoint
-/// direction pass needs.
+/// direction pass needs; with `adjoint` (and an analytic slew rate) it also
+/// takes the AC output adjoints.
 fn measure_full<'a>(
     tb: &'a Testbench,
     d: &DVec,
     s_hat: &DVec,
     theta: &OperatingPoint,
+    adjoint: bool,
 ) -> Result<MeasureState<'a>, CktError> {
     let (identity, counter, warm) = (tb.identity, &tb.counter, &tb.warm);
     // 1. Feedback configuration: operating point, power, slew.
@@ -442,13 +475,14 @@ fn measure_full<'a>(
         .map_err(CktError::from)?;
     counter.add(1);
 
-    let acs = ac_stage(&ol, vinn, &op_ol, counter)?;
+    let slew_is_transient = matches!(tb.sr_method, SlewRateMethod::Transient { .. });
+    let acs = ac_stage(&ol, vinn, &op_ol, counter, adjoint && !slew_is_transient)?;
     Ok(MeasureState {
         fb,
         op_fb,
         slew_v_per_s,
         power_w,
-        slew_is_transient: matches!(tb.sr_method, SlewRateMethod::Transient { .. }),
+        slew_is_transient,
         ol,
         op_ol,
         acs,
@@ -463,15 +497,17 @@ pub(crate) fn measure(
     s_hat: &DVec,
     theta: &OperatingPoint,
 ) -> Result<Measured, CktError> {
-    measure_full(tb, d, s_hat, theta).map(MeasureState::into_measured)
+    measure_full(tb, d, s_hat, theta, false).map(MeasureState::into_measured)
 }
 
 /// Runs the base measurement flow once, then evaluates every perturbed
 /// point in `directions` (full `(d′, ŝ′)` pairs) by sensitivity analysis on
 /// the base factorizations instead of re-simulating: one frozen-Jacobian
 /// Newton step per DC configuration ([`DcSensitivity`]) and first-order
-/// transfer-function updates `ΔH = −λᵀ·ΔA·y` from the two cached AC
-/// adjoint solves (λ at DC and at the unity-gain crossing). The crossing
+/// transfer-function updates `ΔH = −λᵀ·ΔA·y` from the two AC adjoint
+/// solves the base pass took on its 0 Hz and crossing factors (λ at DC and
+/// at the unity-gain crossing). Each direction's `ΔA` is extracted once
+/// and read by all four of its bilinear forms. The crossing
 /// itself shifts by `Δft = −Δ|H|(ft) / (∂|H|/∂f)` with
 /// `∂H/∂f = −j2π·λᵀCy`.
 ///
@@ -487,7 +523,7 @@ pub(crate) fn measure_with_directions(
     directions: &[(DVec, DVec)],
 ) -> Result<Option<(Measured, Vec<Measured>)>, CktError> {
     let counter = &tb.counter;
-    let state = measure_full(tb, d, s_hat, theta)?;
+    let state = measure_full(tb, d, s_hat, theta, true)?;
     if state.slew_is_transient {
         // A large-signal transient has no small-signal shortcut.
         return Ok(None);
@@ -501,16 +537,11 @@ pub(crate) fn measure_with_directions(
         .y_t
         .as_ref()
         .expect("crossing implies a stored solution");
-
-    let n_ol = state.ol.circuit.num_unknowns();
-    let mut e_out = CVec::zeros(n_ol);
-    e_out[state.ol.out.index() - 1] = Complex64::ONE;
-    let ac = &state.acs.ac;
-    let (lam0, lam_t) = match (ac.solve_adjoint(0.0, &e_out), ac.solve_adjoint(ft, &e_out)) {
-        (Ok(a), Ok(b)) => (a, b),
-        _ => return Ok(None),
+    let Some((lam0, lam_t)) = &state.acs.adjoints else {
+        return Ok(None);
     };
-    let dhdf_t = -(Complex64::I * (2.0 * std::f64::consts::PI)) * ac.cap_bilinear(&lam_t, y_t);
+    let ac = &state.acs.ac;
+    let dhdf_t = -(Complex64::I * (2.0 * std::f64::consts::PI)) * ac.cap_bilinear(lam_t, y_t);
     let h_t = state.acs.h_t;
     let slope = (h_t.conj() * dhdf_t).re / h_t.abs();
     if !slope.is_finite() || slope.abs() * ft < 1e-9 {
@@ -542,17 +573,18 @@ pub(crate) fn measure_with_directions(
         // The open-loop bias tracks the perturbed feedback output — an
         // RHS-only change the frozen-Jacobian step resolves exactly.
         let olp = tb.build(dp, sp, theta, false, vout_fbp)?;
-        let Ok(op_olp) = sens_ol.solve_perturbed(&olp.circuit) else {
+        let Ok(x_olp) = sens_ol.perturbed_unknowns(&olp.circuit) else {
             return Ok(None);
         };
-        let (gp, cp) = AcSolver::small_signal_matrices(&olp.circuit, &op_olp);
+        // ΔA is extracted once and read by all four bilinear forms.
+        let delta = ac.delta(&olp.circuit, &x_olp);
 
-        let dh0 = -ac.delta_bilinear(&gp, &cp, 0.0, &lam0, &state.acs.y_dm0);
+        let dh0 = -delta.bilinear(0.0, lam0, &state.acs.y_dm0);
         let h0p = state.acs.h0 + dh0;
         let adm0p = h0p.abs();
         let a0p_db = 20.0 * adm0p.max(1e-30).log10();
 
-        let dht = -ac.delta_bilinear(&gp, &cp, ft, &lam_t, y_t);
+        let dht = -delta.bilinear(ft, lam_t, y_t);
         let dmag = (h_t.conj() * dht).re / h_t.abs();
         let dft = -dmag / slope;
         let ftp = ft + dft;
@@ -564,7 +596,7 @@ pub(crate) fn measure_with_directions(
         let phase_lagp = (h0p.arg() - h_tp.arg()).rem_euclid(2.0 * std::f64::consts::PI);
         let pmp = 180.0 - phase_lagp.to_degrees();
 
-        let dhcm = -ac.delta_bilinear(&gp, &cp, 0.0, &lam0, &state.acs.y_cm0);
+        let dhcm = -delta.bilinear(0.0, lam0, &state.acs.y_cm0);
         let acm0p = (state.acs.h_cm0 + dhcm).abs();
         let cmrrp = if acm0p <= 0.0 {
             200.0
@@ -572,7 +604,7 @@ pub(crate) fn measure_with_directions(
             (20.0 * (adm0p / acm0p).log10()).min(200.0)
         };
 
-        let dhps = -ac.delta_bilinear(&gp, &cp, 0.0, &lam0, &state.acs.y_ps0);
+        let dhps = -delta.bilinear(0.0, lam0, &state.acs.y_ps0);
         let apsr0p = (state.acs.h_ps0 + dhps).abs();
         let psrrp = if apsr0p <= 0.0 {
             200.0

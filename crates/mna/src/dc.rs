@@ -1,12 +1,12 @@
 //! DC operating-point analysis: damped Newton–Raphson on the MNA equations
 //! with gmin-stepping and source-stepping homotopy fallbacks.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use specwise_linalg::DVec;
 
 use crate::mosfet::{eval_nmos_frame, MosPolarity, MosRegion};
-use crate::netlist::ElementKind;
+use crate::netlist::{ElementKind, NameTable};
 use crate::solver::{Analysis, Stamper, SystemSolver};
 use crate::{Circuit, ElementId, MnaError, NodeId};
 
@@ -47,10 +47,9 @@ impl Default for NewtonOptions {
 /// the transistor is safely saturated.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MosOpInfo {
-    /// Element id within the circuit.
+    /// Element id within the circuit (its name is
+    /// [`Circuit::element_name`]).
     pub element: ElementId,
-    /// Instance name.
-    pub name: String,
     /// Operating region.
     pub region: MosRegion,
     /// Drain current \[A\], conventional current into the drain terminal
@@ -83,7 +82,7 @@ pub struct DcSolution {
     x: DVec,
     num_nodes: usize,
     mos_ops: Vec<MosOpInfo>,
-    branch_of: HashMap<String, usize>,
+    names: Arc<NameTable>,
     branch_base: usize,
     iterations: usize,
 }
@@ -105,15 +104,13 @@ impl DcSolution {
     ///
     /// Returns [`MnaError::NotFound`] when the name is not a branch element.
     pub fn branch_current(&self, name: &str) -> Result<f64, MnaError> {
-        let branch = self.branch_of.get(name).ok_or_else(|| MnaError::NotFound {
-            name: name.to_string(),
-        })?;
-        Ok(self.x[self.branch_base + branch])
+        Ok(self.x[self.branch_base + self.names.branch(name)?])
     }
 
     /// Operating info of a MOSFET by name.
     pub fn mosfet_op(&self, name: &str) -> Option<&MosOpInfo> {
-        self.mos_ops.iter().find(|m| m.name == name)
+        let id = self.names.element(name)?;
+        self.mos_ops.iter().find(|m| m.element == id)
     }
 
     /// Operating info of every MOSFET, in netlist order.
@@ -304,24 +301,11 @@ impl<'c> DcOp<'c> {
     }
 
     pub(crate) fn finish(&self, x: DVec, iterations: usize) -> DcSolution {
-        let mos_ops = mosfet_operating_points(self.circuit, &x);
-        let mut branch_of = HashMap::new();
-        for (idx, kind) in self.circuit.kinds().iter().enumerate() {
-            match kind {
-                ElementKind::VoltageSource { branch, .. } | ElementKind::Vcvs { branch, .. } => {
-                    branch_of.insert(
-                        self.circuit.element_name(ElementId(idx)).to_string(),
-                        *branch,
-                    );
-                }
-                _ => {}
-            }
-        }
         DcSolution {
+            mos_ops: mosfet_operating_points(self.circuit, &x),
             x,
             num_nodes: self.circuit.num_nodes(),
-            mos_ops,
-            branch_of,
+            names: Arc::clone(self.circuit.names()),
             branch_base: self.circuit.num_nodes() - 1,
             iterations,
         }
@@ -669,7 +653,6 @@ pub(crate) fn mosfet_operating_points(ckt: &Circuit, x: &DVec) -> Vec<MosOpInfo>
             let vds_fwd = (sgn * (vd - vs)).abs();
             out.push(MosOpInfo {
                 element: ElementId(idx),
-                name: ckt.element_name(ElementId(idx)).to_string(),
                 region: ev.region,
                 id: id_drain,
                 vgs: vg - vs,

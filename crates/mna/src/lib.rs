@@ -54,7 +54,7 @@ mod solver;
 mod sweep;
 mod transient;
 
-pub use ac::{AcSolution, AcSolver};
+pub use ac::{AcDelta, AcFactor, AcSolution, AcSolver};
 pub use dc::{DcOp, DcSolution, MosOpInfo, NewtonOptions};
 pub use error::MnaError;
 pub use mosfet::{MosEval, MosPolarity, MosRegion, MosfetModel, MosfetParams};

@@ -1,6 +1,7 @@
 //! Netlist representation and builder.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::{MnaError, MosfetParams, SolverChoice};
 
@@ -160,6 +161,42 @@ pub(crate) enum ElementKind {
     },
 }
 
+/// The name tables of a circuit: node names, element names, and the
+/// branch-current index of every voltage source and VCVS.
+///
+/// A circuit, its clones and every DC/AC solution computed on them share
+/// one table through an `Arc`; only the two topology mutators
+/// ([`Circuit::node`] and element insertion) copy it, on write. Cloning a
+/// circuit to rewrite its element values therefore allocates no name.
+#[derive(Debug, Clone)]
+pub(crate) struct NameTable {
+    nodes: HashMap<String, NodeId>,
+    elements: Vec<String>,
+    element_ids: HashMap<String, ElementId>,
+    branches: HashMap<String, usize>,
+}
+
+impl NameTable {
+    /// The element named `name`.
+    pub(crate) fn element(&self, name: &str) -> Option<ElementId> {
+        self.element_ids.get(name).copied()
+    }
+
+    /// The branch-current index of the voltage source or VCVS `name`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MnaError::NotFound`] when the name is not a branch element.
+    pub(crate) fn branch(&self, name: &str) -> Result<usize, MnaError> {
+        self.branches
+            .get(name)
+            .copied()
+            .ok_or_else(|| MnaError::NotFound {
+                name: name.to_string(),
+            })
+    }
+}
+
 /// A flat analog netlist plus global simulation conditions (temperature).
 ///
 /// Build the circuit with the `resistor`/`capacitor`/`voltage_source`/…
@@ -185,10 +222,8 @@ pub(crate) enum ElementKind {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Circuit {
-    node_lookup: HashMap<String, NodeId>,
-    names: Vec<String>,
+    names: Arc<NameTable>,
     kinds: Vec<ElementKind>,
-    name_lookup: HashMap<String, ElementId>,
     branches: usize,
     temperature: f64,
     solver: SolverChoice,
@@ -206,13 +241,16 @@ impl Circuit {
 
     /// Creates an empty circuit at the default temperature (27 °C).
     pub fn new() -> Self {
-        let mut node_lookup = HashMap::new();
-        node_lookup.insert("0".to_string(), NodeId(0));
+        let mut nodes = HashMap::new();
+        nodes.insert("0".to_string(), NodeId(0));
         Circuit {
-            node_lookup,
-            names: Vec::new(),
+            names: Arc::new(NameTable {
+                nodes,
+                elements: Vec::new(),
+                element_ids: HashMap::new(),
+                branches: HashMap::new(),
+            }),
             kinds: Vec::new(),
-            name_lookup: HashMap::new(),
             branches: 0,
             temperature: 300.15,
             solver: SolverChoice::Auto,
@@ -222,11 +260,12 @@ impl Circuit {
     /// Returns the node with the given name, creating it if necessary.
     /// The name `"0"` always refers to ground.
     pub fn node(&mut self, name: &str) -> NodeId {
-        if let Some(&id) = self.node_lookup.get(name) {
+        if let Some(&id) = self.names.nodes.get(name) {
             return id;
         }
-        let id = NodeId(self.node_lookup.len());
-        self.node_lookup.insert(name.to_string(), id);
+        let nodes = &mut Arc::make_mut(&mut self.names).nodes;
+        let id = NodeId(nodes.len());
+        nodes.insert(name.to_string(), id);
         id
     }
 
@@ -236,7 +275,8 @@ impl Circuit {
     ///
     /// Returns [`MnaError::NotFound`] for unknown names.
     pub fn find_node(&self, name: &str) -> Result<NodeId, MnaError> {
-        self.node_lookup
+        self.names
+            .nodes
             .get(name)
             .copied()
             .ok_or_else(|| MnaError::NotFound {
@@ -246,7 +286,7 @@ impl Circuit {
 
     /// Number of nodes including ground.
     pub fn num_nodes(&self) -> usize {
-        self.node_lookup.len()
+        self.names.nodes.len()
     }
 
     /// Size of the MNA unknown vector: `(num_nodes − 1) + num_branches`.
@@ -286,15 +326,19 @@ impl Circuit {
 
     fn insert(&mut self, name: &str, kind: ElementKind) -> Result<ElementId, MnaError> {
         check_values(name, &kind)?;
-        if self.name_lookup.contains_key(name) {
+        if self.names.element_ids.contains_key(name) {
             return Err(MnaError::DuplicateName {
                 name: name.to_string(),
             });
         }
         let id = ElementId(self.kinds.len());
-        self.names.push(name.to_string());
+        let names = Arc::make_mut(&mut self.names);
+        names.elements.push(name.to_string());
+        names.element_ids.insert(name.to_string(), id);
+        if let ElementKind::VoltageSource { branch, .. } | ElementKind::Vcvs { branch, .. } = kind {
+            names.branches.insert(name.to_string(), branch);
+        }
         self.kinds.push(kind);
-        self.name_lookup.insert(name.to_string(), id);
         Ok(id)
     }
 
@@ -477,12 +521,9 @@ impl Circuit {
     ///
     /// Returns [`MnaError::NotFound`] for unknown names.
     pub fn find(&self, name: &str) -> Result<ElementId, MnaError> {
-        self.name_lookup
-            .get(name)
-            .copied()
-            .ok_or_else(|| MnaError::NotFound {
-                name: name.to_string(),
-            })
+        self.names.element(name).ok_or_else(|| MnaError::NotFound {
+            name: name.to_string(),
+        })
     }
 
     /// Name of an element.
@@ -491,7 +532,7 @@ impl Circuit {
     ///
     /// Panics if the id does not belong to this circuit.
     pub fn element_name(&self, id: ElementId) -> &str {
-        &self.names[id.0]
+        &self.names.elements[id.0]
     }
 
     /// Number of elements.
@@ -512,11 +553,11 @@ impl Circuit {
         let mut kind = self.kinds[id.0].clone();
         if !field(&mut kind) {
             return Err(MnaError::InvalidValue {
-                element: self.names[id.0].clone(),
+                element: self.element_name(id).to_string(),
                 reason: setter,
             });
         }
-        check_values(&self.names[id.0], &kind)?;
+        check_values(self.element_name(id), &kind)?;
         self.kinds[id.0] = kind;
         Ok(())
     }
@@ -708,7 +749,7 @@ impl Circuit {
     pub fn mosfet_names(&self) -> Vec<&str> {
         self.kinds
             .iter()
-            .zip(&self.names)
+            .zip(&self.names.elements)
             .filter_map(|(k, n)| match k {
                 ElementKind::Mosfet { .. } => Some(n.as_str()),
                 _ => None,
@@ -719,6 +760,11 @@ impl Circuit {
     /// Internal: element kinds (for the analyses).
     pub(crate) fn kinds(&self) -> &[ElementKind] {
         &self.kinds
+    }
+
+    /// Internal: the shared name tables (for solutions to resolve names).
+    pub(crate) fn names(&self) -> &Arc<NameTable> {
+        &self.names
     }
 
     /// Exact structural key of the circuit topology: node/branch counts plus
@@ -1055,6 +1101,62 @@ mod tests {
         };
         assert!((sine.at(0.25e-3) - 1.5).abs() < 1e-12);
         assert_eq!(Stimulus::Dc(3.0).initial(), 3.0);
+    }
+
+    #[test]
+    fn clones_share_names_until_the_topology_changes() {
+        let mut template = Circuit::new();
+        let vdd = template.node("vdd");
+        let out = template.node("out");
+        template
+            .voltage_source("VDD", vdd, Circuit::GROUND, 3.0)
+            .unwrap();
+        template.resistor("RD", vdd, out, 20e3).unwrap();
+        let params = MosfetParams::new(MosfetModel::default_nmos(), 10e-6, 1e-6);
+        template
+            .mosfet("M1", out, vdd, Circuit::GROUND, Circuit::GROUND, params)
+            .unwrap();
+
+        // A value rewrite shares the table.
+        let mut rewritten = template.clone();
+        rewritten
+            .set_value(rewritten.find("RD").unwrap(), 10e3)
+            .unwrap();
+        assert!(Arc::ptr_eq(template.names(), rewritten.names()));
+
+        // A new node and a new branch element copy it, on write.
+        let mut grown = template.clone();
+        let bias = grown.node("bias");
+        grown
+            .voltage_source("VB", bias, Circuit::GROUND, 1.0)
+            .unwrap();
+        grown.resistor("RB", bias, out, 1e6).unwrap();
+        assert!(!Arc::ptr_eq(template.names(), grown.names()));
+
+        // The template's lookups and branch map are untouched ...
+        assert_eq!(template.num_nodes(), 3);
+        assert_eq!(template.num_elements(), 3);
+        assert!(template.find_node("bias").is_err());
+        assert!(template.find("VB").is_err());
+        assert!(template.names().branch("VB").is_err());
+        let op = crate::DcOp::new(&template).solve().unwrap();
+        assert!(op.branch_current("VB").is_err());
+        assert!(op.branch_current("VDD").is_ok());
+
+        // ... and the clone resolves its own names and the inherited ones.
+        assert_eq!(grown.find_node("bias").unwrap(), bias);
+        assert_eq!(grown.find_node("out").unwrap(), out);
+        assert_eq!(grown.element_name(grown.find("RB").unwrap()), "RB");
+        let op = crate::DcOp::new(&grown).solve().unwrap();
+        assert!((op.voltage(bias) - 1.0).abs() < 1e-9);
+        let i_vb = op.branch_current("VB").unwrap();
+        assert!(i_vb.abs() > 0.0 && i_vb.abs() < 1e-5, "i(VB) = {i_vb}");
+        assert!(op.branch_current("VDD").is_ok());
+        assert_eq!(
+            op.mosfet_op("M1").unwrap().element,
+            grown.find("M1").unwrap()
+        );
+        assert!(op.mosfet_op("RB").is_none());
     }
 
     #[test]

@@ -85,10 +85,22 @@ impl DcSensitivity {
     ///
     /// # Errors
     ///
+    /// As [`DcSensitivity::perturbed_unknowns`].
+    pub fn solve_perturbed(&self, perturbed: &Circuit) -> Result<DcSolution, MnaError> {
+        let xp = self.perturbed_unknowns(perturbed)?;
+        Ok(DcOp::new(perturbed).finish(xp, 1))
+    }
+
+    /// The unknown vector [`DcSensitivity::solve_perturbed`] wraps, without
+    /// the operating records: for callers that only linearize at it (see
+    /// [`crate::AcSolver::delta`]).
+    ///
+    /// # Errors
+    ///
     /// Returns [`MnaError::InvalidRequest`] on a size mismatch and
     /// [`MnaError::NoConvergence`] when the perturbed residual is
     /// non-finite; propagates triangular-solve errors.
-    pub fn solve_perturbed(&self, perturbed: &Circuit) -> Result<DcSolution, MnaError> {
+    pub fn perturbed_unknowns(&self, perturbed: &Circuit) -> Result<DVec, MnaError> {
         let n = self.x.len();
         if perturbed.num_unknowns() != n {
             return Err(MnaError::InvalidRequest {
@@ -106,8 +118,7 @@ impl DcSensitivity {
         }
         let mut sys = self.sys.lock().expect("sensitivity workspace poisoned");
         let delta = DVec::from_slice(sys.solve(|i| res[i])?);
-        let xp = &self.x - &delta;
-        Ok(DcOp::new(perturbed).finish(xp, 1))
+        Ok(&self.x - &delta)
     }
 }
 

@@ -71,11 +71,11 @@ fn dc_sparse_matches_dense() {
         );
     }
     for (md, ms) in dense.mosfet_ops().iter().zip(sparse.mosfet_ops()) {
-        assert_eq!(md.region, ms.region, "{}", md.name);
+        assert_eq!(md.region, ms.region, "{:?}", md.element);
         assert!(
             (md.id - ms.id).abs() < 1e-12 * (1.0 + md.id.abs()),
-            "{}",
-            md.name
+            "{:?}",
+            md.element
         );
     }
 }
@@ -395,6 +395,6 @@ fn solution_from_reconstructs_operating_records() {
     );
     for (a, b) in solved.mosfet_ops().iter().zip(rebuilt.mosfet_ops()) {
         assert_eq!(a.region, b.region);
-        assert_eq!(a.id, b.id, "{}: bit-identical op records", a.name);
+        assert_eq!(a.id, b.id, "{:?}: bit-identical op records", a.element);
     }
 }
