@@ -203,9 +203,40 @@ impl ServeState {
     }
 
     /// Inserts an accepted job and queues it for the worker pool.
+    ///
+    /// The submit path spools the job before it calls this, so a spool
+    /// scan may have adopted the id in between; the job then stays as the
+    /// scan queued it (one entry, queued once) and its journal is returned.
     pub fn enqueue(&self, spec: JobSpec) -> Arc<Journal> {
-        let journal = Arc::new(Journal::in_memory());
         let mut inner = self.inner.lock().unwrap();
+        if let Some(entry) = inner.jobs.get(&spec.id) {
+            return Arc::clone(&entry.journal);
+        }
+        let journal = Self::insert_queued(&mut inner, spec);
+        drop(inner);
+        self.queue_cv.notify_one();
+        journal
+    }
+
+    /// Like [`ServeState::enqueue`], but only when the id is not already
+    /// known — the spool-scan path, where this daemon discovers jobs a
+    /// peer submitted to the shared spool. Returns `false` (and changes
+    /// nothing) for known ids.
+    pub fn adopt(&self, spec: JobSpec) -> bool {
+        let mut inner = self.inner.lock().unwrap();
+        if inner.jobs.contains_key(&spec.id) {
+            return false;
+        }
+        Self::insert_queued(&mut inner, spec);
+        drop(inner);
+        self.queue_cv.notify_one();
+        true
+    }
+
+    /// Inserts a job the caller checked is unknown, under the caller's
+    /// lock, and queues it.
+    fn insert_queued(inner: &mut Inner, spec: JobSpec) -> Arc<Journal> {
+        let journal = Arc::new(Journal::in_memory());
         let id = spec.id.clone();
         inner.jobs.insert(
             id.clone(),
@@ -221,24 +252,7 @@ impl ServeState {
         inner.order.push(id.clone());
         inner.queue.push_back(id);
         inner.metrics.jobs_submitted += 1;
-        drop(inner);
-        self.queue_cv.notify_one();
         journal
-    }
-
-    /// Like [`ServeState::enqueue`], but only when the id is not already
-    /// known — the spool-scan path, where this daemon discovers jobs a
-    /// peer submitted to the shared spool. Returns `false` (and changes
-    /// nothing) for known ids.
-    pub fn adopt(&self, spec: JobSpec) -> bool {
-        {
-            let inner = self.inner.lock().unwrap();
-            if inner.jobs.contains_key(&spec.id) {
-                return false;
-            }
-        }
-        self.enqueue(spec);
-        true
     }
 
     /// `true` when the job id is in the table (any state).
@@ -781,6 +795,23 @@ mod tests {
         // requeue on a non-Remote job is a no-op.
         state.requeue("job-0001");
         assert_eq!(state.entry("job-0001").unwrap().state, JobState::Running);
+    }
+
+    #[test]
+    fn a_submission_the_spool_scan_adopted_first_is_listed_once() {
+        // The submit path spools `<id>.req` before it enqueues, so a
+        // concurrent spool scan can adopt the job in between. The job
+        // must still be listed, queued and counted once.
+        let state = ServeState::new(u64::MAX);
+        assert!(state.adopt(spec("job-0001", "a")));
+        state.enqueue(spec("job-0001", "a"));
+        let j = json::parse(&state.status_line(None)).unwrap();
+        let jobs = j.get("jobs").and_then(|x| x.as_arr()).unwrap();
+        assert_eq!(jobs.len(), 1);
+        assert_eq!(state.metrics().jobs_submitted, 1);
+        let (claimed, _, _) = state.claim().unwrap();
+        assert_eq!(claimed.id, "job-0001");
+        assert_eq!(state.inner.lock().unwrap().queue.len(), 0, "queued twice");
     }
 
     #[test]
