@@ -77,5 +77,45 @@ fn bench_full_eval(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_dc, bench_ac, bench_full_eval);
+/// One adjoint ŝ gradient of the worst-case search: the base measurement,
+/// then every ŝ direction (27 on the folded cascode) priced on the base
+/// factorizations instead of re-simulated.
+fn bench_perturbed(c: &mut Criterion) {
+    for (name, env) in [
+        (
+            "eval_margins_perturbed_folded",
+            FoldedCascode::paper_setup(),
+        ),
+        ("eval_margins_perturbed_miller", MillerOpamp::paper_setup()),
+    ] {
+        let d0 = env.design_space().initial();
+        let s0 = DVec::zeros(env.stat_dim());
+        let theta = env.operating_range().nominal();
+        let directions: Vec<(DVec, DVec)> = (0..env.stat_dim())
+            .map(|j| {
+                let mut s = s0.clone();
+                s[j] += 0.01;
+                (d0.clone(), s)
+            })
+            .collect();
+        let answer = env
+            .eval_margins_perturbed(&d0, &s0, &theta, &directions)
+            .unwrap();
+        assert!(answer.is_some(), "{name}: the shortcut must answer");
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                env.eval_margins_perturbed(&d0, &s0, &theta, &directions)
+                    .unwrap()
+            })
+        });
+    }
+}
+
+criterion_group!(
+    benches,
+    bench_dc,
+    bench_ac,
+    bench_full_eval,
+    bench_perturbed
+);
 criterion_main!(benches);
