@@ -2,12 +2,13 @@
 //! the sparse path under `Auto`. The backend is a property of each circuit,
 //! so every test forces it on its own clone and the tests run concurrently.
 
+use std::collections::HashSet;
 use std::sync::Barrier;
 
 use specwise_linalg::{CVec, Complex64, DVec};
 use specwise_mna::{
-    AcSolver, Circuit, DcOp, DcSensitivity, MnaError, MosfetModel, MosfetParams, NodeId,
-    SolverChoice, Transient, TransientOptions, Waveform,
+    AcSolver, Circuit, DcOp, DcSensitivity, Integrator, MnaError, MosRegion, MosfetModel,
+    MosfetParams, NodeId, SolverChoice, Transient, TransientOptions, Waveform,
 };
 
 /// A clone of `ckt` that solves on the given backend.
@@ -201,6 +202,69 @@ fn backend_bits_match_golden() {
         let got: Vec<u64> = PINNED_POINTS
             .iter()
             .map(|&(vdd, w)| fnv1a(dc_ac_bits(&on(&ota(vdd, w), choice), vdd)))
+            .collect();
+        assert_eq!(got, golden, "{choice:?}: {got:#018x?}");
+    }
+}
+
+/// The OTA with its positive input biased at `vinp` and stepped to 1.3 V.
+fn stepped_ota(vinp: f64) -> Circuit {
+    let mut ckt = ota(3.0, 1.0);
+    ckt.set_dc("VINP", vinp).unwrap();
+    let step = Waveform::Step {
+        v0: vinp,
+        v1: 1.3,
+        t0: 5e-9,
+        t_rise: 1e-9,
+    };
+    ckt.set_stimulus("VINP", step).unwrap();
+    ckt
+}
+
+/// Every node voltage at every time point of a transient under both
+/// integrators, as raw bits.
+fn transient_bits(ckt: &Circuit) -> Vec<u64> {
+    let mut bits = Vec::new();
+    for integrator in [Integrator::Trapezoidal, Integrator::BackwardEuler] {
+        let mut opts = TransientOptions::new(0.5e-9, 30e-9);
+        opts.integrator = integrator;
+        let tr = Transient::new(ckt, opts).run().unwrap();
+        bits.extend(tr.times().iter().map(|t| t.to_bits()));
+        for name in ["vdd", "inp", "inn", "tail", "d1", "out"] {
+            let v = tr.voltage(ckt.find_node(name).unwrap());
+            bits.extend(v.iter().map(|v| v.to_bits()));
+        }
+    }
+    bits
+}
+
+/// Positive-input biases of the pinned transients.
+const TRAN_BIASES: [f64; 2] = [0.6, 1.2];
+
+/// FNV-1a of [`transient_bits`] of [`stepped_ota`] at [`TRAN_BIASES`], per
+/// backend.
+const GOLDEN_TRAN_DENSE: [u64; 2] = [0xef8241e08e693e51, 0x8ada40cae9944e4d];
+const GOLDEN_TRAN_SPARSE: [u64; 2] = [0x8e9d15d10ceb8c88, 0x8e5f339138adbdfd];
+
+#[test]
+fn transient_bits_match_golden() {
+    // Between them the initial operating points hold devices in cutoff,
+    // triode and saturation, so every Meyer region's capacitances count.
+    let regions: HashSet<MosRegion> = TRAN_BIASES
+        .iter()
+        .flat_map(|&v| {
+            let op = DcOp::new(&stepped_ota(v)).solve().unwrap();
+            op.mosfet_ops().iter().map(|m| m.region).collect::<Vec<_>>()
+        })
+        .collect();
+    assert_eq!(regions.len(), 3, "regions {regions:?}");
+    for (choice, golden) in [
+        (SolverChoice::Dense, GOLDEN_TRAN_DENSE),
+        (SolverChoice::Sparse, GOLDEN_TRAN_SPARSE),
+    ] {
+        let got: Vec<u64> = TRAN_BIASES
+            .iter()
+            .map(|&v| fnv1a(transient_bits(&on(&stepped_ota(v), choice))))
             .collect();
         assert_eq!(got, golden, "{choice:?}: {got:#018x?}");
     }
