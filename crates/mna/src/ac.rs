@@ -7,10 +7,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use specwise_linalg::{CVec, Complex64, DMat, DVec};
 
-use crate::dc::{eval_mosfet_at, stamp_system, DcSolution};
-use crate::mosfet::MosRegion;
+use crate::dc::{stamp_system, DcSolution, GMIN};
 use crate::netlist::{ElementKind, NameTable};
-use crate::solver::{Analysis, SystemSolver};
+use crate::solver::{stamp_pair, Analysis, Stamper, SystemSolver};
 use crate::{Circuit, MnaError, NodeId};
 
 /// Phasor solution of one AC frequency point.
@@ -130,57 +129,47 @@ impl fmt::Debug for AcSolver {
     }
 }
 
+/// The small-signal conductance and capacitance matrices `(G, C)`: the
+/// target of one element pass that wants capacitances.
+struct GcTarget {
+    g: DMat,
+    c: DMat,
+}
+
+impl Stamper for GcTarget {
+    fn clear(&mut self) {
+        self.g.fill(0.0);
+        self.c.fill(0.0);
+    }
+    #[inline]
+    fn add(&mut self, r: usize, c: usize, v: f64) {
+        self.g[(r, c)] += v;
+    }
+    fn wants_caps(&self) -> bool {
+        true
+    }
+    fn cap(&mut self, a: Option<usize>, b: Option<usize>, farads: f64) {
+        stamp_pair(a, b, farads, |r, c, v| self.c[(r, c)] += v);
+    }
+}
+
 /// Stamps the small-signal conductance matrix `G` (the DC Jacobian at the
-/// operating point, including the default gmin shunt), the capacitance
-/// matrix `C` (linear capacitors plus Meyer MOSFET capacitances) and the
-/// stimulus vector `b` from the netlist's AC magnitudes, all linearized at
-/// the operating-point unknowns `x`.
+/// operating point, including the gmin shunt) and the capacitance matrix
+/// `C` (linear capacitors plus Meyer MOSFET capacitances) in one element
+/// pass, and the stimulus vector `b` from the netlist's AC magnitudes, all
+/// linearized at the operating-point unknowns `x`.
 fn stamp_gcb(circuit: &Circuit, x: &DVec) -> (DMat, DMat, DVec) {
     let n = circuit.num_unknowns();
-    let mut g = DMat::zeros(n, n);
-    let mut res = DVec::zeros(n);
-    stamp_system(circuit, x, 1e-12, 1.0, None, &mut g, &mut res);
-
-    let mut c = DMat::zeros(n, n);
-    let stamp_cap = |c: &mut DMat, a: NodeId, b: NodeId, farads: f64, ckt: &Circuit| {
-        let (ia, ib) = (ckt.node_unknown(a), ckt.node_unknown(b));
-        if let Some(i) = ia {
-            c[(i, i)] += farads;
-        }
-        if let Some(j) = ib {
-            c[(j, j)] += farads;
-        }
-        if let (Some(i), Some(j)) = (ia, ib) {
-            c[(i, j)] -= farads;
-            c[(j, i)] -= farads;
-        }
+    let mut gc = GcTarget {
+        g: DMat::zeros(n, n),
+        c: DMat::zeros(n, n),
     };
-    let mut b = DVec::zeros(n);
+    let mut res = DVec::zeros(n);
+    stamp_system(circuit, x, GMIN, 1.0, None, &mut gc, &mut res);
 
+    let mut b = DVec::zeros(n);
     for kind in circuit.kinds() {
         match kind {
-            ElementKind::Capacitor { a, b: nb, farads } => {
-                stamp_cap(&mut c, *a, *nb, *farads, circuit);
-            }
-            ElementKind::Mosfet {
-                d,
-                g: ng,
-                s,
-                b: nbk,
-                params,
-            } => {
-                let (_, _, _, ev) = eval_mosfet_at(circuit, x, *d, *ng, *s, *nbk, params);
-                let cov = params.model.cov * params.w;
-                let cch = params.model.cox * params.w * params.l;
-                let (cgs, cgd, cgb) = match ev.region {
-                    MosRegion::Cutoff => (cov, cov, cch),
-                    MosRegion::Triode => (cov + 0.5 * cch, cov + 0.5 * cch, 0.0),
-                    MosRegion::Saturation => (cov + 2.0 / 3.0 * cch, cov, 0.0),
-                };
-                stamp_cap(&mut c, *ng, *s, cgs, circuit);
-                stamp_cap(&mut c, *ng, *d, cgd, circuit);
-                stamp_cap(&mut c, *ng, *nbk, cgb, circuit);
-            }
             ElementKind::VoltageSource { ac, branch, .. } if *ac != 0.0 => {
                 b[circuit.branch_unknown(*branch)] = *ac;
             }
@@ -195,7 +184,7 @@ fn stamp_gcb(circuit: &Circuit, x: &DVec) -> (DMat, DMat, DVec) {
             _ => {}
         }
     }
-    (g, c, b)
+    (gc.g, gc.c, b)
 }
 
 /// The nonzero entries of a small-signal matrix perturbation
@@ -627,7 +616,7 @@ mod tests {
         ckt.capacitor("CL", vout, Circuit::GROUND, 1e-9).unwrap();
         let op = DcOp::new(&ckt).solve().unwrap();
         let ac = AcSolver::new(&ckt, &op);
-        // (tolerance accounts for the 1e-12 S gmin shunt at the output node)
+        // (tolerance accounts for the gmin shunt at the output node)
         assert!((ac.solve(0.0).unwrap().voltage(vout).abs() - 100.0).abs() < 1e-3);
         let fu = ac.find_crossing(vout, 1.0, 1.0, 1e12).unwrap().unwrap();
         // Analytic: |H| = 100/√(1+(2πf RC)²) = 1 → 2πf RC = √9999.

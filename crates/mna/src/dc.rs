@@ -5,40 +5,25 @@ use std::sync::Arc;
 
 use specwise_linalg::DVec;
 
-use crate::mosfet::{eval_nmos_frame, MosPolarity, MosRegion};
+use crate::mosfet::{eval_nmos_frame, meyer_caps, MosPolarity, MosRegion};
 use crate::netlist::{ElementKind, NameTable};
 use crate::solver::{Analysis, Stamper, SystemSolver};
 use crate::{Circuit, ElementId, MnaError, NodeId};
 
-/// Tuning knobs of the Newton iteration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NewtonOptions {
-    /// Maximum Newton iterations per homotopy stage.
-    pub max_iterations: usize,
-    /// Absolute node-voltage convergence tolerance \[V\].
-    pub vntol: f64,
-    /// Relative convergence tolerance.
-    pub reltol: f64,
-    /// Residual convergence tolerance (KCL rows in amps, branch rows in volts).
-    pub restol: f64,
-    /// Maximum node-voltage change per damped Newton step \[V\].
-    pub damping_vmax: f64,
-    /// Minimum shunt conductance from every node to ground \[S\].
-    pub gmin: f64,
-}
+/// Maximum Newton iterations per homotopy stage.
+const MAX_ITERATIONS: usize = 150;
+/// Absolute node-voltage convergence tolerance \[V\].
+const VNTOL: f64 = 1e-9;
+/// Relative convergence tolerance.
+const RELTOL: f64 = 1e-9;
+/// Residual convergence tolerance (KCL rows in amps, branch rows in volts).
+const RESTOL: f64 = 1e-9;
+/// Maximum node-voltage change per damped Newton step \[V\].
+const DAMPING_VMAX: f64 = 0.5;
 
-impl Default for NewtonOptions {
-    fn default() -> Self {
-        NewtonOptions {
-            max_iterations: 150,
-            vntol: 1e-9,
-            reltol: 1e-9,
-            restol: 1e-9,
-            damping_vmax: 0.5,
-            gmin: 1e-12,
-        }
-    }
-}
+/// Minimum shunt conductance from every node to ground \[S\]: the DC solve
+/// converges with it, and AC, transient and sensitivity stamp with it.
+pub(crate) const GMIN: f64 = 1e-12;
 
 /// Operating-point record of one MOSFET.
 ///
@@ -140,21 +125,12 @@ impl DcSolution {
 #[derive(Debug, Clone)]
 pub struct DcOp<'c> {
     circuit: &'c Circuit,
-    options: NewtonOptions,
 }
 
 impl<'c> DcOp<'c> {
-    /// Creates an analysis with default [`NewtonOptions`].
+    /// Creates an analysis of `circuit`.
     pub fn new(circuit: &'c Circuit) -> Self {
-        DcOp {
-            circuit,
-            options: NewtonOptions::default(),
-        }
-    }
-
-    /// Creates an analysis with custom options.
-    pub fn with_options(circuit: &'c Circuit, options: NewtonOptions) -> Self {
-        DcOp { circuit, options }
+        DcOp { circuit }
     }
 
     /// Solves for the operating point from a flat (all-zero) initial guess.
@@ -193,7 +169,7 @@ impl<'c> DcOp<'c> {
         let mut sys = SystemSolver::new(self.circuit, Analysis::Dc);
 
         // Stage 1: plain Newton.
-        if let Ok((x, iters)) = self.newton(&mut sys, initial.clone(), self.options.gmin, 1.0) {
+        if let Ok((x, iters)) = self.newton(&mut sys, initial.clone(), GMIN, 1.0) {
             return Ok(self.finish(x, iters));
         }
 
@@ -202,7 +178,7 @@ impl<'c> DcOp<'c> {
         let mut ok = true;
         let mut g = 1e-2;
         let mut total_iters = 0;
-        while g > self.options.gmin {
+        while g > GMIN {
             match self.newton(&mut sys, x.clone(), g, 1.0) {
                 Ok((xg, it)) => {
                     x = xg;
@@ -216,7 +192,7 @@ impl<'c> DcOp<'c> {
             g *= 0.1;
         }
         if ok {
-            if let Ok((xf, it)) = self.newton(&mut sys, x.clone(), self.options.gmin, 1.0) {
+            if let Ok((xf, it)) = self.newton(&mut sys, x.clone(), GMIN, 1.0) {
                 return Ok(self.finish(xf, total_iters + it));
             }
         }
@@ -227,7 +203,7 @@ impl<'c> DcOp<'c> {
         let steps = 20;
         for k in 1..=steps {
             let alpha = k as f64 / steps as f64;
-            match self.newton(&mut sys, x.clone(), self.options.gmin, alpha) {
+            match self.newton(&mut sys, x.clone(), GMIN, alpha) {
                 Ok((xa, it)) => {
                     x = xa;
                     total_iters += it;
@@ -267,12 +243,11 @@ impl<'c> DcOp<'c> {
         scale: f64,
     ) -> Result<(DVec, usize), MnaError> {
         let n = self.circuit.num_unknowns();
-        let damping_vmax = damping_for(self.circuit, &self.options);
+        let damping_vmax = damping_for(self.circuit);
         let mut res = DVec::zeros(n);
-        for iter in 0..self.options.max_iterations {
+        for iter in 0..MAX_ITERATIONS {
             match newton_iteration(
                 self.circuit,
-                &self.options,
                 sys,
                 &mut x,
                 &mut res,
@@ -295,7 +270,7 @@ impl<'c> DcOp<'c> {
         stamp_system(self.circuit, &x, gshunt, scale, None, sys, &mut res);
         Err(MnaError::NoConvergence {
             analysis: "dc",
-            iterations: self.options.max_iterations,
+            iterations: MAX_ITERATIONS,
             residual: res.norm_inf(),
         })
     }
@@ -316,20 +291,20 @@ impl<'c> DcOp<'c> {
 ///
 /// Purely linear circuits solve exactly in one Newton step; damping would
 /// only slow (or for large node voltages, prevent) convergence.
-pub(crate) fn damping_for(circuit: &Circuit, options: &NewtonOptions) -> f64 {
+fn damping_for(circuit: &Circuit) -> f64 {
     let has_nonlinear = circuit
         .kinds()
         .iter()
         .any(|k| matches!(k, ElementKind::Mosfet { .. } | ElementKind::Diode { .. }));
     if has_nonlinear {
-        options.damping_vmax
+        DAMPING_VMAX
     } else {
         f64::INFINITY
     }
 }
 
 /// Outcome of one Newton iteration ([`newton_iteration`]).
-pub(crate) enum NewtonStep {
+enum NewtonStep {
     /// Converged: `x` holds the accepted solution.
     Converged,
     /// Not converged yet; iterate again.
@@ -343,10 +318,8 @@ pub(crate) enum NewtonStep {
 /// One iteration of the damped Newton loop: stamp, factor, solve, damp,
 /// update, check convergence. [`DcOp`]'s plain-Newton and homotopy stages
 /// all step through it.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn newton_iteration(
+fn newton_iteration(
     circuit: &Circuit,
-    options: &NewtonOptions,
     sys: &mut SystemSolver,
     x: &mut DVec,
     res: &mut DVec,
@@ -371,7 +344,7 @@ pub(crate) fn newton_iteration(
     // tolerance and the proposed update is sub-µV, the point is converged
     // even if a near-singular Jacobian (cut-off devices hanging on gmin)
     // keeps Δv from meeting the strict voltage criterion.
-    if res.norm_inf() < options.restol && vmax < 1e-6 {
+    if res.norm_inf() < RESTOL && vmax < 1e-6 {
         return NewtonStep::Converged;
     }
     // Damp: bound the node-voltage update.
@@ -383,14 +356,14 @@ pub(crate) fn newton_iteration(
     // Convergence: voltage update small and residual small.
     let mut dv_ok = true;
     for i in 0..nv {
-        if delta[i].abs() > options.vntol + options.reltol * x[i].abs() {
+        if delta[i].abs() > VNTOL + RELTOL * x[i].abs() {
             dv_ok = false;
             break;
         }
     }
     if dv_ok {
         stamp_system(circuit, x, gshunt, scale, None, sys, res);
-        if res.norm_inf() < options.restol {
+        if res.norm_inf() < RESTOL {
             return NewtonStep::Converged;
         }
     }
@@ -399,7 +372,7 @@ pub(crate) fn newton_iteration(
 
 /// A [`Stamper`] that discards every Jacobian entry — used for
 /// residual-only evaluations (sensitivity right-hand sides).
-pub(crate) struct NullStamper;
+struct NullStamper;
 
 impl Stamper for NullStamper {
     fn clear(&mut self) {}
@@ -421,12 +394,13 @@ fn vnode(x: &DVec, ckt: &Circuit, n: NodeId) -> f64 {
     }
 }
 
-/// Effective-frame MOSFET evaluation shared by DC, AC and transient.
+/// Effective-frame MOSFET evaluation of the element pass and the operating
+/// records.
 ///
 /// Returns `(effective_drain, effective_source, sign, eval)` where the
 /// current `sign·eval.id` flows from `effective_drain` to `effective_source`
 /// in the real frame.
-pub(crate) fn eval_mosfet_at(
+fn eval_mosfet_at(
     ckt: &Circuit,
     x: &DVec,
     d: NodeId,
@@ -455,12 +429,15 @@ pub(crate) fn eval_mosfet_at(
     (ed, es, sgn, ev)
 }
 
-/// Stamps the full nonlinear system at `x` into `jac` and `res`.
+/// Stamps the full nonlinear system at `x` into `jac` and `res`: the one
+/// element pass that turns a netlist into matrices.
 ///
 /// `res` is the KCL residual (currents leaving each node) plus the branch
 /// voltage equations; `jac` its Jacobian, written through the [`Stamper`]
-/// abstraction (dense matrix, sparse value array, or pattern collector).
-/// Both targets are zeroed in place first. `stimulus_time` selects transient
+/// abstraction. When the target asks for them, the same pass hands it every
+/// capacitance, in element order: each capacitor's value and each MOSFET's
+/// Meyer capacitances in the region it has just been evaluated in. Both
+/// targets are zeroed in place first. `stimulus_time` selects transient
 /// stimulus values for voltage sources when `Some`.
 pub(crate) fn stamp_system(
     ckt: &Circuit,
@@ -479,6 +456,7 @@ pub(crate) fn stamp_system(
         res.as_mut_slice().fill(0.0);
     }
     let nv = ckt.num_nodes() - 1;
+    let caps = jac.wants_caps();
 
     // Shunt conductance from every node to ground (gmin / homotopy).
     for i in 0..nv {
@@ -510,8 +488,11 @@ pub(crate) fn stamp_system(
                 add_jac(jac, ib, ia, -g);
                 add_jac(jac, ib, ib, g);
             }
-            ElementKind::Capacitor { .. } => {
-                // Open circuit in DC; transient adds companion stamps itself.
+            ElementKind::Capacitor { a, b, farads } => {
+                // Open circuit in the Jacobian; AC and transient read the value.
+                if caps {
+                    jac.cap(ckt.node_unknown(*a), ckt.node_unknown(*b), *farads);
+                }
             }
             ElementKind::CurrentSource { p, n: nn, dc, .. } => {
                 let i = source_scale * dc;
@@ -630,6 +611,12 @@ pub(crate) fn stamp_system(
                 add_jac(jac, ies, ied, -ev.gds);
                 add_jac(jac, ies, ib, -ev.gmb);
                 add_jac(jac, ies, ies, gsum);
+                if caps {
+                    let (cgs, cgd, cgb) = meyer_caps(params, ev.region);
+                    jac.gate_cap(ig, ckt.node_unknown(*s), cgs);
+                    jac.gate_cap(ig, ckt.node_unknown(*d), cgd);
+                    jac.gate_cap(ig, ib, cgb);
+                }
             }
         }
     }
@@ -674,7 +661,6 @@ pub(crate) fn mosfet_operating_points(ckt: &Circuit, x: &DVec) -> Vec<MosOpInfo>
 mod tests {
     use super::*;
     use crate::{MosfetModel, MosfetParams};
-    use specwise_linalg::DMat;
 
     #[test]
     fn resistive_divider() {
@@ -876,10 +862,8 @@ mod tests {
         ckt.mosfet("M1", out, gate, Circuit::GROUND, Circuit::GROUND, params)
             .unwrap();
         let op = DcOp::new(&ckt).solve().unwrap();
-        let n = ckt.num_unknowns();
-        let mut jac = DMat::zeros(n, n);
-        let mut res = DVec::zeros(n);
-        stamp_system(&ckt, op.unknowns(), 1e-12, 1.0, None, &mut jac, &mut res);
+        let mut res = DVec::zeros(ckt.num_unknowns());
+        residual_at(&ckt, op.unknowns(), GMIN, &mut res);
         assert!(res.norm_inf() < 1e-9, "residual {}", res.norm_inf());
     }
 

@@ -13,7 +13,12 @@
 //!   (complex MNA), including Meyer-style MOSFET capacitances,
 //! * [`Transient`] — fixed-step trapezoidal/backward-Euler transient with a
 //!   Newton solve per time step,
-//! * [`DcSweep`] — swept DC analyses.
+//! * [`DcSensitivity`] — frozen-Jacobian re-solves of perturbed circuits.
+//!
+//! One element pass turns a netlist into matrices for every analysis: it
+//! stamps the Jacobian `G` and, for AC and transient, hands over each
+//! capacitor and each MOSFET's Meyer capacitances in the region the same
+//! pass has just evaluated.
 //!
 //! # Example — an RC low-pass filter
 //!
@@ -51,11 +56,10 @@ mod netlist;
 mod parser;
 mod sens;
 mod solver;
-mod sweep;
 mod transient;
 
 pub use ac::{AcDelta, AcFactor, AcSolution, AcSolver};
-pub use dc::{DcOp, DcSolution, MosOpInfo, NewtonOptions};
+pub use dc::{DcOp, DcSolution, MosOpInfo};
 pub use error::MnaError;
 pub use mosfet::{MosEval, MosPolarity, MosRegion, MosfetModel, MosfetParams};
 pub use netlist::{Circuit, ElementId, NodeId, Stimulus};
@@ -66,5 +70,4 @@ pub use parser::{
 };
 pub use sens::DcSensitivity;
 pub use solver::{clear_symbolic_cache, symbolic_cache_len, SolverChoice, SPARSE_AUTO_THRESHOLD};
-pub use sweep::DcSweep;
 pub use transient::{Integrator, Transient, TransientOptions, TransientResult, Waveform};

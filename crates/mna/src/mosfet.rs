@@ -262,6 +262,19 @@ pub fn eval_nmos_frame(p: &MosfetParams, vgs: f64, vds: f64, vbs: f64, t: f64) -
     }
 }
 
+/// Meyer gate capacitances `(cgs, cgd, cgb)` \[F\] of a device in `region`:
+/// the gate-drain/source overlaps plus the region's share of the channel
+/// capacitance.
+pub(crate) fn meyer_caps(p: &MosfetParams, region: MosRegion) -> (f64, f64, f64) {
+    let cov = p.model.cov * p.w;
+    let cch = p.model.cox * p.w * p.l;
+    match region {
+        MosRegion::Cutoff => (cov, cov, cch),
+        MosRegion::Triode => (cov + 0.5 * cch, cov + 0.5 * cch, 0.0),
+        MosRegion::Saturation => (cov + 2.0 / 3.0 * cch, cov, 0.0),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

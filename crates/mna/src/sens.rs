@@ -19,14 +19,9 @@ use std::sync::Mutex;
 
 use specwise_linalg::DVec;
 
-use crate::dc::{residual_at, stamp_system, DcOp, DcSolution};
+use crate::dc::{residual_at, stamp_system, DcOp, DcSolution, GMIN};
 use crate::solver::{Analysis, SystemSolver};
 use crate::{Circuit, MnaError};
-
-/// Shunt conductance used for the sensitivity Jacobian and residuals —
-/// the same gmin the final homotopy stage of the DC solver converged with,
-/// so `F(x) ≈ 0` at the base point.
-const SENS_GMIN: f64 = 1e-12;
 
 /// Factored DC operating-point Jacobian for semi-analytic re-solves of
 /// perturbed circuits (see the module docs).
@@ -45,7 +40,8 @@ impl std::fmt::Debug for DcSensitivity {
 
 impl DcSensitivity {
     /// Stamps and factors the Jacobian of `circuit` at the converged
-    /// operating point `op`.
+    /// operating point `op`, with the gmin the DC solve converged with, so
+    /// `F(x) ≈ 0` at the base point.
     ///
     /// # Errors
     ///
@@ -61,15 +57,7 @@ impl DcSensitivity {
         }
         let mut sys = SystemSolver::new(circuit, Analysis::Dc);
         let mut res = DVec::zeros(n);
-        stamp_system(
-            circuit,
-            op.unknowns(),
-            SENS_GMIN,
-            1.0,
-            None,
-            &mut sys,
-            &mut res,
-        );
+        stamp_system(circuit, op.unknowns(), GMIN, 1.0, None, &mut sys, &mut res);
         sys.factor("dc sensitivity")?;
         Ok(DcSensitivity {
             x: op.unknowns().clone(),
@@ -108,7 +96,7 @@ impl DcSensitivity {
             });
         }
         let mut res = DVec::zeros(n);
-        residual_at(perturbed, &self.x, SENS_GMIN, &mut res);
+        residual_at(perturbed, &self.x, GMIN, &mut res);
         if !res.is_finite() {
             return Err(MnaError::NoConvergence {
                 analysis: "dc sensitivity",

@@ -9,11 +9,14 @@ pub use crate::netlist::Stimulus as Waveform;
 
 use specwise_linalg::DVec;
 
-use crate::dc::{eval_mosfet_at, stamp_system, DcOp};
-use crate::mosfet::MosRegion;
-use crate::netlist::ElementKind;
-use crate::solver::{Analysis, Stamper, SystemSolver};
+use crate::dc::{stamp_system, DcOp, GMIN};
+use crate::solver::{stamp_pair, Analysis, Stamper, SystemSolver};
 use crate::{Circuit, MnaError, NodeId};
+
+/// Maximum Newton iterations per time step.
+const MAX_ITERATIONS: usize = 60;
+/// Node-voltage convergence tolerance of a time step's Newton loop \[V\].
+const VNTOL: f64 = 1e-7;
 
 /// Integration method for the capacitor companion models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,10 +36,6 @@ pub struct TransientOptions {
     pub t_stop: f64,
     /// Integration method.
     pub integrator: Integrator,
-    /// Maximum Newton iterations per step.
-    pub max_iterations: usize,
-    /// Node-voltage convergence tolerance \[V\].
-    pub vntol: f64,
 }
 
 impl TransientOptions {
@@ -51,8 +50,6 @@ impl TransientOptions {
             dt,
             t_stop,
             integrator: Integrator::Trapezoidal,
-            max_iterations: 60,
-            vntol: 1e-7,
         }
     }
 }
@@ -107,16 +104,54 @@ impl TransientResult {
     }
 }
 
-/// A capacitor participating in the integration: terminals and value.
+/// A capacitance participating in the integration: terminal unknowns
+/// (`None` is ground) and value.
 #[derive(Debug, Clone, Copy)]
 struct TranCap {
-    a: NodeId,
-    b: NodeId,
+    a: Option<usize>,
+    b: Option<usize>,
     farads: f64,
     /// Companion-model history: voltage across at previous step.
     v_prev: f64,
     /// Current through at previous step (trapezoidal only), a→b.
     i_prev: f64,
+}
+
+/// Voltage of unknown `i` (`None` is ground).
+fn volt(x: &DVec, i: Option<usize>) -> f64 {
+    i.map_or(0.0, |i| x[i])
+}
+
+/// The capacitances one element pass at the operating point `x` hands
+/// over, in steady state: explicit capacitors always, MOSFET Meyer
+/// capacitances frozen in their initial region when positive.
+struct TranCaps<'x> {
+    x: &'x DVec,
+    caps: Vec<TranCap>,
+}
+
+impl Stamper for TranCaps<'_> {
+    fn clear(&mut self) {
+        self.caps.clear();
+    }
+    fn add(&mut self, _r: usize, _c: usize, _v: f64) {}
+    fn wants_caps(&self) -> bool {
+        true
+    }
+    fn cap(&mut self, a: Option<usize>, b: Option<usize>, farads: f64) {
+        self.caps.push(TranCap {
+            a,
+            b,
+            farads,
+            v_prev: volt(self.x, a) - volt(self.x, b),
+            i_prev: 0.0,
+        });
+    }
+    fn gate_cap(&mut self, a: Option<usize>, b: Option<usize>, farads: f64) {
+        if farads > 0.0 {
+            self.cap(a, b, farads);
+        }
+    }
 }
 
 /// Fixed-step transient analysis.
@@ -168,54 +203,13 @@ impl<'c> Transient<'c> {
         // consistent with the `dc` value of the source).
         let op0 = DcOp::new(ckt).solve()?;
         let mut x = op0.unknowns().clone();
-
-        // Collect capacitors: explicit ones plus frozen MOSFET Meyer caps.
-        let mut caps: Vec<TranCap> = Vec::new();
-        for kind in ckt.kinds() {
-            match kind {
-                ElementKind::Capacitor { a, b, farads } => {
-                    caps.push(TranCap {
-                        a: *a,
-                        b: *b,
-                        farads: *farads,
-                        v_prev: 0.0,
-                        i_prev: 0.0,
-                    });
-                }
-                ElementKind::Mosfet { d, g, s, b, params } => {
-                    let (_, _, _, ev) = eval_mosfet_at(ckt, &x, *d, *g, *s, *b, params);
-                    let cov = params.model.cov * params.w;
-                    let cch = params.model.cox * params.w * params.l;
-                    let (cgs, cgd, cgb) = match ev.region {
-                        MosRegion::Cutoff => (cov, cov, cch),
-                        MosRegion::Triode => (cov + 0.5 * cch, cov + 0.5 * cch, 0.0),
-                        MosRegion::Saturation => (cov + 2.0 / 3.0 * cch, cov, 0.0),
-                    };
-                    for (na, nb, c) in [(*g, *s, cgs), (*g, *d, cgd), (*g, *b, cgb)] {
-                        if c > 0.0 {
-                            caps.push(TranCap {
-                                a: na,
-                                b: nb,
-                                farads: c,
-                                v_prev: 0.0,
-                                i_prev: 0.0,
-                            });
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        let vnode = |x: &DVec, node: NodeId| -> f64 {
-            match ckt.node_unknown(node) {
-                Some(i) => x[i],
-                None => 0.0,
-            }
+        let mut res = DVec::zeros(n);
+        let mut caps = TranCaps {
+            x: &x,
+            caps: Vec::new(),
         };
-        for cap in &mut caps {
-            cap.v_prev = vnode(&x, cap.a) - vnode(&x, cap.b);
-            cap.i_prev = 0.0; // steady state
-        }
+        stamp_system(ckt, &x, GMIN, 1.0, None, &mut caps, &mut res);
+        let mut caps = caps.caps;
 
         let dt = self.options.dt;
         let steps = (self.options.t_stop / dt).ceil() as usize;
@@ -226,18 +220,17 @@ impl<'c> Transient<'c> {
 
         // One workspace for the whole run: assembly buffer plus (on the
         // sparse backend) a factorization that refactors in place across
-        // every Newton iteration of every time step. The `Tran` pattern
+        // every Newton iteration of every time step. The AC pattern
         // includes all capacitor companion entries.
-        let mut sys = SystemSolver::new(ckt, Analysis::Tran);
-        let mut res = DVec::zeros(n);
+        let mut sys = SystemSolver::new(ckt, Analysis::Ac);
         for step in 1..=steps {
             let t = step as f64 * dt;
             // Newton at time t with companion models.
             let mut converged = false;
-            for _ in 0..self.options.max_iterations {
-                stamp_system(ckt, &x, 1e-12, 1.0, Some(t), &mut sys, &mut res);
+            for _ in 0..MAX_ITERATIONS {
+                stamp_system(ckt, &x, GMIN, 1.0, Some(t), &mut sys, &mut res);
                 for cap in &caps {
-                    let v_now = vnode(&x, cap.a) - vnode(&x, cap.b);
+                    let v_now = volt(&x, cap.a) - volt(&x, cap.b);
                     let (geq, ieq_hist) = match self.options.integrator {
                         Integrator::BackwardEuler => {
                             let geq = cap.farads / dt;
@@ -249,19 +242,13 @@ impl<'c> Transient<'c> {
                         }
                     };
                     let i_cap = geq * v_now + ieq_hist;
-                    let (ia, ib) = (ckt.node_unknown(cap.a), ckt.node_unknown(cap.b));
-                    if let Some(i) = ia {
+                    if let Some(i) = cap.a {
                         res[i] += i_cap;
-                        sys.add(i, i, geq);
                     }
-                    if let Some(j) = ib {
+                    if let Some(j) = cap.b {
                         res[j] -= i_cap;
-                        sys.add(j, j, geq);
                     }
-                    if let (Some(i), Some(j)) = (ia, ib) {
-                        sys.add(i, j, -geq);
-                        sys.add(j, i, -geq);
-                    }
+                    stamp_pair(cap.a, cap.b, geq, |r, c, v| sys.add(r, c, v));
                 }
                 let delta = sys.factor_solve(&res, "transient")?;
                 x += &delta;
@@ -269,7 +256,7 @@ impl<'c> Transient<'c> {
                 for i in 0..(ckt.num_nodes() - 1) {
                     dv = dv.max(delta[i].abs());
                 }
-                if dv < self.options.vntol {
+                if dv < VNTOL {
                     converged = true;
                     break;
                 }
@@ -277,13 +264,13 @@ impl<'c> Transient<'c> {
             if !converged {
                 return Err(MnaError::NoConvergence {
                     analysis: "transient step",
-                    iterations: self.options.max_iterations,
+                    iterations: MAX_ITERATIONS,
                     residual: res.norm_inf(),
                 });
             }
             // Update companion history.
             for cap in &mut caps {
-                let v_now = vnode(&x, cap.a) - vnode(&x, cap.b);
+                let v_now = volt(&x, cap.a) - volt(&x, cap.b);
                 let i_now = match self.options.integrator {
                     Integrator::BackwardEuler => cap.farads / dt * (v_now - cap.v_prev),
                     Integrator::Trapezoidal => {
