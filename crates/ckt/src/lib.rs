@@ -55,13 +55,13 @@ pub use design::{DesignParam, DesignSpace};
 pub use env::{CircuitEnv, EvalPoint, ExecReport, SimCounter, SimPhase};
 pub use error::CktError;
 pub use folded::FoldedCascode;
-pub use measure::{Measure, MeasureContext, MeasureFn, OpampMetrics, SlewRateMethod};
+pub use measure::{Measure, MeasureContext, OpampMetrics, SlewRateMethod};
 pub use miller::MillerOpamp;
 pub use operating::{OperatingPoint, OperatingRange};
 pub use ota::FiveTransistorOta;
 pub use spec::{Spec, SpecKind};
 pub use specwise_mna::DeckLimits;
-pub use stats::{StatKind, StatParam, StatSpace};
+pub use stats::{CapStat, DeviceStats, StatKind, StatParam, StatSpace};
 pub use tech::Technology;
 pub use testbench::{DesignBinding, DesignMap, DesignTarget, StatMap, Testbench};
 pub use warm::WarmStartCache;

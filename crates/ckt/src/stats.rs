@@ -160,76 +160,115 @@ impl StatSpace {
         }
     }
 
-    /// Assembles the physical deviations of one device from the standardized
-    /// vector: returns `(delta_vth \[V\], beta_factor)`.
+    /// Binds the parameters that move MOSFET `device` of `polarity`: the
+    /// global ones of its polarity and its own local ones, matched by name
+    /// here once so that [`DeviceStats::deltas`] matches none.
+    pub fn bind_device(&self, device: &str, polarity: MosPolarity) -> DeviceStats {
+        let find = |f: &dyn Fn(&StatKind) -> bool| self.params.iter().position(|p| f(&p.kind));
+        DeviceStats {
+            polarity,
+            global_vth: find(&|k| *k == StatKind::GlobalVth(polarity)),
+            global_beta: find(&|k| *k == StatKind::GlobalBeta(polarity)),
+            local_vth: find(&|k| matches!(k, StatKind::LocalVth { device: d } if d == device)),
+            local_beta: find(&|k| matches!(k, StatKind::LocalBeta { device: d } if d == device)),
+        }
+    }
+
+    /// Binds the global capacitance parameter.
+    pub fn bind_cap(&self) -> CapStat {
+        CapStat(
+            self.params
+                .iter()
+                .position(|p| p.kind == StatKind::GlobalCap),
+        )
+    }
+
+    /// Rejects a standardized vector whose length is not [`StatSpace::dim`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CktError::DimensionMismatch`] when `s_hat` has the wrong
+    /// length.
+    pub fn check_len(&self, s_hat: &DVec) -> Result<(), CktError> {
+        if s_hat.len() != self.dim() {
+            return Err(CktError::DimensionMismatch {
+                what: "stat",
+                expected: self.dim(),
+                found: s_hat.len(),
+            });
+        }
+        Ok(())
+    }
+}
+
+/// The statistical parameters that move one MOSFET, bound once per
+/// template by [`StatSpace::bind_device`]. A global parameter precedes
+/// every local one in the space, so adding them in that order keeps the
+/// parameter order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeviceStats {
+    polarity: MosPolarity,
+    global_vth: Option<usize>,
+    global_beta: Option<usize>,
+    local_vth: Option<usize>,
+    local_beta: Option<usize>,
+}
+
+impl DeviceStats {
+    /// The device polarity.
+    pub fn polarity(&self) -> MosPolarity {
+        self.polarity
+    }
+
+    /// Assembles the physical deviations of the device at geometry
+    /// `(w, l)` \[m\] from the standardized vector: returns
+    /// `(delta_vth \[V\], beta_factor)`.
     ///
     /// `beta_factor` is clamped to `≥ 0.05` so extreme tail samples cannot
     /// produce an unphysical non-positive current factor.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`CktError::DimensionMismatch`] when `s_hat` has the wrong
-    /// length.
-    pub fn device_deltas(
-        &self,
-        tech: &Technology,
-        device: &str,
-        polarity: MosPolarity,
-        w: f64,
-        l: f64,
-        s_hat: &DVec,
-    ) -> Result<(f64, f64), CktError> {
-        if s_hat.len() != self.dim() {
-            return Err(CktError::DimensionMismatch {
-                what: "stat",
-                expected: self.dim(),
-                found: s_hat.len(),
-            });
-        }
+    /// Panics if `s_hat` is shorter than the space this was bound in (see
+    /// [`StatSpace::check_len`]).
+    pub fn deltas(&self, tech: &Technology, w: f64, l: f64, s_hat: &DVec) -> (f64, f64) {
         let mut delta_vth = 0.0;
-        let mut dbeta = 0.0;
-        for (i, p) in self.params.iter().enumerate() {
-            match &p.kind {
-                StatKind::GlobalVth(pol) if *pol == polarity => {
-                    delta_vth += s_hat[i] * tech.sigma_vth_global(*pol);
-                }
-                StatKind::GlobalBeta(pol) if *pol == polarity => {
-                    dbeta += s_hat[i] * tech.sigma_beta_global(*pol);
-                }
-                StatKind::LocalVth { device: dev } if dev == device => {
-                    delta_vth += s_hat[i] * tech.sigma_vth_local(w, l);
-                }
-                StatKind::LocalBeta { device: dev } if dev == device => {
-                    dbeta += s_hat[i] * tech.sigma_beta_local(w, l);
-                }
-                _ => {}
-            }
+        if let Some(i) = self.global_vth {
+            delta_vth += s_hat[i] * tech.sigma_vth_global(self.polarity);
         }
-        Ok((delta_vth, (1.0 + dbeta).max(0.05)))
+        if let Some(i) = self.local_vth {
+            delta_vth += s_hat[i] * tech.sigma_vth_local(w, l);
+        }
+        let mut dbeta = 0.0;
+        if let Some(i) = self.global_beta {
+            dbeta += s_hat[i] * tech.sigma_beta_global(self.polarity);
+        }
+        if let Some(i) = self.local_beta {
+            dbeta += s_hat[i] * tech.sigma_beta_local(w, l);
+        }
+        (delta_vth, (1.0 + dbeta).max(0.05))
     }
+}
 
+/// The global capacitance parameter, bound once per template by
+/// [`StatSpace::bind_cap`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CapStat(Option<usize>);
+
+impl CapStat {
     /// Global capacitance scale factor `1 + ŝ[cap]·σ_cap`, clamped to
     /// `≥ 0.2` against unphysical tail samples.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`CktError::DimensionMismatch`] when `s_hat` has the wrong
-    /// length.
-    pub fn cap_factor(&self, tech: &Technology, s_hat: &DVec) -> Result<f64, CktError> {
-        if s_hat.len() != self.dim() {
-            return Err(CktError::DimensionMismatch {
-                what: "stat",
-                expected: self.dim(),
-                found: s_hat.len(),
-            });
-        }
+    /// Panics if `s_hat` is shorter than the space this was bound in (see
+    /// [`StatSpace::check_len`]).
+    pub fn factor(&self, tech: &Technology, s_hat: &DVec) -> f64 {
         let mut f = 1.0;
-        for (i, p) in self.params.iter().enumerate() {
-            if matches!(p.kind, StatKind::GlobalCap) {
-                f += s_hat[i] * tech.sigma_cap_global;
-            }
+        if let Some(i) = self.0 {
+            f += s_hat[i] * tech.sigma_cap_global;
         }
-        Ok(f.max(0.2))
+        f.max(0.2)
     }
 }
 
@@ -268,16 +307,9 @@ mod tests {
         let devs = devices();
         let sp = StatSpace::build(&devs, true);
         let t = Technology::c06();
-        let (dv, bf) = sp
-            .device_deltas(
-                &t,
-                "m1",
-                MosPolarity::Nmos,
-                10e-6,
-                1e-6,
-                &DVec::zeros(sp.dim()),
-            )
-            .unwrap();
+        let (dv, bf) =
+            sp.bind_device("m1", MosPolarity::Nmos)
+                .deltas(&t, 10e-6, 1e-6, &DVec::zeros(sp.dim()));
         assert_eq!(dv, 0.0);
         assert_eq!(bf, 1.0);
     }
@@ -290,11 +322,11 @@ mod tests {
         let mut s = DVec::zeros(sp.dim());
         s[sp.index_of("vthn_glob").unwrap()] = 1.0;
         let (dv_n, _) = sp
-            .device_deltas(&t, "m1", MosPolarity::Nmos, 1e-5, 1e-6, &s)
-            .unwrap();
+            .bind_device("m1", MosPolarity::Nmos)
+            .deltas(&t, 1e-5, 1e-6, &s);
         let (dv_p, _) = sp
-            .device_deltas(&t, "m3", MosPolarity::Pmos, 1e-5, 1e-6, &s)
-            .unwrap();
+            .bind_device("m3", MosPolarity::Pmos)
+            .deltas(&t, 1e-5, 1e-6, &s);
         assert!((dv_n - t.sigma_vth_global_n).abs() < 1e-15);
         assert_eq!(dv_p, 0.0);
     }
@@ -307,11 +339,11 @@ mod tests {
         let mut s = DVec::zeros(sp.dim());
         s[sp.index_of("vth_m1").unwrap()] = 1.0;
         let (small, _) = sp
-            .device_deltas(&t, "m1", MosPolarity::Nmos, 1e-6, 1e-6, &s)
-            .unwrap();
+            .bind_device("m1", MosPolarity::Nmos)
+            .deltas(&t, 1e-6, 1e-6, &s);
         let (large, _) = sp
-            .device_deltas(&t, "m1", MosPolarity::Nmos, 4e-6, 1e-6, &s)
-            .unwrap();
+            .bind_device("m1", MosPolarity::Nmos)
+            .deltas(&t, 4e-6, 1e-6, &s);
         assert!(
             (small / large - 2.0).abs() < 1e-12,
             "σ halves when area quadruples"
@@ -320,8 +352,8 @@ mod tests {
         let mut s2 = DVec::zeros(sp.dim());
         s2[sp.index_of("vth_m2").unwrap()] = 1.0;
         let (dv, _) = sp
-            .device_deltas(&t, "m1", MosPolarity::Nmos, 1e-6, 1e-6, &s2)
-            .unwrap();
+            .bind_device("m1", MosPolarity::Nmos)
+            .deltas(&t, 1e-6, 1e-6, &s2);
         assert_eq!(dv, 0.0);
     }
 
@@ -333,8 +365,8 @@ mod tests {
         let mut s = DVec::zeros(sp.dim());
         s[sp.index_of("betan_glob").unwrap()] = -1000.0;
         let (_, bf) = sp
-            .device_deltas(&t, "m1", MosPolarity::Nmos, 1e-6, 1e-6, &s)
-            .unwrap();
+            .bind_device("m1", MosPolarity::Nmos)
+            .deltas(&t, 1e-6, 1e-6, &s);
         assert_eq!(bf, 0.05);
     }
 
@@ -342,11 +374,24 @@ mod tests {
     fn wrong_length_rejected() {
         let devs = devices();
         let sp = StatSpace::build(&devs, true);
-        let t = Technology::c06();
         assert!(matches!(
-            sp.device_deltas(&t, "m1", MosPolarity::Nmos, 1e-6, 1e-6, &DVec::zeros(2)),
+            sp.check_len(&DVec::zeros(2)),
             Err(CktError::DimensionMismatch { .. })
         ));
+        assert!(sp.check_len(&DVec::zeros(sp.dim())).is_ok());
+    }
+
+    #[test]
+    fn cap_factor_scales_and_clamps() {
+        let sp = StatSpace::build(&devices(), false);
+        let t = Technology::c06();
+        let cap = sp.bind_cap();
+        let mut s = DVec::zeros(sp.dim());
+        assert_eq!(cap.factor(&t, &s), 1.0);
+        s[sp.index_of("cap_glob").unwrap()] = 1.0;
+        assert_eq!(cap.factor(&t, &s), 1.0 + t.sigma_cap_global);
+        s[sp.index_of("cap_glob").unwrap()] = -1000.0;
+        assert_eq!(cap.factor(&t, &s), 0.2);
     }
 
     #[test]
