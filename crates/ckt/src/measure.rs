@@ -22,8 +22,6 @@
 //! one stimulus configuration) and transient run counts as one simulator
 //! call — mirroring how the paper's Table 7 counts TITAN invocations.
 
-use std::sync::Arc;
-
 use specwise_linalg::{CVec, Complex64, DVec};
 use specwise_mna::{
     AcSolver, Circuit, DcSensitivity, DcSolution, NodeId, Stimulus, Transient, TransientOptions,
@@ -44,13 +42,9 @@ pub struct MeasureContext<'a> {
     pub circuit: &'a Circuit,
 }
 
-/// A user-provided measurement function: the payload of [`Measure::Custom`]
-/// and the argument of `Testbench::with_custom_measure`.
-pub type MeasureFn = Arc<dyn Fn(&MeasureContext) -> Result<f64, CktError> + Send + Sync>;
-
 /// One named measurement of a deck-driven testbench: what a `.spec` line's
 /// `<measure>` token selects.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub enum Measure {
     /// Open-loop DC gain \[dB\] (`dcgain`).
     DcGain,
@@ -69,25 +63,6 @@ pub enum Measure {
     /// DC voltage of a node in the feedback configuration
     /// (`vdc(<node>)`).
     DcNodeVoltage(String),
-    /// User escape hatch: an arbitrary function of the measurement context,
-    /// attached programmatically via `Testbench::with_custom_measure`.
-    Custom(MeasureFn),
-}
-
-impl std::fmt::Debug for Measure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Measure::DcGain => write!(f, "DcGain"),
-            Measure::UnityGainFreq => write!(f, "UnityGainFreq"),
-            Measure::PhaseMargin => write!(f, "PhaseMargin"),
-            Measure::Cmrr => write!(f, "Cmrr"),
-            Measure::Psrr => write!(f, "Psrr"),
-            Measure::SlewRate => write!(f, "SlewRate"),
-            Measure::Power => write!(f, "Power"),
-            Measure::DcNodeVoltage(node) => write!(f, "DcNodeVoltage({node:?})"),
-            Measure::Custom(_) => write!(f, "Custom(..)"),
-        }
-    }
 }
 
 impl Measure {
@@ -118,8 +93,7 @@ impl Measure {
     ///
     /// # Errors
     ///
-    /// Returns a [`CktError`] when a referenced node does not exist or a
-    /// custom closure fails.
+    /// Returns a [`CktError`] when a referenced node does not exist.
     pub fn eval(&self, ctx: &MeasureContext) -> Result<f64, CktError> {
         match self {
             Measure::DcGain => Ok(ctx.metrics.a0_db),
@@ -133,7 +107,6 @@ impl Measure {
                 let id = ctx.circuit.find_node(node).map_err(CktError::from)?;
                 Ok(ctx.op.voltage(id))
             }
-            Measure::Custom(f) => f(ctx),
         }
     }
 }

@@ -81,7 +81,7 @@ pub use optimizer::{
 pub use quad_yield::QuadraticYield;
 pub use report::{
     effort_breakdown_table, effort_table, improvement_table, iteration_table, mismatch_table,
-    run_report, sensitivity_table,
+    run_report,
 };
 // Re-exported so downstream users can enable run journaling without naming
 // `specwise-trace` directly (`YieldOptimizer::with_tracer(Tracer::from_env())`).

@@ -142,42 +142,6 @@ pub fn mismatch_table(env: &dyn CircuitEnv, entries: &[MismatchEntry], top: usiz
     out
 }
 
-/// Renders a design-sensitivity table from a worst-case analysis: one row
-/// per design parameter, one column per specification, entries are the
-/// margin change per 1 % full-range move of the parameter, evaluated at the
-/// spec's worst-case anchor — the designer's view of "which knob fixes
-/// which spec".
-pub fn sensitivity_table(env: &dyn CircuitEnv, analysis: &specwise_wcd::WcResult) -> String {
-    let specs = env.specs();
-    let params = env.design_space().params();
-    let mut out = String::new();
-    let _ = write!(out, "{:<10}", "Param");
-    for s in specs {
-        let _ = write!(out, "{:>12}", s.name());
-    }
-    let _ = writeln!(out, "    (margin per 1% range move)");
-    for (k, p) in params.iter().enumerate() {
-        let _ = write!(out, "{:<10}", p.name);
-        let step = 0.01 * (p.upper - p.lower);
-        for spec in 0..specs.len() {
-            let lin = analysis
-                .linearizations()
-                .iter()
-                .find(|l| l.spec == spec && !l.mirrored);
-            match lin {
-                Some(l) => {
-                    let _ = write!(out, "{:>12.4}", l.grad_d[k] * step);
-                }
-                None => {
-                    let _ = write!(out, "{:>12}", "-");
-                }
-            }
-        }
-        let _ = writeln!(out);
-    }
-    out
-}
-
 /// Renders the paper's Table 7: per-circuit simulation counts and wall
 /// times.
 pub fn effort_table(rows: &[(String, u64, std::time::Duration)]) -> String {
@@ -397,20 +361,6 @@ mod tests {
         let entries = analysis.rank_all(&t.initial().wc_points, -1.0);
         let s = mismatch_table(&e, &entries, 3);
         assert!(s.contains("m_kl"));
-    }
-
-    #[test]
-    fn sensitivity_table_shows_design_levers() {
-        let e = env();
-        let analysis = specwise_wcd::WcAnalysis::new(&e, specwise_wcd::WcOptions::default())
-            .run(&DVec::from_slice(&[1.0]))
-            .unwrap();
-        let s = sensitivity_table(&e, &analysis);
-        assert!(s.contains("d0"));
-        assert!(s.contains("gain"));
-        // margin = d0 − 2 + s0: ∂/∂d0 = 1, so a 1 % move of the [0, 10]
-        // range shifts the margin by 0.1.
-        assert!(s.contains("0.1000"), "table:\n{s}");
     }
 
     #[test]

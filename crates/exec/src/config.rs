@@ -105,12 +105,6 @@ impl ExecConfig {
         self
     }
 
-    /// [`ExecConfig::default`] sharded `shards` ways via
-    /// [`ExecConfig::into_shard`].
-    pub fn sharded(shards: usize) -> Self {
-        ExecConfig::default().into_shard(shards)
-    }
-
     /// Reads the configuration from the environment, starting from the
     /// defaults:
     ///
@@ -208,7 +202,6 @@ mod tests {
         let sharded = base.clone().into_shard(2);
         assert_eq!(sharded.cache_capacity, base.cache_capacity);
         assert_eq!(sharded.retry, base.retry);
-        assert!(ExecConfig::sharded(4).workers >= 1);
     }
 
     #[test]

@@ -45,7 +45,6 @@ mod gradient;
 mod linearize;
 mod options;
 mod quadratic;
-mod theta_opt;
 mod wc_point;
 
 pub use analysis::{WcAnalysis, WcResult};
@@ -58,5 +57,4 @@ pub use gradient::{
 pub use linearize::SpecLinearization;
 pub use options::{LinearizationPoint, WcOptions};
 pub use quadratic::QuadraticMarginModel;
-pub use theta_opt::refine_worst_theta;
 pub use wc_point::{WorstCasePoint, WorstCaseSearch};
