@@ -411,7 +411,7 @@ fn scan_spool(cfg: &ServeConfig, state: &ServeState, warned: &mut HashSet<String
         if let Ok(out) = std::fs::read_to_string(cfg.out_path(&id)) {
             match JobOutcome::from_json_str(&out) {
                 Ok(outcome) => {
-                    state.insert_settled(spec, outcome);
+                    state.insert_settled(spec, Ok(outcome));
                     continue;
                 }
                 Err(e) => {
@@ -419,7 +419,7 @@ fn scan_spool(cfg: &ServeConfig, state: &ServeState, warned: &mut HashSet<String
                 }
             }
         } else if let Ok(reason) = std::fs::read_to_string(cfg.fail_path(&id)) {
-            state.insert_failed(spec, reason.trim_end().to_string());
+            state.insert_settled(spec, Err(reason.trim_end().to_string()));
             continue;
         }
         state.adopt(spec);
@@ -442,12 +442,12 @@ fn ensure_known(job: &str, state: &ServeState, cfg: &ServeConfig) {
 fn settle_from_spool(id: &str, state: &ServeState, cfg: &ServeConfig) -> bool {
     if let Ok(text) = std::fs::read_to_string(cfg.out_path(id)) {
         if let Ok(outcome) = JobOutcome::from_json_str(&text) {
-            state.settle_remote(id, outcome);
+            state.settle_remote(id, Ok(outcome));
             return true;
         }
     }
     if let Ok(reason) = std::fs::read_to_string(cfg.fail_path(id)) {
-        state.fail_remote(id, reason.trim_end().to_string());
+        state.settle_remote(id, Err(reason.trim_end().to_string()));
         return true;
     }
     false

@@ -51,6 +51,14 @@ impl JobState {
     }
 }
 
+/// The state, outcome and error of a job settled with `result`.
+fn settled(result: Result<JobOutcome, String>) -> (JobState, Option<JobOutcome>, Option<String>) {
+    match result {
+        Ok(outcome) => (JobState::Done, Some(outcome), None),
+        Err(reason) => (JobState::Failed, None, Some(reason)),
+    }
+}
+
 /// One job's full record in the table.
 #[derive(Clone)]
 pub struct JobEntry {
@@ -260,51 +268,32 @@ impl ServeState {
         self.inner.lock().unwrap().jobs.contains_key(id)
     }
 
-    /// Inserts an already-settled job recovered from the spool (its
-    /// `.out` was written by a previous process or by a peer daemon),
-    /// so clients can still fetch it. Counted as remote work: this
-    /// process did not run it, so `jobs_done` — runs completed *here* —
-    /// is untouched and stays fleet-additive.
-    pub fn insert_settled(&self, spec: JobSpec, outcome: JobOutcome) {
+    /// Inserts a job recovered from the spool already settled: with the
+    /// outcome a previous process or a peer daemon wrote to its `.out`, so
+    /// clients can still fetch it, or with the failure its `.fail` marker
+    /// kept, so clients get the failure instead of an automatic — and
+    /// likely identical — re-run. Counted as remote work: this process did
+    /// not run it, so `jobs_done` — runs completed *here* — is untouched
+    /// and stays fleet-additive.
+    pub fn insert_settled(&self, spec: JobSpec, result: Result<JobOutcome, String>) {
         let mut inner = self.inner.lock().unwrap();
+        inner.metrics.jobs_submitted += 1;
+        inner.metrics.jobs_remote += 1;
+        inner.metrics.jobs_failed += u64::from(result.is_err());
+        let (state, outcome, error) = settled(result);
         let id = spec.id.clone();
         inner.jobs.insert(
             id.clone(),
             JobEntry {
                 spec,
-                state: JobState::Done,
+                state,
                 journal: Arc::new(Journal::in_memory()),
-                outcome: Some(outcome),
-                error: None,
+                outcome,
+                error,
                 holder: None,
             },
         );
         inner.order.push(id);
-        inner.metrics.jobs_submitted += 1;
-        inner.metrics.jobs_remote += 1;
-    }
-
-    /// Inserts a job that settled with an error in some previous process
-    /// (its `.fail` marker survived in the spool), so clients get the
-    /// failure instead of an automatic — and likely identical — re-run.
-    pub fn insert_failed(&self, spec: JobSpec, reason: String) {
-        let mut inner = self.inner.lock().unwrap();
-        let id = spec.id.clone();
-        inner.jobs.insert(
-            id.clone(),
-            JobEntry {
-                spec,
-                state: JobState::Failed,
-                journal: Arc::new(Journal::in_memory()),
-                outcome: None,
-                error: Some(reason),
-                holder: None,
-            },
-        );
-        inner.order.push(id);
-        inner.metrics.jobs_submitted += 1;
-        inner.metrics.jobs_remote += 1;
-        inner.metrics.jobs_failed += 1;
     }
 
     /// Blocks until a job is queued (returning its spec, journal, and the
@@ -401,32 +390,18 @@ impl ServeState {
         }
     }
 
-    /// Settles a remote job with the outcome its peer wrote to the spool
-    /// and wakes `result --wait` clients. Unlike [`ServeState::finish`],
-    /// the peer's sim/cache counters are *not* folded into this daemon's
-    /// metrics — they are the peer's work.
-    pub fn settle_remote(&self, id: &str, outcome: JobOutcome) {
+    /// Settles a remote job with the outcome or the failure its peer wrote
+    /// to the spool and wakes `result --wait` clients. Unlike
+    /// [`ServeState::finish`], the peer's sim/cache counters are *not*
+    /// folded into this daemon's metrics — they are the peer's work.
+    pub fn settle_remote(&self, id: &str, result: Result<JobOutcome, String>) {
         let mut inner = self.inner.lock().unwrap();
         if let Some(entry) = inner.jobs.get_mut(id) {
             if !entry.state.settled() {
-                entry.state = JobState::Done;
-                entry.outcome = Some(outcome);
+                let failed = u64::from(result.is_err());
+                (entry.state, entry.outcome, entry.error) = settled(result);
                 inner.metrics.jobs_remote += 1;
-            }
-        }
-        drop(inner);
-        self.done_cv.notify_all();
-    }
-
-    /// Settles a remote job with the failure its peer recorded.
-    pub fn fail_remote(&self, id: &str, reason: String) {
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(entry) = inner.jobs.get_mut(id) {
-            if !entry.state.settled() {
-                entry.state = JobState::Failed;
-                entry.error = Some(reason);
-                inner.metrics.jobs_remote += 1;
-                inner.metrics.jobs_failed += 1;
+                inner.metrics.jobs_failed += failed;
             }
         }
         drop(inner);
@@ -769,7 +744,7 @@ mod tests {
             let state = Arc::clone(&state);
             std::thread::spawn(move || state.wait_settled("job-0001").unwrap())
         };
-        state.settle_remote("job-0001", outcome());
+        state.settle_remote("job-0001", Ok(outcome()));
         let entry = waiter.join().unwrap();
         assert_eq!(entry.state, JobState::Done);
         assert_eq!(entry.holder.as_deref(), Some("peer-1"));
@@ -820,7 +795,7 @@ mod tests {
         assert!(state.adopt(spec("job-0001", "a")));
         assert!(!state.adopt(spec("job-0001", "a")), "already known");
         assert!(state.known("job-0001"));
-        state.insert_failed(spec("job-0002", "a"), "diverged".into());
+        state.insert_settled(spec("job-0002", "a"), Err("diverged".into()));
         let entry = state.entry("job-0002").unwrap();
         assert_eq!(entry.state, JobState::Failed);
         assert_eq!(entry.error.as_deref(), Some("diverged"));
