@@ -90,7 +90,7 @@ fn norm_min_pass(env: &AnalyticEnv, n: usize) -> (f64, u64) {
         &Tracer::disabled(),
     )
     .expect("norm-min verifies");
-    (r.std_error, env.sim_count() - before)
+    (r.sampling.std_error, env.sim_count() - before)
 }
 
 /// Doubles the sample budget until the yield's standard error is ≤ 1 %
@@ -166,8 +166,8 @@ fn effort_and_gate(_c: &mut Criterion) {
 
     // The MC budget that matches norm-min's relative precision, from the
     // binomial variance: se_mc = sqrt(p(1-p)/n) ≤ se_nm ⇔ n ≥ p(1-p)/se².
-    let rel = nm.std_error / nm.failure_probability;
-    let mc_equivalent = p_true * (1.0 - p_true) / (nm.std_error * nm.std_error);
+    let rel = nm.sampling.std_error / nm.sampling.failure_probability;
+    let mc_equivalent = p_true * (1.0 - p_true) / (nm.sampling.std_error * nm.sampling.std_error);
     let speedup = mc_equivalent / nm_sims_high as f64;
     println!(
         "high-sigma b={HIGH_SIGMA_B}: p_true={p_true:.3e} \
@@ -175,7 +175,7 @@ fn effort_and_gate(_c: &mut Criterion) {
          norm_min_p={:.3e} norm_min_rel_err={rel:.3} ess={:.1} \
          search_sims={} sims={nm_sims_high} mc_equivalent_sims={mc_equivalent:.3e} \
          speedup={speedup:.1}x",
-        nm.failure_probability, nm.effective_sample_size, nm.search_sims
+        nm.sampling.failure_probability, nm.sampling.effective_sample_size, nm.search_sims
     );
 
     if std::env::var("SPECWISE_BENCH_GATE").is_ok() {
@@ -184,13 +184,13 @@ fn effort_and_gate(_c: &mut Criterion) {
             "plain MC should be blind at the high-sigma budget"
         );
         assert!(
-            nm.failure_probability > 0.0 && !nm.ess_degraded,
+            nm.sampling.failure_probability > 0.0 && !nm.ess_degraded,
             "norm-min must report a nonzero, non-degraded yield loss"
         );
         assert!(
-            nm.effective_sample_size >= 20.0,
+            nm.sampling.effective_sample_size >= 20.0,
             "norm-min ESS {} below the acceptance floor",
-            nm.effective_sample_size
+            nm.sampling.effective_sample_size
         );
         assert!(
             speedup >= 5.0,
@@ -198,7 +198,7 @@ fn effort_and_gate(_c: &mut Criterion) {
         );
         println!(
             "gate: norm-min vs mc {speedup:.1}x, ess {:.1} — PASS",
-            nm.effective_sample_size
+            nm.sampling.effective_sample_size
         );
     }
 }

@@ -55,10 +55,6 @@ pub trait YieldEstimator {
     /// The estimator's result type.
     type Output;
 
-    /// Short machine-readable name reported in logs and `status`
-    /// (`"mc"`, `"is"`, `"norm-min"`).
-    fn name(&self) -> &'static str;
-
     /// Span name recorded in the journal (`"mc_verify"`, `"is_verify"`,
     /// `"norm_min_verify"`).
     fn span_name(&self) -> &'static str;
@@ -258,8 +254,9 @@ pub enum EstimatorKind {
     /// Mean-shift importance sampling at the dominant worst-case point
     /// (Eqs. 11–12).
     MeanShift,
-    /// Minimum-norm failure-point importance sampling with self-normalized
-    /// weights and an effective-sample-size guard (high-sigma regime).
+    /// Minimum-norm failure-point importance sampling: a boundary search
+    /// places the mean-shift proposal, and an effective-sample-size guard
+    /// widens a degenerate result to `[0, 1]` (high-sigma regime).
     NormMin,
 }
 

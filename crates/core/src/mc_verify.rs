@@ -148,10 +148,6 @@ impl YieldEstimator for MonteCarlo {
     type State = McState;
     type Output = McVerification;
 
-    fn name(&self) -> &'static str {
-        "mc"
-    }
-
     fn span_name(&self) -> &'static str {
         "mc_verify"
     }

@@ -110,7 +110,10 @@ fn main() -> Result<(), Box<dyn Error>> {
             println!(
                 "estimator norm-min, {n} samples (+{} search sims): \
                  failure probability {:.3e} (std err {:.1e}, ESS {:.0})",
-                r.search_sims, r.failure_probability, r.std_error, r.effective_sample_size
+                r.search_sims,
+                r.sampling.failure_probability,
+                r.sampling.std_error,
+                r.sampling.effective_sample_size
             );
             println!(
                 "  beta {:.2} (critical spec {}), yield interval [{:.6}, {:.6}]{}",
@@ -125,7 +128,7 @@ fn main() -> Result<(), Box<dyn Error>> {
                 }
             );
             assert!(
-                r.failure_probability > 0.0,
+                r.sampling.failure_probability > 0.0,
                 "norm-min must see the tail plain MC misses"
             );
         }

@@ -78,19 +78,20 @@ fn run(env: &AnalyticEnv, seed: u64) -> NormMinResult {
 /// Invariants every outcome must satisfy, guarded or not.
 fn assert_sane(r: &NormMinResult) {
     assert!(
-        r.failure_probability.is_finite() && (0.0..=1.0).contains(&r.failure_probability),
+        r.sampling.failure_probability.is_finite()
+            && (0.0..=1.0).contains(&r.sampling.failure_probability),
         "failure probability must be a finite probability, got {}",
-        r.failure_probability
+        r.sampling.failure_probability
     );
     assert!(
-        r.yield_value.is_finite() && (0.0..=1.0).contains(&r.yield_value),
+        r.sampling.yield_value.is_finite() && (0.0..=1.0).contains(&r.sampling.yield_value),
         "yield must be a finite probability, got {}",
-        r.yield_value
+        r.sampling.yield_value
     );
     assert!(
-        r.effective_sample_size.is_finite() && r.effective_sample_size >= 0.0,
+        r.sampling.effective_sample_size.is_finite() && r.sampling.effective_sample_size >= 0.0,
         "ESS must be finite and non-negative, got {}",
-        r.effective_sample_size
+        r.sampling.effective_sample_size
     );
     let (lo, hi) = r.yield_interval();
     assert!(
@@ -128,7 +129,7 @@ proptest! {
         prop_assert!(
             r.ess_degraded,
             "no failure region at all must trip the ESS guard (ESS {})",
-            r.effective_sample_size
+            r.sampling.effective_sample_size
         );
         prop_assert_eq!(r.yield_interval(), (0.0, 1.0));
     }
@@ -143,7 +144,7 @@ proptest! {
         prop_assert!(
             r.ess_degraded,
             "a cliff the linearization cannot see must trip the guard (ESS {})",
-            r.effective_sample_size
+            r.sampling.effective_sample_size
         );
     }
 }

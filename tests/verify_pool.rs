@@ -80,15 +80,15 @@ fn norm_min_bits<E: CircuitEnv + ?Sized>(env: &E, d: &DVec) -> Vec<u64> {
     .expect("norm-min verifies");
     let (low, high) = r.yield_interval();
     let mut bits = vec![
-        r.yield_value.to_bits(),
-        r.failure_probability.to_bits(),
-        r.std_error.to_bits(),
-        r.effective_sample_size.to_bits(),
+        r.sampling.yield_value.to_bits(),
+        r.sampling.failure_probability.to_bits(),
+        r.sampling.std_error.to_bits(),
+        r.sampling.effective_sample_size.to_bits(),
         low.to_bits(),
         high.to_bits(),
         r.beta.to_bits(),
         r.critical_spec as u64,
-        r.sim_failures as u64,
+        r.sampling.sim_failures as u64,
         u64::from(r.ess_degraded),
         r.search_sims,
         env.sim_count() - sims,
