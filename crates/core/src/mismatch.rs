@@ -93,21 +93,14 @@ pub struct MismatchEntry {
 }
 
 /// Ranks mismatch-sensitive parameter pairs from worst-case points
-/// (paper Table 5).
+/// (paper Table 5), with the default `Φ` tolerances.
 #[derive(Debug, Clone, Default)]
-pub struct MismatchAnalysis {
-    options: PhiOptions,
-}
+pub struct MismatchAnalysis;
 
 impl MismatchAnalysis {
-    /// Creates an analysis with default `Φ` tolerances.
+    /// Creates an analysis.
     pub fn new() -> Self {
-        MismatchAnalysis::default()
-    }
-
-    /// Creates an analysis with custom `Φ` tolerances.
-    pub fn with_options(options: PhiOptions) -> Self {
-        MismatchAnalysis { options }
+        MismatchAnalysis
     }
 
     /// The mismatch measure `m_kl` (Eq. 9) for components `k`, `l` of a
@@ -130,7 +123,8 @@ impl MismatchAnalysis {
         let magnitude = sk.abs().max(sl.abs()) / s_max;
         let angle_kl = (sk / sl).atan();
         let angle_lk = (sl / sk).atan();
-        let selector = phi(angle_kl, &self.options).max(phi(angle_lk, &self.options));
+        let options = PhiOptions::default();
+        let selector = phi(angle_kl, &options).max(phi(angle_lk, &options));
         eta(beta_wc) * magnitude * selector
     }
 

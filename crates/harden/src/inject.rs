@@ -434,7 +434,7 @@ impl<'e, E: CircuitEnv + ?Sized> KillSwitch<'e, E> {
     }
 
     /// Wraps `env` around an externally owned [`SharedBudget`], fatal mode.
-    pub fn with_budget(env: &'e E, budget: std::sync::Arc<SharedBudget>) -> Self {
+    fn with_budget(env: &'e E, budget: std::sync::Arc<SharedBudget>) -> Self {
         KillSwitch {
             env,
             budget,

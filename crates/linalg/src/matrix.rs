@@ -133,17 +133,6 @@ impl DMat {
         DVec::from_fn(self.rows, |i| self[(i, j)])
     }
 
-    /// Writes `v` into row `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range or `v.len() != ncols()`.
-    pub fn set_row(&mut self, i: usize, v: &DVec) {
-        assert!(i < self.rows, "row index {i} out of range");
-        assert_eq!(v.len(), self.cols, "set_row: length mismatch");
-        self.data[i * self.cols..(i + 1) * self.cols].copy_from_slice(v.as_slice());
-    }
-
     /// Matrix–vector product `A·x`.
     ///
     /// # Panics
@@ -391,9 +380,6 @@ mod tests {
         let a = DMat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         assert_eq!(a.row(1).as_slice(), &[3.0, 4.0]);
         assert_eq!(a.col(0).as_slice(), &[1.0, 3.0]);
-        let mut b = a.clone();
-        b.set_row(0, &DVec::from_slice(&[9.0, 9.0]));
-        assert_eq!(b.row(0).as_slice(), &[9.0, 9.0]);
     }
 
     #[test]

@@ -671,19 +671,6 @@ impl Circuit {
         }
     }
 
-    /// Replaces the parameters of a MOSFET (used to inject statistical
-    /// deviations without rebuilding the netlist).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MnaError::NotFound`] for unknown names and
-    /// [`MnaError::InvalidValue`] when the element is not a MOSFET or
-    /// [`Circuit::mosfet`] would reject the parameters.
-    pub fn set_mosfet_params(&mut self, name: &str, params: MosfetParams) -> Result<(), MnaError> {
-        let id = self.find(name)?;
-        self.set_mosfet(id, params)
-    }
-
     /// Replaces the parameters of MOSFET `id`.
     ///
     /// # Errors
@@ -732,8 +719,8 @@ impl Circuit {
     ///
     /// # Errors
     ///
-    /// Returns [`MnaError::NotFound`] / [`MnaError::InvalidValue`] like
-    /// [`Circuit::set_mosfet_params`].
+    /// Returns [`MnaError::NotFound`] for unknown names and
+    /// [`MnaError::InvalidValue`] when the element is not a MOSFET.
     pub fn mosfet_params(&self, name: &str) -> Result<MosfetParams, MnaError> {
         let id = self.find(name)?;
         match &self.kinds[id.0] {
@@ -989,7 +976,7 @@ mod tests {
                 .mosfet("M1", d, d, Circuit::GROUND, Circuit::GROUND, bad)
                 .unwrap_err();
             assert_eq!(
-                ckt.set_mosfet_params("M1", bad).unwrap_err(),
+                ckt.set_mosfet(ckt.find("M1").unwrap(), bad).unwrap_err(),
                 from_constructor
             );
         }
@@ -1077,7 +1064,7 @@ mod tests {
             .unwrap();
         let mut p2 = ckt.mosfet_params("M1").unwrap();
         p2.delta_vth = 0.01;
-        ckt.set_mosfet_params("M1", p2).unwrap();
+        ckt.set_mosfet(ckt.find("M1").unwrap(), p2).unwrap();
         assert_eq!(ckt.mosfet_params("M1").unwrap().delta_vth, 0.01);
         assert_eq!(ckt.mosfet_names(), vec!["M1"]);
     }
