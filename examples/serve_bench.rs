@@ -4,7 +4,8 @@
 //! plus the evaluation-cache hit rate in `BENCH_serve.json`.
 //!
 //! Run with `cargo run --release --example serve_bench`.
-//! Set `SPECWISE_EXAMPLE_QUICK=1` for the CI smoke configuration.
+//! Set `SPECWISE_EXAMPLE_QUICK=1` for the CI smoke configuration, which
+//! prints its JSON record to stdout and leaves `BENCH_serve.json` as it is.
 
 use std::error::Error;
 use std::io::Write as _;
@@ -130,6 +131,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     write_f64(&mut out, (hit_rate * 1000.0).round() / 1000.0);
     out.push_str(&format!(",\n    \"total_sims\": {total_sims}\n  }}\n}}\n"));
 
+    // A quick run is a smoke test: its record goes to stdout and the
+    // tracked file keeps the full run's numbers.
+    if quick {
+        print!("{out}");
+        return Ok(());
+    }
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_serve.json");
     let mut file = std::fs::File::create(&path)?;
     file.write_all(out.as_bytes())?;
