@@ -234,6 +234,63 @@ fn submitted_job_streams_fig6_spans_and_matches_a_direct_run() {
     let _ = std::fs::remove_dir_all(spool);
 }
 
+/// Small request/response round trips on one connection must not stall
+/// on the peer's delayed ACK (about 40 ms each when a message leaves in
+/// two writes with Nagle's algorithm on).
+#[test]
+fn sequential_status_round_trips_do_not_stall() {
+    let cfg = local_config("round-trips", 1);
+    let spool = cfg.spool.clone();
+    let daemon = Daemon::start(cfg).expect("daemon starts");
+    let mut client = Client::connect(daemon.local_addr()).expect("client connects");
+    let start = Instant::now();
+    for _ in 0..40 {
+        client.status().expect("status");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "40 status round trips took {elapsed:?}"
+    );
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(spool);
+}
+
+/// A subscription to a job that has already settled replays the backlog
+/// and ends at once, without waiting out a live-stream poll.
+#[test]
+fn subscriptions_to_a_settled_job_end_at_once() {
+    let cfg = local_config("settled-subscribe", 1);
+    let spool = cfg.spool.clone();
+    let daemon = Daemon::start(cfg).expect("daemon starts");
+    let mut client = Client::connect(daemon.local_addr()).expect("client connects");
+    let mut opts = SubmitOptions::default();
+    opts.mc_samples = Some(200);
+    opts.verify_samples = Some(0);
+    opts.max_iterations = Some(1);
+    let job = client
+        .submit(FiveTransistorOta::deck(), &opts)
+        .expect("submit accepted");
+    client.result_wait(&job).expect("job settles");
+
+    let start = Instant::now();
+    let (first, state) = client.subscribe(&job).expect("subscription ends");
+    assert_eq!(state, "done");
+    assert!(!first.is_empty(), "the backlog holds the run's records");
+    for _ in 0..4 {
+        let (records, state) = client.subscribe(&job).expect("subscription ends");
+        assert_eq!(state, "done");
+        assert_eq!(records, first, "every replay carries the same records");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(150),
+        "five settled subscriptions took {elapsed:?}"
+    );
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(spool);
+}
+
 /// Reads the handshake line from a freshly spawned daemon binary and
 /// returns the bound address.
 fn spawn_daemon(spool: &Path, slots: usize) -> (std::process::Child, String) {
