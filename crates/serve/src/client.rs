@@ -1,14 +1,14 @@
 //! A blocking client for the daemon's wire protocol, used by the
 //! end-to-end tests and by scripts driving a long-lived daemon.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use specwise_trace::json::{self, Json};
 use specwise_trace::Record;
 
 use crate::job::{JobOutcome, JobRequest};
-use crate::protocol::{is_end_marker, Request};
+use crate::protocol::{is_end_marker, write_line, Request};
 
 /// Client-side failure.
 #[derive(Debug)]
@@ -73,13 +73,16 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to a daemon.
+    /// Connects to a daemon. The socket sends each framed message at
+    /// once (`TCP_NODELAY`): the protocol frames its own messages, so
+    /// Nagle's algorithm would only add delay.
     ///
     /// # Errors
     ///
     /// Propagates connection failures.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Ok(Client {
             reader: BufReader::new(stream.try_clone()?),
             writer: stream,
@@ -87,9 +90,7 @@ impl Client {
     }
 
     fn send(&mut self, req: &Request) -> Result<(), ClientError> {
-        self.writer.write_all(req.to_line().as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        write_line(&mut self.writer, &req.to_line())?;
         Ok(())
     }
 

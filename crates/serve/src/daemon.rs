@@ -28,7 +28,7 @@
 //! the holder writes into the spool.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,7 +45,7 @@ use specwise_trace::json;
 use crate::job::{run_job, JobOutcome, JobRequest, JobSpec};
 use crate::lease::{self, create_exclusive, unique_suffix, Acquire, Lease};
 use crate::ledger::TenantLedger;
-use crate::protocol::{end_marker, read_line_bounded, LineRead, Request, WireError};
+use crate::protocol::{end_marker, read_line_bounded, write_line, LineRead, Request, WireError};
 use crate::state::{FleetStatus, JobState, ServeState};
 
 /// Daemon configuration. Every field has a `SPECWISE_SERVE_*`
@@ -623,18 +623,15 @@ fn fleet_status(state: &ServeState, cfg: &ServeConfig, fleet: &FleetShared) -> F
     }
 }
 
-fn respond(writer: &mut TcpStream, line: &str) -> io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
-}
-
 fn handle_connection(
     stream: TcpStream,
     state: &Arc<ServeState>,
     cfg: &ServeConfig,
     fleet: &FleetShared,
 ) -> io::Result<()> {
+    // Each framed message must leave at once; a failure to set this is
+    // only slower, so it does not drop the connection.
+    let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     let mut buf = Vec::new();
@@ -649,14 +646,14 @@ fn handle_connection(
                         cfg.max_line_bytes
                     ),
                 );
-                respond(&mut writer, &err.to_line())?;
+                write_line(&mut writer, &err.to_line())?;
             }
             LineRead::Line(line) => {
                 if line.trim().is_empty() {
                     continue;
                 }
                 match Request::parse(&line) {
-                    Err(err) => respond(&mut writer, &err.to_line())?,
+                    Err(err) => write_line(&mut writer, &err.to_line())?,
                     Ok(req) => dispatch(req, &mut reader, &mut writer, state, cfg, fleet)?,
                 }
             }
@@ -678,13 +675,13 @@ fn dispatch(
                 let mut line = String::from("{\"ok\":true,\"job\":");
                 json::write_json_string(&mut line, &id);
                 line.push('}');
-                respond(writer, &line)
+                write_line(writer, &line)
             }
-            Err(err) => respond(writer, &err.to_line()),
+            Err(err) => write_line(writer, &err.to_line()),
         },
         Request::Status => {
             let snapshot = fleet_status(state, cfg, fleet);
-            respond(writer, &state.status_line(Some(&snapshot)))
+            write_line(writer, &state.status_line(Some(&snapshot)))
         }
         Request::Result { job, wait } => {
             ensure_known(&job, state, cfg);
@@ -694,7 +691,7 @@ fn dispatch(
                 state.entry(&job)
             };
             match entry {
-                Err(err) => respond(writer, &err.to_line()),
+                Err(err) => write_line(writer, &err.to_line()),
                 Ok(entry) => {
                     let mut line = String::from("{\"ok\":true,\"job\":");
                     json::write_json_string(&mut line, &job);
@@ -713,19 +710,19 @@ fn dispatch(
                         (None, None) => {}
                     }
                     line.push('}');
-                    respond(writer, &line)
+                    write_line(writer, &line)
                 }
             }
         }
         Request::Subscribe { job } => {
             ensure_known(&job, state, cfg);
             match state.entry(&job) {
-                Err(err) => respond(writer, &err.to_line()),
+                Err(err) => write_line(writer, &err.to_line()),
                 Ok(_) => {
                     let mut line = String::from("{\"ok\":true,\"job\":");
                     json::write_json_string(&mut line, &job);
                     line.push('}');
-                    respond(writer, &line)?;
+                    write_line(writer, &line)?;
                     stream_journal(&job, writer, state, cfg)
                 }
             }
@@ -794,21 +791,29 @@ fn stream_journal(
 ) -> io::Result<()> {
     let entry = match state.entry(job) {
         Ok(entry) => entry,
-        Err(err) => return respond(writer, &err.to_line()),
+        Err(err) => return write_line(writer, &err.to_line()),
     };
     if entry.state == JobState::Remote {
         return tail_spool_journal(job, writer, state, cfg);
     }
-    if entry.state.settled() && entry.journal.is_empty() {
-        // Settled by a peer or a previous process: replay its mirrored
-        // journal (when one exists) instead of an empty stream.
-        replay_journal_file(&cfg.journal_path(job), 0, writer)?;
-        return respond(writer, &end_marker(job, entry.state.as_str()));
+    if entry.state.settled() {
+        // The run emits its last record before the worker settles the
+        // job, so a settled journal is complete: write it and end at once.
+        // A job settled by a peer or a previous process has no local
+        // records; replay its mirrored journal (when one exists) instead.
+        if entry.journal.is_empty() {
+            replay_journal_file(&cfg.journal_path(job), 0, writer)?;
+        } else {
+            for record in entry.journal.records() {
+                write_line(writer, &record.to_json())?;
+            }
+        }
+        return write_line(writer, &end_marker(job, entry.state.as_str()));
     }
     let sub = entry.journal.subscribe();
     loop {
         match sub.recv_timeout(Duration::from_millis(50)) {
-            Some(record) => respond(writer, &record.to_json())?,
+            Some(record) => write_line(writer, &record.to_json())?,
             None => {
                 let entry = match state.entry(job) {
                     Ok(entry) => entry,
@@ -818,9 +823,9 @@ fn stream_journal(
                     // The run emits its last record before the worker
                     // settles the job, so one final drain is complete.
                     for record in sub.drain() {
-                        respond(writer, &record.to_json())?;
+                        write_line(writer, &record.to_json())?;
                     }
-                    respond(writer, &end_marker(job, entry.state.as_str()))?;
+                    write_line(writer, &end_marker(job, entry.state.as_str()))?;
                     return Ok(());
                 }
             }
@@ -839,7 +844,7 @@ fn replay_journal_file(path: &Path, offset: usize, writer: &mut TcpStream) -> io
     let chunk = &text[offset..];
     let complete = chunk.rfind('\n').map_or(0, |i| i + 1);
     for line in chunk[..complete].lines().filter(|l| !l.trim().is_empty()) {
-        respond(writer, line)?;
+        write_line(writer, line)?;
     }
     Ok(offset + complete)
 }
@@ -865,7 +870,7 @@ fn tail_spool_journal(
         };
         if entry.state.settled() {
             replay_journal_file(&path, offset, writer)?;
-            return respond(writer, &end_marker(job, entry.state.as_str()));
+            return write_line(writer, &end_marker(job, entry.state.as_str()));
         }
         if entry.state != JobState::Remote {
             return stream_journal(job, writer, state, cfg);

@@ -13,7 +13,7 @@
 //! endless line, and [`Request::parse`] turns every malformed line into a
 //! structured [`WireError`] instead of a panic or a dropped connection.
 
-use std::io::{self, BufRead};
+use std::io::{self, BufRead, Write};
 
 use specwise_trace::json::{self, Json};
 
@@ -138,6 +138,24 @@ pub fn read_line_bounded<R: BufRead>(
         buf.pop();
     }
     Ok(LineRead::Line(String::from_utf8_lossy(buf).into_owned()))
+}
+
+/// Writes one framed message: `line` and its `\n` terminator leave in a
+/// single `write_all` of one buffer, then the writer is flushed.
+///
+/// A terminator sent in a separate small write would be held back by
+/// Nagle's algorithm until the peer ACKs the line, and the peer delays
+/// that ACK because it is still waiting for the terminator.
+///
+/// # Errors
+///
+/// Propagates I/O errors from the writer.
+pub fn write_line<W: Write>(w: &mut W, line: &str) -> io::Result<()> {
+    let mut framed = Vec::with_capacity(line.len() + 1);
+    framed.extend_from_slice(line.as_bytes());
+    framed.push(b'\n');
+    w.write_all(&framed)?;
+    w.flush()
 }
 
 /// A parsed client request.
@@ -449,6 +467,37 @@ mod tests {
             ]
             .map(|s| s.as_str())
         );
+    }
+
+    /// Counts `write` calls and keeps what they carried.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+        flushes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_line_frames_each_message_in_one_write() {
+        let mut w = CountingWriter::default();
+        write_line(&mut w, "{\"cmd\":\"status\"}").unwrap();
+        write_line(&mut w, "").unwrap();
+        assert_eq!(
+            w.writes,
+            vec![b"{\"cmd\":\"status\"}\n".to_vec(), b"\n".to_vec()]
+        );
+        assert_eq!(w.flushes, 2);
     }
 
     #[test]
