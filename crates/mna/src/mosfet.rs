@@ -161,7 +161,7 @@ impl MosfetParams {
     }
 
     /// Effective channel-length modulation `λ_eff = λ·l_ref/L` \[1/V\].
-    pub fn lambda_eff(&self) -> f64 {
+    fn lambda_eff(&self) -> f64 {
         self.model.lambda * self.model.lambda_lref / self.l
     }
 }

@@ -105,7 +105,7 @@ impl Mvn {
     }
 
     /// Maps a standardized vector into the physical space: `s = G·ŝ + µ`.
-    pub fn from_standard(&self, s_hat: &DVec) -> DVec {
+    fn to_physical(&self, s_hat: &DVec) -> DVec {
         &self.chol.transform(s_hat) + &self.mean
     }
 
@@ -113,7 +113,7 @@ impl Mvn {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> DVec {
         let normal = StandardNormal::new();
         let s_hat = DVec::from(normal.sample_vec(rng, self.dim()));
-        self.from_standard(&s_hat)
+        self.to_physical(&s_hat)
     }
 }
 
@@ -186,7 +186,7 @@ mod tests {
     #[test]
     fn from_sigmas_diagonal() {
         let mvn = Mvn::from_sigmas(DVec::zeros(2), &DVec::from_slice(&[2.0, 3.0])).unwrap();
-        let s = mvn.from_standard(&DVec::from_slice(&[1.0, 1.0]));
+        let s = mvn.to_physical(&DVec::from_slice(&[1.0, 1.0]));
         assert!((s[0] - 2.0).abs() < 1e-14);
         assert!((s[1] - 3.0).abs() < 1e-14);
         assert!(Mvn::from_sigmas(DVec::zeros(2), &DVec::from_slice(&[1.0, 0.0])).is_err());
@@ -197,6 +197,6 @@ mod tests {
         let mvn = Mvn::standard(4).unwrap();
         assert_eq!(mvn.dim(), 4);
         let z = DVec::from_slice(&[1.0, 0.0, 0.0, 0.0]);
-        assert_eq!(mvn.from_standard(&z), z);
+        assert_eq!(mvn.to_physical(&z), z);
     }
 }
