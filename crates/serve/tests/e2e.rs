@@ -206,6 +206,15 @@ fn submitted_job_streams_fig6_spans_and_matches_a_direct_run() {
     let outcome = client.result_wait(&job).expect("job settles");
     assert!(!outcome.resumed, "no restart happened");
 
+    // A subscription after the job settled replays exactly what the live
+    // one streamed.
+    let (replayed, replayed_state) = client.subscribe(&job).expect("settled replay");
+    assert_eq!(replayed_state, "done");
+    assert_eq!(
+        replayed, records,
+        "settled replay differs from the live stream"
+    );
+
     // Bit-for-bit parity with the library-direct run.
     let (design, estimated, verified) = direct_run(MillerOpamp::deck(), &opts, slots);
     assert_bits_equal(&outcome.design, &design, "miller over the wire");
@@ -286,6 +295,44 @@ fn subscriptions_to_a_settled_job_end_at_once() {
     assert!(
         elapsed < Duration::from_millis(150),
         "five settled subscriptions took {elapsed:?}"
+    );
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(spool);
+}
+
+/// A settled job keeps no file open: its journal lives on only as the
+/// spool mirror, so a long-lived daemon does not run out of descriptors.
+#[cfg(target_os = "linux")]
+#[test]
+fn settled_jobs_hold_no_journal_file_open() {
+    let cfg = local_config("no-open-journals", 1);
+    let spool = cfg.spool.clone();
+    let daemon = Daemon::start(cfg).expect("daemon starts");
+    let mut client = Client::connect(daemon.local_addr()).expect("client connects");
+    let mut opts = SubmitOptions::default();
+    opts.mc_samples = Some(200);
+    opts.verify_samples = Some(0);
+    opts.max_iterations = Some(1);
+    for _ in 0..8 {
+        let job = client
+            .submit(FiveTransistorOta::deck(), &opts)
+            .expect("submit accepted");
+        client.result_wait(&job).expect("job settles");
+    }
+    // Other tests in this binary run daemons of their own, so count only
+    // descriptors on this daemon's spool.
+    let open: Vec<PathBuf> = std::fs::read_dir("/proc/self/fd")
+        .expect("procfs lists descriptors")
+        .flatten()
+        .filter_map(|fd| std::fs::read_link(fd.path()).ok())
+        .filter(|target| {
+            target.starts_with(&spool) && target.to_string_lossy().ends_with(".journal")
+        })
+        .collect();
+    assert!(
+        open.is_empty(),
+        "{} journal files still open after every job settled: {open:?}",
+        open.len()
     );
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(spool);
