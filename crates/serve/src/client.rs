@@ -219,8 +219,9 @@ impl Client {
 
     /// Subscribes to a job's journal and collects the streamed records
     /// until the end-of-stream marker: the run's full Fig. 6 span tree
-    /// (backlog plus live records, loss-free and in emission order).
-    /// Returns the records and the job's final state string.
+    /// (backlog plus live records, loss-free and in emission order). The
+    /// daemon reads them from the job's spool mirror, polling every
+    /// 50 ms. Returns the records and the job's final state string.
     ///
     /// # Errors
     ///

@@ -8,7 +8,7 @@
 //! and queues it. A worker slot claims the job, takes its spool lease
 //! (see [`crate::lease`]), runs the full Fig. 6 flow under the tenant's
 //! shared simulation budget, checkpoints into the spool after every
-//! iteration, and streams journal records to any subscribed client. The
+//! iteration, and mirrors its run journal into the spool. The
 //! settled outcome lands in `<id>.out` (atomically, tmp + rename);
 //! failures persist as `<id>.fail` so no daemon re-runs a
 //! deterministically failing job. On restart the daemon rescans the
@@ -23,9 +23,10 @@
 //! heartbeats held leases and its own liveness file, reconciles the
 //! per-tenant budget ledger (see [`crate::ledger`]), adopts jobs that
 //! peers spooled, and settles or re-queues jobs whose holder finished or
-//! died. A job a peer holds reports as `"remote"` in `status`;
-//! `subscribe` still works for it by tailing the `<id>.journal` mirror
-//! the holder writes into the spool.
+//! died. A job a peer holds reports as `"remote"` in `status`.
+//! `subscribe` works on every daemon for every job the same way: it
+//! tails the `<id>.journal` mirror the running daemon writes into the
+//! spool.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufReader};
@@ -40,13 +41,13 @@ use specwise::{Checkpoint, Tracer};
 use specwise_ckt::env_knob::{parse_env_knob, warn_retired_knobs, Secs, Switch};
 use specwise_ckt::{DeckLimits, Testbench};
 use specwise_exec::ExecConfig;
-use specwise_trace::json;
+use specwise_trace::{json, Journal};
 
 use crate::job::{run_job, JobOutcome, JobRequest, JobSpec};
 use crate::lease::{self, create_exclusive, unique_suffix, Acquire, Lease};
 use crate::ledger::TenantLedger;
 use crate::protocol::{end_marker, read_line_bounded, write_line, LineRead, Request, WireError};
-use crate::state::{FleetStatus, JobState, ServeState};
+use crate::state::{FleetStatus, ServeState};
 
 /// Daemon configuration. Every field has a `SPECWISE_SERVE_*`
 /// environment knob read by [`ServeConfig::from_env`].
@@ -408,21 +409,12 @@ fn scan_spool(cfg: &ServeConfig, state: &ServeState, warned: &mut HashSet<String
         if let Some(n) = id.strip_prefix("job-").and_then(|s| s.parse::<u64>().ok()) {
             max_seen = max_seen.max(n);
         }
-        if let Ok(out) = std::fs::read_to_string(cfg.out_path(&id)) {
-            match JobOutcome::from_json_str(&out) {
-                Ok(outcome) => {
-                    state.insert_settled(spec, Ok(outcome));
-                    continue;
-                }
-                Err(e) => {
-                    eprintln!("specwise-serve: re-running {id} (corrupt outcome: {e})");
-                }
+        match spooled_result(&id, cfg) {
+            Some(result) => state.insert_settled(spec, result),
+            None => {
+                state.enqueue(spec);
             }
-        } else if let Ok(reason) = std::fs::read_to_string(cfg.fail_path(&id)) {
-            state.insert_settled(spec, Err(reason.trim_end().to_string()));
-            continue;
         }
-        state.adopt(spec);
     }
     state.reserve_ids_through(max_seen);
 }
@@ -437,28 +429,39 @@ fn ensure_known(job: &str, state: &ServeState, cfg: &ServeConfig) {
     }
 }
 
-/// Settles a known job from the spool artifacts a peer (or a previous
-/// process) left: `.out` wins over `.fail`. Returns `true` when settled.
-fn settle_from_spool(id: &str, state: &ServeState, cfg: &ServeConfig) -> bool {
+/// The settled result a job's spool files hold: a valid `.out` wins,
+/// else the `.fail` reason, else `None` (the job has not settled). A
+/// corrupt `.out` is skipped with a warning.
+fn spooled_result(id: &str, cfg: &ServeConfig) -> Option<Result<JobOutcome, String>> {
     if let Ok(text) = std::fs::read_to_string(cfg.out_path(id)) {
-        if let Ok(outcome) = JobOutcome::from_json_str(&text) {
-            state.settle_remote(id, Ok(outcome));
-            return true;
+        match JobOutcome::from_json_str(&text) {
+            Ok(outcome) => return Some(Ok(outcome)),
+            Err(e) => eprintln!("specwise-serve: ignoring corrupt outcome of {id}: {e}"),
         }
     }
-    if let Ok(reason) = std::fs::read_to_string(cfg.fail_path(id)) {
-        state.settle_remote(id, Err(reason.trim_end().to_string()));
-        return true;
-    }
-    false
+    let reason = std::fs::read_to_string(cfg.fail_path(id)).ok()?;
+    Some(Err(reason.trim_end().to_string()))
+}
+
+/// Settles a known job from the spool files a peer (or a previous
+/// process) left. Returns `true` when settled.
+fn settle_from_spool(id: &str, state: &ServeState, cfg: &ServeConfig) -> bool {
+    let Some(result) = spooled_result(id, cfg) else {
+        return false;
+    };
+    state.settle_remote(id, result);
+    true
 }
 
 fn worker_loop(state: &ServeState, cfg: &ServeConfig, fleet: &FleetShared) {
-    while let Some((spec, journal, budget)) = state.claim() {
+    while let Some((spec, budget)) = state.claim() {
         // A peer may have settled the job while it sat in our queue.
         if settle_from_spool(&spec.id, state, cfg) {
             continue;
         }
+        // The run's journal lives until the job settles; subscribers read
+        // its spool mirror, which `run_job` attaches.
+        let journal = Arc::new(Journal::in_memory());
         let held = match lease::acquire(&cfg.spool, &spec.id, &cfg.owner, cfg.lease_expiry) {
             Ok(Acquire::Acquired { lease, stolen }) => {
                 if let Some(previous) = stolen {
@@ -512,6 +515,8 @@ fn worker_loop(state: &ServeState, cfg: &ServeConfig, fleet: &FleetShared) {
         }
         state.set_holder(&spec.id, cfg.owner.clone());
         let result = run_job(&spec, cfg, &budget, &journal);
+        // Closes the mirror: every record is on disk before the job settles.
+        drop(journal);
         // Publish this run's charges before the outcome: a peer must
         // never observe a finished job whose sims are not yet on the
         // ledger.
@@ -776,62 +781,34 @@ fn accept_job(
     ))
 }
 
-/// Streams the job's journal to the peer: the subscription starts with
-/// the full backlog (late subscribers see the whole run), then follows
-/// live records until the job settles, and ends with the `{"end":...}`
-/// marker. The connection then returns to request/response mode.
+/// Streams the job's journal to the peer from its `<id>.journal` spool
+/// mirror, whichever daemon writes it. The subscription starts with the
+/// mirror's backlog (late subscribers see the whole run), then polls it
+/// every 50 ms for new complete lines until the job settles, and ends
+/// with the `{"end":...}` marker. The connection then returns to
+/// request/response mode.
 ///
-/// Jobs a peer daemon holds have no local journal; their spans fan in
-/// from the `<id>.journal` mirror the holder writes into the spool.
+/// Each poll reads the job's state *before* the mirror: a run writes its
+/// last record before its job settles, so the lines read after seeing a
+/// settled state are complete.
 fn stream_journal(
     job: &str,
     writer: &mut TcpStream,
     state: &ServeState,
     cfg: &ServeConfig,
 ) -> io::Result<()> {
-    let entry = match state.entry(job) {
-        Ok(entry) => entry,
-        Err(err) => return write_line(writer, &err.to_line()),
-    };
-    if entry.state == JobState::Remote {
-        return tail_spool_journal(job, writer, state, cfg);
-    }
-    if entry.state.settled() {
-        // The run emits its last record before the worker settles the
-        // job, so a settled journal is complete: write it and end at once.
-        // A job settled by a peer or a previous process has no local
-        // records; replay its mirrored journal (when one exists) instead.
-        if entry.journal.is_empty() {
-            replay_journal_file(&cfg.journal_path(job), 0, writer)?;
-        } else {
-            for record in entry.journal.records() {
-                write_line(writer, &record.to_json())?;
-            }
-        }
-        return write_line(writer, &end_marker(job, entry.state.as_str()));
-    }
-    let sub = entry.journal.subscribe();
+    let path = cfg.journal_path(job);
+    let mut offset = 0;
     loop {
-        match sub.recv_timeout(Duration::from_millis(50)) {
-            Some(record) => write_line(writer, &record.to_json())?,
-            None => {
-                let entry = match state.entry(job) {
-                    Ok(entry) => entry,
-                    Err(_) => break,
-                };
-                if entry.state.settled() {
-                    // The run emits its last record before the worker
-                    // settles the job, so one final drain is complete.
-                    for record in sub.drain() {
-                        write_line(writer, &record.to_json())?;
-                    }
-                    write_line(writer, &end_marker(job, entry.state.as_str()))?;
-                    return Ok(());
-                }
-            }
+        let Ok(entry) = state.entry(job) else {
+            return Ok(());
+        };
+        offset = replay_journal_file(&path, offset, writer)?;
+        if entry.state.settled() {
+            return write_line(writer, &end_marker(job, entry.state.as_str()));
         }
+        std::thread::sleep(Duration::from_millis(50));
     }
-    Ok(())
 }
 
 /// Writes the complete lines of a journal mirror starting at byte
@@ -847,36 +824,6 @@ fn replay_journal_file(path: &Path, offset: usize, writer: &mut TcpStream) -> io
         write_line(writer, line)?;
     }
     Ok(offset + complete)
-}
-
-/// `subscribe` fan-in for a job some peer daemon runs: tails the spool
-/// journal mirror until the job settles locally (the fleet loop settles
-/// it from the peer's `.out`/`.fail`), then emits the end marker. When
-/// the job comes home instead (the peer died and a local worker stole
-/// it), switches to the live in-memory stream.
-fn tail_spool_journal(
-    job: &str,
-    writer: &mut TcpStream,
-    state: &ServeState,
-    cfg: &ServeConfig,
-) -> io::Result<()> {
-    let path = cfg.journal_path(job);
-    let mut offset = 0usize;
-    loop {
-        offset = replay_journal_file(&path, offset, writer)?;
-        let entry = match state.entry(job) {
-            Ok(entry) => entry,
-            Err(_) => return Ok(()),
-        };
-        if entry.state.settled() {
-            replay_journal_file(&path, offset, writer)?;
-            return write_line(writer, &end_marker(job, entry.state.as_str()));
-        }
-        if entry.state != JobState::Remote {
-            return stream_journal(job, writer, state, cfg);
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
 }
 
 #[cfg(test)]
@@ -919,6 +866,47 @@ mod tests {
             .count();
         assert_eq!(leftovers, 0, "temp files never outlive the rename");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_corrupt_outcome_beside_a_failure_settles_as_failed() {
+        let mut cfg = ServeConfig::default();
+        cfg.spool = std::env::temp_dir().join(format!("specwise-serve-sr-{}", unique_suffix()));
+        std::fs::create_dir_all(&cfg.spool).unwrap();
+        let spec = JobSpec {
+            id: "job-0001".into(),
+            tenant: "acme".into(),
+            deck: "vdd vdd 0 3.3".into(),
+            options: crate::job::JobOptions::default(),
+        };
+        std::fs::write(cfg.req_path(&spec.id), spec.to_json()).unwrap();
+        std::fs::write(cfg.out_path(&spec.id), "{\"design\":[1.0,").unwrap();
+        assert!(
+            spooled_result(&spec.id, &cfg).is_none(),
+            "nothing settled yet"
+        );
+        std::fs::write(cfg.fail_path(&spec.id), "diverged\n").unwrap();
+        assert_eq!(
+            spooled_result(&spec.id, &cfg).unwrap().unwrap_err(),
+            "diverged"
+        );
+
+        // Startup recovery and a peer settle read the same files the
+        // same way: the job is failed, not queued for a re-run.
+        let recovered = ServeState::new(u64::MAX);
+        scan_spool(&cfg, &recovered, &mut HashSet::new());
+        let entry = recovered.entry(&spec.id).unwrap();
+        assert_eq!(entry.state, crate::state::JobState::Failed);
+        assert_eq!(entry.error.as_deref(), Some("diverged"));
+
+        let peer = ServeState::new(u64::MAX);
+        peer.enqueue(spec.clone());
+        assert!(settle_from_spool(&spec.id, &peer, &cfg));
+        assert_eq!(
+            peer.entry(&spec.id).unwrap().error.as_deref(),
+            Some("diverged")
+        );
+        let _ = std::fs::remove_dir_all(&cfg.spool);
     }
 
     #[test]

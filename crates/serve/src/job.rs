@@ -343,7 +343,8 @@ impl JobOutcome {
 /// [`EvalService`] sharded across the
 /// daemon's job slots. The optimizer checkpoints into the spool after
 /// every iteration, so a daemon restart resumes mid-flight jobs
-/// bit-for-bit; the journal streams live to any subscribed client.
+/// bit-for-bit. The journal is mirrored into the spool, from where any
+/// daemon streams it to subscribed clients.
 ///
 /// # Errors
 ///
@@ -356,9 +357,8 @@ pub fn run_job(
     budget: &Arc<SharedBudget>,
     journal: &Arc<Journal>,
 ) -> Result<JobOutcome, String> {
-    // Mirror the journal into the spool so peer daemons can serve
-    // `subscribe` for this job while we hold its lease. A mirror failure
-    // costs fan-in, never the run.
+    // Mirror the journal into the spool: every daemon serves `subscribe`
+    // from this file. A mirror failure costs the stream, never the run.
     if let Err(e) = journal.attach_jsonl(cfg.journal_path(&spec.id)) {
         eprintln!("specwise-serve: journal mirror for {} failed: {e}", spec.id);
     }

@@ -18,8 +18,9 @@
 //!   so killing and restarting the daemon resumes in-flight jobs
 //!   **bit-for-bit** (warm starts are off by default for exactly this
 //!   reason), and
-//! * streams the live run journal — the Fig. 6 span tree — to every
-//!   subscribed client, backlog included.
+//! * mirrors the run journal — the Fig. 6 span tree — into the spool,
+//!   from where any daemon streams it to every subscribed client,
+//!   backlog included.
 //!
 //! `status` reports the job table, the evaluation-cache hit rate, and
 //! per-tenant simulation counts.
@@ -46,7 +47,7 @@
 //! # In-process use
 //!
 //! The daemon also embeds directly (the end-to-end tests and the
-//! throughput bench run it in-process):
+//! `serve-mixed` benchmark workload run it in-process):
 //!
 //! ```no_run
 //! use specwise_serve::{Client, Daemon, ServeConfig, SubmitOptions};

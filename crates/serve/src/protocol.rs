@@ -172,7 +172,8 @@ pub enum Request {
         /// Block until the job is done or failed.
         wait: bool,
     },
-    /// Stream the job's journal records (backlog + live) to this client.
+    /// Stream the job's journal records (backlog + live) to this client,
+    /// read from the job's spool mirror.
     Subscribe {
         /// Job id returned by submit.
         job: String,

@@ -11,7 +11,6 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use specwise_harden::SharedBudget;
 use specwise_trace::json::{self};
-use specwise_trace::Journal;
 
 use crate::job::{JobOutcome, JobSpec};
 use crate::protocol::WireError;
@@ -60,15 +59,12 @@ fn settled(result: Result<JobOutcome, String>) -> (JobState, Option<JobOutcome>,
 }
 
 /// One job's full record in the table.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct JobEntry {
     /// The accepted spec.
     pub spec: JobSpec,
     /// Current lifecycle state.
     pub state: JobState,
-    /// The job's run journal; subscribers attach here for the live span
-    /// stream (backlog included, so late subscribers see the whole run).
-    pub journal: Arc<Journal>,
     /// The result, once [`JobState::Done`].
     pub outcome: Option<JobOutcome>,
     /// The failure reason, once [`JobState::Failed`].
@@ -77,18 +73,6 @@ pub struct JobEntry {
     /// own id for local runs, the lease holder's for [`JobState::Remote`]
     /// jobs. Reported in the `status` job rows.
     pub holder: Option<String>,
-}
-
-impl std::fmt::Debug for JobEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobEntry")
-            .field("spec", &self.spec)
-            .field("state", &self.state)
-            .field("journal_records", &self.journal.len())
-            .field("outcome", &self.outcome)
-            .field("error", &self.error)
-            .finish()
-    }
 }
 
 /// Service-level counters reported by `status`.
@@ -210,48 +194,24 @@ impl ServeState {
         inner.next_id = inner.next_id.max(seen + 1);
     }
 
-    /// Inserts an accepted job and queues it for the worker pool.
+    /// Inserts a job and queues it for the worker pool, unless the id is
+    /// already known: then nothing changes and `false` is returned.
     ///
-    /// The submit path spools the job before it calls this, so a spool
-    /// scan may have adopted the id in between; the job then stays as the
-    /// scan queued it (one entry, queued once) and its journal is returned.
-    pub fn enqueue(&self, spec: JobSpec) -> Arc<Journal> {
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(entry) = inner.jobs.get(&spec.id) {
-            return Arc::clone(&entry.journal);
-        }
-        let journal = Self::insert_queued(&mut inner, spec);
-        drop(inner);
-        self.queue_cv.notify_one();
-        journal
-    }
-
-    /// Like [`ServeState::enqueue`], but only when the id is not already
-    /// known — the spool-scan path, where this daemon discovers jobs a
-    /// peer submitted to the shared spool. Returns `false` (and changes
-    /// nothing) for known ids.
-    pub fn adopt(&self, spec: JobSpec) -> bool {
+    /// Both the submit path and the spool scan (which discovers jobs a
+    /// peer submitted to the shared spool) call this. The submit path
+    /// spools the job first, so a scan may queue the id in between; the
+    /// job is then listed, queued and counted once.
+    pub fn enqueue(&self, spec: JobSpec) -> bool {
         let mut inner = self.inner.lock().unwrap();
         if inner.jobs.contains_key(&spec.id) {
             return false;
         }
-        Self::insert_queued(&mut inner, spec);
-        drop(inner);
-        self.queue_cv.notify_one();
-        true
-    }
-
-    /// Inserts a job the caller checked is unknown, under the caller's
-    /// lock, and queues it.
-    fn insert_queued(inner: &mut Inner, spec: JobSpec) -> Arc<Journal> {
-        let journal = Arc::new(Journal::in_memory());
         let id = spec.id.clone();
         inner.jobs.insert(
             id.clone(),
             JobEntry {
                 spec,
                 state: JobState::Queued,
-                journal: Arc::clone(&journal),
                 outcome: None,
                 error: None,
                 holder: None,
@@ -260,7 +220,9 @@ impl ServeState {
         inner.order.push(id.clone());
         inner.queue.push_back(id);
         inner.metrics.jobs_submitted += 1;
-        journal
+        drop(inner);
+        self.queue_cv.notify_one();
+        true
     }
 
     /// `true` when the job id is in the table (any state).
@@ -287,7 +249,6 @@ impl ServeState {
             JobEntry {
                 spec,
                 state,
-                journal: Arc::new(Journal::in_memory()),
                 outcome,
                 error,
                 holder: None,
@@ -296,9 +257,9 @@ impl ServeState {
         inner.order.push(id);
     }
 
-    /// Blocks until a job is queued (returning its spec, journal, and the
-    /// tenant's budget) or the daemon shuts down (returning `None`).
-    pub fn claim(&self) -> Option<(JobSpec, Arc<Journal>, Arc<SharedBudget>)> {
+    /// Blocks until a job is queued (returning its spec and the tenant's
+    /// budget) or the daemon shuts down (returning `None`).
+    pub fn claim(&self) -> Option<(JobSpec, Arc<SharedBudget>)> {
         let mut inner = self.inner.lock().unwrap();
         loop {
             if inner.shutdown {
@@ -309,14 +270,13 @@ impl ServeState {
                 let entry = inner.jobs.get_mut(&id).expect("queued job has an entry");
                 entry.state = JobState::Running;
                 let spec = entry.spec.clone();
-                let journal = Arc::clone(&entry.journal);
                 let budget = Arc::clone(
                     inner
                         .tenants
                         .entry(spec.tenant.clone())
                         .or_insert_with(|| Arc::new(SharedBudget::new(budget_cap))),
                 );
-                return Some((spec, journal, budget));
+                return Some((spec, budget));
             }
             inner = self.queue_cv.wait(inner).unwrap();
         }
@@ -634,7 +594,7 @@ mod tests {
     fn jobs_flow_queued_running_done_and_wake_waiters() {
         let state = Arc::new(ServeState::new(u64::MAX));
         state.enqueue(spec("job-0001", "a"));
-        let (claimed, _journal, budget) = state.claim().unwrap();
+        let (claimed, budget) = state.claim().unwrap();
         assert_eq!(claimed.id, "job-0001");
         assert_eq!(state.entry("job-0001").unwrap().state, JobState::Running);
         assert_eq!(budget.budget(), u64::MAX);
@@ -658,9 +618,9 @@ mod tests {
         state.enqueue(spec("job-0001", "acme"));
         state.enqueue(spec("job-0002", "acme"));
         state.enqueue(spec("job-0003", "other"));
-        let (_, _, b1) = state.claim().unwrap();
-        let (_, _, b2) = state.claim().unwrap();
-        let (_, _, b3) = state.claim().unwrap();
+        let (_, b1) = state.claim().unwrap();
+        let (_, b2) = state.claim().unwrap();
+        let (_, b3) = state.claim().unwrap();
         assert!(Arc::ptr_eq(&b1, &b2), "same tenant ⇒ same budget");
         assert!(!Arc::ptr_eq(&b1, &b3), "different tenant ⇒ own budget");
         assert_eq!(b1.budget(), 100);
@@ -686,7 +646,7 @@ mod tests {
     fn status_line_is_valid_json_with_tenant_rows() {
         let state = ServeState::new(50);
         state.enqueue(spec("job-0001", "acme"));
-        let (_, _, budget) = state.claim().unwrap();
+        let (_, budget) = state.claim().unwrap();
         let _ = budget;
         state.finish("job-0001", Err("deck rejected: bad".into()));
         let j = json::parse(&state.status_line(None)).unwrap();
@@ -765,7 +725,7 @@ mod tests {
         assert_eq!(entry.state, JobState::Queued);
         assert_eq!(entry.holder, None);
         // And it is actually claimable again.
-        let (claimed, _, _) = state.claim().unwrap();
+        let (claimed, _) = state.claim().unwrap();
         assert_eq!(claimed.id, "job-0001");
         // requeue on a non-Remote job is a no-op.
         state.requeue("job-0001");
@@ -778,13 +738,13 @@ mod tests {
         // concurrent spool scan can adopt the job in between. The job
         // must still be listed, queued and counted once.
         let state = ServeState::new(u64::MAX);
-        assert!(state.adopt(spec("job-0001", "a")));
-        state.enqueue(spec("job-0001", "a"));
+        assert!(state.enqueue(spec("job-0001", "a")));
+        assert!(!state.enqueue(spec("job-0001", "a")));
         let j = json::parse(&state.status_line(None)).unwrap();
         let jobs = j.get("jobs").and_then(|x| x.as_arr()).unwrap();
         assert_eq!(jobs.len(), 1);
         assert_eq!(state.metrics().jobs_submitted, 1);
-        let (claimed, _, _) = state.claim().unwrap();
+        let (claimed, _) = state.claim().unwrap();
         assert_eq!(claimed.id, "job-0001");
         assert_eq!(state.inner.lock().unwrap().queue.len(), 0, "queued twice");
     }
@@ -792,8 +752,8 @@ mod tests {
     #[test]
     fn adoption_skips_known_ids_and_failures_persist() {
         let state = ServeState::new(u64::MAX);
-        assert!(state.adopt(spec("job-0001", "a")));
-        assert!(!state.adopt(spec("job-0001", "a")), "already known");
+        assert!(state.enqueue(spec("job-0001", "a")));
+        assert!(!state.enqueue(spec("job-0001", "a")), "already known");
         assert!(state.known("job-0001"));
         state.insert_settled(spec("job-0002", "a"), Err("diverged".into()));
         let entry = state.entry("job-0002").unwrap();
@@ -806,7 +766,7 @@ mod tests {
     fn status_line_renders_fleet_and_holder_fields() {
         let state = ServeState::new(50);
         state.enqueue(spec("job-0001", "acme"));
-        let (_, _, budget) = state.claim().unwrap();
+        let (_, budget) = state.claim().unwrap();
         state.set_holder("job-0001", "d-1".into());
         budget.set_external(7);
         let fleet = FleetStatus {

@@ -6,7 +6,6 @@ use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Mutex;
 use std::thread::ThreadId;
 use std::time::Instant;
@@ -124,38 +123,12 @@ struct Inner {
     records: Vec<Record>,
     writer: Option<BufWriter<File>>,
     /// Flush the writer after every record — set by
-    /// [`Journal::attach_jsonl`] so external processes tailing the file
-    /// (e.g. a peer `specwise-serve` daemon fanning in a subscription)
-    /// see lines as they are emitted rather than on buffer boundaries.
+    /// [`Journal::attach_jsonl`] so readers tailing the file (e.g. a
+    /// `specwise-serve` daemon streaming a `subscribe`) see lines as they
+    /// are emitted rather than on buffer boundaries.
     flush_each: bool,
     path: Option<PathBuf>,
     threads: Vec<ThreadId>,
-    subscribers: Vec<Sender<Record>>,
-}
-
-/// A live feed of journal records, created by [`Journal::subscribe`].
-///
-/// The feed first delivers every record the journal had already accumulated
-/// when the subscription was opened (the backlog), then every subsequent
-/// record in emission order — loss-free, with no duplicates. Dropping the
-/// subscription detaches it; a detached subscriber never blocks or fails
-/// record emission.
-#[derive(Debug)]
-pub struct Subscription {
-    rx: Receiver<Record>,
-}
-
-impl Subscription {
-    /// Wait up to `timeout` for the next record. Returns `None` on timeout
-    /// or once the journal has been dropped and the feed is drained.
-    pub fn recv_timeout(&self, timeout: std::time::Duration) -> Option<Record> {
-        self.rx.recv_timeout(timeout).ok()
-    }
-
-    /// Drain every record currently buffered, without blocking.
-    pub fn drain(&self) -> Vec<Record> {
-        self.rx.try_iter().collect()
-    }
 }
 
 /// Thread-safe journal sink.
@@ -190,7 +163,6 @@ impl Journal {
                 flush_each: false,
                 path: None,
                 threads: Vec::new(),
-                subscribers: Vec::new(),
             }),
             next_span: AtomicU64::new(1),
             epoch: Instant::now(),
@@ -217,9 +189,9 @@ impl Journal {
     /// in-memory backlog is replayed into it — so the file always mirrors
     /// [`Journal::records`] from record zero — and every subsequent record
     /// is written *and flushed* as it is emitted, making the file tailable
-    /// by other processes in near-real time. `specwise-serve` uses this to
-    /// mirror a job's journal into the shared spool, where any daemon in
-    /// the fleet can fan it into a `subscribe` stream.
+    /// by other threads and processes in near-real time. `specwise-serve`
+    /// uses this to mirror a job's journal into the shared spool; every
+    /// `subscribe` stream, on any daemon in the fleet, reads that file.
     ///
     /// Replay and registration happen under the same lock acquisition that
     /// serializes record emission, so no record is skipped or duplicated
@@ -279,32 +251,7 @@ impl Journal {
                 }
             }
         }
-        if !inner.subscribers.is_empty() {
-            inner
-                .subscribers
-                .retain(|tx| tx.send(record.clone()).is_ok());
-        }
         inner.records.push(record);
-    }
-
-    /// Open a live [`Subscription`] to this journal.
-    ///
-    /// The backlog is pushed into the feed and the subscriber registered
-    /// under the same lock acquisition that serializes [record] emission,
-    /// so the feed sees every record exactly once, in order, with no
-    /// window for a record to be missed or duplicated around the
-    /// subscription point.
-    ///
-    /// [record]: Journal::records
-    pub fn subscribe(&self) -> Subscription {
-        let (tx, rx) = channel();
-        let mut inner = self.inner.lock().expect("journal lock");
-        for record in &inner.records {
-            // The receiver is still in scope, so the send cannot fail.
-            let _ = tx.send(record.clone());
-        }
-        inner.subscribers.push(tx);
-        Subscription { rx }
     }
 
     /// Number of records so far.

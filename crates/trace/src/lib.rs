@@ -89,9 +89,7 @@ mod journal;
 pub mod json;
 mod tracer;
 
-pub use journal::{
-    EventRecord, Journal, JournalParseError, Record, SpanNode, SpanRecord, Subscription,
-};
+pub use journal::{EventRecord, Journal, JournalParseError, Record, SpanNode, SpanRecord};
 pub use json::{Json, JsonError, TraceValue};
 pub use tracer::{Span, Tracer, TRACE_ENV_VAR};
 
@@ -319,49 +317,15 @@ mod tests {
     }
 
     #[test]
-    fn subscription_delivers_backlog_then_live_records_in_order() {
-        let journal = Arc::new(Journal::in_memory());
-        let tracer = Tracer::new(Arc::clone(&journal));
-        {
-            let mut span = tracer.span("backlog_span");
-            span.add_count("sims", 1);
-        }
-        tracer.event("backlog_event", &[]);
-        let sub = journal.subscribe();
-        {
-            let mut span = tracer.span("live_span");
-            span.add_count("sims", 2);
-        }
-        drop(tracer);
-        let names: Vec<String> = sub
-            .drain()
-            .iter()
-            .map(|r| match r {
-                Record::Span(s) => s.name.clone(),
-                Record::Event(e) => e.name.clone(),
-            })
-            .collect();
-        assert_eq!(names, ["backlog_span", "backlog_event", "live_span"]);
-        // The feed matches the journal's own record store exactly.
-        assert_eq!(journal.len(), 3);
-        // A dropped subscriber must not break later emission.
-        drop(sub);
-        tracer2_emits(&journal);
-        assert_eq!(journal.len(), 4);
-    }
-
-    fn tracer2_emits(journal: &Arc<Journal>) {
-        let tracer = Tracer::new(Arc::clone(journal));
-        tracer.event("after_drop", &[]);
-    }
-
-    #[test]
-    fn subscription_streams_from_concurrent_emitters_loss_free() {
+    fn attached_jsonl_file_receives_concurrent_emitters_loss_free() {
         const THREADS: usize = 4;
         const EVENTS: usize = 100;
+        let dir = std::env::temp_dir().join("specwise-trace-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("concurrent-{}.jsonl", std::process::id()));
         let journal = Arc::new(Journal::in_memory());
+        journal.attach_jsonl(&path).unwrap();
         let tracer = Tracer::new(Arc::clone(&journal));
-        let sub = journal.subscribe();
         std::thread::scope(|scope| {
             for _ in 0..THREADS {
                 let tracer = tracer.clone();
@@ -372,7 +336,15 @@ mod tests {
                 });
             }
         });
-        assert_eq!(sub.drain().len(), THREADS * EVENTS);
+        // Each record is flushed as it is emitted, so a reader tailing the
+        // file sees every line without waiting for the journal to drop.
+        let on_disk = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(on_disk.lines().count(), THREADS * EVENTS);
+        assert_eq!(
+            Journal::from_jsonl(&on_disk).unwrap().len(),
+            THREADS * EVENTS
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
