@@ -22,6 +22,7 @@ use std::fmt::{self, Write as _};
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use specwise_ckt::{OperatingPoint, SimPhase};
 use specwise_linalg::DVec;
@@ -126,11 +127,21 @@ impl Checkpoint {
     /// into a sibling temp file, synced, and renamed over `path`, so a
     /// crash mid-write can never leave a truncated checkpoint behind.
     ///
+    /// The temp file is named per writer (`<path>.ckpt.tmp-<pid>-<n>`), so
+    /// two writers of one checkpoint — a fleet daemon paused past its lease
+    /// and the peer that took the job over — never truncate or publish each
+    /// other's half-written file; the last rename wins whole.
+    ///
     /// # Errors
     ///
     /// Returns [`CheckpointError::Io`] on filesystem failure.
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        let tmp = path.with_extension("ckpt.tmp");
+        static WRITES: AtomicU64 = AtomicU64::new(0);
+        let tmp = path.with_extension(format!(
+            "ckpt.tmp-{}-{}",
+            std::process::id(),
+            WRITES.fetch_add(1, Ordering::Relaxed)
+        ));
         {
             let mut file = fs::File::create(&tmp)?;
             file.write_all(self.to_json().as_bytes())?;
@@ -878,11 +889,39 @@ mod tests {
         let ck = sample_checkpoint();
         ck.save(&path).unwrap();
         // The temp file is gone once the rename lands.
-        assert!(!path.with_extension("ckpt.tmp").exists());
+        assert!(temp_files(&dir).is_empty());
         let back = Checkpoint::load(&path).unwrap();
         assert_eq!(back.iteration, ck.iteration);
         assert_eq!(bits(back.d_f.as_slice()), bits(ck.d_f.as_slice()));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Names in `dir` that start with `run.ckpt.tmp`.
+    fn temp_files(dir: &Path) -> Vec<String> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("run.ckpt.tmp"))
+            .collect()
+    }
+
+    #[test]
+    fn save_leaves_a_peer_writers_temp_file_alone() {
+        // A directory stands in for another writer's in-flight temp file
+        // at the name a shared temp path would use: truncating it (or
+        // publishing it) is exactly the fault a shared name allows.
+        let dir = std::env::temp_dir().join(format!("specwise-ckpt-peer-{}", std::process::id()));
+        let peer = dir.join("run.ckpt.tmp");
+        std::fs::create_dir_all(&peer).unwrap();
+        let path = dir.join("run.ckpt");
+        let ck = sample_checkpoint();
+        ck.save(&path).unwrap();
+        let back = Checkpoint::load(&path).unwrap();
+        assert_eq!(back.iteration, ck.iteration);
+        assert_eq!(bits(back.d_f.as_slice()), bits(ck.d_f.as_slice()));
+        assert!(peer.is_dir(), "the peer's temp entry must be left alone");
+        assert_eq!(temp_files(&dir), ["run.ckpt.tmp"]);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
