@@ -2,7 +2,6 @@ use std::error::Error;
 use std::fmt;
 
 use specwise_ckt::CktError;
-use specwise_stat::StatError;
 use specwise_wcd::WcdError;
 
 /// Errors produced by the yield-optimization core.
@@ -13,8 +12,6 @@ pub enum SpecwiseError {
     WorstCase(WcdError),
     /// Circuit evaluation failed.
     Circuit(CktError),
-    /// Statistical machinery failed.
-    Stat(StatError),
     /// No feasible starting point could be found.
     NoFeasibleStart {
         /// Largest remaining constraint violation.
@@ -41,7 +38,6 @@ impl fmt::Display for SpecwiseError {
         match self {
             SpecwiseError::WorstCase(e) => write!(f, "worst-case analysis failed: {e}"),
             SpecwiseError::Circuit(e) => write!(f, "circuit evaluation failed: {e}"),
-            SpecwiseError::Stat(e) => write!(f, "statistical computation failed: {e}"),
             SpecwiseError::NoFeasibleStart { worst_violation } => {
                 write!(
                     f,
@@ -65,7 +61,6 @@ impl Error for SpecwiseError {
         match self {
             SpecwiseError::WorstCase(e) => Some(e),
             SpecwiseError::Circuit(e) => Some(e),
-            SpecwiseError::Stat(e) => Some(e),
             _ => None,
         }
     }
@@ -80,11 +75,5 @@ impl From<WcdError> for SpecwiseError {
 impl From<CktError> for SpecwiseError {
     fn from(e: CktError) -> Self {
         SpecwiseError::Circuit(e)
-    }
-}
-
-impl From<StatError> for SpecwiseError {
-    fn from(e: StatError) -> Self {
-        SpecwiseError::Stat(e)
     }
 }

@@ -19,11 +19,6 @@ pub enum LinalgError {
         /// Pivot index at which a zero (or tiny) pivot was found.
         pivot: usize,
     },
-    /// The matrix is not positive definite (Cholesky only).
-    NotPositiveDefinite {
-        /// Column at which the failure was detected.
-        column: usize,
-    },
     /// A matrix that must be square is not.
     NotSquare {
         /// Number of rows.
@@ -55,12 +50,6 @@ impl fmt::Display for LinalgError {
             }
             LinalgError::Singular { pivot } => {
                 write!(f, "matrix is singular (zero pivot at index {pivot})")
-            }
-            LinalgError::NotPositiveDefinite { column } => {
-                write!(
-                    f,
-                    "matrix is not positive definite (failure at column {column})"
-                )
             }
             LinalgError::NotSquare { rows, cols } => {
                 write!(f, "matrix must be square, got {rows}x{cols}")

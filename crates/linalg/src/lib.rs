@@ -8,15 +8,16 @@
 //! * [`Lu`] — dense LU factorization with partial pivoting, real or complex
 //!   (the dense workhorse of the circuit simulator's DC Newton iteration and
 //!   AC frequency points),
-//! * [`Cholesky`] — used to factor covariance matrices `C(d) = G·Gᵀ`
-//!   (paper Eq. 11) and to sample correlated Gaussians,
-//! * [`Qr`] — Householder QR for least-squares sub-problems,
 //! * [`Complex64`], [`CVec`] — complex arithmetic and phasor vectors for
 //!   small-signal AC analysis,
 //! * [`SparsePattern`], [`SparseSymbolic`], [`SparseLu`], [`Triplets`] —
 //!   sparse CSC assembly and a fill-reducing sparse LU (real and complex)
 //!   with a cached symbolic/numeric split for repeated factorizations of
 //!   one circuit topology.
+//!
+//! The paper's variance transform `s = G(d)·ŝ + s0` (Eq. 11) needs no
+//! factorization here: `G(d)` is the diagonal Pelgrom bound that
+//! `specwise_ckt::StatSpace` applies per device.
 //!
 //! # Example
 //!
@@ -36,22 +37,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cholesky;
 mod complex;
 mod cvector;
 mod error;
 mod lu;
 mod matrix;
-mod qr;
 mod sparse;
 mod vector;
 
-pub use cholesky::Cholesky;
 pub use complex::Complex64;
 pub use cvector::CVec;
 pub use error::LinalgError;
 pub use lu::Lu;
 pub use matrix::DMat;
-pub use qr::Qr;
 pub use sparse::{SparseLu, SparsePattern, SparseScalar, SparseSymbolic, Triplets};
 pub use vector::DVec;

@@ -1,7 +1,7 @@
 use std::fmt;
-use std::ops::{Add, Index, IndexMut, Mul, Sub};
+use std::ops::{Index, IndexMut};
 
-use crate::{Cholesky, DVec, LinalgError, Lu, Qr};
+use crate::{DVec, LinalgError, Lu};
 
 /// A dense, row-major real matrix.
 ///
@@ -123,16 +123,6 @@ impl DMat {
         DVec::from_slice(&self.data[i * self.cols..(i + 1) * self.cols])
     }
 
-    /// Column `j` as a newly allocated vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of range.
-    pub fn col(&self, j: usize) -> DVec {
-        assert!(j < self.cols, "column index {j} out of range");
-        DVec::from_fn(self.rows, |i| self[(i, j)])
-    }
-
     /// Matrix–vector product `A·x`.
     ///
     /// # Panics
@@ -146,59 +136,9 @@ impl DMat {
         })
     }
 
-    /// Transposed matrix–vector product `Aᵀ·x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != nrows()`.
-    pub fn tr_matvec(&self, x: &DVec) -> DVec {
-        assert_eq!(x.len(), self.rows, "tr_matvec: length mismatch");
-        let mut y = DVec::zeros(self.cols);
-        for i in 0..self.rows {
-            let xi = x[i];
-            for j in 0..self.cols {
-                y[j] += self[(i, j)] * xi;
-            }
-        }
-        y
-    }
-
-    /// Matrix–matrix product `A·B`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `self.ncols() != other.nrows()`.
-    pub fn matmul(&self, other: &DMat) -> Result<DMat, LinalgError> {
-        if self.cols != other.rows {
-            return Err(LinalgError::DimensionMismatch {
-                op: "matmul",
-                expected: self.cols,
-                found: other.rows,
-            });
-        }
-        let mut out = DMat::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self[(i, k)];
-                if aik == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out[(i, j)] += aik * other[(k, j)];
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Transpose.
     pub fn transpose(&self) -> DMat {
         DMat::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
-    }
-
-    /// Maximum absolute entry.
-    pub fn norm_max(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
     }
 
     /// `true` when every entry is finite.
@@ -219,24 +159,6 @@ impl DMat {
     /// [`LinalgError::Singular`] when a pivot vanishes.
     pub fn lu(&self) -> Result<Lu, LinalgError> {
         Lu::new(self)
-    }
-
-    /// Cholesky factorization `A = L·Lᵀ` of a symmetric positive-definite matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::NotSquare`] or [`LinalgError::NotPositiveDefinite`].
-    pub fn cholesky(&self) -> Result<Cholesky, LinalgError> {
-        Cholesky::new(self)
-    }
-
-    /// Householder QR factorization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Empty`] for an empty matrix.
-    pub fn qr(&self) -> Result<Qr, LinalgError> {
-        Qr::new(self)
     }
 
     /// Raw row-major data.
@@ -282,37 +204,6 @@ impl fmt::Display for DMat {
     }
 }
 
-impl Add for &DMat {
-    type Output = DMat;
-    fn add(self, rhs: &DMat) -> DMat {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "add: shape mismatch"
-        );
-        DMat::from_fn(self.rows, self.cols, |i, j| self[(i, j)] + rhs[(i, j)])
-    }
-}
-
-impl Sub for &DMat {
-    type Output = DMat;
-    fn sub(self, rhs: &DMat) -> DMat {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "sub: shape mismatch"
-        );
-        DMat::from_fn(self.rows, self.cols, |i, j| self[(i, j)] - rhs[(i, j)])
-    }
-}
-
-impl Mul<f64> for &DMat {
-    type Output = DMat;
-    fn mul(self, rhs: f64) -> DMat {
-        DMat::from_fn(self.rows, self.cols, |i, j| self[(i, j)] * rhs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,38 +225,10 @@ mod tests {
     }
 
     #[test]
-    fn matmul_known_product() {
-        let a = DMat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let b = DMat::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]).unwrap();
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c[(0, 0)], 19.0);
-        assert_eq!(c[(0, 1)], 22.0);
-        assert_eq!(c[(1, 0)], 43.0);
-        assert_eq!(c[(1, 1)], 50.0);
-    }
-
-    #[test]
-    fn matmul_rejects_bad_dims() {
-        let a = DMat::zeros(2, 3);
-        let b = DMat::zeros(2, 2);
-        assert!(matches!(
-            a.matmul(&b),
-            Err(LinalgError::DimensionMismatch { .. })
-        ));
-    }
-
-    #[test]
     fn transpose_involution() {
         let a = DMat::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
         assert_eq!(a.transpose().transpose(), a);
         assert_eq!(a.transpose()[(2, 1)], 6.0);
-    }
-
-    #[test]
-    fn tr_matvec_matches_transpose() {
-        let a = DMat::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
-        let x = DVec::from_slice(&[1.0, -1.0]);
-        assert_eq!(a.tr_matvec(&x), a.transpose().matvec(&x));
     }
 
     #[test]
@@ -376,15 +239,8 @@ mod tests {
     }
 
     #[test]
-    fn rows_and_cols_roundtrip() {
+    fn row_reads_one_row() {
         let a = DMat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         assert_eq!(a.row(1).as_slice(), &[3.0, 4.0]);
-        assert_eq!(a.col(0).as_slice(), &[1.0, 3.0]);
-    }
-
-    #[test]
-    fn norms() {
-        let a = DMat::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]).unwrap();
-        assert_eq!(a.norm_max(), 4.0);
     }
 }

@@ -2,8 +2,6 @@ use std::fmt;
 use std::iter::FromIterator;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use crate::LinalgError;
-
 /// A dense, heap-allocated real vector.
 ///
 /// `DVec` is the currency of the whole workspace: design-parameter vectors
@@ -110,22 +108,6 @@ impl DVec {
     /// Maximum absolute component (∞-norm); `0.0` for the empty vector.
     pub fn norm_inf(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
-    }
-
-    /// Componentwise product (Hadamard product).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if the lengths differ.
-    pub fn hadamard(&self, other: &DVec) -> Result<DVec, LinalgError> {
-        if self.len() != other.len() {
-            return Err(LinalgError::DimensionMismatch {
-                op: "hadamard",
-                expected: self.len(),
-                found: other.len(),
-            });
-        }
-        Ok(DVec::from_fn(self.len(), |i| self.data[i] * other.data[i]))
     }
 
     /// `self + alpha * other` (BLAS `axpy`), returning a new vector.
@@ -334,18 +316,6 @@ mod tests {
         let a = DVec::from_slice(&[1.0, 1.0]);
         let b = DVec::from_slice(&[2.0, -1.0]);
         assert_eq!(a.axpy(0.5, &b).as_slice(), &[2.0, 0.5]);
-    }
-
-    #[test]
-    fn hadamard_checks_dims() {
-        let a = DVec::from_slice(&[1.0, 2.0]);
-        let b = DVec::from_slice(&[3.0]);
-        assert!(matches!(
-            a.hadamard(&b),
-            Err(LinalgError::DimensionMismatch { .. })
-        ));
-        let c = DVec::from_slice(&[3.0, 4.0]);
-        assert_eq!(a.hadamard(&c).unwrap().as_slice(), &[3.0, 8.0]);
     }
 
     #[test]

@@ -79,11 +79,9 @@ impl Error for MnaError {}
 impl From<LinalgError> for MnaError {
     fn from(e: LinalgError) -> Self {
         match e {
-            LinalgError::Singular { .. } | LinalgError::NotPositiveDefinite { .. } => {
-                MnaError::SingularMatrix {
-                    analysis: "linear solve",
-                }
-            }
+            LinalgError::Singular { .. } => MnaError::SingularMatrix {
+                analysis: "linear solve",
+            },
             _ => MnaError::InvalidRequest {
                 reason: "linear algebra dimension error",
             },

@@ -1,10 +1,8 @@
-//! Error function, standard normal CDF/PDF and quantile.
+//! Error function and the standard normal CDF.
 //!
 //! `erf` uses the Maclaurin series for `|x| ≤ 2` and the classical
 //! Laplace continued fraction (A&S 7.1.14, evaluated with the modified
 //! Lentz algorithm) for the tail — both converge to full double precision.
-//! The quantile uses Peter Acklam's rational approximation with one Halley
-//! refinement step against the exact CDF.
 
 use std::f64::consts::{FRAC_1_SQRT_2, PI};
 
@@ -98,16 +96,6 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
-/// Standard normal probability density function.
-///
-/// ```
-/// use specwise_stat::std_normal_pdf;
-/// assert!((std_normal_pdf(0.0) - 0.3989422804014327).abs() < 1e-15);
-/// ```
-pub fn std_normal_pdf(x: f64) -> f64 {
-    (-0.5 * x * x).exp() / (2.0 * PI).sqrt()
-}
-
 /// Standard normal cumulative distribution function `Φ(x)`.
 ///
 /// ```
@@ -117,76 +105,6 @@ pub fn std_normal_pdf(x: f64) -> f64 {
 /// ```
 pub fn std_normal_cdf(x: f64) -> f64 {
     0.5 * erfc(-x * FRAC_1_SQRT_2)
-}
-
-/// Standard normal quantile (inverse CDF) `Φ⁻¹(p)`.
-///
-/// Uses Acklam's rational approximation with one Halley refinement step.
-///
-/// # Panics
-///
-/// Panics if `p` is not in `(0, 1)`.
-///
-/// ```
-/// use specwise_stat::{std_normal_cdf, std_normal_quantile};
-/// let p = 0.975;
-/// let x = std_normal_quantile(p);
-/// assert!((x - 1.959963984540054).abs() < 1e-12);
-/// assert!((std_normal_cdf(x) - p).abs() < 1e-14);
-/// ```
-pub fn std_normal_quantile(p: f64) -> f64 {
-    assert!(p > 0.0 && p < 1.0, "quantile argument {p} outside (0, 1)");
-
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.383577518672690e+02,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
-    ];
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
-    ];
-    const P_LOW: f64 = 0.02425;
-
-    let x = if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    };
-
-    // One step of Halley's method against the exact CDF.
-    let e = std_normal_cdf(x) - p;
-    let u = e * (2.0 * PI).sqrt() * (x * x / 2.0).exp();
-    x - u / (1.0 + x * u / 2.0)
 }
 
 #[cfg(test)]
@@ -244,40 +162,5 @@ mod tests {
         assert!((std_normal_cdf(1.0) - 0.8413447460685429).abs() < 1e-13);
         assert!((std_normal_cdf(-2.0) - 0.022750131948179195).abs() < 1e-13);
         assert!((std_normal_cdf(3.0) - 0.9986501019683699).abs() < 1e-13);
-    }
-
-    #[test]
-    fn quantile_inverts_cdf() {
-        for p in [1e-6, 1e-3, 0.01, 0.2, 0.5, 0.8, 0.99, 0.999, 1.0 - 1e-6] {
-            let x = std_normal_quantile(p);
-            assert!((std_normal_cdf(x) - p).abs() < 1e-12, "p={p}");
-        }
-    }
-
-    #[test]
-    fn quantile_known_values() {
-        assert!(std_normal_quantile(0.5).abs() < 1e-14);
-        assert!((std_normal_quantile(0.975) - 1.959963984540054).abs() < 1e-10);
-        assert!((std_normal_quantile(0.841344746068543) - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside (0, 1)")]
-    fn quantile_rejects_zero() {
-        let _ = std_normal_quantile(0.0);
-    }
-
-    #[test]
-    fn pdf_integrates_to_cdf_numerically() {
-        // Trapezoidal integration of the pdf over [-6, 1] approximates Φ(1).
-        let (a, b) = (-6.0, 1.0);
-        let n = 20_000;
-        let h = (b - a) / n as f64;
-        let mut acc = 0.5 * (std_normal_pdf(a) + std_normal_pdf(b));
-        for i in 1..n {
-            acc += std_normal_pdf(a + i as f64 * h);
-        }
-        acc *= h;
-        assert!((acc - std_normal_cdf(1.0)).abs() < 1e-8);
     }
 }

@@ -2,18 +2,16 @@
 //!
 //! Provides what the DAC 2001 flow needs from probability theory:
 //!
-//! * [`erf`]/[`erfc`], the standard normal CDF [`std_normal_cdf`] and its
-//!   inverse [`std_normal_quantile`],
-//! * univariate distributions ([`Normal`], [`LogNormal`], [`Uniform`]) with
-//!   the normal-space transforms used to reduce every distribution to a
-//!   Gaussian (paper Sec. 2, refs [14, 15]),
+//! * [`erf`]/[`erfc`] and the standard normal CDF [`std_normal_cdf`],
 //! * standard-normal sampling ([`StandardNormal`], Box–Muller over `rand`),
-//! * the multivariate normal [`Mvn`] with Cholesky-factor sampling — the
-//!   `s = G·ŝ + s0` transform of paper Eq. 11,
-//! * Monte-Carlo yield estimation ([`YieldEstimate`]) with Wilson confidence
-//!   intervals (paper Eqs. 6–7),
+//! * Monte-Carlo yield estimation ([`YieldEstimate`], paper Eqs. 6–7),
 //! * streaming moments ([`RunningMoments`]) for the Table 2 style
 //!   mean/variance improvement reports.
+//!
+//! Every statistical parameter is drawn as an independent standard normal
+//! `ŝ`; the variance transform `s = G(d)·ŝ + s0` of paper Eq. 11 is the
+//! diagonal Pelgrom `G(d)` that `specwise_ckt::StatSpace` applies per
+//! device, so no correlated or non-normal distribution lives here.
 //!
 //! # Example
 //!
@@ -31,18 +29,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod dist;
 mod erf;
-mod error;
 mod moments;
-mod mvn;
 mod sampler;
 mod yield_est;
 
-pub use dist::{LogNormal, Normal, Uniform, UnivariateDistribution};
-pub use erf::{erf, erfc, std_normal_cdf, std_normal_pdf, std_normal_quantile};
-pub use error::StatError;
+pub use erf::{erf, erfc, std_normal_cdf};
 pub use moments::RunningMoments;
-pub use mvn::Mvn;
 pub use sampler::StandardNormal;
 pub use yield_est::YieldEstimate;

@@ -108,26 +108,6 @@ impl RunningMoments {
             max,
         }
     }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &RunningMoments) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl FromIterator<f64> for RunningMoments {
@@ -183,21 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential() {
-        let data = [0.5, 1.5, -3.0, 2.0, 4.5, 0.0, -1.25];
-        let (left, right) = data.split_at(3);
-        let mut a: RunningMoments = left.iter().copied().collect();
-        let b: RunningMoments = right.iter().copied().collect();
-        a.merge(&b);
-        let full: RunningMoments = data.iter().copied().collect();
-        assert_eq!(a.count(), full.count());
-        assert!((a.mean() - full.mean()).abs() < 1e-12);
-        assert!((a.sample_variance() - full.sample_variance()).abs() < 1e-12);
-        assert_eq!(a.min(), full.min());
-        assert_eq!(a.max(), full.max());
-    }
-
-    #[test]
     fn raw_round_trips_bit_for_bit() {
         let m: RunningMoments = [1.5, -2.0, 0.25, 8.0].into_iter().collect();
         let (count, mean, m2, min, max) = m.raw();
@@ -208,16 +173,5 @@ mod tests {
         // The empty state reconstructs regardless of the float payload.
         let empty = RunningMoments::from_raw(0, f64::NAN, f64::NAN, f64::NAN, f64::NAN);
         assert_eq!(empty, RunningMoments::new());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a: RunningMoments = [1.0, 2.0].into_iter().collect();
-        let before = a;
-        a.merge(&RunningMoments::new());
-        assert_eq!(a, before);
-        let mut e = RunningMoments::new();
-        e.merge(&before);
-        assert_eq!(e, before);
     }
 }

@@ -54,11 +54,6 @@ impl StandardNormal {
             *x = self.sample(rng);
         }
     }
-
-    /// Draws a vector of `n` independent standard normal variates.
-    pub fn sample_vec<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.sample(rng)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -97,17 +92,13 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let normal = StandardNormal::new();
-        let a: Vec<f64> = {
+        let draw = || {
             let mut rng = StdRng::seed_from_u64(5);
-            normal.sample_vec(&mut rng, 8)
+            let mut buf = [0.0; 8];
+            StandardNormal::new().fill(&mut rng, &mut buf);
+            buf
         };
-        let normal2 = StandardNormal::new();
-        let b: Vec<f64> = {
-            let mut rng = StdRng::seed_from_u64(5);
-            normal2.sample_vec(&mut rng, 8)
-        };
-        assert_eq!(a, b);
+        assert_eq!(draw(), draw());
     }
 
     #[test]

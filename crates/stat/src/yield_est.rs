@@ -14,8 +14,6 @@
 /// let est = YieldEstimate::from_counts(297, 300);
 /// assert!((est.value() - 0.99).abs() < 1e-12);
 /// assert_eq!(est.bad_samples(), 3);
-/// let (lo, hi) = est.wilson_interval(0.95);
-/// assert!(lo < 0.99 && 0.99 < hi);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct YieldEstimate {
@@ -88,30 +86,6 @@ impl YieldEstimate {
         let p = self.value();
         (p * (1.0 - p) / self.total as f64).sqrt()
     }
-
-    /// Wilson score interval at the given confidence level.
-    ///
-    /// Unlike the Wald interval it behaves sensibly at `p = 0` and `p = 1`,
-    /// which matters here: optimized circuits routinely reach 100 % passing
-    /// samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `confidence` is not in `(0, 1)`.
-    pub fn wilson_interval(&self, confidence: f64) -> (f64, f64) {
-        assert!(
-            confidence > 0.0 && confidence < 1.0,
-            "confidence {confidence} outside (0, 1)"
-        );
-        let z = crate::std_normal_quantile(0.5 + confidence / 2.0);
-        let n = self.total as f64;
-        let p = self.value();
-        let z2 = z * z;
-        let denom = 1.0 + z2 / n;
-        let center = (p + z2 / (2.0 * n)) / denom;
-        let half = z * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt() / denom;
-        ((center - half).max(0.0), (center + half).min(1.0))
-    }
 }
 
 impl std::fmt::Display for YieldEstimate {
@@ -151,36 +125,6 @@ mod tests {
         let e = YieldEstimate::from_trials([true, false, true, true]);
         assert_eq!(e.passed(), 3);
         assert_eq!(e.total(), 4);
-    }
-
-    #[test]
-    fn wilson_interval_contains_point_estimate() {
-        let e = YieldEstimate::from_counts(45, 300);
-        let (lo, hi) = e.wilson_interval(0.95);
-        assert!(lo < e.value() && e.value() < hi);
-        assert!(lo >= 0.0 && hi <= 1.0);
-    }
-
-    #[test]
-    fn wilson_interval_sane_at_extremes() {
-        let all_pass = YieldEstimate::from_counts(300, 300);
-        let (lo, hi) = all_pass.wilson_interval(0.95);
-        assert!(hi <= 1.0);
-        assert!(lo > 0.95, "lower bound {lo} too pessimistic for 300/300");
-
-        let all_fail = YieldEstimate::from_counts(0, 300);
-        let (lo2, hi2) = all_fail.wilson_interval(0.95);
-        assert_eq!(lo2, 0.0);
-        assert!(hi2 < 0.05);
-    }
-
-    #[test]
-    fn narrower_interval_with_more_samples() {
-        let small = YieldEstimate::from_counts(90, 100);
-        let large = YieldEstimate::from_counts(9000, 10_000);
-        let (l1, h1) = small.wilson_interval(0.95);
-        let (l2, h2) = large.wilson_interval(0.95);
-        assert!(h2 - l2 < h1 - l1);
     }
 
     #[test]
