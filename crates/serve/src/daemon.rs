@@ -659,7 +659,7 @@ fn handle_connection(
                 }
                 match Request::parse(&line) {
                     Err(err) => write_line(&mut writer, &err.to_line())?,
-                    Ok(req) => dispatch(req, &mut reader, &mut writer, state, cfg, fleet)?,
+                    Ok(req) => dispatch(req, &mut writer, state, cfg, fleet)?,
                 }
             }
         }
@@ -668,7 +668,6 @@ fn handle_connection(
 
 fn dispatch(
     req: Request,
-    _reader: &mut BufReader<TcpStream>,
     writer: &mut TcpStream,
     state: &Arc<ServeState>,
     cfg: &ServeConfig,
@@ -686,7 +685,7 @@ fn dispatch(
         },
         Request::Status => {
             let snapshot = fleet_status(state, cfg, fleet);
-            write_line(writer, &state.status_line(Some(&snapshot)))
+            write_line(writer, &state.status_line(&snapshot))
         }
         Request::Result { job, wait } => {
             ensure_known(&job, state, cfg);

@@ -460,10 +460,10 @@ impl ServeState {
 
     /// The `status` response: job table, metrics with cache hit rate, and
     /// per-tenant simulation counts (the tenant budget is reported only
-    /// when finite). With a [`FleetStatus`] (a daemon sharing its spool),
-    /// job rows carry the holding daemon, tenant rows carry fleet-wide
-    /// sim totals, and a `fleet` object reports lease/liveness figures.
-    pub fn status_line(&self, fleet: Option<&FleetStatus>) -> String {
+    /// when finite). Job rows carry the holding daemon once a lease is
+    /// held, tenant rows carry fleet-wide sim totals, and a `fleet` object
+    /// reports the [`FleetStatus`] lease/liveness figures.
+    pub fn status_line(&self, fleet: &FleetStatus) -> String {
         let inner = self.inner.lock().unwrap();
         let mut out = String::from("{\"ok\":true,\"jobs\":[");
         for (i, id) in inner.order.iter().enumerate() {
@@ -518,10 +518,11 @@ impl ServeState {
             }
             out.push_str("{\"tenant\":");
             json::write_json_string(&mut out, tenant);
-            out.push_str(&format!(",\"sims\":{}", budget.used()));
-            if fleet.is_some() {
-                out.push_str(&format!(",\"sims_fleet\":{}", budget.total_used()));
-            }
+            out.push_str(&format!(
+                ",\"sims\":{},\"sims_fleet\":{}",
+                budget.used(),
+                budget.total_used()
+            ));
             let (adj, avoided) = inner
                 .tenant_adjoint
                 .get(tenant)
@@ -535,26 +536,26 @@ impl ServeState {
             }
             out.push_str(&format!(",\"tripped\":{}}}", budget.tripped()));
         }
-        out.push_str("]}");
-        if let Some(f) = fleet {
-            out.push_str(",\"fleet\":{\"owner\":");
-            json::write_json_string(&mut out, &f.owner);
-            out.push_str(&format!(
-                ",\"daemons_live\":{},\"leases_held\":{},\"leases_stolen\":{},\
-                 \"leases_expired\":{},\"leases_lost\":{},\"tenants\":[",
-                f.daemons_live, f.leases_held, f.leases_stolen, f.leases_expired, f.leases_lost
-            ));
-            for (i, (tenant, sims)) in f.tenants_fleet.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str("{\"tenant\":");
-                json::write_json_string(&mut out, tenant);
-                out.push_str(&format!(",\"sims\":{sims}}}"));
+        out.push_str("]},\"fleet\":{\"owner\":");
+        json::write_json_string(&mut out, &fleet.owner);
+        out.push_str(&format!(
+            ",\"daemons_live\":{},\"leases_held\":{},\"leases_stolen\":{},\
+             \"leases_expired\":{},\"leases_lost\":{},\"tenants\":[",
+            fleet.daemons_live,
+            fleet.leases_held,
+            fleet.leases_stolen,
+            fleet.leases_expired,
+            fleet.leases_lost
+        ));
+        for (i, (tenant, sims)) in fleet.tenants_fleet.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
             }
-            out.push_str("]}");
+            out.push_str("{\"tenant\":");
+            json::write_json_string(&mut out, tenant);
+            out.push_str(&format!(",\"sims\":{sims}}}"));
         }
-        out.push('}');
+        out.push_str("]}}");
         out
     }
 }
@@ -649,7 +650,7 @@ mod tests {
         let (_, budget) = state.claim().unwrap();
         let _ = budget;
         state.finish("job-0001", Err("deck rejected: bad".into()));
-        let j = json::parse(&state.status_line(None)).unwrap();
+        let j = json::parse(&state.status_line(&FleetStatus::default())).unwrap();
         let jobs = j.get("jobs").and_then(|x| x.as_arr()).unwrap();
         assert_eq!(jobs.len(), 1);
         assert_eq!(
@@ -681,7 +682,7 @@ mod tests {
                 ..outcome()
             }),
         );
-        let j = json::parse(&state.status_line(None)).unwrap();
+        let j = json::parse(&state.status_line(&FleetStatus::default())).unwrap();
         let jobs = j.get("jobs").and_then(|x| x.as_arr()).unwrap();
         assert_eq!(
             jobs[0].get("estimator").and_then(|x| x.as_str()),
@@ -740,7 +741,7 @@ mod tests {
         let state = ServeState::new(u64::MAX);
         assert!(state.enqueue(spec("job-0001", "a")));
         assert!(!state.enqueue(spec("job-0001", "a")));
-        let j = json::parse(&state.status_line(None)).unwrap();
+        let j = json::parse(&state.status_line(&FleetStatus::default())).unwrap();
         let jobs = j.get("jobs").and_then(|x| x.as_arr()).unwrap();
         assert_eq!(jobs.len(), 1);
         assert_eq!(state.metrics().jobs_submitted, 1);
@@ -778,7 +779,7 @@ mod tests {
             leases_lost: 0,
             tenants_fleet: vec![("acme".into(), 7)],
         };
-        let j = json::parse(&state.status_line(Some(&fleet))).unwrap();
+        let j = json::parse(&state.status_line(&fleet)).unwrap();
         let jobs = j.get("jobs").and_then(|x| x.as_arr()).unwrap();
         assert_eq!(jobs[0].get("holder").and_then(|x| x.as_str()), Some("d-1"));
         let tenants = j
@@ -796,9 +797,5 @@ mod tests {
         assert_eq!(f.get("leases_stolen").and_then(|x| x.as_u64()), Some(3));
         let ft = f.get("tenants").and_then(|x| x.as_arr()).unwrap();
         assert_eq!(ft[0].get("sims").and_then(|x| x.as_u64()), Some(7));
-        // Without fleet context neither the fleet object nor the
-        // fleet-only tenant field appears.
-        let plain = json::parse(&state.status_line(None)).unwrap();
-        assert!(plain.get("fleet").is_none());
     }
 }
