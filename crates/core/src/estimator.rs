@@ -45,7 +45,8 @@ use crate::SpecwiseError;
 /// worst-case-corner grouping, batch dispatch and span emission. The
 /// estimators shipped with the crate are
 /// [`MonteCarlo`](crate::MonteCarlo) (paper Eqs. 6–7),
-/// [`MeanShiftIs`](crate::MeanShiftIs) (paper Eqs. 11–12) and
+/// [`MeanShiftIs`](crate::MeanShiftIs) (mean-shift importance sampling,
+/// an extension beyond the paper) and
 /// [`NormMinIs`](crate::NormMinIs) (minimum-norm failure-point importance
 /// sampling for the high-sigma regime where mean-shift collapses).
 pub trait YieldEstimator {
@@ -252,7 +253,7 @@ pub enum EstimatorKind {
     #[default]
     Mc,
     /// Mean-shift importance sampling at the dominant worst-case point
-    /// (Eqs. 11–12).
+    /// (an extension beyond the paper; DESIGN.md §12).
     MeanShift,
     /// Minimum-norm failure-point importance sampling: a boundary search
     /// places the mean-shift proposal, and an effective-sample-size guard

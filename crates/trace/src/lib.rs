@@ -50,7 +50,7 @@
 //! │  ├─ line_search          pull-back onto feasibility (Eq. 23)
 //! │  └─ wc_analysis          relinearization at the new point
 //! └─ mc_verify / is_verify / norm_min_verify
-//!                            Eqs. 6–7 MC, mean-shift IS (Eqs. 11–12), or
+//!                            Eqs. 6–7 MC, mean-shift IS (an extension), or
 //!                            norm-minimization IS — one root span per
 //!                            verification, emitted by the shared
 //!                            estimator driver
