@@ -37,7 +37,7 @@ fn bench_wc_search_analytic(c: &mut Criterion) {
     let env = analytic_env();
     let d = DVec::from_slice(&[3.0]);
     let theta = env.operating_range().nominal();
-    let search = WorstCaseSearch::new(WcOptions::default());
+    let search = WorstCaseSearch;
     c.bench_function("wc_distance_linear_27d", |b| {
         b.iter(|| search.run(&env, &d, 0, &theta).unwrap())
     });

@@ -148,11 +148,10 @@ pub fn run_fig1(n: usize) -> Result<Vec<SurfacePoint>, CktError> {
 
 /// Generates the Fig. 2 series: the mismatch-line selector `Φ(α)`.
 pub fn run_fig2(n: usize) -> Vec<(f64, f64)> {
-    let opts = specwise::PhiOptions::default();
     (0..n)
         .map(|i| {
             let a = -std::f64::consts::FRAC_PI_2 + std::f64::consts::PI * i as f64 / (n - 1) as f64;
-            (a, specwise::phi(a, &opts))
+            (a, specwise::phi(a))
         })
         .collect()
 }

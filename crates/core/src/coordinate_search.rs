@@ -23,90 +23,49 @@ use specwise_stat::YieldEstimate;
 
 use crate::{LinearConstraints, LinearizedYield, SpecwiseError};
 
-/// Options of the coordinate search.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CoordinateSearchOptions {
-    /// Candidate values per coordinate scan.
-    pub grid_points: usize,
-    /// Maximum full sweeps over all coordinates.
-    pub max_sweeps: usize,
-    /// Minimum pass-count improvement to accept a move.
-    pub min_gain: usize,
-    /// Optional multiplicative trust region around positive coordinates of
-    /// the *starting* point: coordinate `k` may only move within
-    /// `[d_start[k]/f, d_start[k]·f]` (ignored for non-positive starts).
-    /// The paper relies on the sizing rules alone to keep the
-    /// linearizations trustworthy; this cap is an extra safety for
-    /// environments with loose constraint sets. `None` disables it.
-    pub trust_factor: Option<f64>,
-}
+/// Candidate values per coordinate scan.
+pub const GRID_POINTS: usize = 32;
 
-impl Default for CoordinateSearchOptions {
-    fn default() -> Self {
-        CoordinateSearchOptions {
-            grid_points: 32,
-            max_sweeps: 10,
-            min_gain: 1,
-            trust_factor: None,
-        }
-    }
-}
+/// Maximum full sweeps over all coordinates.
+pub const MAX_SWEEPS: usize = 10;
 
 /// The coordinate-search optimizer over linearized models.
-#[derive(Debug, Clone)]
-pub struct CoordinateSearch {
-    options: CoordinateSearchOptions,
-}
+#[derive(Debug, Clone, Copy)]
+pub struct CoordinateSearch;
 
 impl CoordinateSearch {
-    /// Creates a search with the given options.
-    pub fn new(options: CoordinateSearchOptions) -> Self {
-        CoordinateSearch { options }
-    }
-
     /// Maximizes `Ȳ(d)` starting from `d_start` subject to the linearized
     /// constraints. Returns the best design found and its estimate.
     ///
     /// # Errors
     ///
-    /// Returns [`SpecwiseError::InvalidConfig`] for a zero grid and
-    /// propagates dimension errors.
+    /// Propagates dimension errors.
     pub fn run(
         &self,
         model: &LinearizedYield,
         constraints: &LinearConstraints,
         d_start: &DVec,
     ) -> Result<(DVec, YieldEstimate), SpecwiseError> {
-        if self.options.grid_points < 2 {
-            return Err(SpecwiseError::InvalidConfig {
-                reason: "grid_points must be >= 2",
-            });
-        }
         let n_d = d_start.len();
         let mut tracker = model.tracker(d_start)?;
         let mut best = tracker.estimate();
         let n_samples = model.n_samples();
-        let n_g = self.options.grid_points;
-        let mut values = Vec::with_capacity(n_g);
+        let mut values = Vec::with_capacity(GRID_POINTS);
 
-        for _sweep in 0..self.options.max_sweeps {
+        for _sweep in 0..MAX_SWEEPS {
             let mut improved = false;
             for k in 0..n_d {
                 let d_now = tracker.design().clone();
-                let Some((mut lo, mut hi)) = constraints.coord_interval(&d_now, k) else {
+                let Some((lo, hi)) = constraints.coord_interval(&d_now, k) else {
                     continue;
                 };
-                if let Some(factor) = self.options.trust_factor {
-                    if d_start[k] > 0.0 {
-                        lo = lo.max(d_start[k] / factor);
-                        hi = hi.min(d_start[k] * factor);
-                    }
-                }
                 if hi - lo <= 0.0 {
                     continue;
                 }
                 values.clear();
-                values.extend((0..n_g).map(|g| lo + (hi - lo) * g as f64 / (n_g - 1) as f64));
+                values.extend(
+                    (0..GRID_POINTS).map(|g| lo + (hi - lo) * g as f64 / (GRID_POINTS - 1) as f64),
+                );
                 let counts = tracker.scan_coord(k, &values);
                 let mut best_val = d_now[k];
                 let mut best_here = best;
@@ -116,8 +75,8 @@ impl CoordinateSearch {
                     // smaller move (stay near the anchor where the linear
                     // model is trustworthy).
                     let gain = est.passed() as isize - best_here.passed() as isize;
-                    if gain >= self.options.min_gain as isize
-                        || (gain >= 0 && (v - d_now[k]).abs() < (best_val - d_now[k]).abs() - 1e-15)
+                    if gain > 0
+                        || (gain == 0 && (v - d_now[k]).abs() < (best_val - d_now[k]).abs() - 1e-15)
                     {
                         best_here = est;
                         best_val = v;
@@ -167,7 +126,7 @@ mod tests {
     fn maximizes_single_margin() {
         // margin = s0 + d0 over d0 ∈ [−2, 2]: best at d0 = 2.
         let ly = LinearizedYield::new(vec![lin(0, 0.0, &[1.0], &[1.0])], 1, 20_000, 5).unwrap();
-        let cs = CoordinateSearch::new(CoordinateSearchOptions::default());
+        let cs = CoordinateSearch;
         let (d, y) = cs
             .run(&ly, &box_constraints(1, -2.0, 2.0), &DVec::zeros(1))
             .unwrap();
@@ -190,7 +149,7 @@ mod tests {
             7,
         )
         .unwrap();
-        let cs = CoordinateSearch::new(CoordinateSearchOptions::default());
+        let cs = CoordinateSearch;
         let (d, _) = cs
             .run(&ly, &box_constraints(1, -3.0, 3.0), &DVec::zeros(1))
             .unwrap();
@@ -209,7 +168,7 @@ mod tests {
             DVec::filled(1, 5.0),
         )
         .unwrap();
-        let cs = CoordinateSearch::new(CoordinateSearchOptions::default());
+        let cs = CoordinateSearch;
         let (d, _) = cs.run(&ly, &lc, &DVec::zeros(1)).unwrap();
         assert!(d[0] <= 1.0 + 1e-9, "d = {d}");
         assert!(d[0] > 0.9, "should push to the constraint boundary: {d}");
@@ -229,7 +188,7 @@ mod tests {
             9,
         )
         .unwrap();
-        let cs = CoordinateSearch::new(CoordinateSearchOptions::default());
+        let cs = CoordinateSearch;
         let (d, y) = cs
             .run(&ly, &box_constraints(2, -3.0, 3.0), &DVec::zeros(2))
             .unwrap();
@@ -244,22 +203,11 @@ mod tests {
         // Hopelessly violated spec that d cannot fix (zero design gradient):
         // the search must terminate and return the start.
         let ly = LinearizedYield::new(vec![lin(0, -100.0, &[1.0], &[0.0])], 1, 5_000, 1).unwrap();
-        let cs = CoordinateSearch::new(CoordinateSearchOptions::default());
+        let cs = CoordinateSearch;
         let (d, y) = cs
             .run(&ly, &box_constraints(1, -2.0, 2.0), &DVec::zeros(1))
             .unwrap();
         assert_eq!(d[0], 0.0);
         assert_eq!(y.passed(), 0);
-    }
-
-    #[test]
-    fn rejects_degenerate_grid() {
-        let ly = LinearizedYield::new(vec![lin(0, 0.0, &[1.0], &[1.0])], 1, 100, 1).unwrap();
-        let mut opts = CoordinateSearchOptions::default();
-        opts.grid_points = 1;
-        let cs = CoordinateSearch::new(opts);
-        assert!(cs
-            .run(&ly, &box_constraints(1, -1.0, 1.0), &DVec::zeros(1))
-            .is_err());
     }
 }

@@ -3,7 +3,7 @@
 
 use specwise_ckt::{CircuitEnv, SimPhase};
 use specwise_linalg::{DMat, DVec};
-use specwise_wcd::constraint_jacobian;
+use specwise_wcd::{constraint_jacobian, FD_STEP_D};
 
 use crate::SpecwiseError;
 
@@ -58,18 +58,15 @@ impl LinearConstraints {
         })
     }
 
-    /// Builds by finite differences on a circuit environment at `d_f`.
+    /// Builds by finite differences (relative step [`FD_STEP_D`]) on a
+    /// circuit environment at `d_f`.
     ///
     /// # Errors
     ///
     /// Propagates evaluation errors.
-    pub fn linearize<E: CircuitEnv + ?Sized>(
-        env: &E,
-        d_f: &DVec,
-        fd_step: f64,
-    ) -> Result<Self, SpecwiseError> {
+    pub fn linearize<E: CircuitEnv + ?Sized>(env: &E, d_f: &DVec) -> Result<Self, SpecwiseError> {
         env.set_sim_phase(SimPhase::Feasibility);
-        let (c0, jac) = constraint_jacobian(env, d_f, fd_step)?;
+        let (c0, jac) = constraint_jacobian(env, d_f, FD_STEP_D)?;
         LinearConstraints::new(
             c0,
             jac,
@@ -159,30 +156,14 @@ impl LinearConstraints {
     }
 }
 
-/// Options of the feasible-start search.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FeasibleStartOptions {
-    /// Maximum Gauss–Newton projection iterations.
-    pub max_iterations: usize,
-    /// Finite-difference step (relative) for constraint gradients.
-    pub fd_step: f64,
-    /// Constraint slack demanded from the returned point.
-    pub tolerance: f64,
-}
-
-impl Default for FeasibleStartOptions {
-    fn default() -> Self {
-        FeasibleStartOptions {
-            max_iterations: 20,
-            fd_step: 1e-3,
-            tolerance: 0.0,
-        }
-    }
-}
+/// Maximum Gauss–Newton projection iterations of the feasible-start
+/// search.
+const FEASIBLE_START_ITERS: usize = 20;
 
 /// Finds a feasible starting point (paper Sec. 5.5): when `d0` violates
 /// `c(d) ≥ 0`, a Gauss–Newton projection walks to the closest feasible
-/// point, re-linearizing the constraints each step.
+/// point, re-linearizing the constraints (relative step [`FD_STEP_D`])
+/// each step.
 ///
 /// # Errors
 ///
@@ -191,29 +172,28 @@ impl Default for FeasibleStartOptions {
 pub fn find_feasible_start<E: CircuitEnv + ?Sized>(
     env: &E,
     d0: &DVec,
-    options: &FeasibleStartOptions,
 ) -> Result<DVec, SpecwiseError> {
     env.set_sim_phase(SimPhase::Feasibility);
     let space = env.design_space();
     let mut d = space.project(d0)?;
     let mut worst = f64::INFINITY;
-    for _ in 0..options.max_iterations {
+    for _ in 0..FEASIBLE_START_ITERS {
         let c = env.eval_constraints(&d)?;
         if c.is_empty() {
             return Ok(d);
         }
         worst = c.iter().fold(f64::INFINITY, |m, &x| m.min(x));
-        if worst >= options.tolerance {
+        if worst >= 0.0 {
             return Ok(d);
         }
         // Gauss–Newton step on the violated constraints:
         // Δd = Σ_i violated  rowᵢ·(target − cᵢ)/‖rowᵢ‖².
-        let (c_now, jac) = constraint_jacobian(env, &d, options.fd_step)?;
+        let (c_now, jac) = constraint_jacobian(env, &d, FD_STEP_D)?;
         let mut step = DVec::zeros(d.len());
         let mut active = 0;
+        // Aim a little inside the region, not exactly at the boundary.
+        let target = 1e-3;
         for i in 0..c_now.len() {
-            // Aim a little inside the region, not exactly at the boundary.
-            let target = options.tolerance + 1e-3;
             if c_now[i] < target {
                 let row = jac.row(i);
                 let n2 = row.dot(&row);
@@ -231,7 +211,7 @@ pub fn find_feasible_start<E: CircuitEnv + ?Sized>(
     // Final check.
     let c = env.eval_constraints(&d)?;
     let worst_final = c.iter().fold(f64::INFINITY, |m, &x| m.min(x)).min(worst);
-    if c.iter().all(|&x| x >= options.tolerance) {
+    if c.iter().all(|&x| x >= 0.0) {
         Ok(d)
     } else {
         Err(SpecwiseError::NoFeasibleStart {
@@ -339,12 +319,7 @@ mod tests {
     fn feasible_start_projects_onto_region() {
         let env = env_with_constraints();
         // Start at (−3, 0): violates x ≥ 1 and y ≥ 2.
-        let d = find_feasible_start(
-            &env,
-            &DVec::from_slice(&[-3.0, 0.0]),
-            &FeasibleStartOptions::default(),
-        )
-        .unwrap();
+        let d = find_feasible_start(&env, &DVec::from_slice(&[-3.0, 0.0])).unwrap();
         let c = env.eval_constraints(&d).unwrap();
         assert!(c.iter().all(|&x| x >= 0.0), "c = {c}");
     }
@@ -353,14 +328,14 @@ mod tests {
     fn already_feasible_point_kept_close() {
         let env = env_with_constraints();
         let d0 = DVec::from_slice(&[2.0, 3.0]);
-        let d = find_feasible_start(&env, &d0, &FeasibleStartOptions::default()).unwrap();
+        let d = find_feasible_start(&env, &d0).unwrap();
         assert!((&d - &d0).norm_inf() < 1e-9);
     }
 
     #[test]
     fn linearize_builds_from_the_environment() {
         let env = env_with_constraints();
-        let lc = LinearConstraints::linearize(&env, &DVec::from_slice(&[2.0, 3.0]), 1e-5).unwrap();
+        let lc = LinearConstraints::linearize(&env, &DVec::from_slice(&[2.0, 3.0])).unwrap();
         assert_eq!(lc.len(), 2);
         let c = lc.eval(&DVec::from_slice(&[2.0, 3.0]));
         assert!((c[0] - 1.0).abs() < 1e-9);

@@ -62,18 +62,18 @@ mod wcd_max;
 mod yield_model;
 
 pub use checkpoint::{Checkpoint, CheckpointError, CheckpointMeta, CHECKPOINT_VERSION};
-pub use coordinate_search::{CoordinateSearch, CoordinateSearchOptions};
+pub use coordinate_search::{CoordinateSearch, GRID_POINTS, MAX_SWEEPS};
 pub use error::SpecwiseError;
 pub use estimator::{
     classify_sample, estimate_yield, EstimatorKind, SampleOutcome, TailVerification, YieldEstimator,
 };
-pub use feasibility::{find_feasible_start, FeasibleStartOptions, LinearConstraints};
+pub use feasibility::{find_feasible_start, LinearConstraints};
 pub use importance::{
     importance_verify, importance_verify_with, IsOptions, IsResult, IsState, MeanShiftIs,
 };
-pub use line_search::line_search_feasible;
+pub use line_search::{line_search_feasible, LINE_SEARCH_EVALS};
 pub use mc_verify::{mc_verify, mc_verify_with, McOptions, McState, McVerification, MonteCarlo};
-pub use mismatch::{eta, phi, MismatchAnalysis, MismatchEntry, PhiOptions};
+pub use mismatch::{eta, phi, MismatchAnalysis, MismatchEntry, PHI_DELTA1, PHI_DELTA2};
 pub use norm_min::{NormMinIs, NormMinOptions, NormMinResult};
 pub use optimizer::{
     IterationSnapshot, Objective, OptimizationTrace, OptimizerConfig, YieldOptimizer,

@@ -10,15 +10,17 @@ use specwise_linalg::DVec;
 
 use crate::SpecwiseError;
 
+/// Constraint simulations the line search may spend: the full step, then
+/// bisection steps.
+pub const LINE_SEARCH_EVALS: usize = 10;
+
 /// Runs the line search from the feasible point `d_f` toward the
-/// linearized optimum `d_star`. Returns `(d_new, gamma_max)`.
-///
-/// `max_evals` bounds the number of constraint simulations (≥ 2).
+/// linearized optimum `d_star` with at most [`LINE_SEARCH_EVALS`]
+/// constraint simulations. Returns `(d_new, gamma_max)`.
 ///
 /// # Errors
 ///
-/// Propagates evaluation errors; returns [`SpecwiseError::InvalidConfig`]
-/// when `max_evals < 2`.
+/// Propagates evaluation errors.
 ///
 /// # Panics
 ///
@@ -27,15 +29,9 @@ pub fn line_search_feasible<E: CircuitEnv + ?Sized>(
     env: &E,
     d_f: &DVec,
     d_star: &DVec,
-    max_evals: usize,
 ) -> Result<(DVec, f64), SpecwiseError> {
     assert_eq!(d_f.len(), d_star.len(), "design lengths differ");
     env.set_sim_phase(SimPhase::LineSearch);
-    if max_evals < 2 {
-        return Err(SpecwiseError::InvalidConfig {
-            reason: "line search needs >= 2 evaluations",
-        });
-    }
     let r = d_star - d_f;
     if r.norm2() == 0.0 {
         return Ok((d_f.clone(), 1.0));
@@ -54,7 +50,7 @@ pub fn line_search_feasible<E: CircuitEnv + ?Sized>(
     // Bisection between the feasible γ=0 (by precondition) and infeasible 1.
     let mut lo = 0.0;
     let mut hi = 1.0;
-    for _ in 0..max_evals.saturating_sub(1) {
+    for _ in 0..LINE_SEARCH_EVALS - 1 {
         let mid = 0.5 * (lo + hi);
         if feasible_at(mid)? {
             lo = mid;
@@ -88,8 +84,7 @@ mod tests {
     fn full_step_when_target_feasible() {
         let e = env();
         let (d, g) =
-            line_search_feasible(&e, &DVec::from_slice(&[0.0]), &DVec::from_slice(&[1.5]), 10)
-                .unwrap();
+            line_search_feasible(&e, &DVec::from_slice(&[0.0]), &DVec::from_slice(&[1.5])).unwrap();
         assert_eq!(g, 1.0);
         assert_eq!(d.as_slice(), &[1.5]);
     }
@@ -98,8 +93,7 @@ mod tests {
     fn pulls_back_to_boundary() {
         let e = env();
         let (d, g) =
-            line_search_feasible(&e, &DVec::from_slice(&[0.0]), &DVec::from_slice(&[8.0]), 20)
-                .unwrap();
+            line_search_feasible(&e, &DVec::from_slice(&[0.0]), &DVec::from_slice(&[8.0])).unwrap();
         assert!(g < 1.0);
         assert!(d[0] <= 2.0 + 1e-9, "d = {d}");
         assert!(d[0] > 1.9, "should approach the boundary: {d}");
@@ -111,26 +105,21 @@ mod tests {
     fn zero_direction_is_identity() {
         let e = env();
         let d0 = DVec::from_slice(&[1.0]);
-        let (d, g) = line_search_feasible(&e, &d0, &d0, 10).unwrap();
+        let (d, g) = line_search_feasible(&e, &d0, &d0).unwrap();
         assert_eq!(g, 1.0);
         assert_eq!(d, d0);
-    }
-
-    #[test]
-    fn budget_checked() {
-        let e = env();
-        assert!(
-            line_search_feasible(&e, &DVec::from_slice(&[0.0]), &DVec::from_slice(&[1.0]), 1)
-                .is_err()
-        );
     }
 
     #[test]
     fn respects_simulation_budget() {
         let e = env();
         e.reset_sim_count();
-        let _ = line_search_feasible(&e, &DVec::from_slice(&[0.0]), &DVec::from_slice(&[8.0]), 10)
-            .unwrap();
-        assert!(e.sim_count() <= 10, "{} sims", e.sim_count());
+        let _ =
+            line_search_feasible(&e, &DVec::from_slice(&[0.0]), &DVec::from_slice(&[8.0])).unwrap();
+        assert!(
+            e.sim_count() <= LINE_SEARCH_EVALS as u64,
+            "{} sims",
+            e.sim_count()
+        );
     }
 }

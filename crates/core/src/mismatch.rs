@@ -17,45 +17,33 @@
 use specwise_linalg::DVec;
 use specwise_wcd::WorstCasePoint;
 
-/// Tolerances of the mismatch-line selector `Φ` (paper Fig. 2): `Φ = 1`
-/// within `delta1` of the mismatch line, decaying linearly to 0 at
-/// `delta2` (both in radians of the `arctan(s_k/s_l)` angle).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PhiOptions {
-    /// Full-acceptance half-width \[rad\].
-    pub delta1: f64,
-    /// Zero-acceptance half-width \[rad\] (must exceed `delta1`).
-    pub delta2: f64,
-}
+/// Full-acceptance half-width of the mismatch-line selector `Φ` (paper
+/// Fig. 2): 5° of the `arctan(s_k/s_l)` angle, in radians.
+pub const PHI_DELTA1: f64 = std::f64::consts::PI / 36.0;
 
-impl Default for PhiOptions {
-    fn default() -> Self {
-        // 5° full acceptance, 15° cutoff.
-        PhiOptions {
-            delta1: std::f64::consts::PI / 36.0,
-            delta2: std::f64::consts::PI / 12.0,
-        }
-    }
-}
+/// Zero-acceptance half-width of the mismatch-line selector `Φ`: 15°, in
+/// radians.
+pub const PHI_DELTA2: f64 = std::f64::consts::PI / 12.0;
 
 /// The mismatch-line selector `Φ` (paper Fig. 2): a trapezoid of the angle
 /// `α = arctan(s_k/s_l) ∈ (−π/2, π/2)` centered on the mismatch line
-/// `α = −π/4` (where `s_k = −s_l`). The neutral line `α = +π/4` maps to 0.
+/// `α = −π/4` (where `s_k = −s_l`): 1 within [`PHI_DELTA1`] of that line,
+/// decaying linearly to 0 at [`PHI_DELTA2`]. The neutral line `α = +π/4`
+/// maps to 0.
 ///
 /// ```
-/// use specwise::{phi, PhiOptions};
-/// let opts = PhiOptions::default();
-/// assert_eq!(phi(-std::f64::consts::FRAC_PI_4, &opts), 1.0); // mismatch line
-/// assert_eq!(phi(std::f64::consts::FRAC_PI_4, &opts), 0.0);  // neutral line
+/// use specwise::phi;
+/// assert_eq!(phi(-std::f64::consts::FRAC_PI_4), 1.0); // mismatch line
+/// assert_eq!(phi(std::f64::consts::FRAC_PI_4), 0.0);  // neutral line
 /// ```
-pub fn phi(angle: f64, options: &PhiOptions) -> f64 {
+pub fn phi(angle: f64) -> f64 {
     let dist = (angle + std::f64::consts::FRAC_PI_4).abs();
-    if dist <= options.delta1 {
+    if dist <= PHI_DELTA1 {
         1.0
-    } else if dist >= options.delta2 {
+    } else if dist >= PHI_DELTA2 {
         0.0
     } else {
-        1.0 - (dist - options.delta1) / (options.delta2 - options.delta1)
+        1.0 - (dist - PHI_DELTA1) / (PHI_DELTA2 - PHI_DELTA1)
     }
 }
 
@@ -93,7 +81,7 @@ pub struct MismatchEntry {
 }
 
 /// Ranks mismatch-sensitive parameter pairs from worst-case points
-/// (paper Table 5), with the default `Φ` tolerances.
+/// (paper Table 5).
 #[derive(Debug, Clone, Default)]
 pub struct MismatchAnalysis;
 
@@ -123,8 +111,7 @@ impl MismatchAnalysis {
         let magnitude = sk.abs().max(sl.abs()) / s_max;
         let angle_kl = (sk / sl).atan();
         let angle_lk = (sl / sk).atan();
-        let options = PhiOptions::default();
-        let selector = phi(angle_kl, &options).max(phi(angle_lk, &options));
+        let selector = phi(angle_kl).max(phi(angle_lk));
         eta(beta_wc) * magnitude * selector
     }
 
@@ -184,15 +171,14 @@ mod tests {
 
     #[test]
     fn phi_trapezoid_shape() {
-        let o = PhiOptions::default();
         let ml = -std::f64::consts::FRAC_PI_4;
-        assert_eq!(phi(ml, &o), 1.0);
-        assert_eq!(phi(ml + o.delta1 * 0.99, &o), 1.0);
-        let mid = phi(ml + 0.5 * (o.delta1 + o.delta2), &o);
+        assert_eq!(phi(ml), 1.0);
+        assert_eq!(phi(ml + PHI_DELTA1 * 0.99), 1.0);
+        let mid = phi(ml + 0.5 * (PHI_DELTA1 + PHI_DELTA2));
         assert!((mid - 0.5).abs() < 1e-12);
-        assert!(phi(ml + o.delta2, &o).abs() < 1e-12);
-        assert_eq!(phi(0.0, &o), 0.0);
-        assert_eq!(phi(std::f64::consts::FRAC_PI_4, &o), 0.0);
+        assert!(phi(ml + PHI_DELTA2).abs() < 1e-12);
+        assert_eq!(phi(0.0), 0.0);
+        assert_eq!(phi(std::f64::consts::FRAC_PI_4), 0.0);
     }
 
     #[test]

@@ -32,6 +32,20 @@ use crate::estimator::YieldEstimator;
 use crate::importance::{draw_shifted, IsResult, IsState};
 use crate::SpecwiseError;
 
+/// Maximum Gauss–Newton re-linearizations of the failure-point search.
+const MAX_STEPS: usize = 30;
+
+/// Coordinate-descent polish sweeps over the statistical dimensions.
+const POLISH_SWEEPS: usize = 2;
+
+/// Factor pushing the proposal mean past the failure boundary so the
+/// center itself fails.
+const OVERSHOOT: f64 = 1.05;
+
+/// Forward-difference step of the margin gradients when the adjoint
+/// shortcut is unavailable.
+const GRAD_STEP: f64 = 1e-4;
+
 /// Options of the minimum-norm failure-point IS verification.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NormMinOptions {
@@ -44,16 +58,6 @@ pub struct NormMinOptions {
     /// the result is marked degraded and the yield interval widens to
     /// `[0, 1]`.
     pub min_ess: f64,
-    /// Maximum Gauss–Newton re-linearizations of the failure-point search.
-    pub max_steps: usize,
-    /// Coordinate-descent polish sweeps over the statistical dimensions.
-    pub polish_sweeps: usize,
-    /// Factor pushing the proposal mean past the failure boundary so the
-    /// center itself fails (must be ≥ 1).
-    pub overshoot: f64,
-    /// Forward-difference step of the margin gradients when the adjoint
-    /// shortcut is unavailable.
-    pub grad_step: f64,
 }
 
 impl Default for NormMinOptions {
@@ -62,10 +66,6 @@ impl Default for NormMinOptions {
             n: 4_000,
             seed: 2001,
             min_ess: 20.0,
-            max_steps: 30,
-            polish_sweeps: 2,
-            overshoot: 1.05,
-            grad_step: 1e-4,
         }
     }
 }
@@ -109,7 +109,7 @@ impl NormMinResult {
 /// span.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NormMinIs {
-    /// Search and sampling options.
+    /// Sampling options and the ESS guard threshold.
     pub options: NormMinOptions,
 }
 
@@ -145,7 +145,6 @@ impl NormMinIs {
         theta_wc: &[OperatingPoint],
     ) -> Result<SearchOutcome, SpecwiseError> {
         let dim = env.stat_dim();
-        let h = self.options.grad_step;
         let origin = DVec::zeros(dim);
 
         // One linearization per distinct worst-case corner: β_i = m_i/‖g_i‖
@@ -158,7 +157,7 @@ impl NormMinIs {
                 continue;
             }
             done.push(theta);
-            let (margins, jac) = margins_gradient_s(env, d, &origin, theta, h)?;
+            let (margins, jac) = margins_gradient_s(env, d, &origin, theta, GRAD_STEP)?;
             for (i, t) in theta_wc.iter().enumerate().skip(i0) {
                 if t != theta {
                     continue;
@@ -191,8 +190,8 @@ impl NormMinIs {
         let mut s = dir.scaled(beta0.max(0.0));
         let mut boundary = s.clone();
         let mut on_boundary = false;
-        for _ in 0..self.options.max_steps {
-            let (margins, jac) = match margins_gradient_s(env, d, &s, &theta, h) {
+        for _ in 0..MAX_STEPS {
+            let (margins, jac) = match margins_gradient_s(env, d, &s, &theta, GRAD_STEP) {
                 Ok(r) => r,
                 Err(e) if e.is_simulation_failure() => break,
                 Err(e) => return Err(e.into()),
@@ -223,7 +222,7 @@ impl NormMinIs {
         // Push past the boundary so the proposal center itself fails, then
         // coordinate-descent polish: shrink coordinates toward the origin
         // (strictly reducing ‖µ‖) while the point keeps failing.
-        let mut center = boundary.scaled(self.options.overshoot);
+        let mut center = boundary.scaled(OVERSHOOT);
         let fails = |p: &DVec| match env.eval_margins(d, p, &theta) {
             Ok(m) => m[spec].is_finite() && m[spec] < 0.0,
             Err(_) => false,
@@ -237,7 +236,7 @@ impl NormMinIs {
             found = fails(&center);
         }
         if found {
-            for _ in 0..self.options.polish_sweeps {
+            for _ in 0..POLISH_SWEEPS {
                 let mut improved = false;
                 for k in 0..dim {
                     if center[k] == 0.0 {
@@ -257,7 +256,7 @@ impl NormMinIs {
         }
 
         Ok(SearchOutcome {
-            beta: center.norm2() / self.options.overshoot.max(1.0),
+            beta: center.norm2() / OVERSHOOT,
             shift: center,
             critical_spec: spec,
         })
@@ -304,16 +303,6 @@ impl YieldEstimator for NormMinIs {
         if self.options.n == 0 {
             return Err(SpecwiseError::InvalidConfig {
                 reason: "need at least one sample",
-            });
-        }
-        if !(self.options.overshoot >= 1.0) {
-            return Err(SpecwiseError::InvalidConfig {
-                reason: "overshoot must be ≥ 1",
-            });
-        }
-        if !(self.options.grad_step > 0.0) {
-            return Err(SpecwiseError::InvalidConfig {
-                reason: "gradient step must be > 0",
             });
         }
         Ok(())
@@ -544,13 +533,6 @@ mod tests {
         };
         assert!(
             estimate_yield(&NormMinIs { options: bad_n }, &e, &d, &Tracer::disabled()).is_err()
-        );
-        let bad_o = NormMinOptions {
-            overshoot: 0.5,
-            ..NormMinOptions::default()
-        };
-        assert!(
-            estimate_yield(&NormMinIs { options: bad_o }, &e, &d, &Tracer::disabled()).is_err()
         );
     }
 }

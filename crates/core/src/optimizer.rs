@@ -25,9 +25,9 @@ use specwise_wcd::{WcAnalysis, WcOptions, WcResult, WorstCasePoint};
 
 use crate::{
     estimate_yield, find_feasible_start, line_search_feasible, Checkpoint, CoordinateSearch,
-    CoordinateSearchOptions, EstimatorKind, FeasibleStartOptions, IsOptions, IsResult,
-    LinearConstraints, LinearizedYield, McOptions, McVerification, MeanShiftIs, MonteCarlo,
-    NormMinIs, NormMinOptions, SpecwiseError, TailVerification, WcdMaximizer, CHECKPOINT_VERSION,
+    EstimatorKind, IsOptions, IsResult, LinearConstraints, LinearizedYield, McOptions,
+    McVerification, MeanShiftIs, MonteCarlo, NormMinIs, NormMinOptions, SpecwiseError,
+    TailVerification, WcdMaximizer, CHECKPOINT_VERSION, LINE_SEARCH_EVALS,
 };
 
 /// The objective maximized by the inner coordinate search.
@@ -47,7 +47,7 @@ pub enum Objective {
 /// Configuration of the yield optimizer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptimizerConfig {
-    /// Worst-case analysis options (linearization point, steps, …).
+    /// Worst-case analysis options (linearization point, mirrored models).
     pub wc_options: WcOptions,
     /// Monte-Carlo samples evaluated on the linear models (the paper used
     /// 10,000).
@@ -62,12 +62,6 @@ pub struct OptimizerConfig {
     /// Consider the functional constraints (disable for the Table 3
     /// ablation).
     pub use_constraints: bool,
-    /// Coordinate-search options.
-    pub coordinate_search: CoordinateSearchOptions,
-    /// Simulation budget of the feasibility line search.
-    pub line_search_evals: usize,
-    /// Feasible-start search options.
-    pub feasible_start: FeasibleStartOptions,
     /// The inner-loop objective.
     pub objective: Objective,
     /// Run-level degradation budget: the run stops (with a partial trace
@@ -94,9 +88,6 @@ impl Default for OptimizerConfig {
             seed: 2001,
             max_iterations: 2,
             use_constraints: true,
-            coordinate_search: CoordinateSearchOptions::default(),
-            line_search_evals: 10,
-            feasible_start: FeasibleStartOptions::default(),
             objective: Objective::DirectYield,
             failure_budget: None,
             estimator: EstimatorKind::Mc,
@@ -338,7 +329,7 @@ impl YieldOptimizer {
                         let mut span = tr.span("feasible_start");
                         let sims_before = env.sim_count();
                         let d_f = if cfg.use_constraints {
-                            find_feasible_start(env, &d0, &cfg.feasible_start)?
+                            find_feasible_start(env, &d0)?
                         } else {
                             env.design_space().project(&d0)?
                         };
@@ -400,7 +391,7 @@ impl YieldOptimizer {
                 let mut span = itr.span("constraints");
                 let sims_before = env.sim_count();
                 let constraints = if cfg.use_constraints {
-                    LinearConstraints::linearize(env, &d_f, cfg.wc_options.fd_step_d)?
+                    LinearConstraints::linearize(env, &d_f)?
                 } else {
                     LinearConstraints::box_only(
                         &d_f,
@@ -417,9 +408,8 @@ impl YieldOptimizer {
             let d_star = match cfg.objective {
                 Objective::DirectYield => {
                     // Coordinate search on the MC yield estimate (Eq. 19).
-                    let search = CoordinateSearch::new(cfg.coordinate_search);
                     let base = model.estimate(&d_f)?;
-                    let (d_star, best) = search.run(&model, &constraints, &d_f)?;
+                    let (d_star, best) = CoordinateSearch.run(&model, &constraints, &d_f)?;
                     if search_span.is_enabled() {
                         search_span.set_attr("base_passed", base.passed());
                         search_span.set_attr("best_passed", best.passed());
@@ -455,11 +445,10 @@ impl YieldOptimizer {
             let d_new = if cfg.use_constraints {
                 let mut span = itr.span("line_search");
                 let sims_before = env.sim_count();
-                let (d_new, gamma) =
-                    line_search_feasible(env, &d_f, &d_star, cfg.line_search_evals)?;
+                let (d_new, gamma) = line_search_feasible(env, &d_f, &d_star)?;
                 if span.is_enabled() {
                     span.set_attr("gamma", gamma);
-                    span.set_attr("max_evals", cfg.line_search_evals);
+                    span.set_attr("max_evals", LINE_SEARCH_EVALS);
                     span.add_count("sims", env.sim_count() - sims_before);
                 }
                 d_new

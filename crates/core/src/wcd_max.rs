@@ -21,6 +21,7 @@
 use specwise_linalg::DVec;
 use specwise_wcd::{SpecLinearization, WorstCasePoint};
 
+use crate::coordinate_search::{GRID_POINTS, MAX_SWEEPS};
 use crate::{LinearConstraints, SpecwiseError};
 
 /// Linearized worst-case distance model of one specification.
@@ -47,8 +48,6 @@ impl BetaModel {
 #[derive(Debug, Clone)]
 pub struct WcdMaximizer {
     models: Vec<BetaModel>,
-    grid_points: usize,
-    max_sweeps: usize,
 }
 
 impl WcdMaximizer {
@@ -95,11 +94,7 @@ impl WcdMaximizer {
                 reason: "no statistically sensitive specifications",
             });
         }
-        Ok(WcdMaximizer {
-            models,
-            grid_points: 32,
-            max_sweeps: 10,
-        })
+        Ok(WcdMaximizer { models })
     }
 
     /// The minimum linearized worst-case distance at `d`.
@@ -124,7 +119,7 @@ impl WcdMaximizer {
         let n_d = d_start.len();
         let mut d = d_start.clone();
         let mut best = self.min_beta(&d);
-        for _ in 0..self.max_sweeps {
+        for _ in 0..MAX_SWEEPS {
             let mut improved = false;
             for k in 0..n_d {
                 let Some((lo, hi)) = constraints.coord_interval(&d, k) else {
@@ -134,8 +129,8 @@ impl WcdMaximizer {
                     continue;
                 }
                 let mut best_val = d[k];
-                for g in 0..self.grid_points {
-                    let v = lo + (hi - lo) * g as f64 / (self.grid_points - 1) as f64;
+                for g in 0..GRID_POINTS {
+                    let v = lo + (hi - lo) * g as f64 / (GRID_POINTS - 1) as f64;
                     let mut probe = d.clone();
                     probe[k] = v;
                     let b = self.min_beta(&probe);

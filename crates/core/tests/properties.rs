@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use specwise::{
-    CoordinateSearch, CoordinateSearchOptions, LinearConstraints, LinearizedYield, ShiftTracker,
+    CoordinateSearch, LinearConstraints, LinearizedYield, ShiftTracker, GRID_POINTS, MAX_SWEEPS,
 };
 use specwise_ckt::OperatingPoint;
 use specwise_linalg::{DMat, DVec};
@@ -77,33 +77,26 @@ fn per_candidate_search(
     model: &LinearizedYield,
     constraints: &LinearConstraints,
     d_start: &DVec,
-    opts: &CoordinateSearchOptions,
 ) -> (DVec, usize) {
     let mut tracker = model.tracker(d_start).unwrap();
     let mut best = tracker.estimate();
-    for _sweep in 0..opts.max_sweeps {
+    for _sweep in 0..MAX_SWEEPS {
         let mut improved = false;
         for k in 0..d_start.len() {
             let d_now = tracker.design().clone();
-            let Some((mut lo, mut hi)) = constraints.coord_interval(&d_now, k) else {
+            let Some((lo, hi)) = constraints.coord_interval(&d_now, k) else {
                 continue;
             };
-            if let Some(factor) = opts.trust_factor {
-                if d_start[k] > 0.0 {
-                    lo = lo.max(d_start[k] / factor);
-                    hi = hi.min(d_start[k] * factor);
-                }
-            }
             if hi - lo <= 0.0 {
                 continue;
             }
             let mut best_val = d_now[k];
             let mut best_here = best;
-            for g in 0..opts.grid_points {
-                let v = lo + (hi - lo) * g as f64 / (opts.grid_points - 1) as f64;
+            for g in 0..GRID_POINTS {
+                let v = lo + (hi - lo) * g as f64 / (GRID_POINTS - 1) as f64;
                 let est = tracker.estimate_coord(k, v);
                 let gain = est.passed() as isize - best_here.passed() as isize;
-                if gain >= opts.min_gain as isize
+                if gain >= 1
                     || (gain >= 0 && (v - d_now[k]).abs() < (best_val - d_now[k]).abs() - 1e-15)
                 {
                     best_here = est;
@@ -233,15 +226,9 @@ proptest! {
             )
             .unwrap()
         };
-        let opts = CoordinateSearchOptions {
-            grid_points: 2 + (seed % 39) as usize,
-            max_sweeps: 1 + (seed % 6) as usize,
-            min_gain: 1 + (seed / 6 % 3) as usize,
-            trust_factor: if seed % 3 == 0 { Some(1.5) } else { None },
-        };
         let d_start = DVec::from_fn(n_d, |_| 0.25 * next());
-        let (d, y) = CoordinateSearch::new(opts).run(&ly, &constraints, &d_start).unwrap();
-        let (d_ref, passed_ref) = per_candidate_search(&ly, &constraints, &d_start, &opts);
+        let (d, y) = CoordinateSearch.run(&ly, &constraints, &d_start).unwrap();
+        let (d_ref, passed_ref) = per_candidate_search(&ly, &constraints, &d_start);
         let bits = |v: &DVec| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&d), bits(&d_ref));
         prop_assert_eq!(y.passed(), passed_ref);

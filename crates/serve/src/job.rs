@@ -21,6 +21,12 @@ use specwise_trace::Journal;
 
 use crate::daemon::ServeConfig;
 
+/// Largest `mc_samples` or `verify_samples` a submitted job may ask for.
+/// The linearized-yield model allocates `mc_samples × models` floats up
+/// front, so an unbounded count from the wire could ask for more memory
+/// than the machine has, and a failed allocation aborts the daemon.
+const MAX_SAMPLES: u64 = 1_000_000;
+
 /// The submit-time payload: a deck plus optional config overrides.
 /// Unset fields fall back to [`JobOptions::default`] when the job is
 /// accepted.
@@ -63,13 +69,21 @@ impl JobRequest {
     /// # Errors
     ///
     /// Rejects an unknown estimator name — a typo in a submitted job must
-    /// fail at accept time, not silently verify with the wrong estimator.
+    /// fail at accept time, not silently verify with the wrong estimator —
+    /// and sample counts outside `mc_samples ∈ 1..=1_000_000`,
+    /// `verify_samples ∈ 0..=1_000_000`.
     pub fn resolve(&self) -> Result<JobOptions, String> {
         let d = JobOptions::default();
         let estimator = match &self.estimator {
             Some(name) => name.parse::<EstimatorKind>()?,
             None => d.estimator,
         };
+        if let Some(n) = self.mc_samples.filter(|n| !(1..=MAX_SAMPLES).contains(n)) {
+            return Err(format!("mc_samples {n} is outside 1..={MAX_SAMPLES}"));
+        }
+        if let Some(n) = self.verify_samples.filter(|&n| n > MAX_SAMPLES) {
+            return Err(format!("verify_samples {n} is outside 0..={MAX_SAMPLES}"));
+        }
         Ok(JobOptions {
             seed: self.seed.unwrap_or(d.seed),
             mc_samples: self.mc_samples.map_or(d.mc_samples, |n| n as usize),
@@ -497,5 +511,30 @@ mod tests {
         assert_eq!(cfg.estimator, EstimatorKind::NormMin);
         req.estimator = Some("bogus".into());
         assert!(req.resolve().is_err(), "unknown estimator must be rejected");
+    }
+
+    #[test]
+    fn request_resolution_bounds_sample_counts() {
+        let mut req = JobRequest::new("deck".into(), "t".into());
+        req.mc_samples = Some(MAX_SAMPLES);
+        req.verify_samples = Some(MAX_SAMPLES);
+        assert!(req.resolve().is_ok());
+        req.verify_samples = Some(0);
+        assert!(
+            req.resolve().is_ok(),
+            "verify_samples 0 disables verification"
+        );
+        for n in [0, MAX_SAMPLES + 1, 10_000_000_000, u64::MAX] {
+            req.mc_samples = Some(n);
+            assert!(req.resolve().is_err(), "mc_samples {n} must be rejected");
+        }
+        req.mc_samples = None;
+        for n in [MAX_SAMPLES + 1, u64::MAX] {
+            req.verify_samples = Some(n);
+            assert!(
+                req.resolve().is_err(),
+                "verify_samples {n} must be rejected"
+            );
+        }
     }
 }

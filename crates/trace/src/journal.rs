@@ -34,7 +34,8 @@ pub struct SpanRecord {
     /// Typed attributes (worst-case points, flags, estimator statistics …).
     pub attrs: Vec<(String, TraceValue)>,
     /// Monotonic counters accumulated over the span (e.g. `sims`,
-    /// `cache_hits`, `line_search_evals`).
+    /// `cache_hits`, `retries`). Fixed settings such as the line search's
+    /// `max_evals` are attributes, not counters.
     pub counters: Vec<(String, u64)>,
 }
 

@@ -9,7 +9,9 @@ use specwise_trace::Tracer;
 use crate::corners::worst_case_corners;
 use crate::gradient::margins_gradient_d;
 use crate::wc_point::{WorstCasePoint, WorstCaseSearch};
-use crate::{LinearizationPoint, SpecLinearization, WcOptions, WcdError};
+use crate::{
+    LinearizationPoint, SpecLinearization, WcOptions, WcdError, BETA_MAX, FD_STEP_D, FD_STEP_S,
+};
 
 /// Result of a worst-case analysis at one design point.
 #[derive(Debug, Clone)]
@@ -152,11 +154,10 @@ impl<'e, E: CircuitEnv + ?Sized> WcAnalysis<'e, E> {
     ///
     /// # Errors
     ///
-    /// Propagates evaluation errors and invalid options. A
+    /// Propagates evaluation errors. A
     /// [`WcdError::DegenerateGradient`] from a single spec is tolerated by
     /// anchoring that spec's model at the nominal point instead.
     pub fn run(&self, d_f: &DVec) -> Result<WcResult, WcdError> {
-        self.options.validate()?;
         let env = self.env;
         let n_spec = env.specs().len();
         env.set_sim_phase(SimPhase::Wcd);
@@ -177,7 +178,6 @@ impl<'e, E: CircuitEnv + ?Sized> WcAnalysis<'e, E> {
         let mut wc_points = Vec::with_capacity(n_spec);
         let mut linearizations = Vec::new();
         let mut fallbacks: Vec<usize> = Vec::new();
-        let search = WorstCaseSearch::new(self.options);
 
         for spec in 0..n_spec {
             let (theta_wc, nominal_margin) = corners[spec];
@@ -188,7 +188,7 @@ impl<'e, E: CircuitEnv + ?Sized> WcAnalysis<'e, E> {
             let mut fell_back = false;
             let wc = match self.options.linearization_point {
                 LinearizationPoint::WorstCase => {
-                    match search.run(env, d_f, spec, &theta_wc) {
+                    match WorstCaseSearch.run(env, d_f, spec, &theta_wc) {
                         Ok(wc) => wc,
                         Err(WcdError::DegenerateGradient { .. }) => {
                             // Spec insensitive to ŝ: anchor at nominal.
@@ -238,8 +238,7 @@ impl<'e, E: CircuitEnv + ?Sized> WcAnalysis<'e, E> {
             env.set_sim_phase(SimPhase::Linearization);
             let mut lin_span = tr.span("linearize");
             let sims_before = env.sim_count();
-            let gradient =
-                margins_gradient_d(env, d_f, &wc.s_wc, &wc.theta_wc, self.options.fd_step_d);
+            let gradient = margins_gradient_d(env, d_f, &wc.s_wc, &wc.theta_wc, FD_STEP_D);
             let (margins_anchor, jac_d) = match gradient {
                 Ok(parts) => parts,
                 // Second rung: even the fallback anchor cannot be
@@ -370,21 +369,16 @@ impl<'e, E: CircuitEnv + ?Sized> WcAnalysis<'e, E> {
         nominal_margin: f64,
     ) -> Result<WorstCasePoint, WcdError> {
         let s0 = DVec::zeros(self.env.stat_dim());
-        let (margins, jac) = crate::gradient::margins_gradient_s(
-            self.env,
-            d_f,
-            &s0,
-            &theta_wc,
-            self.options.fd_step_s,
-        )?;
+        let (margins, jac) =
+            crate::gradient::margins_gradient_s(self.env, d_f, &s0, &theta_wc, FD_STEP_S)?;
         Ok(WorstCasePoint {
             spec,
             theta_wc,
             s_wc: s0,
             beta_wc: if nominal_margin >= 0.0 {
-                self.options.beta_max
+                BETA_MAX
             } else {
-                -self.options.beta_max
+                -BETA_MAX
             },
             nominal_margin,
             margin_at_wc: margins[spec],

@@ -55,6 +55,8 @@ pub use gradient::{
     margins_gradient_s_with, GradBackend,
 };
 pub use linearize::SpecLinearization;
-pub use options::{LinearizationPoint, WcOptions};
+pub use options::{
+    LinearizationPoint, WcOptions, BETA_MAX, FD_STEP_D, FD_STEP_S, MARGIN_TOL_REL, MAX_SQP_ITERS,
+};
 pub use quadratic::QuadraticMarginModel;
 pub use wc_point::{WorstCasePoint, WorstCaseSearch};

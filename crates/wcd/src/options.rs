@@ -1,4 +1,26 @@
-//! Tuning options of the worst-case analysis.
+//! Tuning of the worst-case analysis: the fixed settings of the Eq. 8
+//! search and the linearization, and the two ablation switches callers set.
+
+/// Finite-difference step in the standardized statistical space (units of
+/// σ) of the worst-case search and the nominal-anchored models.
+pub const FD_STEP_S: f64 = 0.01;
+
+/// Relative finite-difference step in the design space: the design
+/// gradients of Eq. 16 and the constraint Jacobians of Eq. 15 and the
+/// feasible-start search.
+pub const FD_STEP_D: f64 = 1e-3;
+
+/// Maximum SQP iterations of the worst-case distance search.
+pub const MAX_SQP_ITERS: usize = 8;
+
+/// Cap on `‖ŝ_wc‖`: specs that cannot fail within this many sigmas are
+/// treated as uncritical (β_wc clamped to this value).
+pub const BETA_MAX: f64 = 8.0;
+
+/// Convergence of the worst-case search: the margin at the worst-case
+/// point must shrink below `MARGIN_TOL_REL · ‖∇margin‖` (≈ that many sigmas
+/// of residual distance error).
+pub const MARGIN_TOL_REL: f64 = 5e-3;
 
 /// Where the spec-wise performance linearizations are anchored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -10,23 +32,10 @@ pub enum LinearizationPoint {
     Nominal,
 }
 
-/// Options of the worst-case analysis.
+/// Options of the worst-case analysis: the switches of the Table 4 and
+/// mirrored-model ablations.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WcOptions {
-    /// Finite-difference step in the standardized statistical space
-    /// (units of σ).
-    pub fd_step_s: f64,
-    /// Relative finite-difference step in the design space.
-    pub fd_step_d: f64,
-    /// Maximum SQP iterations of the worst-case distance search.
-    pub max_sqp_iters: usize,
-    /// Cap on `‖ŝ_wc‖` — specs that cannot fail within this many sigmas are
-    /// treated as uncritical (β_wc clamped to this value).
-    pub beta_max: f64,
-    /// Convergence: the margin at the worst-case point must shrink below
-    /// `margin_tol_rel · ‖∇margin‖` (≈ that many sigmas of residual
-    /// distance error).
-    pub margin_tol_rel: f64,
     /// Anchoring of the linearizations.
     pub linearization_point: LinearizationPoint,
     /// Whether to add mirrored models at `−ŝ_wc` for performances with
@@ -37,73 +46,8 @@ pub struct WcOptions {
 impl Default for WcOptions {
     fn default() -> Self {
         WcOptions {
-            fd_step_s: 0.01,
-            fd_step_d: 1e-3,
-            max_sqp_iters: 8,
-            beta_max: 8.0,
-            margin_tol_rel: 5e-3,
             linearization_point: LinearizationPoint::WorstCase,
             mirrored_models: true,
         }
-    }
-}
-
-impl WcOptions {
-    /// Validates option values.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::WcdError::InvalidOption`] for non-positive steps or
-    /// tolerances.
-    pub fn validate(&self) -> Result<(), crate::WcdError> {
-        if !(self.fd_step_s > 0.0) {
-            return Err(crate::WcdError::InvalidOption {
-                reason: "fd_step_s must be > 0",
-            });
-        }
-        if !(self.fd_step_d > 0.0) {
-            return Err(crate::WcdError::InvalidOption {
-                reason: "fd_step_d must be > 0",
-            });
-        }
-        if self.max_sqp_iters == 0 {
-            return Err(crate::WcdError::InvalidOption {
-                reason: "max_sqp_iters must be > 0",
-            });
-        }
-        if !(self.beta_max > 0.0) {
-            return Err(crate::WcdError::InvalidOption {
-                reason: "beta_max must be > 0",
-            });
-        }
-        if !(self.margin_tol_rel > 0.0) {
-            return Err(crate::WcdError::InvalidOption {
-                reason: "margin_tol_rel must be > 0",
-            });
-        }
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn defaults_are_valid() {
-        assert!(WcOptions::default().validate().is_ok());
-    }
-
-    #[test]
-    fn rejects_bad_values() {
-        let mut o = WcOptions::default();
-        o.fd_step_s = 0.0;
-        assert!(o.validate().is_err());
-        let mut o = WcOptions::default();
-        o.max_sqp_iters = 0;
-        assert!(o.validate().is_err());
-        let mut o = WcOptions::default();
-        o.beta_max = -1.0;
-        assert!(o.validate().is_err());
     }
 }

@@ -10,7 +10,7 @@ use specwise_ckt::{CircuitEnv, OperatingPoint};
 use specwise_linalg::DVec;
 
 use crate::gradient::margins_gradient_s;
-use crate::{WcOptions, WcdError};
+use crate::{WcdError, BETA_MAX, FD_STEP_S, MARGIN_TOL_REL, MAX_SQP_ITERS};
 
 /// The worst-case point of one specification.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,7 +31,7 @@ pub struct WorstCasePoint {
     /// Margin gradient w.r.t. `ŝ` at `ŝ_wc`.
     pub grad_s: DVec,
     /// `true` when the search converged to the spec boundary; `false` when
-    /// the spec cannot fail within `beta_max` sigmas (β clamped) or the
+    /// the spec cannot fail within [`BETA_MAX`] sigmas (β clamped) or the
     /// iteration budget ran out.
     pub converged: bool,
 }
@@ -40,17 +40,10 @@ pub struct WorstCasePoint {
 ///
 /// See the [crate-level example](crate) for typical usage through
 /// [`crate::WcAnalysis`]; this type is the stand-alone building block.
-#[derive(Debug, Clone)]
-pub struct WorstCaseSearch {
-    options: WcOptions,
-}
+#[derive(Debug, Clone, Copy)]
+pub struct WorstCaseSearch;
 
 impl WorstCaseSearch {
-    /// Creates a solver.
-    pub fn new(options: WcOptions) -> Self {
-        WorstCaseSearch { options }
-    }
-
     /// Runs the search for specification `spec` at design `d` and operating
     /// point `theta_wc`.
     ///
@@ -66,7 +59,6 @@ impl WorstCaseSearch {
         spec: usize,
         theta_wc: &OperatingPoint,
     ) -> Result<WorstCasePoint, WcdError> {
-        self.options.validate()?;
         let n_s = env.stat_dim();
         // Start slightly off the nominal point with a deterministic,
         // asymmetric perturbation. Mismatch-shaped performances are locally
@@ -83,8 +75,8 @@ impl WorstCaseSearch {
         let mut last_grad = DVec::zeros(n_s);
         let mut converged = false;
 
-        for iter in 0..self.options.max_sqp_iters {
-            let (margins, jac) = margins_gradient_s(env, d, &s, theta_wc, self.options.fd_step_s)?;
+        for iter in 0..MAX_SQP_ITERS {
+            let (margins, jac) = margins_gradient_s(env, d, &s, theta_wc, FD_STEP_S)?;
             let m = margins[spec];
             let g = jac.row(spec);
             let _ = iter;
@@ -104,10 +96,10 @@ impl WorstCaseSearch {
             let alpha = (g.dot(&s) - m) / gnorm2;
             let mut s_next = g.scaled(alpha);
 
-            // Clamp to the trust sphere ‖ŝ‖ ≤ beta_max.
+            // Clamp to the trust sphere ‖ŝ‖ ≤ BETA_MAX.
             let norm = s_next.norm2();
-            if norm > self.options.beta_max {
-                s_next.scale_mut(self.options.beta_max / norm);
+            if norm > BETA_MAX {
+                s_next.scale_mut(BETA_MAX / norm);
             }
 
             // Damp overly long moves (nonlinearity guard): at most 2σ per step.
@@ -126,14 +118,14 @@ impl WorstCaseSearch {
             let gnorm = gnorm2.sqrt();
             s = s_new;
             last_margin = m_new;
-            if m_new.abs() <= self.options.margin_tol_rel * gnorm
+            if m_new.abs() <= MARGIN_TOL_REL * gnorm
                 && step_norm <= MAX_STEP
-                && s.norm2() < self.options.beta_max - 1e-9
+                && s.norm2() < BETA_MAX - 1e-9
             {
                 converged = true;
                 break;
             }
-            if s.norm2() >= self.options.beta_max - 1e-9 && m_new > 0.0 {
+            if s.norm2() >= BETA_MAX - 1e-9 && m_new > 0.0 {
                 // The spec cannot fail inside the trust sphere: uncritical.
                 converged = false;
                 break;
@@ -148,7 +140,7 @@ impl WorstCaseSearch {
         };
         // Refresh the gradient at the final point when we moved (the last
         // stored gradient belongs to the previous iterate).
-        let (margins_f, jac_f) = margins_gradient_s(env, d, &s, theta_wc, self.options.fd_step_s)?;
+        let (margins_f, jac_f) = margins_gradient_s(env, d, &s, theta_wc, FD_STEP_S)?;
         let _ = (last_margin, last_grad);
         Ok(WorstCasePoint {
             spec,
@@ -187,7 +179,7 @@ mod tests {
         // offset/5; the worst-case point is −offset·(3, −4)/25.
         let env = linear_env(5.0);
         let theta = env.operating_range().nominal();
-        let wc = WorstCaseSearch::new(WcOptions::default())
+        let wc = WorstCaseSearch
             .run(&env, &DVec::from_slice(&[5.0]), 0, &theta)
             .unwrap();
         assert!(wc.converged);
@@ -202,7 +194,7 @@ mod tests {
     fn violated_spec_gives_negative_beta() {
         let env = linear_env(-2.5);
         let theta = env.operating_range().nominal();
-        let wc = WorstCaseSearch::new(WcOptions::default())
+        let wc = WorstCaseSearch
             .run(&env, &DVec::from_slice(&[-2.5]), 0, &theta)
             .unwrap();
         assert!(wc.converged);
@@ -215,7 +207,7 @@ mod tests {
         // At the worst-case point, ŝ_wc ∝ −∇margin (paper Sec. 3).
         let env = linear_env(5.0);
         let theta = env.operating_range().nominal();
-        let wc = WorstCaseSearch::new(WcOptions::default())
+        let wc = WorstCaseSearch
             .run(&env, &DVec::from_slice(&[5.0]), 0, &theta)
             .unwrap();
         // grad = (3, −4); s_wc = (−0.6, 0.8) = −0.2·grad.
@@ -240,11 +232,11 @@ mod tests {
             .build()
             .unwrap();
         let theta = env.operating_range().nominal();
-        let wc = WorstCaseSearch::new(WcOptions::default())
+        let wc = WorstCaseSearch
             .run(&env, &DVec::from_slice(&[5.0]), 0, &theta)
             .unwrap();
         assert!(!wc.converged);
-        assert!((wc.beta_wc - WcOptions::default().beta_max).abs() < 1e-6);
+        assert!((wc.beta_wc - BETA_MAX).abs() < 1e-6);
     }
 
     #[test]
@@ -260,9 +252,7 @@ mod tests {
             .build()
             .unwrap();
         let theta = env.operating_range().nominal();
-        let mut opts = WcOptions::default();
-        opts.max_sqp_iters = 30;
-        let wc = WorstCaseSearch::new(opts)
+        let wc = WorstCaseSearch
             .run(&env, &DVec::from_slice(&[2.0]), 0, &theta)
             .unwrap();
         // The gradient at s = 0 vanishes in s0 and s1… actually it is 0 for
@@ -288,12 +278,7 @@ mod tests {
             .build()
             .unwrap();
         let theta = env.operating_range().nominal();
-        let r = WorstCaseSearch::new(WcOptions::default()).run(
-            &env,
-            &DVec::from_slice(&[1.0]),
-            0,
-            &theta,
-        );
+        let r = WorstCaseSearch.run(&env, &DVec::from_slice(&[1.0]), 0, &theta);
         assert!(matches!(r, Err(WcdError::DegenerateGradient { spec: 0 })));
     }
 }

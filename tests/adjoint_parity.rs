@@ -11,19 +11,19 @@
 //! `tests/golden_parity.rs`: the five-transistor OTA gets the loosest
 //! tier because its CMRR measure near-cancels at the mismatch-symmetric
 //! nominal point.
+//!
+//! The forward-difference steps are the flow's own (`FD_STEP_S`,
+//! `FD_STEP_D`), so the comparison covers exactly the quotients the
+//! spec-wise linearization consumes. The adjoint quotient carries an O(h)
+//! one-step linearization error relative to the fully re-simulated FD
+//! secant — the tiers bound that error per deck.
 
 use rand::{Rng, SeedableRng};
 use specwise_ckt::{CircuitEnv, FiveTransistorOta, FoldedCascode, MillerOpamp, OperatingPoint};
 use specwise_linalg::{DMat, DVec};
-use specwise_wcd::{margins_gradient_d_with, margins_gradient_s_with, GradBackend};
-
-/// Forward-difference steps: the flow defaults (`WcdOptions::fd_step_s`,
-/// `WcdOptions::fd_step_d`), so the comparison covers exactly the
-/// quotients the spec-wise linearization consumes. The adjoint quotient
-/// carries an O(h) one-step linearization error relative to the fully
-/// re-simulated FD secant — the tiers below bound that error per deck.
-const H_S: f64 = 0.01;
-const H_D: f64 = 1e-3;
+use specwise_wcd::{
+    margins_gradient_d_with, margins_gradient_s_with, GradBackend, FD_STEP_D, FD_STEP_S,
+};
 
 /// Per-deck tolerance tier.
 struct Tier {
@@ -100,10 +100,10 @@ fn max_rel_dev(a: &DVec, b: &DVec) -> f64 {
 fn check_parity<E: CircuitEnv + Sync>(env: &E, seed: u64, tier: &Tier) {
     for (i, p) in points(env, seed).iter().enumerate() {
         let (base_f, jac_s_f) =
-            margins_gradient_s_with(env, GradBackend::Fd, &p.d, &p.s, &p.theta, H_S)
+            margins_gradient_s_with(env, GradBackend::Fd, &p.d, &p.s, &p.theta, FD_STEP_S)
                 .expect("FD stat gradient evaluates");
         let (base_a, jac_s_a) =
-            margins_gradient_s_with(env, GradBackend::Adjoint, &p.d, &p.s, &p.theta, H_S)
+            margins_gradient_s_with(env, GradBackend::Adjoint, &p.d, &p.s, &p.theta, FD_STEP_S)
                 .expect("adjoint stat gradient evaluates");
         let base_dev = max_rel_dev(&base_a, &base_f);
         assert!(
@@ -120,10 +120,11 @@ fn check_parity<E: CircuitEnv + Sync>(env: &E, seed: u64, tier: &Tier) {
             tier.jac
         );
 
-        let (_, jac_d_f) = margins_gradient_d_with(env, GradBackend::Fd, &p.d, &p.s, &p.theta, H_D)
-            .expect("FD design gradient evaluates");
+        let (_, jac_d_f) =
+            margins_gradient_d_with(env, GradBackend::Fd, &p.d, &p.s, &p.theta, FD_STEP_D)
+                .expect("FD design gradient evaluates");
         let (_, jac_d_a) =
-            margins_gradient_d_with(env, GradBackend::Adjoint, &p.d, &p.s, &p.theta, H_D)
+            margins_gradient_d_with(env, GradBackend::Adjoint, &p.d, &p.s, &p.theta, FD_STEP_D)
                 .expect("adjoint design gradient evaluates");
         let dev_d = max_jac_dev(&jac_d_a, &jac_d_f);
         assert!(

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use specwise_ckt::{AnalyticEnv, CircuitEnv, DesignParam, DesignSpace, Spec, SpecKind};
 use specwise_linalg::DVec;
-use specwise_wcd::{WcOptions, WorstCaseSearch};
+use specwise_wcd::{WorstCaseSearch, BETA_MAX};
 
 /// Builds `margin = offset + g·ŝ` with the given gradient.
 fn linear_env(offset: f64, grad: Vec<f64>) -> AnalyticEnv {
@@ -35,11 +35,11 @@ proptest! {
         prop_assume!(gnorm > 0.3);
         let env = linear_env(offset, grad.clone());
         let theta = env.operating_range().nominal();
-        let wc = WorstCaseSearch::new(WcOptions::default())
+        let wc = WorstCaseSearch
             .run(&env, &DVec::from_slice(&[0.0]), 0, &theta)
             .unwrap();
         let expected = offset / gnorm;
-        if expected < WcOptions::default().beta_max - 0.5 {
+        if expected < BETA_MAX - 0.5 {
             prop_assert!(
                 (wc.beta_wc - expected).abs() < 2e-2 * (1.0 + expected),
                 "beta {} vs {}", wc.beta_wc, expected
@@ -59,7 +59,7 @@ proptest! {
     ) {
         let env = linear_env(offset, grad);
         let theta = env.operating_range().nominal();
-        let wc = WorstCaseSearch::new(WcOptions::default())
+        let wc = WorstCaseSearch
             .run(&env, &DVec::from_slice(&[0.0]), 0, &theta)
             .unwrap();
         prop_assert!(wc.beta_wc < 0.0, "beta {}", wc.beta_wc);
