@@ -1,5 +1,5 @@
 //! Estimator-layer benchmarks (ISSUE 8): simulation effort of the three
-//! `YieldEstimator` implementations — plain Monte Carlo, mean-shift
+//! yield estimators — plain Monte Carlo, mean-shift
 //! importance sampling, and norm-minimization IS — on synthetic analytic
 //! specs where the true failure probability is `Φ(−b)` by construction.
 //!
@@ -26,7 +26,7 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use specwise::{estimate_yield, NormMinIs, NormMinOptions, Tracer};
+use specwise::{MeanShiftIs, MonteCarlo, NormMinIs, NormMinOptions, Tracer};
 use specwise_ckt::{AnalyticEnv, CircuitEnv, DesignParam, DesignSpace, Spec, SpecKind};
 use specwise_linalg::DVec;
 use specwise_stat::std_normal_cdf;
@@ -63,33 +63,37 @@ const SEED: u64 = 2001;
 fn mc_pass(env: &AnalyticEnv, n: usize) -> (f64, u64) {
     let d = env.design_space().initial();
     let before = env.sim_count();
-    let r = specwise::mc_verify(env, &d, n, SEED).expect("MC verifies");
+    let mc = MonteCarlo {
+        n_samples: n,
+        seed: SEED,
+    };
+    let r = mc.run(env, &d, &Tracer::disabled()).expect("MC verifies");
     (r.yield_estimate.std_error(), env.sim_count() - before)
 }
 
 fn is_pass(env: &AnalyticEnv, b: f64, n: usize) -> (f64, u64) {
     let d = env.design_space().initial();
     let before = env.sim_count();
-    let r = specwise::importance_verify(env, &d, &wc_shift(b), n, SEED).expect("IS verifies");
+    let is = MeanShiftIs {
+        shift: wc_shift(b),
+        n,
+        seed: SEED,
+    };
+    let r = is.run(env, &d, &Tracer::disabled()).expect("IS verifies");
     (r.std_error, env.sim_count() - before)
 }
 
 fn norm_min_pass(env: &AnalyticEnv, n: usize) -> (f64, u64) {
     let d = env.design_space().initial();
     let before = env.sim_count();
-    let r = estimate_yield(
-        &NormMinIs {
-            options: NormMinOptions {
-                n,
-                seed: SEED,
-                ..NormMinOptions::default()
-            },
-        },
-        env,
-        &d,
-        &Tracer::disabled(),
-    )
-    .expect("norm-min verifies");
+    let options = NormMinOptions {
+        n,
+        seed: SEED,
+        ..NormMinOptions::default()
+    };
+    let r = NormMinIs { options }
+        .run(env, &d, &Tracer::disabled())
+        .expect("norm-min verifies");
     (r.sampling.std_error, env.sim_count() - before)
 }
 
@@ -145,23 +149,23 @@ fn effort_and_gate(_c: &mut Criterion) {
     let d = high.design_space().initial();
     let p_true = std_normal_cdf(-HIGH_SIGMA_B);
 
-    let mc = specwise::mc_verify(&high, &d, HIGH_SIGMA_BUDGET, SEED).expect("MC verifies");
+    let mc = MonteCarlo {
+        n_samples: HIGH_SIGMA_BUDGET,
+        seed: SEED,
+    }
+    .run(&high, &d, &Tracer::disabled())
+    .expect("MC verifies");
     let mc_failures = HIGH_SIGMA_BUDGET - mc.yield_estimate.passed();
 
     let before = high.sim_count();
-    let nm = estimate_yield(
-        &NormMinIs {
-            options: NormMinOptions {
-                n: HIGH_SIGMA_BUDGET,
-                seed: SEED,
-                ..NormMinOptions::default()
-            },
-        },
-        &high,
-        &d,
-        &Tracer::disabled(),
-    )
-    .expect("norm-min verifies");
+    let options = NormMinOptions {
+        n: HIGH_SIGMA_BUDGET,
+        seed: SEED,
+        ..NormMinOptions::default()
+    };
+    let nm = NormMinIs { options }
+        .run(&high, &d, &Tracer::disabled())
+        .expect("norm-min verifies");
     let nm_sims_high = high.sim_count() - before;
 
     // The MC budget that matches norm-min's relative precision, from the

@@ -12,7 +12,7 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use specwise::mc_verify;
+use specwise::{MonteCarlo, Tracer};
 use specwise_ckt::{AnalyticEnv, CircuitEnv, DesignParam, DesignSpace, Spec, SpecKind};
 use specwise_exec::{EvalService, ExecConfig, RetryPolicy};
 use specwise_linalg::DVec;
@@ -56,12 +56,16 @@ fn pool_config(workers: usize) -> ExecConfig {
 fn bench_mc_verification(c: &mut Criterion) {
     let env = slow_env(2);
     let d = env.design_space().initial();
-    let n_samples = 48;
+    let mc = MonteCarlo {
+        n_samples: 48,
+        seed: 42,
+    };
+    let untraced = Tracer::disabled();
 
-    let serial = mc_verify(&env, &d, n_samples, 42).unwrap();
+    let serial = mc.run(&env, &d, &untraced).unwrap();
     for workers in [4usize, 8] {
         let svc = EvalService::new(&env, pool_config(workers));
-        let par = mc_verify(&svc, &d, n_samples, 42).unwrap();
+        let par = mc.run(&svc, &d, &untraced).unwrap();
         assert_eq!(
             serial.yield_estimate, par.yield_estimate,
             "parallel MC must be identical"
@@ -72,12 +76,12 @@ fn bench_mc_verification(c: &mut Criterion) {
     let mut group = c.benchmark_group("exec_mc_verify_48_samples");
     group.sample_size(10);
     group.bench_function("serial", |b| {
-        b.iter(|| mc_verify(&env, &d, n_samples, 42).unwrap())
+        b.iter(|| mc.run(&env, &d, &untraced).unwrap())
     });
     for workers in [4usize, 8] {
         group.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, &w| {
             let svc = EvalService::new(&env, pool_config(w));
-            b.iter(|| mc_verify(&svc, &d, n_samples, 42).unwrap())
+            b.iter(|| mc.run(&svc, &d, &untraced).unwrap())
         });
     }
     group.finish();

@@ -4,7 +4,7 @@
 //! Table 7 analogue.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use specwise::{OptimizerConfig, YieldOptimizer};
+use specwise::{MonteCarlo, OptimizerConfig, Tracer, YieldOptimizer};
 use specwise_ckt::{CircuitEnv, FoldedCascode, MillerOpamp};
 
 fn quick_config() -> OptimizerConfig {
@@ -38,8 +38,12 @@ fn bench_mc_verification(c: &mut Criterion) {
     group.sample_size(10);
     let env = FoldedCascode::paper_setup();
     let d0 = env.design_space().initial();
+    let mc = MonteCarlo {
+        n_samples: 300,
+        seed: 42,
+    };
     group.bench_function("folded_cascode", |b| {
-        b.iter(|| specwise::mc_verify(&env, &d0, 300, 42).unwrap())
+        b.iter(|| mc.run(&env, &d0, &Tracer::disabled()).unwrap())
     });
     group.finish();
 }

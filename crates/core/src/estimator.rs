@@ -1,33 +1,27 @@
-//! The pluggable yield-estimation layer: one trait, one driver, many
-//! estimators.
+//! What every yield verification shares: the corners, the batch loop and
+//! the span.
 //!
-//! Yield verification used to exist as near-copies of one loop — plain,
-//! traced, batched, fault-hardened, budget-wrapped — spread over
-//! `mc_verify`, `importance`, and their `*_traced` forks. This module
-//! collapses them into a single four-stage contract:
+//! Each estimator — [`MonteCarlo`](crate::MonteCarlo) (paper Eqs. 6–7),
+//! [`MeanShiftIs`](crate::MeanShiftIs) and [`NormMinIs`](crate::NormMinIs)
+//! (importance sampling, extensions beyond the paper) — has one `run`
+//! method that reads top to bottom: validate, switch the simulation phase
+//! and find the worst-case corners ([`verification_corners`]), draw every
+//! sample up front (norm-min searches for its proposal first), evaluate
+//! them one corner group at a time ([`evaluate_by_corner`]) and settle the
+//! result. [`traced`] wraps the whole run in its journal span.
 //!
-//! 1. **propose** — the estimator draws every sample up front, in the
-//!    exact RNG order a serial draw-then-evaluate loop would use, so the
-//!    result is bit-identical at any worker count;
-//! 2. **evaluate-batch** — the shared driver groups specs by identical
-//!    worst-case operating corner and dispatches one [`EvalPoint`] batch
-//!    per group, its points unmemoized so the samples do not churn the
-//!    memo cache, so an [`EvalService`](specwise_exec::EvalService)
-//!    spreads the simulations over its worker pool without changing any
-//!    result bit;
-//! 3. **accumulate** — the estimator folds each sample result through the
-//!    shared degradation ladder ([`classify_sample`]): retry exhaustion,
-//!    soft `KillSwitch` budget starvation and non-finite
-//!    margins all surface as `is_simulation_failure()` style degradations
-//!    and become counted-and-excluded samples instead of aborts;
-//! 4. **interval** — the estimator finalizes a result whose yield interval
-//!    widens by the unresolved degraded mass instead of silently biasing
-//!    the point estimate.
-//!
-//! The driver — [`estimate_yield`] — also owns span emission: tracing is
-//! pure observation (one span per verification with the estimator's
-//! attributes and the simulation effort), so there are no separate
-//! `*_traced` entry points anymore.
+//! * **Bits at any worker count.** Every sample is drawn before any is
+//!   evaluated, in the RNG order of a serial draw-then-evaluate loop, and
+//!   each corner group goes out as one unmemoized [`EvalPoint`] batch, so
+//!   an [`EvalService`](specwise_exec::EvalService) spreads the
+//!   simulations over its pool without changing a result bit or churning
+//!   the memo cache.
+//! * **Degradation.** Each sample result goes through one ladder
+//!   ([`classify_sample`]): retry exhaustion, soft `KillSwitch` budget
+//!   starvation and non-finite margins become counted-and-excluded
+//!   samples that widen the yield interval instead of aborting the run.
+//! * **Tracing is observation.** The disabled tracer records nothing and
+//!   costs one branch; there are no separate traced entry points.
 
 use std::sync::Arc;
 
@@ -38,89 +32,6 @@ use specwise_wcd::worst_case_corners;
 
 use crate::SpecwiseError;
 
-/// The four-stage yield-estimation contract (see the module docs).
-///
-/// Implementors own the proposal distribution, the per-sample bookkeeping
-/// and the final interval; the shared driver [`estimate_yield`] owns
-/// worst-case-corner grouping, batch dispatch and span emission. The
-/// estimators shipped with the crate are
-/// [`MonteCarlo`](crate::MonteCarlo) (paper Eqs. 6–7),
-/// [`MeanShiftIs`](crate::MeanShiftIs) (mean-shift importance sampling,
-/// an extension beyond the paper) and
-/// [`NormMinIs`](crate::NormMinIs) (minimum-norm failure-point importance
-/// sampling for the high-sigma regime where mean-shift collapses).
-pub trait YieldEstimator {
-    /// Mutable per-run state threaded from `propose` through `accumulate`
-    /// into `finalize`.
-    type State;
-    /// The estimator's result type.
-    type Output;
-
-    /// Span name recorded in the journal (`"mc_verify"`, `"is_verify"`,
-    /// `"norm_min_verify"`).
-    fn span_name(&self) -> &'static str;
-
-    /// Validates the options against the environment before any
-    /// simulation runs.
-    ///
-    /// # Errors
-    ///
-    /// Rejects empty sample budgets and dimension mismatches.
-    fn validate<E: CircuitEnv + ?Sized>(&self, env: &E) -> Result<(), SpecwiseError>;
-
-    /// Draws every sample up front (serial RNG call order) and returns the
-    /// initial accumulator state. `theta_wc` holds the per-spec worst-case
-    /// corners; estimators that search for a proposal center (e.g. the
-    /// minimum-norm failure point) may simulate here — the driver counts
-    /// that effort into the verification span.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors of any proposal-construction search.
-    fn propose<E: CircuitEnv + ?Sized>(
-        &self,
-        env: &E,
-        d: &DVec,
-        theta_wc: &[OperatingPoint],
-    ) -> Result<(Vec<DVec>, Self::State), SpecwiseError>;
-
-    /// Whether sample `j` still needs evaluation in the next corner group.
-    /// Short-circuiting estimators (importance sampling) exclude samples
-    /// that already failed an earlier group, preserving the simulation
-    /// count of the serial loop; plain Monte Carlo evaluates every sample
-    /// in every group (its per-spec moments need all margins).
-    fn live(&self, _state: &Self::State, _sample: usize) -> bool {
-        true
-    }
-
-    /// Folds one batched sample result into the state. `group_specs` are
-    /// the spec indices sharing this corner group's simulation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates non-degradable evaluation errors (see
-    /// [`classify_sample`]).
-    fn accumulate(
-        &self,
-        state: &mut Self::State,
-        group_specs: &[usize],
-        sample: usize,
-        result: Result<DVec, CktError>,
-    ) -> Result<(), SpecwiseError>;
-
-    /// Builds the final result from the settled state.
-    fn finalize<E: CircuitEnv + ?Sized>(
-        &self,
-        env: &E,
-        state: Self::State,
-        theta_wc: Vec<OperatingPoint>,
-    ) -> Self::Output;
-
-    /// Records the estimator's span attributes (the driver adds the
-    /// `sims` counter).
-    fn annotate(&self, span: &mut Span, output: &Self::Output);
-}
-
 /// How one batched sample evaluation settles under the shared degradation
 /// ladder. This is the single place where the fault-hardening contract is
 /// interpreted: an [`EvalService`](specwise_exec::EvalService) retry
@@ -129,7 +40,7 @@ pub trait YieldEstimator {
 /// unusable as a failed solve (`NaN < 0.0` is false — without the guard a
 /// NaN sample would silently count as passing).
 #[derive(Debug, Clone, PartialEq)]
-pub enum SampleOutcome {
+pub(crate) enum SampleOutcome {
     /// Usable margins for every spec of the sample's corner group.
     Valid(DVec),
     /// Counted-and-excluded: the margins are carried along when the solve
@@ -145,7 +56,7 @@ pub enum SampleOutcome {
 ///
 /// Propagates errors that are not simulation failures (dimension
 /// mismatches, poisoned workers): those abort the verification.
-pub fn classify_sample(
+pub(crate) fn classify_sample(
     result: Result<DVec, CktError>,
     group_specs: &[usize],
 ) -> Result<SampleOutcome, SpecwiseError> {
@@ -159,52 +70,53 @@ pub fn classify_sample(
     }
 }
 
-/// Runs `estimator` at design `d`, recording one span (named
-/// [`YieldEstimator::span_name`], carrying the estimator's attributes and
-/// the simulation effort) into `tracer`'s journal. The disabled tracer
-/// records nothing and costs one branch.
-///
-/// This is the shared driver of every yield verification: per-spec
-/// worst-case corners at the nominal statistical point, specs grouped by
-/// identical corner to share simulations (the sharing behind the paper's
-/// effort bound `N* ≤ N·min(n_spec, 2^dim(Θ))`), one batch per group.
-///
-/// # Errors
-///
-/// Propagates validation and evaluation errors.
-pub fn estimate_yield<X: YieldEstimator, E: CircuitEnv + ?Sized>(
-    estimator: &X,
-    env: &E,
-    d: &DVec,
-    tracer: &Tracer,
-) -> Result<X::Output, SpecwiseError> {
-    let mut span = tracer.span(estimator.span_name());
-    let sims_before = if span.is_enabled() {
-        env.sim_count()
-    } else {
-        0
-    };
-    let result = estimate_inner(estimator, env, d)?;
-    if span.is_enabled() {
-        estimator.annotate(&mut span, &result);
-        span.add_count("sims", env.sim_count() - sims_before);
-    }
-    Ok(result)
+/// Per-sample bookkeeping of one verification, fed by
+/// [`evaluate_by_corner`].
+pub(crate) trait Accumulator {
+    /// Whether sample `j` still needs evaluation in the next corner group.
+    /// Importance sampling settles a sample at its first failing group (the
+    /// serial loop would have `break`ed); plain Monte Carlo evaluates every
+    /// sample in every group, since its per-spec moments need all margins.
+    fn live(&self, sample: usize) -> bool;
+
+    /// Folds one sample result of the corner group whose specs are
+    /// `group_specs`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates non-degradable evaluation errors (see
+    /// [`classify_sample`]).
+    fn accumulate(
+        &mut self,
+        group_specs: &[usize],
+        sample: usize,
+        result: Result<DVec, CktError>,
+    ) -> Result<(), SpecwiseError>;
 }
 
-fn estimate_inner<X: YieldEstimator, E: CircuitEnv + ?Sized>(
-    estimator: &X,
+/// Switches `env` to the verification phase and returns each spec's
+/// worst-case operating corner at the nominal statistical point ŝ = 0.
+pub(crate) fn verification_corners<E: CircuitEnv + ?Sized>(
     env: &E,
     d: &DVec,
-) -> Result<X::Output, SpecwiseError> {
-    estimator.validate(env)?;
+) -> Result<Vec<OperatingPoint>, SpecwiseError> {
     env.set_sim_phase(SimPhase::Verification);
-
-    // Per-spec worst-case corners at the nominal statistical point.
     let corners = worst_case_corners(env, d, &DVec::zeros(env.stat_dim()))?;
-    let theta_wc: Vec<OperatingPoint> = corners.iter().map(|(t, _)| *t).collect();
+    Ok(corners.iter().map(|(t, _)| *t).collect())
+}
 
-    // Group specs by identical worst-case corner to share simulations.
+/// Evaluates `samples` at design `d`, one batch per distinct corner of
+/// `theta_wc` (groups in the order of their first spec), and feeds every
+/// result to `acc`. Specs sharing a corner share one simulation per
+/// sample: the sharing behind the paper's effort bound
+/// `N* ≤ N·min(n_spec, 2^dim(Θ))`.
+pub(crate) fn evaluate_by_corner<E: CircuitEnv + ?Sized>(
+    env: &E,
+    d: &DVec,
+    theta_wc: &[OperatingPoint],
+    samples: Vec<DVec>,
+    acc: &mut impl Accumulator,
+) -> Result<(), SpecwiseError> {
     let mut groups: Vec<(OperatingPoint, Vec<usize>)> = Vec::new();
     for (i, t) in theta_wc.iter().enumerate() {
         match groups.iter_mut().find(|(g, _)| g == t) {
@@ -213,18 +125,13 @@ fn estimate_inner<X: YieldEstimator, E: CircuitEnv + ?Sized>(
         }
     }
 
-    let (samples, mut state) = estimator.propose(env, d, &theta_wc)?;
-    let n = samples.len();
-
     // The design vector and each sample are shared by reference across
     // every point of every corner group.
+    let n = samples.len();
     let d_arc: Arc<DVec> = Arc::new(d.clone());
     let samples: Vec<Arc<DVec>> = samples.into_iter().map(Arc::new).collect();
     for (theta, specs) in &groups {
-        // Samples a short-circuiting estimator has already settled are
-        // excluded — the serial loop would have `break`ed before
-        // simulating them here.
-        let live: Vec<usize> = (0..n).filter(|&j| estimator.live(&state, j)).collect();
+        let live: Vec<usize> = (0..n).filter(|&j| acc.live(j)).collect();
         if live.is_empty() {
             break;
         }
@@ -236,11 +143,35 @@ fn estimate_inner<X: YieldEstimator, E: CircuitEnv + ?Sized>(
             .collect();
         let results = env.eval_margins_batch(&points);
         for (&j, result) in live.iter().zip(results) {
-            estimator.accumulate(&mut state, specs, j, result)?;
+            acc.accumulate(specs, j, result)?;
         }
     }
+    Ok(())
+}
 
-    Ok(estimator.finalize(env, state, theta_wc))
+/// Runs `verify` inside a span named `name`: on success `annotate` stamps
+/// the result's attributes and the span gets the simulations spent as its
+/// `sims` counter. The disabled tracer records nothing and costs one
+/// branch.
+pub(crate) fn traced<E: CircuitEnv + ?Sized, T>(
+    tracer: &Tracer,
+    name: &str,
+    env: &E,
+    verify: impl FnOnce() -> Result<T, SpecwiseError>,
+    annotate: impl FnOnce(&mut Span, &T),
+) -> Result<T, SpecwiseError> {
+    let mut span = tracer.span(name);
+    let sims_before = if span.is_enabled() {
+        env.sim_count()
+    } else {
+        0
+    };
+    let result = verify()?;
+    if span.is_enabled() {
+        annotate(&mut span, &result);
+        span.add_count("sims", env.sim_count() - sims_before);
+    }
+    Ok(result)
 }
 
 /// Which yield estimator verifies a run (`mc` | `is` | `norm-min`) —

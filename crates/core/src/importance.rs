@@ -12,36 +12,20 @@
 //! Samples are drawn up front and evaluated as one batch per corner group;
 //! a sample that already failed an earlier group is excluded from later
 //! batches, preserving the short-circuit (and simulation count) of the
-//! serial loop.
+//! serial loop. [`NormMinIs`](crate::NormMinIs) runs the same pass once
+//! its search has placed the proposal.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use specwise_ckt::{CircuitEnv, CktError, OperatingPoint};
 use specwise_linalg::DVec;
 use specwise_stat::StandardNormal;
-use specwise_trace::{Span, Tracer};
+use specwise_trace::Tracer;
 
-use crate::estimator::{classify_sample, estimate_yield, SampleOutcome, YieldEstimator};
+use crate::estimator::{
+    classify_sample, evaluate_by_corner, traced, verification_corners, Accumulator, SampleOutcome,
+};
 use crate::SpecwiseError;
-
-/// Options of the importance-sampling verification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IsOptions {
-    /// Number of proposal samples.
-    pub n: usize,
-    /// RNG seed of the proposal draw — explicit so that every run is
-    /// reproducible by construction.
-    pub seed: u64,
-}
-
-impl Default for IsOptions {
-    fn default() -> Self {
-        IsOptions {
-            n: 4_000,
-            seed: 2001,
-        }
-    }
-}
 
 /// Result of an importance-sampled yield verification.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,63 +74,92 @@ impl IsResult {
     }
 }
 
-/// Runs a mean-shifted importance-sampling verification at design `d`.
-///
-/// `shift` is the proposal mean in the standardized space — typically the
-/// dominant worst-case point `ŝ_wc` of the most critical specification.
-///
-/// # Errors
-///
-/// Propagates evaluation errors; rejects `n == 0` and dimension mismatches.
-pub fn importance_verify<E: CircuitEnv + ?Sized>(
-    env: &E,
-    d: &DVec,
-    shift: &DVec,
-    n: usize,
-    seed: u64,
-) -> Result<IsResult, SpecwiseError> {
-    importance_verify_with(env, d, shift, &IsOptions { n, seed })
-}
-
-/// Runs a mean-shifted importance-sampling verification with explicit
-/// options.
-///
-/// # Errors
-///
-/// Propagates evaluation errors; rejects `n == 0` and dimension mismatches.
-pub fn importance_verify_with<E: CircuitEnv + ?Sized>(
-    env: &E,
-    d: &DVec,
-    shift: &DVec,
-    options: &IsOptions,
-) -> Result<IsResult, SpecwiseError> {
-    let estimator = MeanShiftIs {
-        shift: shift.clone(),
-        options: *options,
-    };
-    estimate_yield(&estimator, env, d, &Tracer::disabled())
-}
-
-/// Mean-shifted importance sampling as a [`YieldEstimator`]: the proposal
-/// `N(µ, I)` is centred at `shift` (typically the dominant worst-case
-/// point) and a sample that already failed an earlier corner group is
-/// excluded from later batches, preserving the short-circuit (and
-/// simulation count) of the serial loop. This is the estimator behind
-/// [`importance_verify`]/[`importance_verify_with`]; run it through
-/// [`estimate_yield`] to record an `is_verify` span.
+/// Mean-shifted importance sampling: the proposal `N(µ, I)` is centred at
+/// `shift` (typically the dominant worst-case point `ŝ_wc` of the most
+/// critical specification), and each sample carries its exact density
+/// ratio.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MeanShiftIs {
     /// Proposal mean `µ` in the standardized space.
     pub shift: DVec,
-    /// Sample count and RNG seed.
-    pub options: IsOptions,
+    /// Number of proposal samples.
+    pub n: usize,
+    /// RNG seed of the proposal draw — explicit so that every run is
+    /// reproducible by construction.
+    pub seed: u64,
 }
 
-/// Accumulator state of the mean-shift importance-sampling pass — of
-/// [`MeanShiftIs`], and of [`NormMinIs`](crate::NormMinIs) once its search
-/// has placed the proposal.
+impl MeanShiftIs {
+    /// Verifies the yield of design `d`, recording one `is_verify` span
+    /// (sample count, failure probability, its error, ESS, interval and
+    /// the `sims` counter) into `tracer`'s journal.
+    ///
+    /// # Errors
+    ///
+    /// Propagates evaluation errors; rejects `n == 0` and a `shift` whose
+    /// length is not the environment's statistical dimension.
+    pub fn run<E: CircuitEnv + ?Sized>(
+        &self,
+        env: &E,
+        d: &DVec,
+        tracer: &Tracer,
+    ) -> Result<IsResult, SpecwiseError> {
+        traced(
+            tracer,
+            "is_verify",
+            env,
+            || self.verify(env, d),
+            |span, r| {
+                span.set_attr("n", self.n);
+                span.set_attr("failure_probability", r.failure_probability);
+                span.set_attr("std_error", r.std_error);
+                span.set_attr("variance", r.std_error * r.std_error);
+                span.set_attr("effective_sample_size", r.effective_sample_size);
+                span.set_attr("sim_failures", r.sim_failures);
+                let (lo, hi) = r.yield_interval();
+                span.set_attr("yield_low", lo);
+                span.set_attr("yield_high", hi);
+            },
+        )
+    }
+
+    fn verify<E: CircuitEnv + ?Sized>(&self, env: &E, d: &DVec) -> Result<IsResult, SpecwiseError> {
+        if self.n == 0 {
+            return Err(SpecwiseError::InvalidConfig {
+                reason: "need at least one sample",
+            });
+        }
+        if self.shift.len() != env.stat_dim() {
+            return Err(SpecwiseError::DimensionMismatch {
+                what: "stat",
+                expected: env.stat_dim(),
+                found: self.shift.len(),
+            });
+        }
+        let theta_wc = verification_corners(env, d)?;
+        mean_shift_pass(env, d, &theta_wc, &self.shift, self.n, self.seed)
+    }
+}
+
+/// The mean-shift pass at design `d`: draws `n` samples from
+/// `N(shift, I)`, evaluates them corner group by corner group at
+/// `theta_wc` and returns the exact-density estimate.
+pub(crate) fn mean_shift_pass<E: CircuitEnv + ?Sized>(
+    env: &E,
+    d: &DVec,
+    theta_wc: &[OperatingPoint],
+    shift: &DVec,
+    n: usize,
+    seed: u64,
+) -> Result<IsResult, SpecwiseError> {
+    let (samples, mut state) = draw_shifted(shift, n, seed);
+    evaluate_by_corner(env, d, theta_wc, samples, &mut state)?;
+    Ok(state.finish())
+}
+
+/// Per-sample bookkeeping of the mean-shift pass.
 #[derive(Debug, Clone)]
-pub struct IsState {
+struct IsState {
     weights: Vec<f64>,
     failed: Vec<bool>,
     violated: Vec<bool>,
@@ -157,7 +170,7 @@ pub struct IsState {
 /// Draws `n` proposal samples from `N(shift, I)` with their density ratios
 /// `w = exp(½‖µ‖² − µᵀŝ)`, every sample first — the same RNG call order as
 /// a serial draw-then-evaluate loop.
-pub(crate) fn draw_shifted(shift: &DVec, n: usize, seed: u64) -> (Vec<DVec>, IsState) {
+fn draw_shifted(shift: &DVec, n: usize, seed: u64) -> (Vec<DVec>, IsState) {
     let mut rng = StdRng::seed_from_u64(seed);
     let normal = StandardNormal::new();
     let half_mu2 = 0.5 * shift.dot(shift);
@@ -181,39 +194,9 @@ pub(crate) fn draw_shifted(shift: &DVec, n: usize, seed: u64) -> (Vec<DVec>, IsS
 }
 
 impl IsState {
-    /// Samples that already failed an earlier group are settled — the
-    /// serial loop would have `break`ed before simulating them here.
-    pub(crate) fn live(&self, sample: usize) -> bool {
-        !self.failed[sample]
-    }
-
-    /// Folds one sample result of a corner group through
-    /// [`classify_sample`].
-    pub(crate) fn accumulate(
-        &mut self,
-        group_specs: &[usize],
-        sample: usize,
-        result: Result<DVec, CktError>,
-    ) -> Result<(), SpecwiseError> {
-        match classify_sample(result, group_specs)? {
-            SampleOutcome::Valid(margins) => {
-                if group_specs.iter().any(|&i| margins[i] < 0.0) {
-                    self.failed[sample] = true;
-                    self.violated[sample] = true;
-                }
-            }
-            SampleOutcome::Degraded(_) => {
-                self.sim_failures += 1;
-                self.degraded[sample] = true;
-                self.failed[sample] = true;
-            }
-        }
-        Ok(())
-    }
-
     /// The exact-density estimate `p = Σ_fail w / n` with its standard
     /// error, the failing weights' ESS and the unresolved degraded mass.
-    pub(crate) fn finish(self) -> IsResult {
+    fn finish(self) -> IsResult {
         let n = self.weights.len();
         let mut fail_w = 0.0;
         let mut fail_w2 = 0.0;
@@ -249,72 +232,32 @@ impl IsState {
     }
 }
 
-impl YieldEstimator for MeanShiftIs {
-    type State = IsState;
-    type Output = IsResult;
-
-    fn span_name(&self) -> &'static str {
-        "is_verify"
-    }
-
-    fn validate<E: CircuitEnv + ?Sized>(&self, env: &E) -> Result<(), SpecwiseError> {
-        if self.options.n == 0 {
-            return Err(SpecwiseError::InvalidConfig {
-                reason: "need at least one sample",
-            });
-        }
-        if self.shift.len() != env.stat_dim() {
-            return Err(SpecwiseError::DimensionMismatch {
-                what: "stat",
-                expected: env.stat_dim(),
-                found: self.shift.len(),
-            });
-        }
-        Ok(())
-    }
-
-    fn propose<E: CircuitEnv + ?Sized>(
-        &self,
-        _env: &E,
-        _d: &DVec,
-        _theta_wc: &[OperatingPoint],
-    ) -> Result<(Vec<DVec>, IsState), SpecwiseError> {
-        Ok(draw_shifted(&self.shift, self.options.n, self.options.seed))
-    }
-
-    fn live(&self, state: &IsState, sample: usize) -> bool {
-        state.live(sample)
+impl Accumulator for IsState {
+    /// Samples that already failed an earlier group are settled.
+    fn live(&self, sample: usize) -> bool {
+        !self.failed[sample]
     }
 
     fn accumulate(
-        &self,
-        state: &mut IsState,
+        &mut self,
         group_specs: &[usize],
         sample: usize,
         result: Result<DVec, CktError>,
     ) -> Result<(), SpecwiseError> {
-        state.accumulate(group_specs, sample, result)
-    }
-
-    fn finalize<E: CircuitEnv + ?Sized>(
-        &self,
-        _env: &E,
-        state: IsState,
-        _theta_wc: Vec<OperatingPoint>,
-    ) -> IsResult {
-        state.finish()
-    }
-
-    fn annotate(&self, span: &mut Span, output: &IsResult) {
-        span.set_attr("n", self.options.n);
-        span.set_attr("failure_probability", output.failure_probability);
-        span.set_attr("std_error", output.std_error);
-        span.set_attr("variance", output.std_error * output.std_error);
-        span.set_attr("effective_sample_size", output.effective_sample_size);
-        span.set_attr("sim_failures", output.sim_failures);
-        let (lo, hi) = output.yield_interval();
-        span.set_attr("yield_low", lo);
-        span.set_attr("yield_high", hi);
+        match classify_sample(result, group_specs)? {
+            SampleOutcome::Valid(margins) => {
+                if group_specs.iter().any(|&i| margins[i] < 0.0) {
+                    self.failed[sample] = true;
+                    self.violated[sample] = true;
+                }
+            }
+            SampleOutcome::Degraded(_) => {
+                self.sim_failures += 1;
+                self.degraded[sample] = true;
+                self.failed[sample] = true;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -324,6 +267,17 @@ mod tests {
     use specwise_ckt::{AnalyticEnv, DesignParam, DesignSpace, Spec, SpecKind};
     use specwise_exec::{EvalService, ExecConfig, RetryPolicy};
     use specwise_stat::std_normal_cdf;
+
+    fn mean_shift<E: CircuitEnv + ?Sized>(
+        env: &E,
+        d: &DVec,
+        shift: &DVec,
+        n: usize,
+        seed: u64,
+    ) -> Result<IsResult, SpecwiseError> {
+        let shift = shift.clone();
+        MeanShiftIs { shift, n, seed }.run(env, d, &Tracer::disabled())
+    }
 
     /// margin = b + s0 → P(fail) = Φ(−b).
     fn env(b: f64) -> AnalyticEnv {
@@ -345,7 +299,7 @@ mod tests {
         let d = DVec::from_slice(&[b]);
         // Shift to the worst-case point ŝ_wc = (−b, 0).
         let shift = DVec::from_slice(&[-b, 0.0]);
-        let r = importance_verify(&e, &d, &shift, 4_000, 9).unwrap();
+        let r = mean_shift(&e, &d, &shift, 4_000, 9).unwrap();
         let truth = std_normal_cdf(-b); // ≈ 2.33e-4
         assert!(
             (r.failure_probability / truth - 1.0).abs() < 0.25,
@@ -368,14 +322,19 @@ mod tests {
         let b = 4.2;
         let e = env(b);
         let d = DVec::from_slice(&[b]);
-        let plain = crate::mc_verify(&e, &d, 4_000, 3).unwrap();
+        let plain = crate::MonteCarlo {
+            n_samples: 4_000,
+            seed: 3,
+        }
+        .run(&e, &d, &Tracer::disabled())
+        .unwrap();
         assert_eq!(
             plain.yield_estimate.bad_samples(),
             0,
             "plain MC sees nothing"
         );
         let shift = DVec::from_slice(&[-b, 0.0]);
-        let r = importance_verify(&e, &d, &shift, 4_000, 3).unwrap();
+        let r = mean_shift(&e, &d, &shift, 4_000, 3).unwrap();
         let truth = std_normal_cdf(-b);
         assert!(r.failure_probability > 0.2 * truth);
         assert!(r.failure_probability < 5.0 * truth);
@@ -385,7 +344,7 @@ mod tests {
     fn zero_shift_reduces_to_plain_mc() {
         let e = env(1.0);
         let d = DVec::from_slice(&[1.0]);
-        let r = importance_verify(&e, &d, &DVec::zeros(2), 20_000, 5).unwrap();
+        let r = mean_shift(&e, &d, &DVec::zeros(2), 20_000, 5).unwrap();
         let truth = std_normal_cdf(-1.0);
         assert!((r.failure_probability - truth).abs() < 0.01);
         assert!((r.yield_value + r.failure_probability - 1.0).abs() < 1e-12);
@@ -397,7 +356,7 @@ mod tests {
         let e = env(b);
         let d = DVec::from_slice(&[b]);
         let shift = DVec::from_slice(&[-b, 0.0]);
-        let serial = importance_verify(&e, &d, &shift, 2_000, 13).unwrap();
+        let serial = mean_shift(&e, &d, &shift, 2_000, 13).unwrap();
         for workers in [1usize, 2, 8] {
             let cfg = ExecConfig {
                 workers,
@@ -406,7 +365,7 @@ mod tests {
                 min_parallel_batch: 2,
             };
             let svc = EvalService::new(&e, cfg);
-            let par = importance_verify(&svc, &d, &shift, 2_000, 13).unwrap();
+            let par = mean_shift(&svc, &d, &shift, 2_000, 13).unwrap();
             assert_eq!(
                 serial.failure_probability.to_bits(),
                 par.failure_probability.to_bits(),
@@ -433,7 +392,7 @@ mod tests {
             .unwrap();
         let d = DVec::from_slice(&[b]);
         let shift = DVec::from_slice(&[-b, 0.0]);
-        let r = importance_verify(&e, &d, &shift, 4_000, 9).unwrap();
+        let r = mean_shift(&e, &d, &shift, 4_000, 9).unwrap();
         // The proposal is centred at s0 = −3.5, so roughly Φ(−0.5) ≈ 31 %
         // of the samples land below −4 and fail to simulate.
         assert!(
@@ -451,7 +410,7 @@ mod tests {
     fn input_validation() {
         let e = env(1.0);
         let d = DVec::from_slice(&[1.0]);
-        assert!(importance_verify(&e, &d, &DVec::zeros(2), 0, 1).is_err());
-        assert!(importance_verify(&e, &d, &DVec::zeros(3), 10, 1).is_err());
+        assert!(mean_shift(&e, &d, &DVec::zeros(2), 0, 1).is_err());
+        assert!(mean_shift(&e, &d, &DVec::zeros(3), 10, 1).is_err());
     }
 }

@@ -14,29 +14,12 @@ use rand::SeedableRng;
 use specwise_ckt::{CircuitEnv, CktError, OperatingPoint};
 use specwise_linalg::DVec;
 use specwise_stat::{RunningMoments, StandardNormal, YieldEstimate};
-use specwise_trace::{Span, Tracer};
+use specwise_trace::Tracer;
 
-use crate::estimator::{classify_sample, estimate_yield, SampleOutcome, YieldEstimator};
+use crate::estimator::{
+    classify_sample, evaluate_by_corner, traced, verification_corners, Accumulator, SampleOutcome,
+};
 use crate::SpecwiseError;
-
-/// Options of the simulation-based Monte-Carlo verification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct McOptions {
-    /// Number of standardized samples (the paper used 300 per snapshot).
-    pub n_samples: usize,
-    /// RNG seed of the sample draw — explicit so that every run is
-    /// reproducible by construction.
-    pub seed: u64,
-}
-
-impl Default for McOptions {
-    fn default() -> Self {
-        McOptions {
-            n_samples: 300,
-            seed: 2001,
-        }
-    }
-}
 
 /// Result of a simulation-based Monte-Carlo verification.
 #[derive(Debug, Clone)]
@@ -86,53 +69,87 @@ impl McVerification {
     }
 }
 
-/// Runs a simulation-based Monte-Carlo verification of `n_samples`
-/// standardized samples at design `d`.
-///
-/// # Errors
-///
-/// Propagates evaluation errors; rejects `n_samples == 0`.
-pub fn mc_verify<E: CircuitEnv + ?Sized>(
-    env: &E,
-    d: &DVec,
-    n_samples: usize,
-    seed: u64,
-) -> Result<McVerification, SpecwiseError> {
-    mc_verify_with(env, d, &McOptions { n_samples, seed })
-}
-
-/// Runs a simulation-based Monte-Carlo verification with explicit options.
-///
-/// # Errors
-///
-/// Propagates evaluation errors; rejects `n_samples == 0`.
-pub fn mc_verify_with<E: CircuitEnv + ?Sized>(
-    env: &E,
-    d: &DVec,
-    options: &McOptions,
-) -> Result<McVerification, SpecwiseError> {
-    estimate_yield(
-        &MonteCarlo { options: *options },
-        env,
-        d,
-        &Tracer::disabled(),
-    )
-}
-
-/// Plain simulation Monte Carlo as a [`YieldEstimator`]: every sample is
+/// Plain simulation Monte Carlo (paper Eqs. 6–7): every sample is
 /// evaluated in every corner group (the per-spec margin moments need all
-/// margins), degraded samples are counted-and-excluded. This is the
-/// estimator behind [`mc_verify`]/[`mc_verify_with`]; run it through
-/// [`estimate_yield`] to record an `mc_verify` span.
+/// margins), and degraded samples are counted-and-excluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MonteCarlo {
-    /// Sample count and RNG seed.
-    pub options: McOptions,
+    /// Number of standardized samples (the paper used 300 per snapshot).
+    pub n_samples: usize,
+    /// RNG seed of the sample draw — explicit so that every run is
+    /// reproducible by construction.
+    pub seed: u64,
 }
 
-/// Accumulator state of [`MonteCarlo`].
+impl MonteCarlo {
+    /// Verifies the yield of design `d`, recording one `mc_verify` span
+    /// (sample count, yield, interval, per-spec bad counts and the `sims`
+    /// counter) into `tracer`'s journal.
+    ///
+    /// # Errors
+    ///
+    /// Propagates evaluation errors; rejects `n_samples == 0`.
+    pub fn run<E: CircuitEnv + ?Sized>(
+        &self,
+        env: &E,
+        d: &DVec,
+        tracer: &Tracer,
+    ) -> Result<McVerification, SpecwiseError> {
+        traced(
+            tracer,
+            "mc_verify",
+            env,
+            || self.verify(env, d),
+            |span, v| {
+                span.set_attr("n_samples", self.n_samples);
+                span.set_attr("passed", v.yield_estimate.passed());
+                span.set_attr("yield", v.yield_estimate.value());
+                span.set_attr("sim_failures", v.sim_failures);
+                span.set_attr("degraded_samples", v.degraded_samples);
+                let (lo, hi) = v.yield_interval();
+                span.set_attr("yield_low", lo);
+                span.set_attr("yield_high", hi);
+                span.set_attr(
+                    "per_spec_bad",
+                    v.per_spec_bad
+                        .iter()
+                        .map(|&b| b as f64)
+                        .collect::<Vec<f64>>(),
+                );
+            },
+        )
+    }
+
+    fn verify<E: CircuitEnv + ?Sized>(
+        &self,
+        env: &E,
+        d: &DVec,
+    ) -> Result<McVerification, SpecwiseError> {
+        if self.n_samples == 0 {
+            return Err(SpecwiseError::InvalidConfig {
+                reason: "need at least one sample",
+            });
+        }
+        let theta_wc = verification_corners(env, d)?;
+        // Draw every sample first — one `fill` per sample, exactly the RNG
+        // call order of a serial evaluate-as-you-draw loop.
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let normal = StandardNormal::new();
+        let mut samples = Vec::with_capacity(self.n_samples);
+        for _ in 0..self.n_samples {
+            let mut s = DVec::zeros(env.stat_dim());
+            normal.fill(&mut rng, s.as_mut_slice());
+            samples.push(s);
+        }
+        let mut state = McState::new(env.specs().len(), self.n_samples);
+        evaluate_by_corner(env, d, &theta_wc, samples, &mut state)?;
+        Ok(state.finish(theta_wc))
+    }
+}
+
+/// Per-sample bookkeeping of a [`MonteCarlo`] run.
 #[derive(Debug, Clone)]
-pub struct McState {
+struct McState {
     per_spec_bad: Vec<usize>,
     per_spec_margins: Vec<RunningMoments>,
     ok: Vec<bool>,
@@ -144,57 +161,42 @@ pub struct McState {
     sim_failures: usize,
 }
 
-impl YieldEstimator for MonteCarlo {
-    type State = McState;
-    type Output = McVerification;
-
-    fn span_name(&self) -> &'static str {
-        "mc_verify"
+impl McState {
+    fn new(n_spec: usize, n_samples: usize) -> McState {
+        McState {
+            per_spec_bad: vec![0; n_spec],
+            per_spec_margins: vec![RunningMoments::new(); n_spec],
+            ok: vec![true; n_samples],
+            violated: vec![false; n_samples],
+            degraded: vec![false; n_samples],
+            sim_failures: 0,
+        }
     }
 
-    fn validate<E: CircuitEnv + ?Sized>(&self, _env: &E) -> Result<(), SpecwiseError> {
-        if self.options.n_samples == 0 {
-            return Err(SpecwiseError::InvalidConfig {
-                reason: "need at least one sample",
-            });
+    fn finish(self, theta_wc: Vec<OperatingPoint>) -> McVerification {
+        let n_samples = self.ok.len();
+        let passed = self.ok.iter().filter(|&&x| x).count();
+        let degraded_samples = (0..n_samples)
+            .filter(|&j| self.degraded[j] && !self.violated[j])
+            .count();
+        McVerification {
+            yield_estimate: YieldEstimate::from_counts(passed, n_samples),
+            per_spec_bad: self.per_spec_bad,
+            per_spec_margins: self.per_spec_margins,
+            theta_wc,
+            sim_failures: self.sim_failures,
+            degraded_samples,
         }
-        Ok(())
     }
+}
 
-    fn propose<E: CircuitEnv + ?Sized>(
-        &self,
-        env: &E,
-        _d: &DVec,
-        _theta_wc: &[OperatingPoint],
-    ) -> Result<(Vec<DVec>, McState), SpecwiseError> {
-        let n_samples = self.options.n_samples;
-        // Draw every sample first — one `fill` per sample, exactly the RNG
-        // call order of a serial evaluate-as-you-draw loop.
-        let mut rng = StdRng::seed_from_u64(self.options.seed);
-        let normal = StandardNormal::new();
-        let mut samples = Vec::with_capacity(n_samples);
-        for _ in 0..n_samples {
-            let mut s = DVec::zeros(env.stat_dim());
-            normal.fill(&mut rng, s.as_mut_slice());
-            samples.push(s);
-        }
-        let n_spec = env.specs().len();
-        Ok((
-            samples,
-            McState {
-                per_spec_bad: vec![0; n_spec],
-                per_spec_margins: vec![RunningMoments::new(); n_spec],
-                ok: vec![true; n_samples],
-                violated: vec![false; n_samples],
-                degraded: vec![false; n_samples],
-                sim_failures: 0,
-            },
-        ))
+impl Accumulator for McState {
+    fn live(&self, _sample: usize) -> bool {
+        true
     }
 
     fn accumulate(
-        &self,
-        state: &mut McState,
+        &mut self,
         group_specs: &[usize],
         sample: usize,
         result: Result<DVec, CktError>,
@@ -202,11 +204,11 @@ impl YieldEstimator for MonteCarlo {
         match classify_sample(result, group_specs)? {
             SampleOutcome::Valid(margins) => {
                 for &i in group_specs {
-                    state.per_spec_margins[i].push(margins[i]);
+                    self.per_spec_margins[i].push(margins[i]);
                     if margins[i] < 0.0 {
-                        state.per_spec_bad[i] += 1;
-                        state.ok[sample] = false;
-                        state.violated[sample] = true;
+                        self.per_spec_bad[i] += 1;
+                        self.ok[sample] = false;
+                        self.violated[sample] = true;
                     }
                 }
             }
@@ -214,60 +216,20 @@ impl YieldEstimator for MonteCarlo {
             // failing every spec of this group instead of aborting the
             // verification, keeping any finite margins for the moments.
             SampleOutcome::Degraded(margins) => {
-                state.sim_failures += 1;
-                state.degraded[sample] = true;
+                self.sim_failures += 1;
+                self.degraded[sample] = true;
                 for &i in group_specs {
-                    state.per_spec_bad[i] += 1;
+                    self.per_spec_bad[i] += 1;
                     if let Some(m) = &margins {
                         if m[i].is_finite() {
-                            state.per_spec_margins[i].push(m[i]);
+                            self.per_spec_margins[i].push(m[i]);
                         }
                     }
                 }
-                state.ok[sample] = false;
+                self.ok[sample] = false;
             }
         }
         Ok(())
-    }
-
-    fn finalize<E: CircuitEnv + ?Sized>(
-        &self,
-        _env: &E,
-        state: McState,
-        theta_wc: Vec<OperatingPoint>,
-    ) -> McVerification {
-        let n_samples = self.options.n_samples;
-        let passed = state.ok.iter().filter(|&&x| x).count();
-        let degraded_samples = (0..n_samples)
-            .filter(|&j| state.degraded[j] && !state.violated[j])
-            .count();
-        McVerification {
-            yield_estimate: YieldEstimate::from_counts(passed, n_samples),
-            per_spec_bad: state.per_spec_bad,
-            per_spec_margins: state.per_spec_margins,
-            theta_wc,
-            sim_failures: state.sim_failures,
-            degraded_samples,
-        }
-    }
-
-    fn annotate(&self, span: &mut Span, output: &McVerification) {
-        span.set_attr("n_samples", self.options.n_samples);
-        span.set_attr("passed", output.yield_estimate.passed());
-        span.set_attr("yield", output.yield_estimate.value());
-        span.set_attr("sim_failures", output.sim_failures);
-        span.set_attr("degraded_samples", output.degraded_samples);
-        let (lo, hi) = output.yield_interval();
-        span.set_attr("yield_low", lo);
-        span.set_attr("yield_high", hi);
-        span.set_attr(
-            "per_spec_bad",
-            output
-                .per_spec_bad
-                .iter()
-                .map(|&b| b as f64)
-                .collect::<Vec<f64>>(),
-        );
     }
 }
 
@@ -276,6 +238,15 @@ mod tests {
     use super::*;
     use specwise_ckt::{AnalyticEnv, DesignParam, DesignSpace, SimPhase, Spec, SpecKind};
     use specwise_exec::{EvalService, ExecConfig, RetryPolicy};
+
+    fn mc_verify<E: CircuitEnv + ?Sized>(
+        env: &E,
+        d: &DVec,
+        n_samples: usize,
+        seed: u64,
+    ) -> Result<McVerification, SpecwiseError> {
+        MonteCarlo { n_samples, seed }.run(env, d, &Tracer::disabled())
+    }
 
     fn env() -> AnalyticEnv {
         AnalyticEnv::builder()
@@ -465,15 +436,5 @@ mod tests {
     fn rejects_zero_samples() {
         let e = env();
         assert!(mc_verify(&e, &DVec::from_slice(&[1.0]), 0, 1).is_err());
-    }
-
-    #[test]
-    fn options_struct_defaults_are_explicit() {
-        let o = McOptions::default();
-        assert_eq!(o.n_samples, 300);
-        assert_eq!(o.seed, 2001);
-        let e = env();
-        let v = mc_verify_with(&e, &DVec::from_slice(&[1.0]), &o).unwrap();
-        assert_eq!(v.yield_estimate.total(), 300);
     }
 }

@@ -23,13 +23,13 @@
 //! interval to `[0, 1]` instead of reporting a confident wrong number when
 //! the proposal turns out degenerate.
 
-use specwise_ckt::{CircuitEnv, CktError, OperatingPoint};
+use specwise_ckt::{CircuitEnv, OperatingPoint};
 use specwise_linalg::DVec;
-use specwise_trace::Span;
+use specwise_trace::Tracer;
 use specwise_wcd::margins_gradient_s;
 
-use crate::estimator::YieldEstimator;
-use crate::importance::{draw_shifted, IsResult, IsState};
+use crate::estimator::{traced, verification_corners};
+use crate::importance::{mean_shift_pass, IsResult};
 use crate::SpecwiseError;
 
 /// Maximum Gauss–Newton re-linearizations of the failure-point search.
@@ -102,25 +102,12 @@ impl NormMinResult {
     }
 }
 
-/// Minimum-norm failure-point importance sampling as a
-/// [`YieldEstimator`] (see the module docs). Selectable as
-/// [`EstimatorKind::NormMin`](crate::EstimatorKind::NormMin); run it through
-/// [`estimate_yield`](crate::estimate_yield) to record a `norm_min_verify`
-/// span.
+/// Minimum-norm failure-point importance sampling (see the module docs).
+/// Selectable as [`EstimatorKind::NormMin`](crate::EstimatorKind::NormMin).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NormMinIs {
     /// Sampling options and the ESS guard threshold.
     pub options: NormMinOptions,
-}
-
-/// Accumulator state of [`NormMinIs`].
-#[derive(Debug, Clone)]
-pub struct NormMinState {
-    is: IsState,
-    shift: DVec,
-    beta: f64,
-    critical_spec: usize,
-    search_sims: u64,
 }
 
 /// Outcome of the failure-point search: the proposal center, the boundary
@@ -134,6 +121,71 @@ struct SearchOutcome {
 }
 
 impl NormMinIs {
+    /// Verifies the yield of design `d`, recording one `norm_min_verify`
+    /// span (sample count, β, critical spec, the sampling pass's numbers,
+    /// the guard, the search's simulations and the `sims` counter) into
+    /// `tracer`'s journal.
+    ///
+    /// # Errors
+    ///
+    /// Propagates evaluation errors; rejects `options.n == 0`.
+    pub fn run<E: CircuitEnv + ?Sized>(
+        &self,
+        env: &E,
+        d: &DVec,
+        tracer: &Tracer,
+    ) -> Result<NormMinResult, SpecwiseError> {
+        traced(
+            tracer,
+            "norm_min_verify",
+            env,
+            || self.verify(env, d),
+            |span, r| {
+                span.set_attr("n", self.options.n);
+                span.set_attr("beta", r.beta);
+                span.set_attr("critical_spec", r.critical_spec);
+                span.set_attr("failure_probability", r.sampling.failure_probability);
+                span.set_attr("std_error", r.sampling.std_error);
+                span.set_attr("effective_sample_size", r.sampling.effective_sample_size);
+                span.set_attr("sim_failures", r.sampling.sim_failures);
+                span.set_attr("ess_degraded", r.ess_degraded);
+                span.set_attr("search_sims", r.search_sims);
+                let (lo, hi) = r.yield_interval();
+                span.set_attr("yield_low", lo);
+                span.set_attr("yield_high", hi);
+            },
+        )
+    }
+
+    /// The search, then the mean-shift pass at the point it found, then
+    /// the ESS guard.
+    fn verify<E: CircuitEnv + ?Sized>(
+        &self,
+        env: &E,
+        d: &DVec,
+    ) -> Result<NormMinResult, SpecwiseError> {
+        let NormMinOptions { n, seed, min_ess } = self.options;
+        if n == 0 {
+            return Err(SpecwiseError::InvalidConfig {
+                reason: "need at least one sample",
+            });
+        }
+        let theta_wc = verification_corners(env, d)?;
+        let sims_before = env.sim_count();
+        let search = self.search_failure_point(env, d, &theta_wc)?;
+        let search_sims = env.sim_count() - sims_before;
+        let sampling = mean_shift_pass(env, d, &theta_wc, &search.shift, n, seed)?;
+        let (sampling, ess_degraded) = ess_guard(sampling, min_ess);
+        Ok(NormMinResult {
+            shift: search.shift,
+            beta: search.beta,
+            critical_spec: search.critical_spec,
+            sampling,
+            ess_degraded,
+            search_sims,
+        })
+    }
+
     /// Gauss–Newton + coordinate-descent search for the minimum-norm
     /// failure point (module docs). Only simulation-failure evaluation
     /// errors are tolerated mid-search (the search stops where it stands);
@@ -291,101 +343,12 @@ fn ess_guard(mut sampling: IsResult, min_ess: f64) -> (IsResult, bool) {
     (sampling, tripped)
 }
 
-impl YieldEstimator for NormMinIs {
-    type State = NormMinState;
-    type Output = NormMinResult;
-
-    fn span_name(&self) -> &'static str {
-        "norm_min_verify"
-    }
-
-    fn validate<E: CircuitEnv + ?Sized>(&self, _env: &E) -> Result<(), SpecwiseError> {
-        if self.options.n == 0 {
-            return Err(SpecwiseError::InvalidConfig {
-                reason: "need at least one sample",
-            });
-        }
-        Ok(())
-    }
-
-    fn propose<E: CircuitEnv + ?Sized>(
-        &self,
-        env: &E,
-        d: &DVec,
-        theta_wc: &[OperatingPoint],
-    ) -> Result<(Vec<DVec>, NormMinState), SpecwiseError> {
-        let sims_before = env.sim_count();
-        let search = self.search_failure_point(env, d, theta_wc)?;
-        let search_sims = env.sim_count() - sims_before;
-
-        let (samples, is) = draw_shifted(&search.shift, self.options.n, self.options.seed);
-        let state = NormMinState {
-            is,
-            shift: search.shift,
-            beta: search.beta,
-            critical_spec: search.critical_spec,
-            search_sims,
-        };
-        Ok((samples, state))
-    }
-
-    fn live(&self, state: &NormMinState, sample: usize) -> bool {
-        state.is.live(sample)
-    }
-
-    fn accumulate(
-        &self,
-        state: &mut NormMinState,
-        group_specs: &[usize],
-        sample: usize,
-        result: Result<DVec, CktError>,
-    ) -> Result<(), SpecwiseError> {
-        state.is.accumulate(group_specs, sample, result)
-    }
-
-    fn finalize<E: CircuitEnv + ?Sized>(
-        &self,
-        _env: &E,
-        state: NormMinState,
-        _theta_wc: Vec<OperatingPoint>,
-    ) -> NormMinResult {
-        let (sampling, ess_degraded) = ess_guard(state.is.finish(), self.options.min_ess);
-        NormMinResult {
-            shift: state.shift,
-            beta: state.beta,
-            critical_spec: state.critical_spec,
-            sampling,
-            ess_degraded,
-            search_sims: state.search_sims,
-        }
-    }
-
-    fn annotate(&self, span: &mut Span, output: &NormMinResult) {
-        span.set_attr("n", self.options.n);
-        span.set_attr("beta", output.beta);
-        span.set_attr("critical_spec", output.critical_spec);
-        span.set_attr("failure_probability", output.sampling.failure_probability);
-        span.set_attr("std_error", output.sampling.std_error);
-        span.set_attr(
-            "effective_sample_size",
-            output.sampling.effective_sample_size,
-        );
-        span.set_attr("sim_failures", output.sampling.sim_failures);
-        span.set_attr("ess_degraded", output.ess_degraded);
-        span.set_attr("search_sims", output.search_sims);
-        let (lo, hi) = output.yield_interval();
-        span.set_attr("yield_low", lo);
-        span.set_attr("yield_high", hi);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{estimate_yield, mc_verify};
+    use crate::MonteCarlo;
     use specwise_ckt::{AnalyticEnv, DesignParam, DesignSpace, Spec, SpecKind};
     use specwise_stat::std_normal_cdf;
-    use specwise_trace::Tracer;
 
     /// margin = b + s0 → P(fail) = Φ(−b), minimum-norm failure point
     /// (−b, 0).
@@ -402,7 +365,9 @@ mod tests {
     }
 
     fn run(e: &AnalyticEnv, d: &DVec, options: NormMinOptions) -> NormMinResult {
-        estimate_yield(&NormMinIs { options }, e, d, &Tracer::disabled()).unwrap()
+        NormMinIs { options }
+            .run(e, d, &Tracer::disabled())
+            .unwrap()
     }
 
     #[test]
@@ -413,7 +378,12 @@ mod tests {
         let b = 4.8;
         let e = env(b);
         let d = DVec::from_slice(&[b]);
-        let plain = mc_verify(&e, &d, 4_000, 3).unwrap();
+        let plain = MonteCarlo {
+            n_samples: 4_000,
+            seed: 3,
+        }
+        .run(&e, &d, &Tracer::disabled())
+        .unwrap();
         assert_eq!(plain.yield_estimate.bad_samples(), 0);
         let r = run(&e, &d, NormMinOptions::default());
         let truth = std_normal_cdf(-b); // ≈ 7.9e-7
@@ -531,8 +501,8 @@ mod tests {
             n: 0,
             ..NormMinOptions::default()
         };
-        assert!(
-            estimate_yield(&NormMinIs { options: bad_n }, &e, &d, &Tracer::disabled()).is_err()
-        );
+        assert!(NormMinIs { options: bad_n }
+            .run(&e, &d, &Tracer::disabled())
+            .is_err());
     }
 }

@@ -24,10 +24,10 @@ use specwise_trace::{Span, Tracer};
 use specwise_wcd::{WcAnalysis, WcOptions, WcResult, WorstCasePoint};
 
 use crate::{
-    estimate_yield, find_feasible_start, line_search_feasible, Checkpoint, CoordinateSearch,
-    EstimatorKind, IsOptions, IsResult, LinearConstraints, LinearizedYield, McOptions,
-    McVerification, MeanShiftIs, MonteCarlo, NormMinIs, NormMinOptions, SpecwiseError,
-    TailVerification, WcdMaximizer, CHECKPOINT_VERSION, LINE_SEARCH_EVALS,
+    find_feasible_start, line_search_feasible, Checkpoint, CoordinateSearch, EstimatorKind,
+    IsResult, LinearConstraints, LinearizedYield, McVerification, MeanShiftIs, MonteCarlo,
+    NormMinIs, NormMinOptions, SpecwiseError, TailVerification, WcdMaximizer, CHECKPOINT_VERSION,
+    LINE_SEARCH_EVALS,
 };
 
 /// The objective maximized by the inner coordinate search.
@@ -685,16 +685,13 @@ impl YieldOptimizer {
         let bad_per_mille = model.bad_per_mille(d_f)?;
         let mut verified = None;
         let mut verified_tail = None;
-        if self.config.verify_samples > 0 {
+        let n = self.config.verify_samples;
+        let seed = self.config.seed ^ 0xABCD;
+        if n > 0 {
             match self.config.estimator {
                 EstimatorKind::Mc => {
-                    let estimator = MonteCarlo {
-                        options: McOptions {
-                            n_samples: self.config.verify_samples,
-                            seed: self.config.seed ^ 0xABCD,
-                        },
-                    };
-                    verified = Some(estimate_yield(&estimator, env, d_f, tracer)?);
+                    let mc = MonteCarlo { n_samples: n, seed };
+                    verified = Some(mc.run(env, d_f, tracer)?);
                 }
                 EstimatorKind::MeanShift => {
                     // Shift to the dominant worst-case point: the s_wc of
@@ -705,25 +702,16 @@ impl YieldOptimizer {
                         .min_by(|a, b| a.beta_wc.total_cmp(&b.beta_wc))
                         .map(|p| p.s_wc.clone())
                         .unwrap_or_else(|| DVec::zeros(env.stat_dim()));
-                    let estimator = MeanShiftIs {
-                        shift,
-                        options: IsOptions {
-                            n: self.config.verify_samples,
-                            seed: self.config.seed ^ 0xABCD,
-                        },
-                    };
-                    let r = estimate_yield(&estimator, env, d_f, tracer)?;
+                    let r = MeanShiftIs { shift, n, seed }.run(env, d_f, tracer)?;
                     verified_tail = Some(tail_summary(EstimatorKind::MeanShift, &r, false));
                 }
                 EstimatorKind::NormMin => {
-                    let estimator = NormMinIs {
-                        options: NormMinOptions {
-                            n: self.config.verify_samples,
-                            seed: self.config.seed ^ 0xABCD,
-                            ..NormMinOptions::default()
-                        },
+                    let options = NormMinOptions {
+                        n,
+                        seed,
+                        ..NormMinOptions::default()
                     };
-                    let r = estimate_yield(&estimator, env, d_f, tracer)?;
+                    let r = NormMinIs { options }.run(env, d_f, tracer)?;
                     verified_tail = Some(tail_summary(
                         EstimatorKind::NormMin,
                         &r.sampling,

@@ -397,10 +397,10 @@ impl SharedBudget {
 /// The [`KillSwitch::soft`] variant instead fails post-budget evaluations
 /// with a *retryable* simulation error (the same shape a non-converging
 /// solve produces), so downstream layers that tolerate simulation failures
-/// — notably the yield-estimator layer's shared accumulator policy
-/// (`specwise::classify_sample`), which counts-and-excludes failed samples
-/// and widens the reported yield interval for every estimator — degrade
-/// gracefully instead of aborting.
+/// — notably the yield estimators' shared degradation ladder (in
+/// `specwise`'s `estimator` module), which counts-and-excludes failed
+/// samples and widens the reported yield interval for every estimator —
+/// degrade gracefully instead of aborting.
 pub struct KillSwitch<'e, E: CircuitEnv + ?Sized> {
     env: &'e E,
     budget: std::sync::Arc<SharedBudget>,

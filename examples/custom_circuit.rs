@@ -25,9 +25,7 @@
 
 use std::error::Error;
 
-use specwise::{
-    estimate_yield, run_report, IsOptions, MeanShiftIs, OptimizerConfig, Tracer, YieldOptimizer,
-};
+use specwise::{run_report, MeanShiftIs, OptimizerConfig, Tracer, YieldOptimizer};
 use specwise_ckt::{CircuitEnv, Testbench};
 use specwise_linalg::DVec;
 
@@ -153,15 +151,12 @@ fn main() -> Result<(), Box<dyn Error>> {
             env.specs()[critical.spec].name(),
             critical.beta_wc
         );
-        let is = estimate_yield(
-            &MeanShiftIs {
-                shift: critical.s_wc.clone(),
-                options: IsOptions { n: 2_000, seed: 99 },
-            },
-            &env,
-            &final_snap.design,
-            &tracer,
-        )?;
+        let is = MeanShiftIs {
+            shift: critical.s_wc.clone(),
+            n: 2_000,
+            seed: 99,
+        }
+        .run(&env, &final_snap.design, &tracer)?;
         println!(
             "importance-sampled failure probability: {:.3e} (std err {:.1e}, ESS {:.0})",
             is.failure_probability, is.std_error, is.effective_sample_size

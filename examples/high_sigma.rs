@@ -15,10 +15,7 @@
 
 use std::error::Error;
 
-use specwise::{
-    estimate_yield, EstimatorKind, IsOptions, McOptions, MeanShiftIs, MonteCarlo, NormMinIs,
-    NormMinOptions, Tracer,
-};
+use specwise::{EstimatorKind, MeanShiftIs, MonteCarlo, NormMinIs, NormMinOptions, Tracer};
 use specwise_ckt::{AnalyticEnv, CircuitEnv, DesignParam, DesignSpace, Spec, SpecKind};
 use specwise_linalg::DVec;
 use specwise_stat::std_normal_cdf;
@@ -48,17 +45,11 @@ fn main() -> Result<(), Box<dyn Error>> {
     // Plain Monte Carlo at the same budget: structurally blind — the
     // failure region holds ~1e-6 of the sampling mass, so every sample
     // passes and the reported interval collapses onto 100 % yield.
-    let mc = estimate_yield(
-        &MonteCarlo {
-            options: McOptions {
-                n_samples: n,
-                seed: 2001,
-            },
-        },
-        &env,
-        &d,
-        &Tracer::disabled(),
-    )?;
+    let mc = MonteCarlo {
+        n_samples: n,
+        seed: 2001,
+    }
+    .run(&env, &d, &Tracer::disabled())?;
     println!(
         "plain MC, {n} samples: {} failures observed, yield {:.4} %",
         n - mc.yield_estimate.passed(),
@@ -78,15 +69,12 @@ fn main() -> Result<(), Box<dyn Error>> {
         EstimatorKind::MeanShift => {
             // Mean-shift IS needs a worst-case point from the caller; for
             // this linear spec the exact one is s = (−b, 0).
-            let r = estimate_yield(
-                &MeanShiftIs {
-                    shift: DVec::from_slice(&[-B, 0.0]),
-                    options: IsOptions { n, seed: 2001 },
-                },
-                &env,
-                &d,
-                &Tracer::disabled(),
-            )?;
+            let r = MeanShiftIs {
+                shift: DVec::from_slice(&[-B, 0.0]),
+                n,
+                seed: 2001,
+            }
+            .run(&env, &d, &Tracer::disabled())?;
             println!(
                 "estimator is, {n} samples: failure probability {:.3e} \
                  (std err {:.1e}, ESS {:.0})",
@@ -94,18 +82,12 @@ fn main() -> Result<(), Box<dyn Error>> {
             );
         }
         EstimatorKind::NormMin => {
-            let r = estimate_yield(
-                &NormMinIs {
-                    options: NormMinOptions {
-                        n,
-                        seed: 2001,
-                        ..NormMinOptions::default()
-                    },
-                },
-                &env,
-                &d,
-                &Tracer::disabled(),
-            )?;
+            let options = NormMinOptions {
+                n,
+                seed: 2001,
+                ..NormMinOptions::default()
+            };
+            let r = NormMinIs { options }.run(&env, &d, &Tracer::disabled())?;
             let (lo, hi) = r.yield_interval();
             println!(
                 "estimator norm-min, {n} samples (+{} search sims): \

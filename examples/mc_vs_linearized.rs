@@ -12,7 +12,7 @@
 
 use std::error::Error;
 
-use specwise::{estimate_yield, LinearizedYield, McOptions, MonteCarlo, Tracer};
+use specwise::{LinearizedYield, MonteCarlo, Tracer};
 use specwise_ckt::{CircuitEnv, FoldedCascode};
 use specwise_wcd::{WcAnalysis, WcOptions};
 
@@ -53,17 +53,11 @@ fn main() -> Result<(), Box<dyn Error>> {
         let mut d = d0.clone();
         d[0] *= scale;
         let linearized = model.estimate(&d)?;
-        let simulated = estimate_yield(
-            &MonteCarlo {
-                options: McOptions {
-                    n_samples: verify_samples,
-                    seed: 42,
-                },
-            },
-            &env,
-            &d,
-            &tracer,
-        )?;
+        let mc = MonteCarlo {
+            n_samples: verify_samples,
+            seed: 42,
+        };
+        let simulated = mc.run(&env, &d, &tracer)?;
         println!(
             "{:>10.1} {:>17.1}% {:>17.1}%",
             d[0],

@@ -16,7 +16,7 @@
 
 use std::error::Error;
 
-use specwise::{estimate_yield, McOptions, MonteCarlo, OptimizerConfig, Tracer, YieldOptimizer};
+use specwise::{MonteCarlo, OptimizerConfig, Tracer, YieldOptimizer};
 use specwise_ckt::{CircuitEnv, FoldedCascode};
 use specwise_linalg::DVec;
 
@@ -44,17 +44,11 @@ fn main() -> Result<(), Box<dyn Error>> {
     // 2. Simulation-based Monte-Carlo yield of the initial design
     //    (evaluated at each spec's worst-case operating corner, Eqs. 6-7).
     let tracer = Tracer::from_env();
-    let before = estimate_yield(
-        &MonteCarlo {
-            options: McOptions {
-                n_samples: if quick { 50 } else { 200 },
-                seed: 7,
-            },
-        },
-        &env,
-        &d0,
-        &tracer,
-    )?;
+    let mc = MonteCarlo {
+        n_samples: if quick { 50 } else { 200 },
+        seed: 7,
+    };
+    let before = mc.run(&env, &d0, &tracer)?;
     println!("\nInitial verified yield: {}", before.yield_estimate);
 
     // 3. One iteration of the paper's optimization loop (Fig. 6).

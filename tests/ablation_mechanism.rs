@@ -171,10 +171,14 @@ fn mirrored_models_capture_the_two_sided_failure() {
         "mirrored model should see both tails: {with_mirror}"
     );
     // And the mirrored estimate tracks the simulated truth.
-    let truth = specwise::mc_verify(&env, &d0, 4_000, 11)
-        .unwrap()
-        .yield_estimate
-        .value();
+    let truth = specwise::MonteCarlo {
+        n_samples: 4_000,
+        seed: 11,
+    }
+    .run(&env, &d0, &specwise::Tracer::disabled())
+    .unwrap()
+    .yield_estimate
+    .value();
     assert!(
         (with_mirror - truth).abs() < 0.05,
         "mirrored estimate {with_mirror} should track the truth {truth}"

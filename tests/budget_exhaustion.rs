@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use specwise::{mc_verify_with, McOptions};
+use specwise::{MonteCarlo, Tracer};
 use specwise_ckt::{AnalyticEnv, DesignParam, DesignSpace, Spec, SpecKind};
 use specwise_exec::{EvalService, ExecConfig, RetryPolicy};
 use specwise_harden::{KillSwitch, SharedBudget};
@@ -43,8 +43,8 @@ fn exec_cfg(workers: usize) -> ExecConfig {
         .with_retry(RetryPolicy::none())
 }
 
-fn mc_options() -> McOptions {
-    McOptions {
+fn mc_options() -> MonteCarlo {
+    MonteCarlo {
         n_samples: N_SAMPLES,
         seed: 2001,
     }
@@ -55,11 +55,12 @@ fn probe_calls(n: usize) -> u64 {
     let e = env();
     let probe = KillSwitch::soft(&e, u64::MAX);
     let svc = EvalService::new(&probe, exec_cfg(1));
-    let opts = McOptions {
+    let opts = MonteCarlo {
         n_samples: n,
         seed: 2001,
     };
-    mc_verify_with(&svc, &DVec::from_slice(&[8.0]), &opts).expect("probe run completes");
+    opts.run(&svc, &DVec::from_slice(&[8.0]), &Tracer::disabled())
+        .expect("probe run completes");
     probe.used()
 }
 
@@ -84,7 +85,8 @@ fn soft_budget_exhaustion_mid_batch_degrades_cleanly_at_any_worker_count() {
         let shared = Arc::new(SharedBudget::new(budget));
         let kill = KillSwitch::soft_with_budget(&e, Arc::clone(&shared));
         let svc = EvalService::new(&kill, exec_cfg(workers));
-        let mc = mc_verify_with(&svc, &d, &mc_options())
+        let mc = mc_options()
+            .run(&svc, &d, &Tracer::disabled())
             .expect("budget exhaustion must degrade, not crash");
 
         assert!(shared.tripped(), "the budget must actually run out");
@@ -157,7 +159,8 @@ fn fleet_ledger_starves_peer_daemons_exactly_like_local_spend() {
 
             let kill = KillSwitch::soft_with_budget(&e, Arc::clone(&shared));
             let svc = EvalService::new(&kill, exec_cfg(workers));
-            let mc = mc_verify_with(&svc, &d, &mc_options())
+            let mc = mc_options()
+                .run(&svc, &d, &Tracer::disabled())
                 .expect("fleet exhaustion must degrade, not crash");
             assert!(shared.tripped(), "the fleet-wide cap must run out");
             assert_eq!(
@@ -193,7 +196,8 @@ fn hard_budget_exhaustion_aborts_the_verification() {
     let e = env();
     let kill = KillSwitch::new(&e, budget);
     let svc = EvalService::new(&kill, exec_cfg(1));
-    let err = mc_verify_with(&svc, &DVec::from_slice(&[8.0]), &mc_options())
+    let err = mc_options()
+        .run(&svc, &DVec::from_slice(&[8.0]), &Tracer::disabled())
         .expect_err("a hard kill must abort mc verification");
     assert!(kill.tripped());
     let msg = err.to_string();

@@ -1,13 +1,12 @@
-//! Estimator-layer parity: the trait-ported verifiers must be bit-for-bit
-//! identical to the pre-refactor `mc_verify_inner` / `importance_verify_inner`
-//! loops they replaced.
+//! Estimator-layer parity: the `MonteCarlo` and `MeanShiftIs` verifiers
+//! must be bit-for-bit identical to the original Monte-Carlo and
+//! importance-sampling loops they replaced.
 //!
 //! The reference implementations below are frozen copies of the seed code
 //! (the exact accumulation order, RNG stream consumption, and exclusion
-//! rules), kept here so any future drift in the shared
-//! [`estimate_yield`](specwise::estimate_yield) driver or in an
-//! estimator's `propose`/`accumulate`/`finalize` split fails loudly with a
-//! bit diff instead of silently changing published yields. Checked per
+//! rules), kept here so any future drift in the shared corner-group batch
+//! loop or in an estimator's `run` fails loudly with a bit diff instead
+//! of silently changing published yields. Checked per
 //! opamp: yields, per-spec bad counts, streaming margin moments, yield
 //! intervals, simulation counters, and the journal span shapes — on the
 //! bare environments and through an `EvalService` at 1 and 4 workers.
@@ -16,10 +15,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use specwise::{
-    estimate_yield, importance_verify_with, mc_verify_with, IsOptions, IsResult, McOptions,
-    McVerification, MeanShiftIs, MonteCarlo,
-};
+use specwise::{IsResult, McVerification, MeanShiftIs, MonteCarlo};
 use specwise_ckt::{CircuitEnv, FiveTransistorOta, FoldedCascode, MillerOpamp, OperatingPoint};
 use specwise_exec::{EvalService, ExecConfig};
 use specwise_linalg::DVec;
@@ -31,7 +27,7 @@ const MC_SAMPLES: usize = 40;
 const IS_SAMPLES: usize = 60;
 const SEED: u64 = 2001;
 
-/// Frozen copy of the pre-refactor `mc_verify_inner` accumulation loop.
+/// Frozen copy of the pre-refactor Monte-Carlo accumulation loop.
 struct ReferenceMc {
     yield_estimate: YieldEstimate,
     per_spec_bad: Vec<usize>,
@@ -66,7 +62,7 @@ fn corner_groups<E: CircuitEnv + ?Sized>(
     (theta_wc, groups)
 }
 
-fn reference_mc<E: CircuitEnv + ?Sized>(env: &E, d: &DVec, options: &McOptions) -> ReferenceMc {
+fn reference_mc<E: CircuitEnv + ?Sized>(env: &E, d: &DVec, options: &MonteCarlo) -> ReferenceMc {
     let n_samples = options.n_samples;
     let n_spec = env.specs().len();
     let (theta_wc, groups) = corner_groups(env, d);
@@ -138,7 +134,7 @@ fn reference_mc<E: CircuitEnv + ?Sized>(env: &E, d: &DVec, options: &McOptions) 
     }
 }
 
-/// Frozen copy of the pre-refactor `importance_verify_inner` loop,
+/// Frozen copy of the pre-refactor importance-sampling loop,
 /// including the live-sample short-circuit across corner groups.
 struct ReferenceIs {
     failure_probability: f64,
@@ -153,7 +149,7 @@ fn reference_is<E: CircuitEnv + ?Sized>(
     env: &E,
     d: &DVec,
     shift: &DVec,
-    options: &IsOptions,
+    options: &MeanShiftIs,
 ) -> ReferenceIs {
     let n = options.n;
     let (_, groups) = corner_groups(env, d);
@@ -319,27 +315,32 @@ fn test_shift(dim: usize) -> DVec {
 
 fn check_env<E: CircuitEnv + Sync>(env: &E, label: &str) {
     let d = env.design_space().initial();
-    let mc_options = McOptions {
+    let mc_options = MonteCarlo {
         n_samples: MC_SAMPLES,
         seed: SEED,
     };
-    let is_options = IsOptions {
+    let shift = test_shift(env.stat_dim());
+    let is_options = MeanShiftIs {
+        shift: shift.clone(),
         n: IS_SAMPLES,
         seed: SEED,
     };
-    let shift = test_shift(env.stat_dim());
     let want_mc = reference_mc(env, &d, &mc_options);
     let want_is = reference_is(env, &d, &shift, &is_options);
 
     // Bare environment: the ports must match reference bits *and* spend
     // exactly as many simulations.
     let sims_before = env.sim_count();
-    let got = mc_verify_with(env, &d, &mc_options).expect("MC verifies");
+    let got = mc_options
+        .run(env, &d, &Tracer::disabled())
+        .expect("MC verifies");
     let mc_sims = env.sim_count() - sims_before;
     assert_mc_matches(&got, &want_mc, &format!("{label} bare MC"));
 
     let sims_before = env.sim_count();
-    let got = importance_verify_with(env, &d, &shift, &is_options).expect("IS verifies");
+    let got = is_options
+        .run(env, &d, &Tracer::disabled())
+        .expect("IS verifies");
     let is_sims = env.sim_count() - sims_before;
     assert_is_matches(&got, &want_is, &format!("{label} bare IS"));
 
@@ -353,7 +354,9 @@ fn check_env<E: CircuitEnv + Sync>(env: &E, label: &str) {
                 .with_cache_capacity(0),
         );
         let sims_before = svc.sim_count();
-        let got = mc_verify_with(&svc, &d, &mc_options).expect("MC verifies via service");
+        let got = mc_options
+            .run(&svc, &d, &Tracer::disabled())
+            .expect("MC verifies via service");
         assert_eq!(
             svc.sim_count() - sims_before,
             mc_sims,
@@ -362,8 +365,9 @@ fn check_env<E: CircuitEnv + Sync>(env: &E, label: &str) {
         assert_mc_matches(&got, &want_mc, &format!("{label} MC {workers} workers"));
 
         let sims_before = svc.sim_count();
-        let got =
-            importance_verify_with(&svc, &d, &shift, &is_options).expect("IS verifies via service");
+        let got = is_options
+            .run(&svc, &d, &Tracer::disabled())
+            .expect("IS verifies via service");
         assert_eq!(
             svc.sim_count() - sims_before,
             is_sims,
@@ -409,22 +413,16 @@ fn attr_f64(node: &SpanNode, key: &str) -> f64 {
 fn journal_spans_keep_pre_refactor_shapes() {
     let env = MillerOpamp::paper_setup();
     let d = env.design_space().initial();
-    let mc_options = McOptions {
+    let mc_options = MonteCarlo {
         n_samples: MC_SAMPLES,
         seed: SEED,
     };
     let want_mc = reference_mc(&env, &d, &mc_options);
 
     let journal = Arc::new(Journal::in_memory());
-    let got = estimate_yield(
-        &MonteCarlo {
-            options: mc_options,
-        },
-        &env,
-        &d,
-        &Tracer::new(Arc::clone(&journal)),
-    )
-    .expect("traced MC verifies");
+    let got = mc_options
+        .run(&env, &d, &Tracer::new(Arc::clone(&journal)))
+        .expect("traced MC verifies");
     assert_mc_matches(&got, &want_mc, "traced MC");
 
     let mc = single_span(&journal, "mc_verify");
@@ -454,23 +452,17 @@ fn journal_spans_keep_pre_refactor_shapes() {
     assert!(mc.span.counter("sims").is_some_and(|s| s > 0));
 
     let shift = test_shift(env.stat_dim());
-    let is_options = IsOptions {
+    let is_options = MeanShiftIs {
+        shift: shift.clone(),
         n: IS_SAMPLES,
         seed: SEED,
     };
     let want_is = reference_is(&env, &d, &shift, &is_options);
 
     let journal = Arc::new(Journal::in_memory());
-    let got = estimate_yield(
-        &MeanShiftIs {
-            shift: shift.clone(),
-            options: is_options,
-        },
-        &env,
-        &d,
-        &Tracer::new(Arc::clone(&journal)),
-    )
-    .expect("traced IS verifies");
+    let got = is_options
+        .run(&env, &d, &Tracer::new(Arc::clone(&journal)))
+        .expect("traced IS verifies");
     assert_is_matches(&got, &want_is, "traced IS");
 
     let is = single_span(&journal, "is_verify");

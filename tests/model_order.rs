@@ -8,7 +8,7 @@
 //! 2. diagonal-quadratic models at the nominal point,
 //! 3. plain nominal-point linearizations (the Table 4 strawman).
 
-use specwise::{mc_verify, LinearizedYield, QuadraticYield};
+use specwise::{LinearizedYield, MonteCarlo, QuadraticYield, Tracer};
 use specwise_ckt::{CircuitEnv, FoldedCascode};
 use specwise_linalg::DVec;
 use specwise_wcd::{QuadraticMarginModel, WcAnalysis, WcOptions};
@@ -32,10 +32,14 @@ fn linear_wc_models_match_simulation_within_paper_tolerance() {
     )
     .expect("model");
     let y_lin = linear.estimate(&d0).expect("estimate").value();
-    let y_sim = mc_verify(&env, &d0, 400, 77)
-        .expect("verify")
-        .yield_estimate
-        .value();
+    let y_sim = MonteCarlo {
+        n_samples: 400,
+        seed: 77,
+    }
+    .run(&env, &d0, &Tracer::disabled())
+    .expect("verify")
+    .yield_estimate
+    .value();
     assert!(
         (y_lin - y_sim).abs() < 0.05,
         "worst-case linearization {y_lin} vs simulation {y_sim}"
@@ -76,10 +80,14 @@ fn quadratic_models_add_little_over_wc_linear_on_the_circuit() {
     let quad = QuadraticYield::new(quads, 10_000, 5).expect("model");
     let y_quad = quad.estimate(&d0).expect("estimate").value();
 
-    let y_sim = mc_verify(&env, &d0, 400, 13)
-        .expect("verify")
-        .yield_estimate
-        .value();
+    let y_sim = MonteCarlo {
+        n_samples: 400,
+        seed: 13,
+    }
+    .run(&env, &d0, &Tracer::disabled())
+    .expect("verify")
+    .yield_estimate
+    .value();
 
     // Both model classes must bracket the (near-zero) simulated yield; the
     // linear WC models must not be materially worse than the quadratic ones.
@@ -110,10 +118,14 @@ fn quadratic_beats_nominal_linear_on_pure_mismatch_shape() {
     let d0 = DVec::from_slice(&[0.0]);
 
     // Truth: pass iff |s0 − s1| ≤ √2 ⇔ |Z| ≤ 1 → ≈ 0.6827.
-    let y_sim = mc_verify(&env, &d0, 20_000, 3)
-        .unwrap()
-        .yield_estimate
-        .value();
+    let y_sim = MonteCarlo {
+        n_samples: 20_000,
+        seed: 3,
+    }
+    .run(&env, &d0, &Tracer::disabled())
+    .unwrap()
+    .yield_estimate
+    .value();
     assert!((y_sim - 0.6827).abs() < 0.01);
 
     // Quadratic at nominal: near-exact. (The diagonal Hessian misses the

@@ -5,7 +5,7 @@
 //! never report a silently-bad point estimate as trustworthy.
 
 use proptest::prelude::*;
-use specwise::{estimate_yield, NormMinIs, NormMinOptions, NormMinResult};
+use specwise::{NormMinIs, NormMinOptions, NormMinResult};
 use specwise_ckt::{AnalyticEnv, CircuitEnv, DesignParam, DesignSpace, Spec, SpecKind};
 use specwise_linalg::DVec;
 use specwise_trace::Tracer;
@@ -60,19 +60,14 @@ fn cliff_env(b: f64) -> AnalyticEnv {
 
 fn run(env: &AnalyticEnv, seed: u64) -> NormMinResult {
     let d = env.design_space().initial();
-    estimate_yield(
-        &NormMinIs {
-            options: NormMinOptions {
-                n: 300,
-                seed,
-                ..NormMinOptions::default()
-            },
-        },
-        env,
-        &d,
-        &Tracer::disabled(),
-    )
-    .expect("norm-min verification must not error on degenerate proposals")
+    let options = NormMinOptions {
+        n: 300,
+        seed,
+        ..NormMinOptions::default()
+    };
+    NormMinIs { options }
+        .run(env, &d, &Tracer::disabled())
+        .expect("norm-min verification must not error on degenerate proposals")
 }
 
 /// Invariants every outcome must satisfy, guarded or not.

@@ -14,7 +14,7 @@
 //! Every variant runs on a fresh environment, so the warm-start state
 //! starts cold on every path.
 
-use specwise::{estimate_yield, McOptions, MonteCarlo, NormMinIs, NormMinOptions, Tracer};
+use specwise::{MonteCarlo, NormMinIs, NormMinOptions, Tracer};
 use specwise_ckt::{CircuitEnv, FoldedCascode, MillerOpamp, Testbench};
 use specwise_exec::{EvalService, ExecConfig};
 use specwise_linalg::DVec;
@@ -32,17 +32,11 @@ fn service(env: &Testbench, workers: usize) -> EvalService<'_, Testbench> {
 /// Everything an MC verification reports, as comparable bits.
 fn mc_bits<E: CircuitEnv + ?Sized>(env: &E, d: &DVec) -> Vec<u64> {
     let sims = env.sim_count();
-    let mc = estimate_yield(
-        &MonteCarlo {
-            options: McOptions {
-                n_samples: MC_SAMPLES,
-                seed: SEED,
-            },
-        },
-        env,
-        d,
-        &Tracer::disabled(),
-    )
+    let mc = MonteCarlo {
+        n_samples: MC_SAMPLES,
+        seed: SEED,
+    }
+    .run(env, d, &Tracer::disabled())
     .expect("MC verifies");
     let (low, high) = mc.yield_interval();
     let mut bits = vec![
@@ -65,19 +59,14 @@ fn mc_bits<E: CircuitEnv + ?Sized>(env: &E, d: &DVec) -> Vec<u64> {
 /// Everything a norm-min verification reports, as comparable bits.
 fn norm_min_bits<E: CircuitEnv + ?Sized>(env: &E, d: &DVec) -> Vec<u64> {
     let sims = env.sim_count();
-    let r = estimate_yield(
-        &NormMinIs {
-            options: NormMinOptions {
-                n: NORM_MIN_SAMPLES,
-                seed: SEED,
-                ..NormMinOptions::default()
-            },
-        },
-        env,
-        d,
-        &Tracer::disabled(),
-    )
-    .expect("norm-min verifies");
+    let options = NormMinOptions {
+        n: NORM_MIN_SAMPLES,
+        seed: SEED,
+        ..NormMinOptions::default()
+    };
+    let r = NormMinIs { options }
+        .run(env, d, &Tracer::disabled())
+        .expect("norm-min verifies");
     let (low, high) = r.yield_interval();
     let mut bits = vec![
         r.sampling.yield_value.to_bits(),
