@@ -29,7 +29,7 @@
 //! spool.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -811,15 +811,23 @@ fn stream_journal(
 }
 
 /// Writes the complete lines of a journal mirror starting at byte
-/// `offset`; returns the offset one past the last complete line.
-fn replay_journal_file(path: &Path, offset: usize, writer: &mut TcpStream) -> io::Result<usize> {
-    let text = std::fs::read_to_string(path).unwrap_or_default();
-    // Shrunk below our offset: the holder (re)attached and truncated the
-    // mirror — start over, replaying its fresh backlog.
-    let offset = if text.len() < offset { 0 } else { offset };
-    let chunk = &text[offset..];
-    let complete = chunk.rfind('\n').map_or(0, |i| i + 1);
-    for line in chunk[..complete].lines().filter(|l| !l.trim().is_empty()) {
+/// `offset`; returns the offset one past the last complete line. A line
+/// still being written (a torn multi-byte character included) waits for
+/// the next poll, and a missing mirror reads as empty.
+fn replay_journal_file(path: &Path, offset: usize, writer: &mut impl Write) -> io::Result<usize> {
+    let bytes = std::fs::read(path).unwrap_or_default();
+    // Shorter than our offset, or our offset no longer ends a line: the
+    // holder (re)attached and rewrote the mirror — start over, replaying
+    // its fresh backlog.
+    let offset = if bytes.len() < offset || (offset > 0 && bytes[offset - 1] != b'\n') {
+        0
+    } else {
+        offset
+    };
+    let chunk = &bytes[offset..];
+    let complete = chunk.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    let text = String::from_utf8_lossy(&chunk[..complete]);
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
         write_line(writer, line)?;
     }
     Ok(offset + complete)
@@ -864,6 +872,52 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().contains("tmp"))
             .count();
         assert_eq!(leftovers, 0, "temp files never outlive the rename");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Polls `path` once from `offset`, returning the new offset and the
+    /// lines streamed.
+    fn poll(path: &Path, offset: usize) -> (usize, Vec<String>) {
+        let mut out = Vec::new();
+        let offset = replay_journal_file(path, offset, &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        (offset, text.lines().map(str::to_string).collect())
+    }
+
+    #[test]
+    fn a_torn_trailing_character_is_streamed_once() {
+        let dir = std::env::temp_dir().join(format!("specwise-serve-rj-{}", unique_suffix()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("job.journal");
+        let full = "{\"msg\":\"a…\"}\n{\"spec\":\"ŝ\"}\n";
+        // The second line stops inside the two bytes of `ŝ`.
+        let torn = full.find('ŝ').unwrap() + 1;
+        let mut streamed = Vec::new();
+        let mut offset = 0;
+        for end in [full.find('\n').unwrap() + 1, torn, full.len()] {
+            std::fs::write(&path, &full.as_bytes()[..end]).unwrap();
+            let (next, lines) = poll(&path, offset);
+            offset = next;
+            streamed.extend(lines);
+        }
+        assert_eq!(streamed, ["{\"msg\":\"a…\"}", "{\"spec\":\"ŝ\"}"]);
+        assert_eq!(offset, full.len());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_longer_recreated_mirror_restarts_from_zero() {
+        let dir = std::env::temp_dir().join(format!("specwise-serve-rj-{}", unique_suffix()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("job.journal");
+        std::fs::write(&path, "abc\n").unwrap();
+        let (offset, lines) = poll(&path, 0);
+        assert_eq!((offset, lines), (4, vec!["abc".to_string()]));
+        // Re-created longer: byte 4 falls inside the second `ŝ`.
+        std::fs::write(&path, "xŝŝ\nyz\n").unwrap();
+        let (offset, lines) = poll(&path, offset);
+        assert_eq!(lines, ["xŝŝ", "yz"]);
+        assert_eq!(offset, "xŝŝ\nyz\n".len());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
