@@ -71,17 +71,12 @@ impl WorstCaseSearch {
         let mut s = DVec::from_fn(n_s, |i| 0.15 * (GOLDEN * (i as f64 + 1.0)).sin());
         // The exact nominal margin (for the sign of β_wc).
         let nominal_margin = env.eval_margins(d, &DVec::zeros(n_s), theta_wc)?[spec];
-        let mut last_margin = f64::NAN;
-        let mut last_grad = DVec::zeros(n_s);
         let mut converged = false;
 
         for iter in 0..MAX_SQP_ITERS {
             let (margins, jac) = margins_gradient_s(env, d, &s, theta_wc, FD_STEP_S)?;
             let m = margins[spec];
             let g = jac.row(spec);
-            let _ = iter;
-            last_margin = m;
-            last_grad = g.clone();
 
             let gnorm2 = g.dot(&g);
             if gnorm2 <= 1e-30 {
@@ -117,7 +112,6 @@ impl WorstCaseSearch {
             let m_new = margins_new[spec];
             let gnorm = gnorm2.sqrt();
             s = s_new;
-            last_margin = m_new;
             if m_new.abs() <= MARGIN_TOL_REL * gnorm
                 && step_norm <= MAX_STEP
                 && s.norm2() < BETA_MAX - 1e-9
@@ -138,10 +132,9 @@ impl WorstCaseSearch {
         } else {
             -beta_mag
         };
-        // Refresh the gradient at the final point when we moved (the last
-        // stored gradient belongs to the previous iterate).
+        // The gradient at the final point (the loop's last gradient
+        // belongs to the previous iterate).
         let (margins_f, jac_f) = margins_gradient_s(env, d, &s, theta_wc, FD_STEP_S)?;
-        let _ = (last_margin, last_grad);
         Ok(WorstCasePoint {
             spec,
             theta_wc: *theta_wc,
