@@ -455,15 +455,6 @@ pub trait CircuitEnv {
             .collect()
     }
 
-    /// Evaluates performances at every point, in input order.
-    fn eval_performances_batch(&self, points: &[EvalPoint]) -> Vec<Result<DVec, CktError>> {
-        self.warm_commit();
-        points
-            .iter()
-            .map(|p| self.eval_performances(&p.d, &p.s_hat, &p.theta))
-            .collect()
-    }
-
     /// Evaluates constraints at every design point, in input order.
     fn eval_constraints_batch(&self, designs: &[DVec]) -> Vec<Result<DVec, CktError>> {
         self.warm_commit();

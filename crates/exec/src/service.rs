@@ -439,12 +439,6 @@ impl<E: CircuitEnv + Sync + ?Sized> CircuitEnv for EvalService<'_, E> {
         })
     }
 
-    fn eval_performances_batch(&self, points: &[EvalPoint]) -> Vec<Result<DVec, CktError>> {
-        self.run_batch(points, |p| {
-            self.performances_inner(&p.d, &p.s_hat, &p.theta, p.memo)
-        })
-    }
-
     fn eval_constraints_batch(&self, designs: &[DVec]) -> Vec<Result<DVec, CktError>> {
         self.run_batch(designs, |d| self.constraints_with_retry(d))
     }
@@ -640,7 +634,7 @@ mod tests {
 
         // An unmemoized first evaluation does not seed the cache either.
         let cold = EvalService::new(&e, ExecConfig::default().with_workers(1));
-        let _ = cold.eval_performances_batch(&bare);
+        let _ = cold.eval_margins_batch(&bare);
         assert_eq!(cold.cache_len(), 0);
         assert_eq!(cold.report().cache_misses, 0);
     }

@@ -10,7 +10,7 @@
 //!   AC frequency points),
 //! * [`Complex64`], [`CVec`] — complex arithmetic and phasor vectors for
 //!   small-signal AC analysis,
-//! * [`SparsePattern`], [`SparseSymbolic`], [`SparseLu`], [`Triplets`] —
+//! * [`SparsePattern`], [`SparseSymbolic`], [`SparseLu`] —
 //!   sparse CSC assembly and a fill-reducing sparse LU (real and complex)
 //!   with a cached symbolic/numeric split for repeated factorizations of
 //!   one circuit topology.
@@ -50,5 +50,5 @@ pub use cvector::CVec;
 pub use error::LinalgError;
 pub use lu::Lu;
 pub use matrix::DMat;
-pub use sparse::{SparseLu, SparsePattern, SparseScalar, SparseSymbolic, Triplets};
+pub use sparse::{SparseLu, SparsePattern, SparseScalar, SparseSymbolic};
 pub use vector::DVec;

@@ -7,8 +7,8 @@
 //! Sparse 1.3) do:
 //!
 //! * [`SparsePattern`] — an immutable compressed-sparse-column pattern built
-//!   once per circuit topology (via [`SparsePattern::from_entries`] or
-//!   [`Triplets`]); values live in a flat slice indexed by pattern position,
+//!   once per circuit topology (via [`SparsePattern::from_entries`]);
+//!   values live in a flat slice indexed by pattern position,
 //!   so per-iteration assembly is just `vals[idx] += v` with no hashing and
 //!   no allocation.
 //! * [`SparseSymbolic`] — the pattern plus a fill-reducing column ordering
@@ -186,61 +186,6 @@ impl SparsePattern {
     #[inline]
     pub fn col_range(&self, c: usize) -> std::ops::Range<usize> {
         self.col_ptr[c]..self.col_ptr[c + 1]
-    }
-}
-
-/// Triplet (coordinate-format) accumulator for assembling a sparse matrix.
-///
-/// Duplicate coordinates are summed on [`Triplets::build`], matching the
-/// usual MNA "stamping" convention.
-#[derive(Debug, Clone)]
-pub struct Triplets<T> {
-    n: usize,
-    entries: Vec<(usize, usize, T)>,
-}
-
-impl<T: SparseScalar> Triplets<T> {
-    /// New accumulator for an `n×n` matrix.
-    pub fn new(n: usize) -> Self {
-        Triplets {
-            n,
-            entries: Vec::new(),
-        }
-    }
-
-    /// Adds `v` at `(r, c)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] for out-of-range indices.
-    pub fn push(&mut self, r: usize, c: usize, v: T) -> Result<(), LinalgError> {
-        if r >= self.n || c >= self.n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "triplet entry",
-                expected: self.n,
-                found: r.max(c),
-            });
-        }
-        self.entries.push((r, c, v));
-        Ok(())
-    }
-
-    /// Compresses to CSC, summing duplicates.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Empty`] for a zero-dimension accumulator.
-    pub fn build(&self) -> Result<(SparsePattern, Vec<T>), LinalgError> {
-        let coords: Vec<(usize, usize)> = self.entries.iter().map(|&(r, c, _)| (r, c)).collect();
-        let pattern = SparsePattern::from_entries(self.n, &coords)?;
-        let mut vals = vec![T::ZERO; pattern.nnz()];
-        for &(r, c, v) in &self.entries {
-            let idx = pattern
-                .index_of(r, c)
-                .expect("pattern was built from these coordinates");
-            vals[idx] = vals[idx] + v;
-        }
-        Ok((pattern, vals))
     }
 }
 
@@ -824,18 +769,6 @@ mod tests {
         assert_eq!(p.col_range(1), 1..3);
         assert_eq!(p.index_of(2, 1), Some(2));
         assert!(p.index_of(0, 1).is_none());
-    }
-
-    #[test]
-    fn triplets_sum_duplicates() {
-        let mut t = Triplets::new(2);
-        t.push(0, 0, 1.5).unwrap();
-        t.push(0, 0, 2.5).unwrap();
-        t.push(1, 0, -1.0).unwrap();
-        let (p, v) = t.build().unwrap();
-        assert_eq!(p.nnz(), 2);
-        assert_eq!(v[p.index_of(0, 0).unwrap()], 4.0);
-        assert!(t.push(2, 0, 1.0).is_err());
     }
 
     #[test]
