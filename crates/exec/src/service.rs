@@ -207,7 +207,9 @@ impl<'e, E: CircuitEnv + Sync + ?Sized> EvalService<'e, E> {
     ) -> Result<DVec, CktError> {
         let mut attempt: u32 = 0;
         loop {
-            let result = if attempt == 0 {
+            let result = if attempt == 0 || self.config.retry.perturb == 0.0 {
+                // A zero nudge retries the very same point: adding `0.0`
+                // would turn a `-0.0` component into `+0.0`.
                 self.call_isolated(|| self.env.eval_performances(d, s_hat, theta))
             } else {
                 // Deterministic nudge off the failing point; see

@@ -222,6 +222,36 @@ mod tests {
     }
 
     #[test]
+    fn same_point_retry_keeps_negative_zero() {
+        // `−0.0 + 0.0` is `+0.0`: a zero nudge that still ran would hand the
+        // injector a point with different bits, and a transient fault would
+        // fire again on the retry instead of clearing.
+        let e = env();
+        let cfg = FaultConfig::new(13, 1.0).with_kinds(&[FaultKind::NonConvergence]);
+        let inj = FaultInjector::new(&e, cfg);
+        let svc = EvalService::new(
+            &inj,
+            ExecConfig::serial()
+                .with_cache_capacity(0)
+                .with_retry(RetryPolicy {
+                    max_retries: 3,
+                    perturb: 0.0,
+                }),
+        );
+        let theta = OperatingPoint::new(27.0, 3.3);
+        let d = DVec::from_slice(&[1.0]);
+        let s = DVec::from_slice(&[-0.0, 0.5]);
+        let got = svc.eval_margins(&d, &s, &theta).unwrap();
+        assert_eq!(
+            got.as_slice(),
+            e.eval_margins(&d, &s, &theta).unwrap().as_slice()
+        );
+        assert_eq!(inj.report().total(), 1, "the retry must hit the same point");
+        let report = svc.report();
+        assert_eq!((report.retries, report.recovered), (1, 1));
+    }
+
+    #[test]
     fn injected_panics_are_contained_by_the_service() {
         let e = env();
         let cfg = FaultConfig::new(5, 0.5).with_kinds(&[FaultKind::WorkerPanic]);
