@@ -4,7 +4,26 @@
 //! The solver is the classical worst-case distance iteration of Antreich,
 //! Graeb et al. (paper refs [10, 12]): linearize the margin at the current
 //! iterate and jump to the point of the zero-margin hyperplane closest to
-//! the origin, repeating until the true margin vanishes there.
+//! the origin, repeating until the true margin vanishes there. Each move is
+//! damped to at most 2σ, a guard against nonlinearity on the way to a
+//! boundary.
+//!
+//! A spec that cannot fail within [`BETA_MAX`] never enters the yield of
+//! Eqs. 6–7, so its β only has to be shown to lie beyond the clamp. When
+//! the current margin is positive and the undamped linear target lies
+//! beyond the sphere, the search probes the sphere point along that target,
+//! `ŝ_sph = ŝ*·BETA_MAX/‖ŝ*‖`, with one gradient evaluation, and accepts
+//! the spec as uncritical (β = ±[`BETA_MAX`], not converged) there when a
+//! certificate holds:
+//!
+//! * the true margin is positive: `m(ŝ_sph) > 0`;
+//! * the linear model at `ŝ_sph` is positive over the whole ball
+//!   `‖ŝ‖ ≤ BETA_MAX`: `m − gᵀŝ_sph − BETA_MAX·‖g‖ > 0`, with `m` and `g`
+//!   the margin and gradient at `ŝ_sph`.
+//!
+//! Otherwise the damped walk goes on from the current iterate, so every
+//! spec that can fail still gets the 2σ guard. The probe runs at most once
+//! per search.
 
 use specwise_ckt::{CircuitEnv, OperatingPoint};
 use specwise_linalg::DVec;
@@ -71,7 +90,15 @@ impl WorstCaseSearch {
         let mut s = DVec::from_fn(n_s, |i| 0.15 * (GOLDEN * (i as f64 + 1.0)).sin());
         // The exact nominal margin (for the sign of β_wc).
         let nominal_margin = env.eval_margins(d, &DVec::zeros(n_s), theta_wc)?[spec];
+        let signed = |beta_mag: f64| {
+            if nominal_margin >= 0.0 {
+                beta_mag
+            } else {
+                -beta_mag
+            }
+        };
         let mut converged = false;
+        let mut probed = false;
 
         for iter in 0..MAX_SQP_ITERS {
             let (margins, jac) = margins_gradient_s(env, d, &s, theta_wc, FD_STEP_S)?;
@@ -95,6 +122,27 @@ impl WorstCaseSearch {
             let norm = s_next.norm2();
             if norm > BETA_MAX {
                 s_next.scale_mut(BETA_MAX / norm);
+                // Probe the sphere point for the uncritical certificate
+                // (module docs).
+                if m > 0.0 && !probed {
+                    probed = true;
+                    let (margins_sph, jac_sph) =
+                        margins_gradient_s(env, d, &s_next, theta_wc, FD_STEP_S)?;
+                    let m_sph = margins_sph[spec];
+                    let g_sph = jac_sph.row(spec);
+                    if m_sph > 0.0 && m_sph - g_sph.dot(&s_next) - BETA_MAX * g_sph.norm2() > 0.0 {
+                        return Ok(WorstCasePoint {
+                            spec,
+                            theta_wc: *theta_wc,
+                            s_wc: s_next,
+                            beta_wc: signed(BETA_MAX),
+                            nominal_margin,
+                            margin_at_wc: m_sph,
+                            grad_s: g_sph,
+                            converged: false,
+                        });
+                    }
+                }
             }
 
             // Damp overly long moves (nonlinearity guard): at most 2σ per step.
@@ -126,12 +174,7 @@ impl WorstCaseSearch {
             }
         }
 
-        let beta_mag = s.norm2();
-        let beta_wc = if nominal_margin >= 0.0 {
-            beta_mag
-        } else {
-            -beta_mag
-        };
+        let beta_wc = signed(s.norm2());
         // The gradient at the final point (the loop's last gradient
         // belongs to the previous iterate).
         let (margins_f, jac_f) = margins_gradient_s(env, d, &s, theta_wc, FD_STEP_S)?;
@@ -230,6 +273,65 @@ mod tests {
             .unwrap();
         assert!(!wc.converged);
         assert!((wc.beta_wc - BETA_MAX).abs() < 1e-6);
+    }
+
+    #[test]
+    fn curved_spec_past_the_sphere_by_its_first_step_is_still_found() {
+        // margin = 10 + 0.5·s0 − 0.2·s0²: the first linear step lands about
+        // 23σ out, but the sphere probe at s0 = −8 fails (margin −6.8), so
+        // the certificate rejects and the damped walk finds the boundary
+        // at s0 = (0.5 − √8.25)/0.4 ≈ −5.93.
+        let env = AnalyticEnv::builder()
+            .design(DesignSpace::new(vec![DesignParam::new(
+                "a", "", 0.0, 20.0, 10.0,
+            )]))
+            .stat_dim(2)
+            .spec(Spec::new("f", "", SpecKind::LowerBound, 0.0))
+            .performances(|d, s, _| DVec::from_slice(&[d[0] + 0.5 * s[0] - 0.2 * s[0] * s[0]]))
+            .build()
+            .unwrap();
+        let theta = env.operating_range().nominal();
+        let d = DVec::from_slice(&[10.0]);
+        let probe = env
+            .eval_margins(&d, &DVec::from_slice(&[-BETA_MAX, 0.0]), &theta)
+            .unwrap();
+        assert!(probe[0] < 0.0, "the sphere probe must fail: {}", probe[0]);
+        let wc = WorstCaseSearch.run(&env, &d, 0, &theta).unwrap();
+        let boundary = (0.5 - 8.25f64.sqrt()) / 0.4;
+        assert!(wc.converged, "a spec failing inside 8σ must converge");
+        assert!(
+            (wc.beta_wc + boundary).abs() < 1e-3,
+            "beta {} vs {}",
+            wc.beta_wc,
+            -boundary
+        );
+        assert!((wc.s_wc[0] - boundary).abs() < 1e-3);
+        // Converged within the relative tolerance (‖g‖ ≈ 2.9 there).
+        assert!(wc.margin_at_wc.abs() < MARGIN_TOL_REL * 3.0);
+    }
+
+    #[test]
+    fn positive_sphere_probe_with_a_failing_ball_model_is_still_found() {
+        // margin = 10 + 0.5·s0 − 0.3·s0·s1 fails first at β ≈ 7.0321 in the
+        // (−, −) quadrant (a fine scan over the quarter circle). The first linear step lands about 20σ out along
+        // −s0 and the sphere probe there passes (margin ≈ 6.6), but its
+        // gradient is steep along s1, so the linear model at the probe fails
+        // inside the ball and the certificate rejects.
+        let env = AnalyticEnv::builder()
+            .design(DesignSpace::new(vec![DesignParam::new(
+                "a", "", 0.0, 20.0, 10.0,
+            )]))
+            .stat_dim(2)
+            .spec(Spec::new("f", "", SpecKind::LowerBound, 0.0))
+            .performances(|d, s, _| DVec::from_slice(&[d[0] + 0.5 * s[0] - 0.3 * s[0] * s[1]]))
+            .build()
+            .unwrap();
+        let theta = env.operating_range().nominal();
+        let d = DVec::from_slice(&[10.0]);
+        let wc = WorstCaseSearch.run(&env, &d, 0, &theta).unwrap();
+        assert!(wc.converged, "a spec failing inside 8σ must converge");
+        assert!((wc.beta_wc - 7.0321).abs() < 1e-2, "beta {}", wc.beta_wc);
+        assert!(wc.s_wc[0] < 0.0 && wc.s_wc[1] < 0.0);
     }
 
     #[test]
