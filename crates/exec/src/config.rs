@@ -16,7 +16,8 @@ use specwise_ckt::env_knob::{parse_env_knob, warn_retired_knobs, Finite};
 pub struct RetryPolicy {
     /// Maximum number of retries after the first failed attempt.
     pub max_retries: u32,
-    /// Magnitude added to each `ŝ` component per retry attempt.
+    /// Magnitude added to each `ŝ` component per retry attempt; `0.0`
+    /// retries the very same point, bit for bit.
     pub perturb: f64,
 }
 
