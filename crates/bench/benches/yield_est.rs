@@ -12,6 +12,11 @@
 //! * `coord_scan_grid32` — one `ShiftTracker::scan_coord` over the same 32
 //!   values, a single pass over the samples.
 //!
+//! The `_2threads` rows repeat the scan and the model construction with the
+//! sample rows split over two threads (`LinearizedYield::with_threads`), as
+//! an optimizer run through a 2-worker evaluation service does. The 4x gate
+//! below measures the one-thread model, so it prices the algorithm alone.
+//!
 //! Quick mode: set `SPECWISE_BENCH_QUICK=1` to shorten the measurements
 //! and drop the 100k-sample scaling point (used by the CI smoke job). Gate
 //! mode: set `SPECWISE_BENCH_GATE=1` to assert, after timing, that the
@@ -140,15 +145,23 @@ fn probe_grid(tracker: &specwise::ShiftTracker<'_>, k: usize, values: &[f64]) ->
 fn bench_coord_scan(c: &mut Criterion) {
     let model = LinearizedYield::new(models(), 5, 10_000, 7).unwrap();
     let tracker = model.tracker(&DVec::filled(10, 0.3)).unwrap();
+    let split = LinearizedYield::with_threads(models(), 5, 10_000, 7, 2).unwrap();
+    assert_eq!(split.threads(), 2, "10k rows split over 2 threads");
+    let split_tracker = split.tracker(&DVec::filled(10, 0.3)).unwrap();
     let k = 3;
     let values = grid(-1.5, 1.5, 32);
 
-    // Parity guard: the scan must reproduce every probe before any timing
-    // is trusted.
+    // Parity guard: the scan must reproduce every probe, on one thread and
+    // on two, before any timing is trusted.
     assert_eq!(
         tracker.scan_coord(k, &values),
         probe_grid(&tracker, k, &values),
         "scan_coord disagrees with estimate_coord"
+    );
+    assert_eq!(
+        split_tracker.scan_coord(k, &values),
+        tracker.scan_coord(k, &values),
+        "the 2-thread scan disagrees with the 1-thread scan"
     );
 
     let mut group = c.benchmark_group("coordinate_move");
@@ -166,6 +179,9 @@ fn bench_coord_scan(c: &mut Criterion) {
     });
     group.bench_function("coord_scan_grid32", |b| {
         b.iter(|| tracker.scan_coord(k, &values))
+    });
+    group.bench_function("coord_scan_grid32_2threads", |b| {
+        b.iter(|| split_tracker.scan_coord(k, &values))
     });
     group.finish();
 
@@ -196,6 +212,9 @@ fn bench_coord_scan(c: &mut Criterion) {
 fn bench_model_construction(c: &mut Criterion) {
     c.bench_function("model_construction_10k_samples", |b| {
         b.iter(|| LinearizedYield::new(models(), 5, 10_000, 7).unwrap())
+    });
+    c.bench_function("model_construction_10k_samples_2threads", |b| {
+        b.iter(|| LinearizedYield::with_threads(models(), 5, 10_000, 7, 2).unwrap())
     });
 }
 

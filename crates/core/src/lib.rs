@@ -85,4 +85,4 @@ pub use report::{
 // `specwise-trace` directly (`YieldOptimizer::with_tracer(Tracer::from_env())`).
 pub use specwise_trace::{Journal, Tracer};
 pub use wcd_max::WcdMaximizer;
-pub use yield_model::{LinearizedYield, ShiftTracker};
+pub use yield_model::{LinearizedYield, ShiftTracker, MIN_CHUNK_ROWS};

@@ -240,9 +240,10 @@ impl YieldOptimizer {
     }
 
     /// Attaches a [`Tracer`]: the run then emits the full Fig. 6 span
-    /// hierarchy (`run` → `feasible_start` / `wc_analysis` / per-iteration
-    /// `iteration` with `constraints`, `coordinate_search`, `line_search`
-    /// children / `mc_verify`) into the tracer's journal. The default
+    /// hierarchy (`run` → `feasible_start` / `wc_analysis` /
+    /// `linear_model` / per-iteration `iteration` with `constraints`,
+    /// `coordinate_search`, `line_search` children / `mc_verify`) into the
+    /// tracer's journal. The default
     /// disabled tracer records nothing and costs one branch per phase.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
@@ -274,6 +275,9 @@ impl YieldOptimizer {
         let start = Instant::now();
         env.reset_sim_count();
         let n_spec = env.specs().len();
+        // The linear-model kernels split their sample rows over the worker
+        // pool the run was given; a bare environment has none.
+        let threads = env.exec_report().map_or(1, |r| r.workers);
 
         let mut run_span = self.tracer.span("run");
         if run_span.is_enabled() {
@@ -306,11 +310,12 @@ impl YieldOptimizer {
                     // The model RNG stream is a pure function of (seed,
                     // iteration), so restoring the iteration count restores
                     // the stream position.
-                    let model = LinearizedYield::new(
-                        ck.analysis.linearizations().to_vec(),
+                    let model = self.linear_model(
+                        &tr,
+                        &ck.analysis,
                         n_spec,
-                        cfg.mc_samples,
                         cfg.seed.wrapping_add(ck.iteration as u64),
+                        threads,
                     )?;
                     (
                         ck.d_f,
@@ -339,12 +344,7 @@ impl YieldOptimizer {
                     let analysis = WcAnalysis::new(env, cfg.wc_options)
                         .with_tracer(tr.clone())
                         .run(&d_f)?;
-                    let model = LinearizedYield::new(
-                        analysis.linearizations().to_vec(),
-                        n_spec,
-                        cfg.mc_samples,
-                        cfg.seed,
-                    )?;
+                    let model = self.linear_model(&tr, &analysis, n_spec, cfg.seed, threads)?;
                     let snapshots =
                         vec![self.snapshot(env, "Initial", &d_f, &analysis, &model, &tr, 0)?];
                     (
@@ -479,11 +479,12 @@ impl YieldOptimizer {
                 Ok(a) => {
                     analysis = a;
                     degradation_events += analysis.fallback_specs().len() as u64;
-                    model = LinearizedYield::new(
-                        analysis.linearizations().to_vec(),
+                    model = self.linear_model(
+                        &itr,
+                        &analysis,
                         n_spec,
-                        cfg.mc_samples,
                         cfg.seed.wrapping_add(iter as u64),
+                        threads,
                     )?;
                     snapshots
                         .push(self.snapshot(env, &label, &d_f, &analysis, &model, &itr, sim_base)?);
@@ -668,6 +669,32 @@ impl YieldOptimizer {
             &[("reason", reason.as_str().into()), ("events", total.into())],
         );
         Some(reason)
+    }
+
+    /// Draws the Eq. 17 sample model of `analysis`'s linearizations under a
+    /// `linear_model` span.
+    fn linear_model(
+        &self,
+        tracer: &Tracer,
+        analysis: &WcResult,
+        n_spec: usize,
+        seed: u64,
+        threads: usize,
+    ) -> Result<LinearizedYield, SpecwiseError> {
+        let mut span = tracer.span("linear_model");
+        let model = LinearizedYield::with_threads(
+            analysis.linearizations().to_vec(),
+            n_spec,
+            self.config.mc_samples,
+            seed,
+            threads,
+        )?;
+        if span.is_enabled() {
+            span.set_attr("samples", model.n_samples());
+            span.set_attr("models", model.models().len());
+            span.set_attr("threads", model.threads());
+        }
+        Ok(model)
     }
 
     #[allow(clippy::too_many_arguments)]

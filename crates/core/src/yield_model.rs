@@ -34,6 +34,31 @@
 //! and suffix, a single range `[a, b)`; counting where the ranges of all
 //! samples start and end yields every candidate's pass count. The work per
 //! coordinate drops from `G·N·m` comparisons to `N·m·log₂G`.
+//!
+//! # Split by rows, bit for bit
+//!
+//! The two kernels that touch every sample row, drawing the parts in
+//! [`LinearizedYield::with_threads`] and [`ShiftTracker::scan_coord`], can
+//! split the rows over several threads. The rows are cut into contiguous
+//! blocks of [`BLOCK_ROWS`]; the caller and up to `threads − 1` scoped
+//! helper threads claim the blocks in order from one shared queue, so a
+//! thread on a slower core simply takes fewer of them. With one thread
+//! the whole model is one block, which is the plain serial loop. The
+//! split changes no bit, whichever thread takes which block:
+//!
+//! * **Exact RNG skip.** Row `j` takes normals `j·n_s` up to
+//!   `(j+1)·n_s − 1` of one seeded stream. Each thread seeds its own generator and, before
+//!   drawing a block that starts at row `r`, skips to normal `r·n_s` with
+//!   [`StandardNormal::skip`]. The skip advances the generator and the
+//!   Box–Muller cache exactly as that many draws would, so every row sees
+//!   the variates the serial loop gives it, even when a block starts on a
+//!   cached sine half. Each part is a function of its own row only,
+//!   written in place.
+//! * **Integer counts.** A scan's per-thread `starts` and `ends` arrays
+//!   count samples; adding them is exact in any order, so the summed
+//!   arrays, and the pass counts built from them, equal the serial ones.
+
+use std::sync::{Mutex, PoisonError};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,6 +67,119 @@ use specwise_stat::{StandardNormal, YieldEstimate};
 use specwise_wcd::SpecLinearization;
 
 use crate::SpecwiseError;
+
+/// Fewest sample rows per thread before the row split uses more than one.
+/// On a 2-vCPU VM, a 32-value scan of a 7-model, 27-dimension set split
+/// over two threads loses at 4,096 rows (135 vs 112 µs), breaks even near
+/// 5,000 and wins from 6,000 (140 vs 160 µs); the model draw wins from 500
+/// rows. At this minimum the smallest split model has 8,192 rows, so the
+/// default 10,000-sample model runs on two threads and a 2,000-sample
+/// model on one.
+pub const MIN_CHUNK_ROWS: usize = 4_096;
+
+/// Rows per block that a thread of the row split claims at a time: ten
+/// blocks for a 10,000-sample model, so two threads on cores of unequal
+/// speed still finish together.
+const BLOCK_ROWS: usize = 1_024;
+
+/// Runs `work(state, i, block)` on every block, claimed in order by the
+/// caller and `threads − 1` scoped helper threads, each folding its blocks
+/// into its own `init()` state; returns the states, the caller's first.
+fn on_blocks<B: Send, S: Send>(
+    blocks: impl Iterator<Item = B> + Send,
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, usize, B) + Sync,
+) -> Vec<S> {
+    let queue = Mutex::new(blocks.enumerate());
+    let run = || {
+        let mut state = init();
+        loop {
+            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((i, block)) = next else {
+                return state;
+            };
+            work(&mut state, i, block);
+        }
+    };
+    if threads <= 1 {
+        return vec![run()];
+    }
+    let run = &run;
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(run)).collect();
+        let mut states = vec![run()];
+        states.extend(
+            helpers
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))),
+        );
+        states
+    })
+}
+
+/// One thread's position in the normal stream of the sample rows.
+struct Draws {
+    rng: StdRng,
+    normal: StandardNormal,
+    /// Normals drawn or skipped so far.
+    at: usize,
+}
+
+/// Fills `rows`, whole sample-major rows from normal `first` of the
+/// stream on, with the sample parts of `models`, after skipping `draws`
+/// forward to `first`. A thread claims blocks in increasing order, so
+/// `first` never lies behind `draws.at`.
+fn draw_rows(models: &[SpecLinearization], rows: &mut [f64], first: usize, draws: &mut Draws) {
+    let n_s = models[0].s_wc.len();
+    draws.normal.skip(&mut draws.rng, first - draws.at);
+    let mut sample = DVec::zeros(n_s);
+    for row in rows.chunks_exact_mut(models.len()) {
+        draws.normal.fill(&mut draws.rng, sample.as_mut_slice());
+        for (part, m) in row.iter_mut().zip(models) {
+            *part = m.sample_part(&sample);
+        }
+    }
+    draws.at = first + rows.len() / models.len() * n_s;
+}
+
+/// Adds to `starts` and `ends` where the passing ranges of `rows` start
+/// and end on a grid of `starts.len()` values, given each model's failure
+/// thresholds over the grid (row `mi` of `thresholds`) and whether its
+/// failing values are a suffix of the grid (`fails_high[mi]`) rather than
+/// a prefix.
+fn count_ranges(
+    rows: &[f64],
+    thresholds: &[f64],
+    fails_high: &[bool],
+    starts: &mut [usize],
+    ends: &mut [usize],
+) {
+    let n_g = starts.len();
+    for row in rows.chunks_exact(fails_high.len()) {
+        let (mut a, mut b) = (0, n_g);
+        for ((&p, t), &high) in row.iter().zip(thresholds.chunks_exact(n_g)).zip(fails_high) {
+            // The model fails the sample at value g exactly when p < t[g].
+            // Most samples pass every live value, which the live range's
+            // easiest end decides in one comparison.
+            let live = &t[a..b];
+            if high {
+                if p < live[live.len() - 1] {
+                    b = a + live.partition_point(|&t| !(p < t));
+                }
+            } else if p < live[0] {
+                a += live.partition_point(|&t| p < t);
+            }
+            if a == b {
+                break;
+            }
+        }
+        if a < b {
+            starts[a] += 1;
+            ends[b] += 1;
+        }
+    }
+}
 
 /// Checks a model set for [`LinearizedYield`] and returns the statistical
 /// dimension.
@@ -115,6 +253,10 @@ pub struct LinearizedYield {
     n_samples: usize,
     n_specs: usize,
     d_f: DVec,
+    /// Threads of the row split (see the module docs).
+    threads: usize,
+    /// Rows per block of the row split; all of them with one thread.
+    block_rows: usize,
 }
 
 impl LinearizedYield {
@@ -134,24 +276,66 @@ impl LinearizedYield {
         n_samples: usize,
         seed: u64,
     ) -> Result<Self, SpecwiseError> {
+        Self::with_threads(models, n_specs, n_samples, seed, 1)
+    }
+
+    /// [`LinearizedYield::new`] with the sample rows split over up to
+    /// `threads` threads, for the draw here and for every
+    /// [`ShiftTracker::scan_coord`] later. Every bit equals the one-thread
+    /// model's (see the module docs); each thread must have at least
+    /// [`MIN_CHUNK_ROWS`] rows, so small models stay on one thread.
+    ///
+    /// # Errors
+    ///
+    /// As [`LinearizedYield::new`].
+    pub fn with_threads(
+        models: Vec<SpecLinearization>,
+        n_specs: usize,
+        n_samples: usize,
+        seed: u64,
+        threads: usize,
+    ) -> Result<Self, SpecwiseError> {
+        let threads = threads.min(n_samples / MIN_CHUNK_ROWS).max(1);
+        Self::build(models, n_specs, n_samples, seed, threads, BLOCK_ROWS)
+    }
+
+    fn build(
+        models: Vec<SpecLinearization>,
+        n_specs: usize,
+        n_samples: usize,
+        seed: u64,
+        threads: usize,
+        block_rows: usize,
+    ) -> Result<Self, SpecwiseError> {
         let n_s = validate(&models, n_specs, n_samples)?;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let normal = StandardNormal::new();
+        let block_rows = if threads > 1 { block_rows } else { n_samples };
         let mut parts = vec![0.0; n_samples * models.len()];
-        let mut sample = DVec::zeros(n_s);
-        for row in parts.chunks_exact_mut(models.len()) {
-            normal.fill(&mut rng, sample.as_mut_slice());
-            for (part, m) in row.iter_mut().zip(&models) {
-                *part = m.sample_part(&sample);
-            }
-        }
+        on_blocks(
+            parts.chunks_mut(block_rows * models.len()),
+            threads,
+            || Draws {
+                rng: StdRng::seed_from_u64(seed),
+                normal: StandardNormal::new(),
+                at: 0,
+            },
+            |draws, i, rows| draw_rows(&models, rows, i * block_rows * n_s, draws),
+        );
         Ok(LinearizedYield {
             d_f: models[0].d_f.clone(),
             models,
             parts,
             n_samples,
             n_specs,
+            threads,
+            block_rows,
         })
+    }
+
+    /// Threads the sample rows are split over: 1 unless
+    /// [`LinearizedYield::with_threads`] was given more than one and the
+    /// model has at least [`MIN_CHUNK_ROWS`] rows per thread.
+    pub fn threads(&self) -> usize {
+        self.threads
     }
 
     /// Number of Monte-Carlo samples.
@@ -343,35 +527,20 @@ impl ShiftTracker<'_> {
         }
 
         // Each sample passes on one range [a, b) of the grid; counting where
-        // ranges start and end gives every candidate's pass count.
-        let mut starts = vec![0usize; n_g];
-        let mut ends = vec![0usize; n_g + 1];
-        for row in self.model.rows() {
-            let (mut a, mut b) = (0, n_g);
-            for ((&p, t), &high) in row
-                .iter()
-                .zip(thresholds.chunks_exact(n_g))
-                .zip(&fails_high)
-            {
-                // The model fails the sample at value g exactly when
-                // p < t[g]. Most samples pass every live value, which the
-                // live range's easiest end decides in one comparison.
-                let live = &t[a..b];
-                if high {
-                    if p < live[live.len() - 1] {
-                        b = a + live.partition_point(|&t| !(p < t));
-                    }
-                } else if p < live[0] {
-                    a += live.partition_point(|&t| p < t);
-                }
-                if a == b {
-                    break;
-                }
-            }
-            if a < b {
-                starts[a] += 1;
-                ends[b] += 1;
-            }
+        // ranges start and end gives every candidate's pass count. Each
+        // thread counts the blocks it claims, and the integer sums are exact.
+        let model = self.model;
+        let counted = on_blocks(
+            model.parts.chunks(model.block_rows * n_m),
+            model.threads,
+            || (vec![0usize; n_g], vec![0usize; n_g + 1]),
+            |(starts, ends), _, rows| count_ranges(rows, &thresholds, &fails_high, starts, ends),
+        );
+        let mut counted = counted.into_iter();
+        let (mut starts, mut ends) = counted.next().expect("the caller's counts");
+        for (s, e) in counted {
+            starts.iter_mut().zip(&s).for_each(|(total, n)| *total += n);
+            ends.iter_mut().zip(&e).for_each(|(total, n)| *total += n);
         }
         // A range ending at g started before g, so `passing` never drops
         // below zero.
@@ -494,5 +663,121 @@ mod tests {
         let b = LinearizedYield::new(vec![m], 1, 5_000, 99).unwrap();
         let d = DVec::from_slice(&[0.3]);
         assert_eq!(a.estimate(&d).unwrap(), b.estimate(&d).unwrap());
+    }
+
+    /// Models over `n_s` statistical and two design coordinates: both signs
+    /// of each design gradient, and a mirrored twin.
+    fn referee_models(n_s: usize) -> Vec<SpecLinearization> {
+        let grad = |k: usize, c: f64| -> Vec<f64> {
+            (0..n_s)
+                .map(|i| c * (0.7 * (i + k) as f64 + 0.3).sin())
+                .collect()
+        };
+        let zeros = vec![0.0; n_s];
+        let a = lin(0, 0.8, &grad(0, 1.0), &[0.6, -0.3], &zeros);
+        let b = lin(1, 1.2, &grad(1, 0.8), &[-0.4, 0.5], &zeros);
+        let c = lin(2, 1.5, &grad(2, 0.5), &[0.0, -0.9], &zeros);
+        vec![a, b.to_mirrored(), b, c]
+    }
+
+    /// Every observable of a model as 64-bit words: the parts, the
+    /// estimate and per-spec bad counts at two designs, every scan count
+    /// on both coordinates, and the coordinate search's design and count.
+    fn observables(ly: &LinearizedYield) -> Vec<u64> {
+        let mut words: Vec<u64> = ly.parts.iter().map(|p| p.to_bits()).collect();
+        for d in [[0.0, 0.0], [0.4, -0.7]] {
+            let d = DVec::from_slice(&d);
+            let y = ly.estimate(&d).unwrap();
+            words.extend([y.passed() as u64, y.value().to_bits()]);
+            words.extend(
+                ly.bad_samples_per_spec(&d)
+                    .unwrap()
+                    .iter()
+                    .map(|&b| b as u64),
+            );
+        }
+        let tracker = ly.tracker(&DVec::from_slice(&[0.2, -0.1])).unwrap();
+        let values: Vec<f64> = (0..32).map(|g| -2.0 + 4.0 * g as f64 / 31.0).collect();
+        for k in 0..2 {
+            words.extend(tracker.scan_coord(k, &values).iter().map(|&c| c as u64));
+        }
+        let bounds = crate::LinearConstraints::box_only(
+            &DVec::zeros(2),
+            DVec::filled(2, -2.0),
+            DVec::filled(2, 2.0),
+        );
+        let (d, y) = crate::CoordinateSearch
+            .run(ly, &bounds, &DVec::zeros(2))
+            .unwrap();
+        words.extend(d.iter().map(|v| v.to_bits()));
+        words.push(y.passed() as u64);
+        words
+    }
+
+    #[test]
+    fn row_split_keeps_every_bit() {
+        let mut odd_starts = 0;
+        for n_s in [3, 4] {
+            let models = referee_models(n_s);
+            for n in [1, 2, 9_999, 10_000] {
+                let serial = LinearizedYield::build(models.clone(), 3, n, 17, 1, n).unwrap();
+                let want = observables(&serial);
+                for threads in [1, 2, 3, 4, 7] {
+                    let pooled = LinearizedYield::with_threads(models.clone(), 3, n, 17, threads);
+                    assert!(
+                        observables(&pooled.unwrap()) == want,
+                        "n_s {n_s}, {n} samples, {threads} threads"
+                    );
+                    for block in [7, BLOCK_ROWS] {
+                        let split =
+                            LinearizedYield::build(models.clone(), 3, n, 17, threads, block)
+                                .unwrap();
+                        if threads > 1 && n > block && block * n_s % 2 == 1 {
+                            odd_starts += 1;
+                        }
+                        assert!(
+                            observables(&split) == want,
+                            "n_s {n_s}, {n} samples, {threads} threads, blocks of {block} rows"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(odd_starts > 0, "no block started on a cached sine half");
+    }
+
+    #[test]
+    fn only_large_models_split() {
+        let m = lin(0, 0.0, &[1.0], &[0.5], &[-1.0]);
+        let threads = |n, t| {
+            LinearizedYield::with_threads(vec![m.clone()], 1, n, 3, t)
+                .unwrap()
+                .threads()
+        };
+        assert_eq!(threads(10_000, 1), 1);
+        assert_eq!(threads(10_000, 2), 2);
+        assert_eq!(threads(10_000, 8), 2, "MIN_CHUNK_ROWS rows per thread");
+        assert_eq!(threads(2_000, 2), 1);
+        assert_eq!(threads(2 * MIN_CHUNK_ROWS - 1, 2), 1);
+        assert_eq!(threads(2 * MIN_CHUNK_ROWS, 2), 2);
+        assert_eq!(threads(10_000, 0), 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn any_row_split_matches_one_thread(
+            seed in 0u64..10_000,
+            n_s in 1usize..6,
+            n in 1usize..300,
+            threads in 1usize..9,
+            block in 1usize..40,
+        ) {
+            let models = referee_models(n_s);
+            let serial = LinearizedYield::build(models.clone(), 3, n, seed, 1, n).unwrap();
+            let split = LinearizedYield::build(models, 3, n, seed, threads, block).unwrap();
+            proptest::prop_assert!(observables(&split) == observables(&serial));
+        }
     }
 }

@@ -54,6 +54,26 @@ impl StandardNormal {
             *x = self.sample(rng);
         }
     }
+
+    /// Advances `rng` and the cache exactly as `n` calls of
+    /// [`sample`](Self::sample) would, so the next variate is the one the
+    /// `n + 1`-th call would have returned.
+    ///
+    /// Each uncached pair takes two uniforms, and each uniform takes exactly
+    /// one `next_u64`, so whole pairs are skipped as raw draws. An odd
+    /// remainder draws one real pair, which leaves its sine half cached.
+    pub fn skip<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) {
+        let mut n = n;
+        if n > 0 && self.cached.take().is_some() {
+            n -= 1;
+        }
+        for _ in 0..2 * (n / 2) {
+            rng.next_u64();
+        }
+        if n % 2 == 1 {
+            self.sample(rng);
+        }
+    }
 }
 
 #[cfg(test)]

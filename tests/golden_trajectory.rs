@@ -12,14 +12,24 @@
 //! analysis, spec-wise linearization, coordinate search and line search of
 //! both paper circuits in a few seconds.
 //!
+//! The pinned runs use a bare environment, which has no worker pool, so
+//! the linear-model kernels never split their sample rows there.
+//! `worker_pool_keeps_the_trajectory` covers the split: it runs the same
+//! configuration at the default sample count through an `EvalService` at 1
+//! and 2 workers and requires identical trajectories and effort.
+//!
 //! To regenerate after an *intentional* change of the trajectory:
 //!
 //! ```text
 //! cargo test --release --test golden_trajectory -- --ignored regenerate --nocapture
 //! ```
 
-use specwise::{OptimizationTrace, OptimizerConfig, YieldOptimizer};
+use std::sync::Arc;
+
+use specwise::{Journal, OptimizationTrace, OptimizerConfig, Tracer, YieldOptimizer};
 use specwise_ckt::{FoldedCascode, MillerOpamp, Testbench};
+use specwise_exec::{EvalService, ExecConfig};
+use specwise_trace::{Record, TraceValue};
 
 /// FNV-1a over a sequence of 64-bit words.
 fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -86,6 +96,55 @@ fn folded_trajectory_matches_golden() {
 #[test]
 fn miller_trajectory_matches_golden() {
     check("miller", &MillerOpamp::paper_setup(), GOLDEN_MILLER);
+}
+
+/// `(trajectory words, total simulations)` of one run at the default
+/// linear-model sample count through a fresh service with `workers`
+/// workers, after checking that every model build ran on
+/// `expected_threads` threads.
+fn pooled_run(env: &Testbench, workers: usize, expected_threads: u64) -> (Vec<u64>, u64) {
+    let mut cfg = config();
+    cfg.mc_samples = OptimizerConfig::default().mc_samples;
+    let journal = Arc::new(Journal::in_memory());
+    let svc = EvalService::new(env, ExecConfig::default().with_workers(workers));
+    let trace = YieldOptimizer::new(cfg)
+        .with_tracer(Tracer::new(Arc::clone(&journal)))
+        .run(&svc)
+        .expect("optimization runs");
+    let records = journal.records();
+    let builds: Vec<_> = records
+        .iter()
+        .filter_map(|r| match r {
+            Record::Span(s) if s.name == "linear_model" => Some(s),
+            _ => None,
+        })
+        .collect();
+    assert!(!builds.is_empty(), "no linear_model span");
+    for build in builds {
+        assert_eq!(
+            build.attr("threads"),
+            Some(&TraceValue::U64(expected_threads)),
+            "{workers} workers"
+        );
+    }
+    (trajectory_words(&trace), trace.total_sims)
+}
+
+#[test]
+fn worker_pool_keeps_the_trajectory() {
+    for (name, setup) in [
+        ("folded", FoldedCascode::paper_setup as fn() -> Testbench),
+        ("miller", MillerOpamp::paper_setup),
+    ] {
+        // A fresh environment per run: warm-start state carries over.
+        let (words_1, sims_1) = pooled_run(&setup(), 1, 1);
+        let (words_2, sims_2) = pooled_run(&setup(), 2, 2);
+        assert_eq!(sims_2, sims_1, "{name}: simulation count at 2 workers");
+        assert!(
+            words_2 == words_1,
+            "{name}: trajectory at 2 workers differs from 1 worker"
+        );
+    }
 }
 
 #[test]

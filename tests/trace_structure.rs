@@ -35,7 +35,13 @@ fn traced_run_matches_fig6_span_hierarchy() {
     assert_eq!(root.span.name, "run");
     let children = root.child_names();
     assert!(
-        children.starts_with(&["feasible_start", "wc_analysis", "mc_verify", "iteration"]),
+        children.starts_with(&[
+            "feasible_start",
+            "wc_analysis",
+            "linear_model",
+            "mc_verify",
+            "iteration"
+        ]),
         "run children should follow the Fig. 6 order, got {children:?}"
     );
 
@@ -85,6 +91,14 @@ fn traced_run_matches_fig6_span_hierarchy() {
         "iteration children should start with constraints + search, got {iter_children:?}"
     );
     assert!(iter_children.contains(&"wc_analysis"), "re-linearization");
+    assert!(iter_children.contains(&"linear_model"), "model rebuild");
+
+    // Every model build records its size and the threads it ran on; a bare
+    // environment has no worker pool, so it stays on one.
+    let model = root.find("linear_model").expect("linear_model span");
+    assert_eq!(model.span.attr("samples"), Some(&TraceValue::U64(500)));
+    assert!(model.span.attr("models").is_some());
+    assert_eq!(model.span.attr("threads"), Some(&TraceValue::U64(1)));
     assert!(iter.span.attr("accepted").is_some());
 
     // MC verification spans carry sample counts and the yield estimate.
