@@ -143,8 +143,8 @@ fn table7() -> Result<(), Box<dyn Error>> {
     println!("totals add Monte-Carlo verification, the Verify column below,");
     println!("and each call is far cheaper — see EXPERIMENTS.md)\n");
     let exec = ExecConfig::from_env();
-    let (_, trace_fc) = run_table1_exec(exec.clone())?;
-    let (_, trace_mi) = run_table6_exec(exec)?;
+    let (env_fc, trace_fc) = run_table1_exec(exec.clone())?;
+    let (env_mi, trace_mi) = run_table6_exec(exec)?;
     let rows = vec![
         (
             "Folded-Cascode".to_string(),
@@ -158,6 +158,13 @@ fn table7() -> Result<(), Box<dyn Error>> {
         ),
     ];
     println!("{}", effort_table(&rows));
+    println!("Repeated measurements served from the bench's last measurement");
+    println!("(an adjoint gradient at the point just measured; not simulated,");
+    println!("not counted above):");
+    for (name, env) in [("Folded-Cascode", &env_fc), ("Miller", &env_mi)] {
+        println!("  {name:<20}{:>14}", env.measurements_reused());
+    }
+    println!();
     println!("Per-phase breakdown (simulations attributed to each stage of");
     println!("Fig. 6; Hit % and Workers from the evaluation engine — tune with");
     println!("SPECWISE_WORKERS / SPECWISE_CACHE_CAP / SPECWISE_RETRIES):\n");

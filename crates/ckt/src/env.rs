@@ -96,6 +96,7 @@ pub struct SimCounter {
     current_phase: AtomicUsize,
     adjoint_solves: AtomicU64,
     fd_sims_avoided: AtomicU64,
+    measurements_reused: AtomicU64,
 }
 
 impl Default for SimCounter {
@@ -106,6 +107,7 @@ impl Default for SimCounter {
             current_phase: AtomicUsize::new(SimPhase::Other.index()),
             adjoint_solves: AtomicU64::new(0),
             fd_sims_avoided: AtomicU64::new(0),
+            measurements_reused: AtomicU64::new(0),
         }
     }
 }
@@ -173,6 +175,18 @@ impl SimCounter {
         self.fd_sims_avoided.load(Ordering::Relaxed)
     }
 
+    /// Records one repeated measurement served from the environment's last
+    /// measurement instead of being simulated again. A served repeat adds
+    /// nothing to the simulation total.
+    pub fn add_reused(&self) {
+        self.measurements_reused.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Repeated measurements served so far.
+    pub fn measurements_reused(&self) -> u64 {
+        self.measurements_reused.load(Ordering::Relaxed)
+    }
+
     /// Resets all counts to zero (the active phase selection is kept).
     pub fn reset(&self) {
         self.total.store(0, Ordering::Relaxed);
@@ -181,6 +195,7 @@ impl SimCounter {
         }
         self.adjoint_solves.store(0, Ordering::Relaxed);
         self.fd_sims_avoided.store(0, Ordering::Relaxed);
+        self.measurements_reused.store(0, Ordering::Relaxed);
     }
 }
 

@@ -55,7 +55,7 @@ use specwise_mna::{
 
 use crate::measure::{
     dc_solve_counted, measure, measure_with_directions, saturation_constraints, BuiltOpamp,
-    Measure, MeasureContext, Measured,
+    LastMeasurement, Measure, MeasureContext, Measured,
 };
 use crate::stats::{CapStat, DeviceStats};
 use crate::warm::WarmStartCache;
@@ -372,6 +372,8 @@ pub struct Testbench {
     pub(crate) counter: SimCounter,
     pub(crate) warm: WarmStartCache,
     pub(crate) identity: u64,
+    /// The last measurement, served again to an exact adjoint repeat.
+    pub(crate) last: LastMeasurement,
 }
 
 impl Testbench {
@@ -753,12 +755,14 @@ impl Testbench {
             counter: SimCounter::new(),
             warm: WarmStartCache::new(true),
             identity,
+            last: LastMeasurement::default(),
         })
     }
 
     /// Replaces the slew-rate extraction method.
     pub fn with_sr_method(mut self, method: SlewRateMethod) -> Self {
         self.sr_method = method;
+        self.last = LastMeasurement::default();
         self
     }
 
@@ -767,18 +771,28 @@ impl Testbench {
     /// checks.
     pub fn with_solver(mut self, choice: SolverChoice) -> Self {
         self.solver = choice;
+        self.last = LastMeasurement::default();
         self
     }
 
     /// Turns the DC warm-start cache on or off (default on).
     pub fn with_warm_start(mut self, enabled: bool) -> Self {
         self.warm = WarmStartCache::new(enabled);
+        self.last = LastMeasurement::default();
         self
     }
 
     /// The DC warm-start cache (e.g. to clear between benchmark runs).
     pub fn warm_cache(&self) -> &WarmStartCache {
         &self.warm
+    }
+
+    /// Adjoint requests served from the bench's last measurement instead of
+    /// being measured again: the simulations an exact repeat would have
+    /// cost, six per repeat with the analytic slew rate, were never run or
+    /// counted.
+    pub fn measurements_reused(&self) -> u64 {
+        self.counter.measurements_reused()
     }
 
     /// Where each design variable substitutes into the netlist.
@@ -813,8 +827,8 @@ impl Testbench {
     fn margins_from(&self, m: &Measured) -> Result<DVec, CktError> {
         let ctx = MeasureContext {
             metrics: &m.metrics,
-            op: &m.op_fb,
-            circuit: &m.fb_circuit,
+            op: &m.fb.op,
+            circuit: &m.fb.circuit,
         };
         let mut out = Vec::with_capacity(self.measures.len());
         for ((measure, conv), spec) in self.measures.iter().zip(&self.specs) {
@@ -933,8 +947,8 @@ impl CircuitEnv for Testbench {
         let m = measure(self, d, s_hat, theta)?;
         let ctx = MeasureContext {
             metrics: &m.metrics,
-            op: &m.op_fb,
-            circuit: &m.fb_circuit,
+            op: &m.fb.op,
+            circuit: &m.fb.circuit,
         };
         let mut out = Vec::with_capacity(self.measures.len());
         for (measure, conv) in &self.measures {
@@ -970,6 +984,7 @@ impl CircuitEnv for Testbench {
 
     fn warm_commit(&self) {
         self.warm.commit();
+        self.last.commit();
     }
 
     fn eval_margins_perturbed(
@@ -1206,6 +1221,131 @@ CL out 0 2.0e-12
         ] {
             assert_eq!(err.to_string(), CktError::from(want.clone()).to_string());
         }
+    }
+
+    /// `(answer, simulations, served repeats)` of one adjoint request with
+    /// the ŝ gradient directions at `(d, s)`.
+    fn adjoint_request(
+        tb: &Testbench,
+        d: &DVec,
+        s: &DVec,
+    ) -> (Option<(DVec, Vec<DVec>)>, u64, u64) {
+        let theta = tb.operating_range().nominal();
+        let dirs: Vec<(DVec, DVec)> = (0..s.len())
+            .map(|j| {
+                let mut s2 = s.clone();
+                s2[j] += 0.01;
+                (d.clone(), s2)
+            })
+            .collect();
+        let (sims, reused) = (tb.sim_count(), tb.measurements_reused());
+        let answer = tb.eval_margins_perturbed(d, s, &theta, &dirs).unwrap();
+        (
+            answer,
+            tb.sim_count() - sims,
+            tb.measurements_reused() - reused,
+        )
+    }
+
+    fn stat_point(tb: &Testbench, x: f64) -> DVec {
+        DVec::from_fn(tb.stat_dim(), |i| x - 0.05 * i as f64)
+    }
+
+    fn bits(answer: &Option<(DVec, Vec<DVec>)>) -> Vec<u64> {
+        let (base, per) = answer.as_ref().expect("the shortcut answers");
+        base.iter()
+            .chain(per.iter().flat_map(|m| m.iter()))
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn committed_repeats_are_served_bit_for_bit() {
+        let d = Testbench::from_deck(DECK).unwrap().design_space().initial();
+        let reference = Testbench::from_deck(DECK).unwrap();
+        let s = stat_point(&reference, 0.3);
+        let (want, sims, _) = adjoint_request(&reference, &d, &s);
+        assert_eq!(sims, 6, "a measured request: two DC solves, four AC");
+
+        // A plain measurement, a commit, then the adjoint request at the
+        // same point: served, no simulation.
+        let tb = Testbench::from_deck(DECK).unwrap();
+        let theta = tb.operating_range().nominal();
+        tb.eval_margins(&d, &s, &theta).unwrap();
+        tb.warm_commit();
+        let (got, sims, reused) = adjoint_request(&tb, &d, &s);
+        assert_eq!((sims, reused), (0, 1));
+        assert_eq!(bits(&got), bits(&want));
+        // An adjoint record serves the next adjoint request too.
+        tb.warm_commit();
+        let (again, sims, reused) = adjoint_request(&tb, &d, &s);
+        assert_eq!((sims, reused), (0, 1));
+        assert_eq!(bits(&again), bits(&want));
+        assert_eq!(tb.measurements_reused(), 2);
+    }
+
+    #[test]
+    fn uncommitted_warm_repeats_are_measured_again() {
+        let tb = Testbench::from_deck(DECK).unwrap();
+        let d = tb.design_space().initial();
+        let s = stat_point(&tb, 0.3);
+        tb.eval_margins(&d, &s, &tb.operating_range().nominal())
+            .unwrap();
+        let (_, sims, reused) = adjoint_request(&tb, &d, &s);
+        assert_eq!((sims, reused), (6, 0), "no commit: not provably the same");
+        // Without warm starts every solve is cold and deterministic.
+        let cold = Testbench::from_deck(DECK).unwrap().with_warm_start(false);
+        cold.eval_margins(&d, &s, &cold.operating_range().nominal())
+            .unwrap();
+        let (_, sims, reused) = adjoint_request(&cold, &d, &s);
+        assert_eq!((sims, reused), (0, 1));
+    }
+
+    #[test]
+    fn a_batch_keeps_its_smallest_signature_in_any_order() {
+        let d = Testbench::from_deck(DECK).unwrap().design_space().initial();
+        let served = |order: [f64; 2], request: f64| {
+            let tb = Testbench::from_deck(DECK).unwrap();
+            let theta = tb.operating_range().nominal();
+            tb.warm_commit();
+            for x in order {
+                tb.eval_margins(&d, &stat_point(&tb, x), &theta).unwrap();
+            }
+            tb.warm_commit();
+            adjoint_request(&tb, &d, &stat_point(&tb, request)).2
+        };
+        for order in [[0.25, 0.5], [0.5, 0.25]] {
+            assert_eq!(served(order, 0.25), 1, "{order:?}: smallest kept");
+            assert_eq!(served(order, 0.5), 0, "{order:?}: larger dropped");
+        }
+    }
+
+    #[test]
+    fn a_later_window_replaces_an_earlier_plain_record() {
+        let tb = Testbench::from_deck(DECK).unwrap();
+        let d = tb.design_space().initial();
+        let theta = tb.operating_range().nominal();
+        tb.eval_margins(&d, &stat_point(&tb, 0.25), &theta).unwrap();
+        tb.warm_commit();
+        // A larger signature, but measured after the commit.
+        tb.eval_margins(&d, &stat_point(&tb, 0.5), &theta).unwrap();
+        tb.warm_commit();
+        let (_, sims, reused) = adjoint_request(&tb, &d, &stat_point(&tb, 0.5));
+        assert_eq!((sims, reused), (0, 1));
+    }
+
+    #[test]
+    fn builders_forget_the_last_measurement() {
+        let tb = Testbench::from_deck(DECK).unwrap();
+        let d = tb.design_space().initial();
+        let s = stat_point(&tb, 0.3);
+        tb.eval_margins(&d, &s, &tb.operating_range().nominal())
+            .unwrap();
+        tb.warm_commit();
+        // Recompiled with another solver, the bench must measure again.
+        let tb = tb.with_solver(SolverChoice::Dense);
+        let (_, sims, reused) = adjoint_request(&tb, &d, &s);
+        assert_eq!((sims, reused), (6, 0));
     }
 
     #[test]

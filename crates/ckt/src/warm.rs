@@ -107,6 +107,24 @@ impl WarmKey {
         }
     }
 
+    /// The bit patterns of the inputs, in key order.
+    pub(crate) fn bits(&self) -> &[u64] {
+        &self.bits
+    }
+
+    /// The open-loop key of the same point, biased at `vout_fb` — equal to
+    /// `WarmKey::new(identity, OpenLoop, d, ŝ, θ, &[vout_fb])` for the
+    /// feedback key of `(d, ŝ, θ)`.
+    pub(crate) fn open_loop(&self, vout_fb: f64) -> WarmKey {
+        let mut bits = self.bits.clone();
+        bits.push(vout_fb.to_bits());
+        WarmKey {
+            identity: self.identity,
+            config: WarmConfig::OpenLoop,
+            bits,
+        }
+    }
+
     fn seed_slot(&self) -> (u64, usize) {
         (self.identity, self.config.index())
     }
@@ -213,6 +231,25 @@ impl WarmStartCache {
             Some(x) => WarmSeed::Near(x.clone()),
             None => WarmSeed::Cold,
         }
+    }
+
+    /// Whether a solve under `key` replays `x` bit for bit: the cache is
+    /// off (a cold solve is deterministic), or `x` is the committed exact
+    /// entry of `key`. The committed snapshot does not change between
+    /// commits, so the answer holds until the next
+    /// [`commit`](WarmStartCache::commit) or
+    /// [`clear`](WarmStartCache::clear).
+    pub(crate) fn replays(&self, key: &WarmKey, x: &DVec) -> bool {
+        if !self.enabled {
+            return true;
+        }
+        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        st.exact.get(key).is_some_and(|e| {
+            e.len() == x.len()
+                && e.iter()
+                    .zip(x.iter())
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+        })
     }
 
     /// Parks a converged solution in the pending set for the next
