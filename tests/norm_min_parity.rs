@@ -54,7 +54,7 @@ const GOLDEN_GUARD: u64 = 0x3450e6ae3e42f74e;
 const GOLDEN_SPAN: u64 = 0xaf0127060c2be73d;
 /// `(hash, total simulations)` of each one-iteration optimizer run.
 const GOLDEN_RUN_MEAN_SHIFT: (u64, u64) = (0xafdc66196677c3f5, 1615);
-const GOLDEN_RUN_NORM_MIN: (u64, u64) = (0xb431544dd688416b, 1861);
+const GOLDEN_RUN_NORM_MIN: (u64, u64) = (0xb431544dd688416b, 1849);
 
 /// FNV-1a over a sequence of 64-bit patterns.
 fn fnv1a(bits: impl IntoIterator<Item = u64>) -> u64 {
