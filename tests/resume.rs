@@ -3,6 +3,13 @@
 //! optimizer), and require the resumed run to reproduce the uninterrupted
 //! run's final design, yield estimates, and journal span structure
 //! bit-for-bit.
+//!
+//! A second case anchors the linearization at the nominal point (the
+//! Table 4 ablation), whose first gradient after a checkpoint is taken at
+//! a point the worst-case corner batch just measured. A resumed process
+//! starts with an empty last-measurement slot, so it must serve exactly
+//! the repeats the uninterrupted run serves and spend the same
+//! simulations.
 
 use std::sync::Arc;
 
@@ -10,6 +17,7 @@ use specwise::{Journal, OptimizerConfig, Tracer, YieldOptimizer};
 use specwise_ckt::{MillerOpamp, Testbench};
 use specwise_harden::KillSwitch;
 use specwise_trace::SpanNode;
+use specwise_wcd::LinearizationPoint;
 
 fn quick_config() -> OptimizerConfig {
     let mut cfg = OptimizerConfig::default();
@@ -27,8 +35,8 @@ fn env() -> Testbench {
     MillerOpamp::paper_setup().with_warm_start(false)
 }
 
-fn unique_ckpt() -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("specwise-resume-{}.ckpt", std::process::id()))
+fn unique_ckpt(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("specwise-resume-{tag}-{}.ckpt", std::process::id()))
 }
 
 /// The timing-free shape of a span subtree: names, attributes, and counters,
@@ -71,7 +79,7 @@ fn iterations_from(roots: &[SpanNode], from: u64) -> Vec<SpanNode> {
 
 #[test]
 fn killed_run_resumes_bit_for_bit() {
-    let ckpt = unique_ckpt();
+    let ckpt = unique_ckpt("killed");
     let _ = std::fs::remove_file(&ckpt);
 
     // Uninterrupted reference run, journaled. The pass-through KillSwitch
@@ -155,6 +163,48 @@ fn killed_run_resumes_bit_for_bit() {
     for (a, b) in tail.iter().zip(&res_iters) {
         assert_eq!(shape(a), shape(b), "span structure diverged");
     }
+
+    let _ = std::fs::remove_file(&ckpt);
+}
+
+#[test]
+fn nominal_anchored_run_resumes_with_the_same_sims() {
+    let ckpt = unique_ckpt("nominal");
+    let _ = std::fs::remove_file(&ckpt);
+    let config = || {
+        let mut cfg = quick_config();
+        cfg.max_iterations = 1;
+        cfg.wc_options.linearization_point = LinearizationPoint::Nominal;
+        cfg
+    };
+
+    let ref_env = env();
+    let probe = KillSwitch::new(&ref_env, u64::MAX);
+    let reference = YieldOptimizer::new(config())
+        .run(&probe)
+        .expect("reference run completes");
+    assert!(ref_env.measurements_reused() > 0, "the run serves repeats");
+
+    // Killed inside the iteration's verification, after the initial
+    // checkpoint was written.
+    let kill_env = env();
+    let kill = KillSwitch::new(&kill_env, probe.used() - 60);
+    assert!(YieldOptimizer::new(config())
+        .with_checkpoint(&ckpt)
+        .run(&kill)
+        .is_err());
+
+    let resumed = YieldOptimizer::new(config())
+        .with_checkpoint(&ckpt)
+        .run(&env())
+        .expect("resumed run completes");
+    assert!(resumed.resumed);
+    assert_eq!(
+        reference.final_design().as_slice(),
+        resumed.final_design().as_slice()
+    );
+    assert_eq!(reference.total_sims, resumed.total_sims);
+    assert_eq!(reference.phase_sims, resumed.phase_sims);
 
     let _ = std::fs::remove_file(&ckpt);
 }
