@@ -38,11 +38,14 @@ fn bench_wc_search_analytic(c: &mut Criterion) {
     let d = DVec::from_slice(&[3.0]);
     let theta = env.operating_range().nominal();
     let search = WorstCaseSearch;
+    let nominal = env
+        .eval_margins(&d, &DVec::zeros(env.stat_dim()), &theta)
+        .unwrap();
     c.bench_function("wc_distance_linear_27d", |b| {
-        b.iter(|| search.run(&env, &d, 0, &theta).unwrap())
+        b.iter(|| search.run(&env, &d, 0, &theta, nominal[0]).unwrap())
     });
     c.bench_function("wc_distance_quadratic_27d", |b| {
-        b.iter(|| search.run(&env, &d, 1, &theta).unwrap())
+        b.iter(|| search.run(&env, &d, 1, &theta, nominal[1]).unwrap())
     });
 }
 

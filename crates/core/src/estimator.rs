@@ -10,6 +10,11 @@
 //! them one corner group at a time ([`evaluate_by_corner`]) and settle the
 //! result. [`traced`] wraps the whole run in its journal span.
 //!
+//! * **Corners measured once.** A standalone `run` sweeps the corners
+//!   itself, inside its span. The optimizer verifies a design right after
+//!   its worst-case analysis swept the same corners, so it hands those
+//!   over ([`WcResult::nominal_corners`](specwise_wcd::WcResult::nominal_corners))
+//!   through each estimator's crate-private `run_with`.
 //! * **Bits at any worker count.** Every sample is drawn before any is
 //!   evaluated, in the RNG order of a serial draw-then-evaluate loop, and
 //!   each corner group goes out as one unmemoized [`EvalPoint`] batch, so
@@ -95,14 +100,28 @@ pub(crate) trait Accumulator {
 }
 
 /// Switches `env` to the verification phase and returns each spec's
-/// worst-case operating corner at the nominal statistical point ŝ = 0.
+/// worst-case operating corner at the nominal statistical point ŝ = 0:
+/// `known`, when the caller already swept them at `d`, or a fresh sweep.
 pub(crate) fn verification_corners<E: CircuitEnv + ?Sized>(
     env: &E,
     d: &DVec,
+    known: Option<&[OperatingPoint]>,
 ) -> Result<Vec<OperatingPoint>, SpecwiseError> {
     env.set_sim_phase(SimPhase::Verification);
-    let corners = worst_case_corners(env, d, &DVec::zeros(env.stat_dim()))?;
-    Ok(corners.iter().map(|(t, _)| *t).collect())
+    match known {
+        Some(theta_wc) => {
+            // The sweep's batch would have published the warm-start
+            // snapshot before it simulated; publish it here too, so the
+            // verification's Newton solves seed from the same state
+            // either way.
+            env.warm_commit();
+            Ok(theta_wc.to_vec())
+        }
+        None => {
+            let corners = worst_case_corners(env, d, &DVec::zeros(env.stat_dim()))?;
+            Ok(corners.iter().map(|(t, _)| *t).collect())
+        }
+    }
 }
 
 /// Evaluates `samples` at design `d`, one batch per distinct corner of

@@ -104,11 +104,23 @@ impl MeanShiftIs {
         d: &DVec,
         tracer: &Tracer,
     ) -> Result<IsResult, SpecwiseError> {
+        self.run_with(env, d, None, tracer)
+    }
+
+    /// [`MeanShiftIs::run`] at the worst-case corners `known` that a worst-case
+    /// analysis of `d` already swept (`None` sweeps them, as `run` does).
+    pub(crate) fn run_with<E: CircuitEnv + ?Sized>(
+        &self,
+        env: &E,
+        d: &DVec,
+        known: Option<&[OperatingPoint]>,
+        tracer: &Tracer,
+    ) -> Result<IsResult, SpecwiseError> {
         traced(
             tracer,
             "is_verify",
             env,
-            || self.verify(env, d),
+            || self.verify(env, d, known),
             |span, r| {
                 span.set_attr("n", self.n);
                 span.set_attr("failure_probability", r.failure_probability);
@@ -123,7 +135,12 @@ impl MeanShiftIs {
         )
     }
 
-    fn verify<E: CircuitEnv + ?Sized>(&self, env: &E, d: &DVec) -> Result<IsResult, SpecwiseError> {
+    fn verify<E: CircuitEnv + ?Sized>(
+        &self,
+        env: &E,
+        d: &DVec,
+        known: Option<&[OperatingPoint]>,
+    ) -> Result<IsResult, SpecwiseError> {
         if self.n == 0 {
             return Err(SpecwiseError::InvalidConfig {
                 reason: "need at least one sample",
@@ -136,7 +153,7 @@ impl MeanShiftIs {
                 found: self.shift.len(),
             });
         }
-        let theta_wc = verification_corners(env, d)?;
+        let theta_wc = verification_corners(env, d, known)?;
         mean_shift_pass(env, d, &theta_wc, &self.shift, self.n, self.seed)
     }
 }

@@ -95,11 +95,23 @@ impl MonteCarlo {
         d: &DVec,
         tracer: &Tracer,
     ) -> Result<McVerification, SpecwiseError> {
+        self.run_with(env, d, None, tracer)
+    }
+
+    /// [`MonteCarlo::run`] at the worst-case corners `known` that a worst-case
+    /// analysis of `d` already swept (`None` sweeps them, as `run` does).
+    pub(crate) fn run_with<E: CircuitEnv + ?Sized>(
+        &self,
+        env: &E,
+        d: &DVec,
+        known: Option<&[OperatingPoint]>,
+        tracer: &Tracer,
+    ) -> Result<McVerification, SpecwiseError> {
         traced(
             tracer,
             "mc_verify",
             env,
-            || self.verify(env, d),
+            || self.verify(env, d, known),
             |span, v| {
                 span.set_attr("n_samples", self.n_samples);
                 span.set_attr("passed", v.yield_estimate.passed());
@@ -124,13 +136,14 @@ impl MonteCarlo {
         &self,
         env: &E,
         d: &DVec,
+        known: Option<&[OperatingPoint]>,
     ) -> Result<McVerification, SpecwiseError> {
         if self.n_samples == 0 {
             return Err(SpecwiseError::InvalidConfig {
                 reason: "need at least one sample",
             });
         }
-        let theta_wc = verification_corners(env, d)?;
+        let theta_wc = verification_corners(env, d, known)?;
         // Draw every sample first — one `fill` per sample, exactly the RNG
         // call order of a serial evaluate-as-you-draw loop.
         let mut rng = StdRng::seed_from_u64(self.seed);

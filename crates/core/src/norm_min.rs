@@ -135,11 +135,23 @@ impl NormMinIs {
         d: &DVec,
         tracer: &Tracer,
     ) -> Result<NormMinResult, SpecwiseError> {
+        self.run_with(env, d, None, tracer)
+    }
+
+    /// [`NormMinIs::run`] at the worst-case corners `known` that a worst-case
+    /// analysis of `d` already swept (`None` sweeps them, as `run` does).
+    pub(crate) fn run_with<E: CircuitEnv + ?Sized>(
+        &self,
+        env: &E,
+        d: &DVec,
+        known: Option<&[OperatingPoint]>,
+        tracer: &Tracer,
+    ) -> Result<NormMinResult, SpecwiseError> {
         traced(
             tracer,
             "norm_min_verify",
             env,
-            || self.verify(env, d),
+            || self.verify(env, d, known),
             |span, r| {
                 span.set_attr("n", self.options.n);
                 span.set_attr("beta", r.beta);
@@ -163,6 +175,7 @@ impl NormMinIs {
         &self,
         env: &E,
         d: &DVec,
+        known: Option<&[OperatingPoint]>,
     ) -> Result<NormMinResult, SpecwiseError> {
         let NormMinOptions { n, seed, min_ess } = self.options;
         if n == 0 {
@@ -170,7 +183,7 @@ impl NormMinIs {
                 reason: "need at least one sample",
             });
         }
-        let theta_wc = verification_corners(env, d)?;
+        let theta_wc = verification_corners(env, d, known)?;
         let sims_before = env.sim_count();
         let search = self.search_failure_point(env, d, &theta_wc)?;
         let search_sims = env.sim_count() - sims_before;

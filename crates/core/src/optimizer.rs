@@ -714,11 +714,13 @@ impl YieldOptimizer {
         let mut verified_tail = None;
         let n = self.config.verify_samples;
         let seed = self.config.seed ^ 0xABCD;
+        // The analysis just swept the corners at this design.
+        let corners = Some(analysis.nominal_corners());
         if n > 0 {
             match self.config.estimator {
                 EstimatorKind::Mc => {
                     let mc = MonteCarlo { n_samples: n, seed };
-                    verified = Some(mc.run(env, d_f, tracer)?);
+                    verified = Some(mc.run_with(env, d_f, corners, tracer)?);
                 }
                 EstimatorKind::MeanShift => {
                     // Shift to the dominant worst-case point: the s_wc of
@@ -729,7 +731,7 @@ impl YieldOptimizer {
                         .min_by(|a, b| a.beta_wc.total_cmp(&b.beta_wc))
                         .map(|p| p.s_wc.clone())
                         .unwrap_or_else(|| DVec::zeros(env.stat_dim()));
-                    let r = MeanShiftIs { shift, n, seed }.run(env, d_f, tracer)?;
+                    let r = MeanShiftIs { shift, n, seed }.run_with(env, d_f, corners, tracer)?;
                     verified_tail = Some(tail_summary(EstimatorKind::MeanShift, &r, false));
                 }
                 EstimatorKind::NormMin => {
@@ -738,7 +740,7 @@ impl YieldOptimizer {
                         seed,
                         ..NormMinOptions::default()
                     };
-                    let r = NormMinIs { options }.run(env, d_f, tracer)?;
+                    let r = NormMinIs { options }.run_with(env, d_f, corners, tracer)?;
                     verified_tail = Some(tail_summary(
                         EstimatorKind::NormMin,
                         &r.sampling,

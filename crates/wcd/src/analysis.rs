@@ -2,7 +2,7 @@
 //! operating corners, worst-case points, spec-wise linearizations and
 //! mirrored (quadratic) models.
 
-use specwise_ckt::{CircuitEnv, SimPhase};
+use specwise_ckt::{CircuitEnv, OperatingPoint, SimPhase};
 use specwise_linalg::DVec;
 use specwise_trace::Tracer;
 
@@ -20,6 +20,7 @@ pub struct WcResult {
     wc_points: Vec<WorstCasePoint>,
     linearizations: Vec<SpecLinearization>,
     nominal_margins: DVec,
+    nominal_corners: Vec<OperatingPoint>,
     fallbacks: Vec<usize>,
 }
 
@@ -28,6 +29,11 @@ impl WcResult {
     /// the yield optimizer deserializes analyses through this. `fallbacks`
     /// lists the specs whose worst-case data was carried over from an
     /// earlier analysis (see [`WcAnalysis::with_fallback`]).
+    ///
+    /// The corners of [`WcResult::nominal_corners`] are taken from the
+    /// worst-case points. They equal the sweep's corners except for a
+    /// fallback spec, whose point keeps the corner of the analysis it came
+    /// from.
     pub fn from_parts(
         d_f: DVec,
         wc_points: Vec<WorstCasePoint>,
@@ -35,11 +41,13 @@ impl WcResult {
         nominal_margins: DVec,
         fallbacks: Vec<usize>,
     ) -> Self {
+        let nominal_corners = wc_points.iter().map(|p| p.theta_wc).collect();
         WcResult {
             d_f,
             wc_points,
             linearizations,
             nominal_margins,
+            nominal_corners,
             fallbacks,
         }
     }
@@ -66,6 +74,14 @@ impl WcResult {
         &self.nominal_margins
     }
 
+    /// The worst-case operating corner `θ_wc` of each spec (in spec order)
+    /// that the corner sweep at the nominal statistical point found — the
+    /// corners at which [`WcResult::nominal_margins`] were measured, and
+    /// the corners a yield verification of this design evaluates at.
+    pub fn nominal_corners(&self) -> &[OperatingPoint] {
+        &self.nominal_corners
+    }
+
     /// Specs whose worst-case search failed and fell back to last-known
     /// points (empty on a fully clean analysis).
     pub fn fallback_specs(&self) -> &[usize] {
@@ -77,7 +93,7 @@ impl WcResult {
 ///
 /// Generic over the [`CircuitEnv`], so the same analysis runs against a bare
 /// environment or an [`EvalService`](specwise_exec::EvalService) with
-/// parallel batches and caching.
+/// parallel batches.
 pub struct WcAnalysis<'e, E: CircuitEnv + ?Sized> {
     env: &'e E,
     options: WcOptions,
@@ -174,6 +190,7 @@ impl<'e, E: CircuitEnv + ?Sized> WcAnalysis<'e, E> {
             corners
         };
         let nominal_margins: DVec = corners.iter().map(|(_, m)| *m).collect();
+        let nominal_corners: Vec<OperatingPoint> = corners.iter().map(|(t, _)| *t).collect();
 
         let mut wc_points = Vec::with_capacity(n_spec);
         let mut linearizations = Vec::new();
@@ -188,7 +205,7 @@ impl<'e, E: CircuitEnv + ?Sized> WcAnalysis<'e, E> {
             let mut fell_back = false;
             let wc = match self.options.linearization_point {
                 LinearizationPoint::WorstCase => {
-                    match WorstCaseSearch.run(env, d_f, spec, &theta_wc) {
+                    match WorstCaseSearch.run(env, d_f, spec, &theta_wc, nominal_margin) {
                         Ok(wc) => wc,
                         Err(WcdError::DegenerateGradient { .. }) => {
                             // Spec insensitive to ŝ: anchor at nominal.
@@ -341,6 +358,7 @@ impl<'e, E: CircuitEnv + ?Sized> WcAnalysis<'e, E> {
             wc_points,
             linearizations,
             nominal_margins,
+            nominal_corners,
             fallbacks,
         })
     }
@@ -365,7 +383,7 @@ impl<'e, E: CircuitEnv + ?Sized> WcAnalysis<'e, E> {
         &self,
         d_f: &DVec,
         spec: usize,
-        theta_wc: specwise_ckt::OperatingPoint,
+        theta_wc: OperatingPoint,
         nominal_margin: f64,
     ) -> Result<WorstCasePoint, WcdError> {
         let s0 = DVec::zeros(self.env.stat_dim());
@@ -445,6 +463,25 @@ mod tests {
             wc.beta_wc
         );
         assert!((res.nominal_margins()[0] - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn nominal_corners_come_from_the_sweep() {
+        let e = env();
+        let d = DVec::from_slice(&[3.0]);
+        let res = WcAnalysis::new(&e, WcOptions::default()).run(&d).unwrap();
+        let sweep = worst_case_corners(&e, &d, &DVec::zeros(2)).unwrap();
+        let corners: Vec<OperatingPoint> = sweep.iter().map(|(t, _)| *t).collect();
+        assert_eq!(res.nominal_corners(), corners.as_slice());
+        // A restored result takes its corners from the worst-case points.
+        let restored = WcResult::from_parts(
+            res.design().clone(),
+            res.worst_case_points().to_vec(),
+            res.linearizations().to_vec(),
+            res.nominal_margins().clone(),
+            Vec::new(),
+        );
+        assert_eq!(restored.nominal_corners(), res.nominal_corners());
     }
 
     #[test]

@@ -64,7 +64,10 @@ pub struct WorstCaseSearch;
 
 impl WorstCaseSearch {
     /// Runs the search for specification `spec` at design `d` and operating
-    /// point `theta_wc`.
+    /// point `theta_wc`. `nominal_margin` is the spec's margin at `ŝ = 0`
+    /// and `theta_wc`, which gives β its sign; the corner sweep that found
+    /// `theta_wc` ([`worst_case_corners`](crate::worst_case_corners))
+    /// already measured it, so the search does not simulate it again.
     ///
     /// # Errors
     ///
@@ -77,6 +80,7 @@ impl WorstCaseSearch {
         d: &DVec,
         spec: usize,
         theta_wc: &OperatingPoint,
+        nominal_margin: f64,
     ) -> Result<WorstCasePoint, WcdError> {
         let n_s = env.stat_dim();
         // Start slightly off the nominal point with a deterministic,
@@ -88,8 +92,6 @@ impl WorstCaseSearch {
         // worst-case algorithm of paper ref [12]).
         const GOLDEN: f64 = 1.618_033_988_749_895;
         let mut s = DVec::from_fn(n_s, |i| 0.15 * (GOLDEN * (i as f64 + 1.0)).sin());
-        // The exact nominal margin (for the sign of β_wc).
-        let nominal_margin = env.eval_margins(d, &DVec::zeros(n_s), theta_wc)?[spec];
         let signed = |beta_mag: f64| {
             if nominal_margin >= 0.0 {
                 beta_mag
@@ -196,6 +198,17 @@ mod tests {
     use super::*;
     use specwise_ckt::{AnalyticEnv, DesignParam, DesignSpace, Spec, SpecKind};
 
+    /// Runs the search the way the analysis does: the nominal margin is
+    /// measured first and handed over.
+    fn search(
+        env: &AnalyticEnv,
+        d: &DVec,
+        theta: &OperatingPoint,
+    ) -> Result<WorstCasePoint, WcdError> {
+        let nominal_margin = env.eval_margins(d, &DVec::zeros(env.stat_dim()), theta)?[0];
+        WorstCaseSearch.run(env, d, 0, theta, nominal_margin)
+    }
+
     fn linear_env(offset: f64) -> AnalyticEnv {
         // margin = offset + 3·s0 − 4·s1 (lower-bound spec at 0).
         AnalyticEnv::builder()
@@ -215,9 +228,7 @@ mod tests {
         // offset/5; the worst-case point is −offset·(3, −4)/25.
         let env = linear_env(5.0);
         let theta = env.operating_range().nominal();
-        let wc = WorstCaseSearch
-            .run(&env, &DVec::from_slice(&[5.0]), 0, &theta)
-            .unwrap();
+        let wc = search(&env, &DVec::from_slice(&[5.0]), &theta).unwrap();
         assert!(wc.converged);
         assert!((wc.beta_wc - 1.0).abs() < 1e-3, "beta = {}", wc.beta_wc);
         assert!((wc.s_wc[0] + 0.6).abs() < 1e-3);
@@ -230,9 +241,7 @@ mod tests {
     fn violated_spec_gives_negative_beta() {
         let env = linear_env(-2.5);
         let theta = env.operating_range().nominal();
-        let wc = WorstCaseSearch
-            .run(&env, &DVec::from_slice(&[-2.5]), 0, &theta)
-            .unwrap();
+        let wc = search(&env, &DVec::from_slice(&[-2.5]), &theta).unwrap();
         assert!(wc.converged);
         assert!((wc.beta_wc + 0.5).abs() < 1e-3, "beta = {}", wc.beta_wc);
         assert!(wc.nominal_margin < 0.0);
@@ -243,9 +252,7 @@ mod tests {
         // At the worst-case point, ŝ_wc ∝ −∇margin (paper Sec. 3).
         let env = linear_env(5.0);
         let theta = env.operating_range().nominal();
-        let wc = WorstCaseSearch
-            .run(&env, &DVec::from_slice(&[5.0]), 0, &theta)
-            .unwrap();
+        let wc = search(&env, &DVec::from_slice(&[5.0]), &theta).unwrap();
         // grad = (3, −4); s_wc = (−0.6, 0.8) = −0.2·grad.
         let cross = wc.s_wc[0] * wc.grad_s[1] - wc.s_wc[1] * wc.grad_s[0];
         assert!(cross.abs() < 1e-6, "not collinear: {cross}");
@@ -268,9 +275,7 @@ mod tests {
             .build()
             .unwrap();
         let theta = env.operating_range().nominal();
-        let wc = WorstCaseSearch
-            .run(&env, &DVec::from_slice(&[5.0]), 0, &theta)
-            .unwrap();
+        let wc = search(&env, &DVec::from_slice(&[5.0]), &theta).unwrap();
         assert!(!wc.converged);
         assert!((wc.beta_wc - BETA_MAX).abs() < 1e-6);
     }
@@ -296,7 +301,7 @@ mod tests {
             .eval_margins(&d, &DVec::from_slice(&[-BETA_MAX, 0.0]), &theta)
             .unwrap();
         assert!(probe[0] < 0.0, "the sphere probe must fail: {}", probe[0]);
-        let wc = WorstCaseSearch.run(&env, &d, 0, &theta).unwrap();
+        let wc = search(&env, &d, &theta).unwrap();
         let boundary = (0.5 - 8.25f64.sqrt()) / 0.4;
         assert!(wc.converged, "a spec failing inside 8σ must converge");
         assert!(
@@ -328,7 +333,7 @@ mod tests {
             .unwrap();
         let theta = env.operating_range().nominal();
         let d = DVec::from_slice(&[10.0]);
-        let wc = WorstCaseSearch.run(&env, &d, 0, &theta).unwrap();
+        let wc = search(&env, &d, &theta).unwrap();
         assert!(wc.converged, "a spec failing inside 8σ must converge");
         assert!((wc.beta_wc - 7.0321).abs() < 1e-2, "beta {}", wc.beta_wc);
         assert!(wc.s_wc[0] < 0.0 && wc.s_wc[1] < 0.0);
@@ -347,9 +352,7 @@ mod tests {
             .build()
             .unwrap();
         let theta = env.operating_range().nominal();
-        let wc = WorstCaseSearch
-            .run(&env, &DVec::from_slice(&[2.0]), 0, &theta)
-            .unwrap();
+        let wc = search(&env, &DVec::from_slice(&[2.0]), &theta).unwrap();
         // The gradient at s = 0 vanishes in s0 and s1… actually it is 0 for
         // both — degenerate at the nominal point. The fd step perturbs it
         // slightly so the search still finds the boundary ring.
@@ -373,7 +376,7 @@ mod tests {
             .build()
             .unwrap();
         let theta = env.operating_range().nominal();
-        let r = WorstCaseSearch.run(&env, &DVec::from_slice(&[1.0]), 0, &theta);
+        let r = search(&env, &DVec::from_slice(&[1.0]), &theta);
         assert!(matches!(r, Err(WcdError::DegenerateGradient { spec: 0 })));
     }
 }

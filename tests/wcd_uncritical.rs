@@ -136,9 +136,19 @@ fn replay(name: &str, env: &dyn CircuitEnv, seed: u64, tally: &mut Tally) {
             let sims = env.sim_count();
             let walk = damped_walk(env, &snap.design, wc.spec, &wc.theta_wc).unwrap();
             tally.walk_sims += env.sim_count() - sims;
+            // The search takes the nominal margin from the analysis's
+            // corner sweep; measure it here so both searches pay for it.
             let sims = env.sim_count();
+            let nominal =
+                env.eval_margins(&snap.design, &DVec::zeros(env.stat_dim()), &wc.theta_wc);
             let certified = WorstCaseSearch
-                .run(env, &snap.design, wc.spec, &wc.theta_wc)
+                .run(
+                    env,
+                    &snap.design,
+                    wc.spec,
+                    &wc.theta_wc,
+                    nominal.unwrap()[wc.spec],
+                )
                 .unwrap();
             tally.certified_sims += env.sim_count() - sims;
 

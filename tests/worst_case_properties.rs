@@ -35,9 +35,9 @@ proptest! {
         prop_assume!(gnorm > 0.3);
         let env = linear_env(offset, grad.clone());
         let theta = env.operating_range().nominal();
-        let wc = WorstCaseSearch
-            .run(&env, &DVec::from_slice(&[0.0]), 0, &theta)
-            .unwrap();
+        let d = DVec::from_slice(&[0.0]);
+        let nominal_margin = env.eval_margins(&d, &DVec::zeros(env.stat_dim()), &theta).unwrap()[0];
+        let wc = WorstCaseSearch.run(&env, &d, 0, &theta, nominal_margin).unwrap();
         let expected = offset / gnorm;
         if expected < BETA_MAX - 0.5 {
             prop_assert!(
@@ -59,9 +59,9 @@ proptest! {
     ) {
         let env = linear_env(offset, grad);
         let theta = env.operating_range().nominal();
-        let wc = WorstCaseSearch
-            .run(&env, &DVec::from_slice(&[0.0]), 0, &theta)
-            .unwrap();
+        let d = DVec::from_slice(&[0.0]);
+        let nominal_margin = env.eval_margins(&d, &DVec::zeros(env.stat_dim()), &theta).unwrap()[0];
+        let wc = WorstCaseSearch.run(&env, &d, 0, &theta, nominal_margin).unwrap();
         prop_assert!(wc.beta_wc < 0.0, "beta {}", wc.beta_wc);
         prop_assert!(wc.nominal_margin < 0.0);
     }
