@@ -74,8 +74,8 @@ fn capture(env: &Testbench) -> (u64, u64, usize) {
     )
 }
 
-const GOLDEN_FOLDED: (u64, u64, usize) = (0x6d5a6affa6ccd629, 772, 3);
-const GOLDEN_MILLER: (u64, u64, usize) = (0xc587fb139ffa30c4, 594, 2);
+const GOLDEN_FOLDED: (u64, u64, usize) = (0x6d5a6affa6ccd629, 682, 3);
+const GOLDEN_MILLER: (u64, u64, usize) = (0xc587fb139ffa30c4, 534, 2);
 
 fn check(name: &str, env: &Testbench, golden: (u64, u64, usize)) {
     let (hash, sims, snaps) = capture(env);

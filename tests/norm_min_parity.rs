@@ -53,8 +53,8 @@ const GOLDEN_MILLER: u64 = 0x9c41661ba5a9afb9;
 const GOLDEN_GUARD: u64 = 0x3450e6ae3e42f74e;
 const GOLDEN_SPAN: u64 = 0xaf0127060c2be73d;
 /// `(hash, total simulations)` of each one-iteration optimizer run.
-const GOLDEN_RUN_MEAN_SHIFT: (u64, u64) = (0xafdc66196677c3f5, 1615);
-const GOLDEN_RUN_NORM_MIN: (u64, u64) = (0xb431544dd688416b, 1849);
+const GOLDEN_RUN_MEAN_SHIFT: (u64, u64) = (0xafdc66196677c3f5, 1507);
+const GOLDEN_RUN_NORM_MIN: (u64, u64) = (0xb431544dd688416b, 1753);
 
 /// FNV-1a over a sequence of 64-bit patterns.
 fn fnv1a(bits: impl IntoIterator<Item = u64>) -> u64 {
