@@ -43,12 +43,9 @@ fn slow_env(n_d: usize) -> AnalyticEnv {
 }
 
 fn pool_config(workers: usize) -> ExecConfig {
-    ExecConfig {
-        workers,
-        cache_capacity: 0, // measure the fan-out, not memoization
-        retry: RetryPolicy::none(),
-        min_parallel_batch: 2,
-    }
+    ExecConfig::default()
+        .with_workers(workers)
+        .with_retry(RetryPolicy::none())
 }
 
 /// Monte-Carlo verification: N samples per corner group go out as one
@@ -121,46 +118,5 @@ fn bench_fd_jacobian(c: &mut Criterion) {
     group.finish();
 }
 
-/// Cache effectiveness on repeated anchors: the same corner sweep hits the
-/// memoized results after the first pass.
-fn bench_cache(c: &mut Criterion) {
-    let env = slow_env(2);
-    let d = env.design_space().initial();
-    let s = DVec::zeros(2);
-    let theta = env.operating_range().nominal();
-
-    let mut group = c.benchmark_group("exec_repeated_point");
-    group.sample_size(10);
-    group.bench_function("uncached", |b| {
-        let svc = EvalService::new(&env, pool_config(1));
-        b.iter(|| svc_eval(&svc, &d, &s, &theta))
-    });
-    group.bench_function("cached", |b| {
-        let svc = EvalService::new(
-            &env,
-            ExecConfig {
-                cache_capacity: 64,
-                ..pool_config(1)
-            },
-        );
-        b.iter(|| svc_eval(&svc, &d, &s, &theta))
-    });
-    group.finish();
-}
-
-fn svc_eval(
-    svc: &EvalService<'_, AnalyticEnv>,
-    d: &DVec,
-    s: &DVec,
-    theta: &specwise_ckt::OperatingPoint,
-) -> DVec {
-    svc.eval_margins(d, s, theta).unwrap()
-}
-
-criterion_group!(
-    benches,
-    bench_mc_verification,
-    bench_fd_jacobian,
-    bench_cache
-);
+criterion_group!(benches, bench_mc_verification, bench_fd_jacobian);
 criterion_main!(benches);

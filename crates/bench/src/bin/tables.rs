@@ -166,8 +166,8 @@ fn table7() -> Result<(), Box<dyn Error>> {
     }
     println!();
     println!("Per-phase breakdown (simulations attributed to each stage of");
-    println!("Fig. 6; Hit % and Workers from the evaluation engine — tune with");
-    println!("SPECWISE_WORKERS / SPECWISE_CACHE_CAP / SPECWISE_RETRIES):\n");
+    println!("Fig. 6; Workers from the evaluation engine — tune with");
+    println!("SPECWISE_WORKERS / SPECWISE_RETRIES):\n");
     println!(
         "{}",
         effort_breakdown_table(&[

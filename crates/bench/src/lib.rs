@@ -30,8 +30,8 @@ pub fn run_table1() -> Result<(Testbench, OptimizationTrace), SpecwiseError> {
 }
 
 /// Runs the Table 1 optimization through an [`EvalService`] so the trace
-/// carries the execution-engine report (per-phase simulation counts, cache
-/// hit rate, parallel wall time) under `exec`.
+/// carries the execution-engine report (per-phase simulation counts,
+/// retries, parallel wall time) under `exec`.
 ///
 /// # Errors
 ///

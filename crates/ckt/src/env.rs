@@ -214,12 +214,6 @@ pub struct EvalPoint {
     pub s_hat: Arc<DVec>,
     /// Operating condition.
     pub theta: OperatingPoint,
-    /// Whether a memoizing evaluator (`specwise_exec::EvalService`) may
-    /// answer this point from, and store it into, its memo cache.
-    /// Monte-Carlo samples are effectively unique, so they clear it
-    /// ([`EvalPoint::unmemoized`]) instead of evicting the optimizer's
-    /// reusable points.
-    pub memo: bool,
 }
 
 impl EvalPoint {
@@ -235,15 +229,7 @@ impl EvalPoint {
             d: d.into(),
             s_hat: s_hat.into(),
             theta,
-            memo: true,
         }
-    }
-
-    /// The same request with memoization off: the service neither looks
-    /// the point up nor caches its result.
-    pub fn unmemoized(mut self) -> Self {
-        self.memo = false;
-        self
     }
 }
 
@@ -253,9 +239,11 @@ impl EvalPoint {
 pub struct ExecReport {
     /// Configured worker-pool size.
     pub workers: usize,
-    /// Cache lookups answered from memory (simulations saved).
+    /// Retired: the service no longer memoizes, so this always reads 0.
+    /// It stays only for readers that still name it, until the benchmark
+    /// package drops it.
     pub cache_hits: u64,
-    /// Cache lookups that fell through to the environment.
+    /// Retired: always 0 (see [`ExecReport::cache_hits`]).
     pub cache_misses: u64,
     /// Retry attempts issued for failed simulations.
     pub retries: u64,
@@ -281,7 +269,8 @@ pub struct ExecReport {
 }
 
 impl ExecReport {
-    /// Cache hit rate in `[0, 1]` (`0` when the cache was never consulted).
+    /// Retired: always 0, since the retired cache counters always read 0
+    /// (see [`ExecReport::cache_hits`]).
     pub fn hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
         if total == 0 {
@@ -321,13 +310,6 @@ impl std::fmt::Display for ExecReport {
             self.total_sims,
             self.workers,
             fmt_duration(self.wall)
-        )?;
-        writeln!(
-            f,
-            "cache: {} hits / {} misses ({:.1}% hit rate)",
-            self.cache_hits,
-            self.cache_misses,
-            100.0 * self.hit_rate()
         )?;
         writeln!(
             f,
@@ -501,7 +483,7 @@ pub trait CircuitEnv {
 
     /// Retired sample-batch hook; always `None`, and nothing calls it.
     /// Monte-Carlo samples run through the evaluator's worker pool as
-    /// ordinary unmemoized points. No environment in this workspace
+    /// ordinary points. No environment in this workspace
     /// answers it any more; only the benchmark's counting wrapper
     /// (`specwise-perf/src/layers.rs`) still forwards it, so the method is
     /// deleted together with that override in the next benchmark change.

@@ -17,10 +17,9 @@
 //!   through each estimator's crate-private `run_with`.
 //! * **Bits at any worker count.** Every sample is drawn before any is
 //!   evaluated, in the RNG order of a serial draw-then-evaluate loop, and
-//!   each corner group goes out as one unmemoized [`EvalPoint`] batch, so
-//!   an [`EvalService`](specwise_exec::EvalService) spreads the
-//!   simulations over its pool without changing a result bit or churning
-//!   the memo cache.
+//!   each corner group goes out as one [`EvalPoint`] batch, so an
+//!   [`EvalService`](specwise_exec::EvalService) spreads the simulations
+//!   over its pool without changing a result bit.
 //! * **Degradation.** Each sample result goes through one ladder
 //!   ([`classify_sample`]): retry exhaustion, soft `KillSwitch` budget
 //!   starvation and non-finite margins become counted-and-excluded
@@ -156,9 +155,7 @@ pub(crate) fn evaluate_by_corner<E: CircuitEnv + ?Sized>(
         }
         let points: Vec<EvalPoint> = live
             .iter()
-            .map(|&j| {
-                EvalPoint::new(Arc::clone(&d_arc), Arc::clone(&samples[j]), *theta).unmemoized()
-            })
+            .map(|&j| EvalPoint::new(Arc::clone(&d_arc), Arc::clone(&samples[j]), *theta))
             .collect();
         let results = env.eval_margins_batch(&points);
         for (&j, result) in live.iter().zip(results) {

@@ -375,12 +375,9 @@ mod tests {
         let shift = DVec::from_slice(&[-b, 0.0]);
         let serial = mean_shift(&e, &d, &shift, 2_000, 13).unwrap();
         for workers in [1usize, 2, 8] {
-            let cfg = ExecConfig {
-                workers,
-                cache_capacity: 0,
-                retry: RetryPolicy::none(),
-                min_parallel_batch: 2,
-            };
+            let cfg = ExecConfig::default()
+                .with_workers(workers)
+                .with_retry(RetryPolicy::none());
             let svc = EvalService::new(&e, cfg);
             let par = mean_shift(&svc, &d, &shift, 2_000, 13).unwrap();
             assert_eq!(

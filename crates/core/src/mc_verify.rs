@@ -326,12 +326,9 @@ mod tests {
         let d = DVec::from_slice(&[0.5]);
         let serial = mc_verify(&e, &d, 2_000, 42).unwrap();
         for workers in [1usize, 2, 8] {
-            let cfg = ExecConfig {
-                workers,
-                cache_capacity: 0,
-                retry: RetryPolicy::none(),
-                min_parallel_batch: 2,
-            };
+            let cfg = ExecConfig::default()
+                .with_workers(workers)
+                .with_retry(RetryPolicy::none());
             let svc = EvalService::new(&e, cfg);
             let par = mc_verify(&svc, &d, 2_000, 42).unwrap();
             assert_eq!(
@@ -374,15 +371,12 @@ mod tests {
         // reports the failures in its counters.
         let svc = EvalService::new(
             &e,
-            ExecConfig {
-                workers: 2,
-                cache_capacity: 0,
-                retry: RetryPolicy {
+            ExecConfig::default()
+                .with_workers(2)
+                .with_retry(RetryPolicy {
                     max_retries: 2,
                     perturb: 1e-9,
-                },
-                min_parallel_batch: 2,
-            },
+                }),
         );
         let vs = mc_verify(&svc, &d, n, 7).unwrap();
         assert_eq!(vs.sim_failures, v.sim_failures);

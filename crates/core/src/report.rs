@@ -158,9 +158,9 @@ pub fn effort_table(rows: &[(String, u64, std::time::Duration)]) -> String {
 }
 
 /// Renders the extended Table 7 breakdown: per run, the simulation count of
-/// every algorithm phase, plus — when the run went through an
-/// [`EvalService`](specwise_exec::EvalService) — the cache hit rate and the
-/// worker count of the parallel engine.
+/// every algorithm phase, plus the worker count of the parallel engine
+/// (1 when the run did not go through an
+/// [`EvalService`](specwise_exec::EvalService)).
 pub fn effort_breakdown_table(rows: &[(String, &OptimizationTrace)]) -> String {
     use specwise_ckt::SimPhase;
     let mut out = String::new();
@@ -169,21 +169,14 @@ pub fn effort_breakdown_table(rows: &[(String, &OptimizationTrace)]) -> String {
     for label in short {
         let _ = write!(out, "{:>9}", label);
     }
-    let _ = writeln!(out, "{:>9}{:>9}{:>10}", "Hit %", "Workers", "Wall");
+    let _ = writeln!(out, "{:>9}{:>10}", "Workers", "Wall");
     for (name, trace) in rows {
         let _ = write!(out, "{:<22}{:>9}", name, trace.total_sims);
         for phase in SimPhase::ALL {
             let _ = write!(out, "{:>9}", trace.phase_sims[phase.index()]);
         }
-        match &trace.exec {
-            Some(r) => {
-                let _ = write!(out, "{:>8.1}%{:>9}", 100.0 * r.hit_rate(), r.workers);
-            }
-            None => {
-                let _ = write!(out, "{:>9}{:>9}", "-", "1");
-            }
-        }
-        let _ = writeln!(out, "{:>9.2}s", trace.wall_time.as_secs_f64());
+        let workers = trace.exec.as_ref().map_or(1, |r| r.workers);
+        let _ = writeln!(out, "{workers:>9}{:>9.2}s", trace.wall_time.as_secs_f64());
     }
     out
 }
@@ -401,9 +394,12 @@ mod tests {
         let s = effort_breakdown_table(&[("Analytic".to_string(), &t)]);
         assert!(s.contains("Wcd"), "phase columns expected:\n{s}");
         assert!(s.contains("Verify"), "phase columns expected:\n{s}");
-        assert!(s.contains("Analytic"));
-        // Bare-env run: no cache column value, worker count 1.
-        assert!(s.contains('-'));
+        assert!(s.contains("Workers"));
+        assert!(!s.contains("Hit"), "no retired cache column:\n{s}");
+        // Bare-env run: worker count 1.
+        let row = s.lines().find(|l| l.starts_with("Analytic")).unwrap();
+        let cells: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(cells[cells.len() - 2], "1", "{row}");
     }
 
     #[test]

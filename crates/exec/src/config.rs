@@ -1,5 +1,5 @@
-//! Configuration for the evaluation service: worker pool size, cache
-//! capacity, and the retry policy for non-converged simulations.
+//! Configuration for the evaluation service: worker pool size and the
+//! retry policy for non-converged simulations.
 
 use specwise_ckt::env_knob::{parse_env_knob, warn_retired_knobs, Finite};
 
@@ -45,7 +45,9 @@ impl RetryPolicy {
 pub struct ExecConfig {
     /// Number of worker threads for batch evaluations. `1` means serial.
     pub workers: usize,
-    /// Maximum number of memoized evaluations. `0` disables the cache.
+    /// Retired: the service no longer memoizes, and nothing reads this
+    /// field. It stays only so struct literals that still name it compile,
+    /// until the benchmark package drops it.
     pub cache_capacity: usize,
     /// Retry policy for failed simulations.
     pub retry: RetryPolicy,
@@ -58,7 +60,7 @@ impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            cache_capacity: 4096,
+            cache_capacity: 0,
             retry: RetryPolicy::default(),
             min_parallel_batch: 2,
         }
@@ -66,8 +68,8 @@ impl Default for ExecConfig {
 }
 
 impl ExecConfig {
-    /// A fully serial configuration with caching and retries disabled —
-    /// behaves exactly like calling the environment directly.
+    /// A fully serial configuration with retries disabled — behaves
+    /// exactly like calling the environment directly.
     pub fn serial() -> Self {
         ExecConfig {
             workers: 1,
@@ -80,12 +82,6 @@ impl ExecConfig {
     /// Sets the worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Sets the cache capacity (`0` disables).
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
         self
     }
 
@@ -110,7 +106,6 @@ impl ExecConfig {
     /// defaults:
     ///
     /// * `SPECWISE_WORKERS` — worker thread count,
-    /// * `SPECWISE_CACHE_CAP` — cache capacity (`0` disables),
     /// * `SPECWISE_RETRIES` — max retries for failed simulations,
     /// * `SPECWISE_RETRY_PERTURB` — per-retry `ŝ` perturbation.
     ///
@@ -119,16 +114,13 @@ impl ExecConfig {
     /// variable and the rejected value (a silent fallback here once meant a
     /// typo'd `SPECWISE_WORKERS=8x` quietly ran serial); `nan` and `inf`
     /// are malformed. A set retired knob (`SPECWISE_BATCH`, `SPECWISE_GRAD`,
-    /// `SPECWISE_WARM_START`) prints a one-line notice saying it is no
-    /// longer read.
+    /// `SPECWISE_WARM_START`, `SPECWISE_CACHE_CAP`) prints a one-line
+    /// notice saying it is no longer read.
     pub fn from_env() -> Self {
         warn_retired_knobs(RETIRED_KNOBS);
         let mut cfg = ExecConfig::default();
         if let Some(n) = parse_env_knob::<usize>("SPECWISE_WORKERS") {
             cfg.workers = n.max(1);
-        }
-        if let Some(n) = parse_env_knob::<usize>("SPECWISE_CACHE_CAP") {
-            cfg.cache_capacity = n;
         }
         if let Some(n) = parse_env_knob::<u32>("SPECWISE_RETRIES") {
             cfg.retry.max_retries = n;
@@ -155,6 +147,10 @@ const RETIRED_KNOBS: &[(&str, &str)] = &[
         "SPECWISE_WARM_START",
         "benches warm-start by default; Testbench::with_warm_start(false) runs cold",
     ),
+    (
+        "SPECWISE_CACHE_CAP",
+        "the evaluation service no longer memoizes; the corner sweep's results are handed on",
+    ),
 ];
 
 #[cfg(test)]
@@ -166,7 +162,6 @@ mod tests {
     fn defaults_are_sane() {
         let cfg = ExecConfig::default();
         assert!(cfg.workers >= 1);
-        assert!(cfg.cache_capacity > 0);
         assert_eq!(cfg.retry.max_retries, 2);
     }
 
@@ -174,7 +169,6 @@ mod tests {
     fn serial_disables_everything() {
         let cfg = ExecConfig::serial();
         assert_eq!(cfg.workers, 1);
-        assert_eq!(cfg.cache_capacity, 0);
         assert_eq!(cfg.retry.max_retries, 0);
     }
 
@@ -182,13 +176,11 @@ mod tests {
     fn builder_setters() {
         let cfg = ExecConfig::default()
             .with_workers(3)
-            .with_cache_capacity(7)
             .with_retry(RetryPolicy {
                 max_retries: 5,
                 perturb: 1e-6,
             });
         assert_eq!(cfg.workers, 3);
-        assert_eq!(cfg.cache_capacity, 7);
         assert_eq!(cfg.retry.max_retries, 5);
     }
 
@@ -201,7 +193,6 @@ mod tests {
         assert_eq!(base.clone().into_shard(0).workers, 8, "0 shards ≡ 1");
         // Only the worker count changes.
         let sharded = base.clone().into_shard(2);
-        assert_eq!(sharded.cache_capacity, base.cache_capacity);
         assert_eq!(sharded.retry, base.retry);
     }
 
@@ -227,7 +218,12 @@ mod tests {
         let names: Vec<&str> = RETIRED_KNOBS.iter().map(|&(name, _)| name).collect();
         assert_eq!(
             names,
-            ["SPECWISE_BATCH", "SPECWISE_GRAD", "SPECWISE_WARM_START"]
+            [
+                "SPECWISE_BATCH",
+                "SPECWISE_GRAD",
+                "SPECWISE_WARM_START",
+                "SPECWISE_CACHE_CAP"
+            ]
         );
         for &(name, hint) in RETIRED_KNOBS {
             assert_eq!(retired_knob_notice(name, hint, None), None);
@@ -237,5 +233,19 @@ mod tests {
             assert!(!notice.contains('\n'), "{notice}");
         }
         assert!(RETIRED_KNOBS[0].1.contains("SPECWISE_WORKERS pool"));
+    }
+
+    #[test]
+    fn retired_cache_capacity_knob_says_the_service_no_longer_memoizes() {
+        let &(name, hint) = RETIRED_KNOBS
+            .iter()
+            .find(|&&(name, _)| name == "SPECWISE_CACHE_CAP")
+            .expect("SPECWISE_CACHE_CAP is retired");
+        let notice = retired_knob_notice(name, hint, Some("8192")).unwrap();
+        assert_eq!(
+            notice,
+            "specwise: SPECWISE_CACHE_CAP=\"8192\" is no longer read; \
+             the evaluation service no longer memoizes; the corner sweep's results are handed on"
+        );
     }
 }

@@ -1,5 +1,5 @@
-//! specwise-exec: parallel, cached, fault-tolerant evaluation engine for
-//! all simulator-driven loops.
+//! specwise-exec: parallel, fault-tolerant evaluation engine for all
+//! simulator-driven loops.
 //!
 //! Every expensive loop in the yield machinery — finite-difference
 //! gradients, operating-corner sweeps, Monte-Carlo verification, the
@@ -14,11 +14,16 @@
 //!   unchanged.
 //! * [`EvalService`] — a `CircuitEnv` that wraps an environment and
 //!   upgrades batches with a scoped-thread worker pool (results stay
-//!   input-ordered and bit-identical to serial), a bounded memoization
-//!   cache with an exact-match guard against false hits, a deterministic
-//!   retry policy for non-converged simulations, and
+//!   input-ordered and bit-identical to serial), a deterministic retry
+//!   policy for non-converged simulations, and
 //!   per-[`SimPhase`](specwise_ckt::SimPhase) simulation counters and
 //!   wall-clock timers surfaced as an [`ExecReport`].
+//!
+//! The service does not memoize. An exact repeat of a point is either
+//! never asked for (the worst-case analysis hands its corner sweep's
+//! results on to the search and the verification) or served below it, by
+//! the environment: a `Testbench` answers a repeat of its last measurement
+//! and seeds Newton solves from its warm-start cache.
 //!
 //! # Example
 //!
@@ -53,7 +58,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod cache;
 pub mod config;
 pub mod service;
 

@@ -5,14 +5,12 @@
 //! ([`CircuitEnv::eval_margins_batch`] and friends) run serially by
 //! default. [`EvalService`] is itself a [`CircuitEnv`]: it wraps an
 //! environment and upgrades those batch calls with a scoped-thread worker
-//! pool, a bounded memoization cache, and a retry policy for non-converged
-//! simulations, while keeping results in input order and bit-identical to
-//! the serial path. It calls only the wrapped environment's scalar
-//! evaluation methods.
+//! pool and a retry policy for non-converged simulations, while keeping
+//! results in input order and bit-identical to the serial path. It calls
+//! only the wrapped environment's scalar evaluation methods.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use specwise_ckt::{
@@ -22,7 +20,6 @@ use specwise_ckt::{
 use specwise_linalg::DVec;
 use specwise_trace::Tracer;
 
-use crate::cache::Cache;
 use crate::config::ExecConfig;
 
 /// Renders a vector for error context: up to four components, then an
@@ -45,14 +42,11 @@ fn summarize_vec(v: &DVec) -> String {
 }
 
 /// The evaluation engine: wraps a [`CircuitEnv`] and serves all
-/// simulator-driven loops with parallel batches, memoization, retries,
-/// and per-phase accounting. See the [crate docs](crate) for an overview.
+/// simulator-driven loops with parallel batches, retries, and per-phase
+/// accounting. See the [crate docs](crate) for an overview.
 pub struct EvalService<'e, E: CircuitEnv + Sync + ?Sized> {
     env: &'e E,
     config: ExecConfig,
-    cache: Mutex<Cache>,
-    hits: AtomicU64,
-    misses: AtomicU64,
     retries: AtomicU64,
     recovered: AtomicU64,
     sim_failures: AtomicU64,
@@ -79,10 +73,7 @@ impl<'e, E: CircuitEnv + Sync + ?Sized> EvalService<'e, E> {
     pub fn new(env: &'e E, config: ExecConfig) -> Self {
         EvalService {
             env,
-            cache: Mutex::new(Cache::new(config.cache_capacity)),
             config,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             recovered: AtomicU64::new(0),
             sim_failures: AtomicU64::new(0),
@@ -114,48 +105,9 @@ impl<'e, E: CircuitEnv + Sync + ?Sized> EvalService<'e, E> {
         self.env
     }
 
-    /// Number of memoized evaluations currently held.
-    pub fn cache_len(&self) -> usize {
-        self.cache.lock().expect("exec cache poisoned").len()
-    }
-
     fn charge_wall(&self, elapsed: Duration) {
         let idx = self.phase.load(Ordering::Relaxed).min(SimPhase::COUNT - 1);
         self.phase_wall_ns[idx].fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Performance evaluation with cache and retry, *without* wall-clock
-    /// accounting — timed by the public entry points so batch items are
-    /// not double-counted. `memo = false` skips both the cache lookup and
-    /// the insert (see [`EvalPoint::memo`]).
-    fn performances_inner(
-        &self,
-        d: &DVec,
-        s_hat: &DVec,
-        theta: &OperatingPoint,
-        memo: bool,
-    ) -> Result<DVec, CktError> {
-        let memo = memo && self.config.cache_capacity > 0;
-        if memo {
-            if let Some(hit) = self
-                .cache
-                .lock()
-                .expect("exec cache poisoned")
-                .get(d, s_hat, theta)
-            {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(hit);
-            }
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        let result = self.evaluate_with_retry(d, s_hat, theta);
-        if let (true, Ok(value)) = (memo, &result) {
-            self.cache
-                .lock()
-                .expect("exec cache poisoned")
-                .put(d, s_hat, theta, value);
-        }
-        result
     }
 
     /// Runs one raw environment call with panic isolation: a panicking
@@ -199,6 +151,9 @@ impl<'e, E: CircuitEnv + Sync + ?Sized> EvalService<'e, E> {
         }
     }
 
+    /// Performance evaluation with retries, *without* wall-clock
+    /// accounting — timed by the public entry points so batch items are
+    /// not double-counted.
     fn evaluate_with_retry(
         &self,
         d: &DVec,
@@ -286,7 +241,7 @@ impl<'e, E: CircuitEnv + Sync + ?Sized> EvalService<'e, E> {
     /// input slot. Workers claim point indices one at a time from a shared
     /// counter, so a slow region of the batch does not leave the other
     /// workers idle. `op` must be safe to call concurrently (it is: the env
-    /// is `Sync` and the service's shared state is atomics + a mutex).
+    /// is `Sync` and the service's shared state is atomics).
     fn run_batch<In, Out>(&self, points: &[In], op: impl Fn(&In) -> Out + Sync) -> Vec<Out>
     where
         In: Sync,
@@ -352,8 +307,8 @@ impl<'e, E: CircuitEnv + Sync + ?Sized> EvalService<'e, E> {
     pub fn report(&self) -> ExecReport {
         ExecReport {
             workers: self.config.workers,
-            cache_hits: self.hits.load(Ordering::Relaxed),
-            cache_misses: self.misses.load(Ordering::Relaxed),
+            cache_hits: 0,
+            cache_misses: 0,
             retries: self.retries.load(Ordering::Relaxed),
             recovered: self.recovered.load(Ordering::Relaxed),
             sim_failures: self.sim_failures.load(Ordering::Relaxed),
@@ -408,7 +363,7 @@ impl<E: CircuitEnv + Sync + ?Sized> CircuitEnv for EvalService<'_, E> {
         theta: &OperatingPoint,
     ) -> Result<DVec, CktError> {
         let t0 = Instant::now();
-        let result = self.performances_inner(d, s_hat, theta, true);
+        let result = self.evaluate_with_retry(d, s_hat, theta);
         self.charge_wall(t0.elapsed());
         result
     }
@@ -421,7 +376,7 @@ impl<E: CircuitEnv + Sync + ?Sized> CircuitEnv for EvalService<'_, E> {
     ) -> Result<DVec, CktError> {
         let t0 = Instant::now();
         let result = self
-            .performances_inner(d, s_hat, theta, true)
+            .evaluate_with_retry(d, s_hat, theta)
             .map(|p| self.margins_from_performances(p));
         self.charge_wall(t0.elapsed());
         result
@@ -436,7 +391,7 @@ impl<E: CircuitEnv + Sync + ?Sized> CircuitEnv for EvalService<'_, E> {
 
     fn eval_margins_batch(&self, points: &[EvalPoint]) -> Vec<Result<DVec, CktError>> {
         self.run_batch(points, |p| {
-            self.performances_inner(&p.d, &p.s_hat, &p.theta, p.memo)
+            self.evaluate_with_retry(&p.d, &p.s_hat, &p.theta)
                 .map(|perf| self.margins_from_performances(perf))
         })
     }
@@ -545,12 +500,7 @@ mod tests {
         // Reference: the default (serial) batch on the raw env.
         let reference = e.eval_margins_batch(&pts);
         for workers in [1usize, 2, 8] {
-            let service = EvalService::new(
-                &e,
-                ExecConfig::serial()
-                    .with_workers(workers)
-                    .with_cache_capacity(0),
-            );
+            let service = EvalService::new(&e, ExecConfig::serial().with_workers(workers));
             let got = service.eval_margins_batch(&pts);
             assert_eq!(got.len(), reference.len());
             for (g, r) in got.iter().zip(reference.iter()) {
@@ -590,58 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_saves_simulations_and_returns_identical_values() {
-        let e = env();
-        let service = EvalService::new(&e, ExecConfig::default().with_workers(1));
-        let p = points(1).remove(0);
-        let first = service.eval_margins(&p.d, &p.s_hat, &p.theta).unwrap();
-        let sims_after_first = service.sim_count();
-        let second = service.eval_margins(&p.d, &p.s_hat, &p.theta).unwrap();
-        assert_eq!(
-            service.sim_count(),
-            sims_after_first,
-            "hit must not simulate"
-        );
-        assert_eq!(first.as_slice(), second.as_slice());
-        let report = service.report();
-        assert_eq!(report.cache_hits, 1);
-        assert_eq!(report.cache_misses, 1);
-    }
-
-    #[test]
-    fn unmemoized_points_never_hit_nor_insert_and_keep_the_bits() {
-        let e = env();
-        let service = EvalService::new(&e, ExecConfig::default().with_workers(2));
-        let pts = points(5);
-        let memoized = service.eval_margins_batch(&pts);
-        let before = service.report();
-        assert_eq!((before.cache_hits, before.cache_misses), (0, 5));
-        assert_eq!(service.cache_len(), 5);
-
-        // Every point is cached now, yet an unmemoized batch simulates them
-        // all again and leaves the cache and its counters alone.
-        let sims = service.sim_count();
-        let bare: Vec<EvalPoint> = pts.iter().cloned().map(EvalPoint::unmemoized).collect();
-        let fresh = service.eval_margins_batch(&bare);
-        assert_eq!(service.sim_count(), sims + 5);
-        let after = service.report();
-        assert_eq!((after.cache_hits, after.cache_misses), (0, 5));
-        assert_eq!(service.cache_len(), 5);
-        for (m, f) in memoized.iter().zip(&fresh) {
-            assert_eq!(
-                m.as_ref().unwrap().as_slice(),
-                f.as_ref().unwrap().as_slice()
-            );
-        }
-
-        // An unmemoized first evaluation does not seed the cache either.
-        let cold = EvalService::new(&e, ExecConfig::default().with_workers(1));
-        let _ = cold.eval_margins_batch(&bare);
-        assert_eq!(cold.cache_len(), 0);
-        assert_eq!(cold.report().cache_misses, 0);
-    }
-
-    #[test]
     fn pooled_batches_fill_every_input_slot() {
         let e = env();
         for n in [2usize, 3, 23] {
@@ -657,28 +555,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn nearby_but_distinct_points_never_alias_through_the_service() {
-        let e = env();
-        let service = EvalService::new(&e, ExecConfig::default().with_workers(1));
-        let theta = OperatingPoint::new(27.0, 3.3);
-        let d = DVec::from_slice(&[1.0]);
-        let s_a = DVec::from_slice(&[0.5, 0.0]);
-        // One ulp away: same quantization bucket, different point.
-        let s_b = DVec::from_slice(&[f64::from_bits(0.5f64.to_bits() + 1), 0.0]);
-        let m_a = service.eval_margins(&d, &s_a, &theta).unwrap();
-        let m_b = service.eval_margins(&d, &s_b, &theta).unwrap();
-        let expect_a = e.eval_margins(&d, &s_a, &theta).unwrap();
-        let expect_b = e.eval_margins(&d, &s_b, &theta).unwrap();
-        assert_eq!(m_a.as_slice(), expect_a.as_slice());
-        assert_eq!(m_b.as_slice(), expect_b.as_slice());
-        assert_eq!(
-            service.report().cache_misses,
-            2,
-            "both points must evaluate"
-        );
     }
 
     #[test]

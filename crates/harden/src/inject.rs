@@ -90,8 +90,8 @@ impl std::fmt::Display for FaultReport {
 ///
 /// Stacks naturally under the evaluation engine:
 /// `EvalService::new(&FaultInjector::new(&env, cfg), exec_cfg)` — the
-/// service's cache, retries, and `catch_unwind` isolation all apply to the
-/// injected faults.
+/// service's retries and `catch_unwind` isolation apply to the injected
+/// faults.
 pub struct FaultInjector<'e, E: CircuitEnv + ?Sized> {
     env: &'e E,
     config: FaultConfig,

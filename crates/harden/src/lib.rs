@@ -205,7 +205,6 @@ mod tests {
             &inj,
             ExecConfig::default()
                 .with_workers(4)
-                .with_cache_capacity(0)
                 .with_retry(RetryPolicy {
                     max_retries: 3,
                     perturb: 0.0,
@@ -231,12 +230,10 @@ mod tests {
         let inj = FaultInjector::new(&e, cfg);
         let svc = EvalService::new(
             &inj,
-            ExecConfig::serial()
-                .with_cache_capacity(0)
-                .with_retry(RetryPolicy {
-                    max_retries: 3,
-                    perturb: 0.0,
-                }),
+            ExecConfig::serial().with_retry(RetryPolicy {
+                max_retries: 3,
+                perturb: 0.0,
+            }),
         );
         let theta = OperatingPoint::new(27.0, 3.3);
         let d = DVec::from_slice(&[1.0]);
@@ -267,7 +264,6 @@ mod tests {
             &inj,
             ExecConfig::default()
                 .with_workers(2)
-                .with_cache_capacity(0)
                 .with_retry(RetryPolicy::none()),
         );
         let prev_hook = std::panic::take_hook();

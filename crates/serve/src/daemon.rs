@@ -879,6 +879,45 @@ mod tests {
     }
 
     #[test]
+    fn outcomes_spooled_with_retired_cache_counters_still_load() {
+        // The `.out` form written while the evaluation service memoized:
+        // it carries `cache_hits`/`cache_misses`, which are ignored now.
+        let spool =
+            std::env::temp_dir().join(format!("specwise-serve-old-out-{}", unique_suffix()));
+        std::fs::create_dir_all(&spool).unwrap();
+        let cfg = ServeConfig {
+            spool: spool.clone(),
+            ..ServeConfig::default()
+        };
+        let text = "{\"design\":[3.1e-05,1.2e-06],\"estimated_yield\":0.918,\
+                    \"verified_yield\":0.905,\"yield_interval\":[0.87,0.93],\
+                    \"estimator\":\"mc\",\"total_sims\":48210,\"adjoint_solves\":96,\
+                    \"fd_sims_avoided\":1152,\"resumed\":false,\"cache_hits\":120,\
+                    \"cache_misses\":40}";
+        write_atomic(&cfg.out_path("job-0001"), text).unwrap();
+        let outcome = spooled_result("job-0001", &cfg)
+            .expect("the job has settled")
+            .expect("the outcome loads");
+        assert_eq!(outcome.design, [3.1e-05, 1.2e-06]);
+        assert_eq!(outcome.verified_yield, Some(0.905));
+        assert_eq!(outcome.yield_interval, Some((0.87, 0.93)));
+        assert_eq!(
+            (
+                outcome.total_sims,
+                outcome.adjoint_solves,
+                outcome.fd_sims_avoided
+            ),
+            (48210, 96, 1152)
+        );
+        assert!(
+            !outcome.to_json().contains("cache"),
+            "{}",
+            outcome.to_json()
+        );
+        let _ = std::fs::remove_dir_all(&spool);
+    }
+
+    #[test]
     fn atomic_write_replaces_contents() {
         let dir = std::env::temp_dir().join(format!("specwise-serve-aw-{}", unique_suffix()));
         std::fs::create_dir_all(&dir).unwrap();

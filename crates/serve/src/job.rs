@@ -238,10 +238,6 @@ pub struct JobOutcome {
     pub fd_sims_avoided: u64,
     /// `true` when the run continued from a checkpoint after a restart.
     pub resumed: bool,
-    /// Evaluation-cache hits during the run.
-    pub cache_hits: u64,
-    /// Evaluation-cache misses during the run.
-    pub cache_misses: u64,
 }
 
 impl JobOutcome {
@@ -274,14 +270,8 @@ impl JobOutcome {
             json::write_f64(&mut out, ess);
         }
         out.push_str(&format!(
-            ",\"total_sims\":{},\"adjoint_solves\":{},\"fd_sims_avoided\":{},\
-             \"resumed\":{},\"cache_hits\":{},\"cache_misses\":{}}}",
-            self.total_sims,
-            self.adjoint_solves,
-            self.fd_sims_avoided,
-            self.resumed,
-            self.cache_hits,
-            self.cache_misses
+            ",\"total_sims\":{},\"adjoint_solves\":{},\"fd_sims_avoided\":{},\"resumed\":{}}}",
+            self.total_sims, self.adjoint_solves, self.fd_sims_avoided, self.resumed
         ));
         out
     }
@@ -331,8 +321,8 @@ impl JobOutcome {
             adjoint_solves: j.get("adjoint_solves").and_then(Json::as_u64).unwrap_or(0),
             fd_sims_avoided: j.get("fd_sims_avoided").and_then(Json::as_u64).unwrap_or(0),
             resumed: matches!(j.get("resumed"), Some(Json::Bool(true))),
-            cache_hits: j.get("cache_hits").and_then(Json::as_u64).unwrap_or(0),
-            cache_misses: j.get("cache_misses").and_then(Json::as_u64).unwrap_or(0),
+            // Outcomes spooled while the evaluation service still memoized
+            // also carry `cache_hits`/`cache_misses`; nothing reads them.
         })
     }
 
@@ -387,7 +377,6 @@ pub fn run_job(
         .with_tracer(Tracer::new(Arc::clone(journal)))
         .run(&svc)
         .map_err(|e| e.to_string())?;
-    let report = trace.exec.clone().unwrap_or_else(|| svc.report());
     let last = trace.final_snapshot();
     let tail = last.verified_tail.as_ref();
     Ok(JobOutcome {
@@ -409,8 +398,6 @@ pub fn run_job(
         adjoint_solves: trace.adjoint_solves,
         fd_sims_avoided: trace.fd_sims_avoided,
         resumed: trace.resumed,
-        cache_hits: report.cache_hits,
-        cache_misses: report.cache_misses,
     })
 }
 
@@ -463,8 +450,6 @@ mod tests {
             adjoint_solves: 44,
             fd_sims_avoided: 660,
             resumed: true,
-            cache_hits: 99,
-            cache_misses: 1,
         };
         let back = JobOutcome::from_json_str(&outcome.to_json()).unwrap();
         for (a, b) in outcome.design.iter().zip(back.design.iter()) {

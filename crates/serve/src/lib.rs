@@ -22,7 +22,7 @@
 //!   from where any daemon streams it to every subscribed client,
 //!   backlog included.
 //!
-//! `status` reports the job table, the evaluation-cache hit rate, and
+//! `status` reports the job table, the service's simulation totals, and
 //! per-tenant simulation counts.
 //!
 //! # Wire protocol

@@ -163,7 +163,7 @@ pub fn write_line<W: Write>(w: &mut W, line: &str) -> io::Result<()> {
 pub enum Request {
     /// Submit an annotated deck as a new job.
     Submit(JobRequest),
-    /// Daemon status: job table, cache hit rate, per-tenant sim counts.
+    /// Daemon status: job table, simulation totals, per-tenant sim counts.
     Status,
     /// Fetch a job's result, optionally blocking until it settles.
     Result {

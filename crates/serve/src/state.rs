@@ -85,13 +85,9 @@ pub struct Metrics {
     /// Jobs settled with an error.
     pub jobs_failed: u64,
     /// Jobs settled from the spool after a peer daemon ran them (their
-    /// sims/cache counters belong to the peer and are *not* folded into
-    /// this daemon's totals).
+    /// sim counters belong to the peer and are *not* folded into this
+    /// daemon's totals).
     pub jobs_remote: u64,
-    /// Evaluation-cache hits summed over settled jobs.
-    pub cache_hits: u64,
-    /// Evaluation-cache misses summed over settled jobs.
-    pub cache_misses: u64,
     /// Simulator calls summed over settled jobs.
     pub total_sims: u64,
     /// Adjoint/sensitivity solves summed over settled jobs (tracked
@@ -100,14 +96,6 @@ pub struct Metrics {
     /// Full simulations the adjoint shortcut avoided, summed over settled
     /// jobs.
     pub fd_sims_avoided: u64,
-}
-
-impl Metrics {
-    /// Cache hit rate over settled jobs (`None` before any lookup).
-    pub fn cache_hit_rate(&self) -> Option<f64> {
-        let total = self.cache_hits + self.cache_misses;
-        (total > 0).then(|| self.cache_hits as f64 / total as f64)
-    }
 }
 
 /// Fleet-level figures assembled by the daemon (lease registry, liveness
@@ -292,8 +280,6 @@ impl ServeState {
                     entry.outcome = Some(outcome.clone());
                     let tenant = entry.spec.tenant.clone();
                     inner.metrics.jobs_done += 1;
-                    inner.metrics.cache_hits += outcome.cache_hits;
-                    inner.metrics.cache_misses += outcome.cache_misses;
                     inner.metrics.total_sims += outcome.total_sims;
                     inner.metrics.adjoint_solves += outcome.adjoint_solves;
                     inner.metrics.fd_sims_avoided += outcome.fd_sims_avoided;
@@ -352,7 +338,7 @@ impl ServeState {
 
     /// Settles a remote job with the outcome or the failure its peer wrote
     /// to the spool and wakes `result --wait` clients. Unlike
-    /// [`ServeState::finish`], the peer's sim/cache counters are *not*
+    /// [`ServeState::finish`], the peer's sim counters are *not*
     /// folded into this daemon's metrics — they are the peer's work.
     pub fn settle_remote(&self, id: &str, result: Result<JobOutcome, String>) {
         let mut inner = self.inner.lock().unwrap();
@@ -458,8 +444,8 @@ impl ServeState {
         self.inner.lock().unwrap().metrics
     }
 
-    /// The `status` response: job table, metrics with cache hit rate, and
-    /// per-tenant simulation counts (the tenant budget is reported only
+    /// The `status` response: job table, metrics, and per-tenant
+    /// simulation counts (the tenant budget is reported only
     /// when finite). Job rows carry the holding daemon once a lease is
     /// held, tenant rows carry fleet-wide sim totals, and a `fleet` object
     /// reports the [`FleetStatus`] lease/liveness figures.
@@ -492,23 +478,16 @@ impl ServeState {
         let m = &inner.metrics;
         out.push_str(&format!(
             "],\"metrics\":{{\"jobs_submitted\":{},\"jobs_done\":{},\"jobs_failed\":{},\
-             \"jobs_remote\":{},\
-             \"queue_depth\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_hit_rate\":",
+             \"jobs_remote\":{},\"queue_depth\":{},\
+             \"total_sims\":{},\"adjoint_solves\":{},\"fd_sims_avoided\":{},\"tenants\":[",
             m.jobs_submitted,
             m.jobs_done,
             m.jobs_failed,
             m.jobs_remote,
             inner.queue.len(),
-            m.cache_hits,
-            m.cache_misses,
-        ));
-        match m.cache_hit_rate() {
-            Some(rate) => json::write_f64(&mut out, rate),
-            None => out.push_str("null"),
-        }
-        out.push_str(&format!(
-            ",\"total_sims\":{},\"adjoint_solves\":{},\"fd_sims_avoided\":{},\"tenants\":[",
-            m.total_sims, m.adjoint_solves, m.fd_sims_avoided
+            m.total_sims,
+            m.adjoint_solves,
+            m.fd_sims_avoided
         ));
         let mut tenants: Vec<_> = inner.tenants.iter().collect();
         tenants.sort_by(|a, b| a.0.cmp(b.0));
@@ -586,8 +565,6 @@ mod tests {
             adjoint_solves: 4,
             fd_sims_avoided: 12,
             resumed: false,
-            cache_hits: 3,
-            cache_misses: 1,
         }
     }
 
@@ -609,8 +586,7 @@ mod tests {
         assert_eq!(entry.state, JobState::Done);
         assert_eq!(entry.outcome.unwrap().total_sims, 10);
         let m = state.metrics();
-        assert_eq!((m.jobs_done, m.cache_hits, m.cache_misses), (1, 3, 1));
-        assert_eq!(m.cache_hit_rate(), Some(0.75));
+        assert_eq!((m.jobs_done, m.total_sims), (1, 10));
     }
 
     #[test]

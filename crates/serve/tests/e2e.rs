@@ -222,15 +222,13 @@ fn submitted_job_streams_fig6_spans_and_matches_a_direct_run() {
     assert_eq!(outcome.verified_yield, verified);
     assert!(outcome.yield_interval.is_some(), "verification ran");
 
-    // Status reports the cache hit rate and the tenant's sim count.
+    // Status reports the service's and the tenant's sim counts.
     let status = client.status().expect("status");
     let metrics = status.get("metrics").unwrap();
-    assert!(
-        metrics
-            .get("cache_hit_rate")
-            .and_then(|x| x.as_f64())
-            .is_some(),
-        "cache hit rate must be reported after a cached run"
+    assert_eq!(
+        metrics.get("total_sims").and_then(|x| x.as_u64()),
+        Some(outcome.total_sims),
+        "the one settled job's simulations"
     );
     let tenants = metrics.get("tenants").and_then(|t| t.as_arr()).unwrap();
     let acme = tenants

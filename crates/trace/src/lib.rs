@@ -7,7 +7,7 @@
 //! named [`Span`]s with monotonic timestamps, typed attributes (worst-case
 //! points `θ_wc`/`ŝ_wc`, worst-case distances `β_wc`, accepted/rejected
 //! flags, estimator variances) and per-span counters (simulator calls,
-//! cache hits, retries) that absorb the `SimCounter`/`ExecReport`
+//! batches, retries) that absorb the `SimCounter`/`ExecReport`
 //! attribution from `specwise-exec`.
 //!
 //! # Design

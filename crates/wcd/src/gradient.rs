@@ -440,12 +440,7 @@ mod tests {
         let (m_serial, jac_serial) =
             margins_gradient_d(&e, &corner, &DVec::zeros(2), &theta, 1e-6).unwrap();
         for workers in [1usize, 2, 8] {
-            let service = EvalService::new(
-                &e,
-                ExecConfig::serial()
-                    .with_workers(workers)
-                    .with_cache_capacity(0),
-            );
+            let service = EvalService::new(&e, ExecConfig::serial().with_workers(workers));
             let (m, jac) =
                 margins_gradient_d(&service, &corner, &DVec::zeros(2), &theta, 1e-6).unwrap();
             assert_eq!(m.as_slice(), m_serial.as_slice(), "workers={workers}");

@@ -35,11 +35,9 @@ fn env() -> AnalyticEnv {
 }
 
 fn exec_cfg(workers: usize) -> ExecConfig {
-    // No cache (a hit would bypass the budget charge) and no retries (a
-    // starved sample would just charge again and fail again).
+    // No retries: a starved sample would just charge again and fail again.
     ExecConfig::default()
         .with_workers(workers)
-        .with_cache_capacity(0)
         .with_retry(RetryPolicy::none())
 }
 

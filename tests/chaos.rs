@@ -21,7 +21,6 @@ fn exec_config() -> ExecConfig {
     // and the clean evaluation is exactly what the fault-free run computed.
     ExecConfig::default()
         .with_workers(4)
-        .with_cache_capacity(0)
         .with_retry(RetryPolicy {
             max_retries: 3,
             perturb: 0.0,

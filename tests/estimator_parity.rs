@@ -168,12 +168,7 @@ fn check_env<E: CircuitEnv + Sync>(env: &E, label: &str, golden: (u64, u64)) {
     // Through the EvalService at 1 and 4 workers: identical results and
     // identical simulation effort regardless of dispatch.
     for workers in [1usize, 4] {
-        let svc = EvalService::new(
-            env,
-            ExecConfig::default()
-                .with_workers(workers)
-                .with_cache_capacity(0),
-        );
+        let svc = EvalService::new(env, ExecConfig::default().with_workers(workers));
         let sims_before = svc.sim_count();
         let got = mc_options
             .run(&svc, &d, &Tracer::disabled())

@@ -1,15 +1,13 @@
 //! Monte-Carlo verification on the worker pool: the yield estimators send
-//! every sample batch through `EvalService::eval_margins_batch` as
-//! unmemoized points.
+//! every sample batch through `EvalService::eval_margins_batch`.
 //!
 //! Two contracts are pinned here:
 //!
 //! * the result bits do not depend on the worker count — 1, 2 and 4
 //!   workers agree on the yield, its interval, the per-spec counts and the
 //!   simulations spent;
-//! * the samples never touch the memo cache: a verification adds no cache
-//!   entry and no miss, its only cache traffic is the worst-case-corner
-//!   lookup at the nominal statistical point.
+//! * the samples go through the pool: one batch for the corner sweep, then
+//!   one batch per corner group holding every sample.
 //!
 //! Every variant runs on a fresh environment, so the warm-start state
 //! starts cold on every path.
@@ -18,7 +16,6 @@ use specwise::{MonteCarlo, NormMinIs, NormMinOptions, Tracer};
 use specwise_ckt::{CircuitEnv, FoldedCascode, MillerOpamp, Testbench};
 use specwise_exec::{EvalService, ExecConfig};
 use specwise_linalg::DVec;
-use specwise_wcd::worst_case_corners;
 
 const SEED: u64 = 2001;
 const MC_SAMPLES: usize = 60;
@@ -118,27 +115,34 @@ fn miller_verification_is_bit_identical_at_any_worker_count() {
 }
 
 #[test]
-fn verification_samples_leave_the_memo_cache_alone() {
+fn verification_samples_go_through_the_pool() {
     for make in [FoldedCascode::paper_setup, MillerOpamp::paper_setup] {
         let env = make();
         let svc = service(&env, 2);
         let d = svc.design_space().initial();
-        // The optimizer has evaluated the worst-case corners at the nominal
-        // statistical point before it verifies; do the same here.
         let corners = svc.operating_range().corners().len() as u64;
-        worst_case_corners(&svc, &d, &DVec::zeros(svc.stat_dim())).unwrap();
-        let (len, before) = (svc.cache_len(), svc.report());
+        let before = svc.report();
 
-        mc_bits(&svc, &d);
+        let mc = MonteCarlo {
+            n_samples: MC_SAMPLES,
+            seed: SEED,
+        }
+        .run(&svc, &d, &Tracer::disabled())
+        .expect("MC verifies");
 
+        let mut groups = Vec::new();
+        for theta in &mc.theta_wc {
+            if !groups.contains(theta) {
+                groups.push(*theta);
+            }
+        }
+        let groups = groups.len() as u64;
         let after = svc.report();
-        assert_eq!(svc.cache_len(), len, "samples must not be cached");
-        assert_eq!(after.cache_misses, before.cache_misses, "no sample misses");
+        assert_eq!(after.batches - before.batches, 1 + groups);
         assert_eq!(
-            after.cache_hits,
-            before.cache_hits + corners,
-            "the corner lookup is the verification's only cache traffic"
+            after.batch_points - before.batch_points,
+            corners + groups * MC_SAMPLES as u64,
+            "the corner sweep, then every sample once per corner group"
         );
-        assert!(after.batch_points >= before.batch_points + MC_SAMPLES as u64);
     }
 }
