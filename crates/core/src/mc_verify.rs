@@ -312,6 +312,26 @@ mod tests {
     }
 
     #[test]
+    fn handed_over_corners_skip_the_sweep_and_keep_the_bits() {
+        let e = env();
+        let d = DVec::from_slice(&[1.0]);
+        let mc = MonteCarlo {
+            n_samples: 500,
+            seed: 1,
+        };
+        let swept = mc.run(&e, &d, &Tracer::disabled()).unwrap();
+        e.reset_sim_count();
+        let handed = mc
+            .run_with(&e, &d, Some(&swept.theta_wc), &Tracer::disabled())
+            .unwrap();
+        // Only the 500 samples: the 4 corner simulations are not repeated.
+        assert_eq!(e.sim_phase_counts()[SimPhase::Verification.index()], 500);
+        assert_eq!(handed.yield_estimate, swept.yield_estimate);
+        assert_eq!(handed.per_spec_bad, swept.per_spec_bad);
+        assert_eq!(handed.theta_wc, swept.theta_wc);
+    }
+
+    #[test]
     fn deterministic_for_seed() {
         let e = env();
         let a = mc_verify(&e, &DVec::from_slice(&[0.5]), 2_000, 42).unwrap();
