@@ -881,7 +881,7 @@ mod tests {
     #[test]
     fn outcomes_spooled_with_retired_cache_counters_still_load() {
         // The `.out` form written while the evaluation service memoized:
-        // it carries `cache_hits`/`cache_misses`, which are ignored now.
+        // it carries `cache_hits`/`cache_misses`, which nothing reads.
         let spool =
             std::env::temp_dir().join(format!("specwise-serve-old-out-{}", unique_suffix()));
         std::fs::create_dir_all(&spool).unwrap();
