@@ -1,7 +1,9 @@
-//! Served, verified optimizer runs: the path a `specwise-serve` job takes.
+//! Verified optimizer runs served by an `EvalService` with warm starts on
+//! (the paper benches' default): the path the `tables` binary and the
+//! benchmark's Fig. 6 workloads take.
 //!
-//! Each pinned run goes through an `EvalService` with warm starts on (the
-//! paper benches' default), runs one optimizer iteration and verifies
+//! Each pinned run goes through a fresh service, runs one optimizer
+//! iteration and verifies
 //! every snapshot with one yield estimator: the folded cascode with plain
 //! Monte Carlo, the Miller opamp with norm-min and with mean-shift
 //! importance sampling. The runs repeat at 1 and 2 workers on fresh
