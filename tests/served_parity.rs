@@ -3,11 +3,11 @@
 //! benchmark's Fig. 6 workloads take.
 //!
 //! Each pinned run goes through a fresh service, runs one optimizer
-//! iteration and verifies
-//! every snapshot with one yield estimator: the folded cascode with plain
-//! Monte Carlo, the Miller opamp with norm-min and with mean-shift
-//! importance sampling. The runs repeat at 1 and 2 workers on fresh
-//! benches and must give the same bits and the same effort.
+//! iteration and verifies every snapshot with one yield estimator: the
+//! folded cascode with plain Monte Carlo, the Miller opamp with norm-min
+//! and with mean-shift importance sampling. The runs repeat at 1 and 2
+//! workers on fresh benches and must give the same bits and the same
+//! effort.
 //!
 //! Each `GOLDEN_*` constant is an FNV-1a hash over every snapshot's design
 //! bits and its verification fields (the Monte-Carlo yield, interval,
